@@ -31,25 +31,47 @@ type outcome = {
 
 let default_max_rounds graph = (4 * Graph.node_count graph) + 16
 
-let two_hop_arrays graph =
-  Array.init (Graph.node_count graph) (fun p ->
-      Neighborhood.to_sorted_array (Neighborhood.two_hop graph p))
+(* [two_hop] is [None] for fusion-free configurations, which never read
+   it. *)
+type topology = { values : Density.t array; two_hop : int array array option }
 
-let run ?(scheduler = Synchronous) ?init_heads ?max_rounds ?dag_names ?values
-    rng (config : Config.t) graph ~ids =
+let topology ?values (config : Config.t) graph =
+  let values =
+    match values with
+    | Some v ->
+        if Array.length v <> Graph.node_count graph then
+          invalid_arg "Algorithm.topology: values length mismatch";
+        v
+    | None -> Metric.value_all config.metric graph
+  in
+  let two_hop =
+    if config.fusion then Some (Neighborhood.two_hop_rows graph) else None
+  in
+  { values; two_hop }
+
+let two_hop_rows t =
+  match t.two_hop with
+  | Some rows -> rows
+  | None -> invalid_arg "Algorithm: topology built without fusion rows"
+
+let two_hop t p = (two_hop_rows t).(p)
+
+let run ?(scheduler = Synchronous) ?init_heads ?max_rounds ?dag_names
+    ?topology:tables rng (config : Config.t) graph ~ids =
   let n = Graph.node_count graph in
   if Array.length ids <> n then invalid_arg "Algorithm.run: ids length mismatch";
   let max_rounds =
     match max_rounds with Some m -> m | None -> default_max_rounds graph
   in
-  let values =
-    match values with
-    | Some v ->
-        if Array.length v <> n then
-          invalid_arg "Algorithm.run: values length mismatch";
-        v
-    | None -> Metric.value_all config.metric graph
+  let tables =
+    match tables with
+    | Some t ->
+        if Array.length t.values <> n then
+          invalid_arg "Algorithm.run: topology built for another graph";
+        t
+    | None -> topology config graph
   in
+  let values = tables.values in
   let dag =
     if config.use_dag_names then
       match dag_names with
@@ -62,7 +84,7 @@ let run ?(scheduler = Synchronous) ?init_heads ?max_rounds ?dag_names ?values
   let effective_ids =
     match dag with Some d -> d.Dag_id.names | None -> ids
   in
-  let two_hop = if config.fusion then two_hop_arrays graph else [||] in
+  let two_hop = if config.fusion then two_hop_rows tables else [||] in
   let head =
     match init_heads with
     | Some h ->
@@ -175,9 +197,9 @@ let run ?(scheduler = Synchronous) ?init_heads ?max_rounds ?dag_names ?values
     dag;
   }
 
-let cluster ?scheduler ?init_heads ?max_rounds ?dag_names ?values rng config
+let cluster ?scheduler ?init_heads ?max_rounds ?dag_names ?topology rng config
     graph ~ids =
-  (run ?scheduler ?init_heads ?max_rounds ?dag_names ?values rng config graph
+  (run ?scheduler ?init_heads ?max_rounds ?dag_names ?topology rng config graph
      ~ids)
     .assignment
 

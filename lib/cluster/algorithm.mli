@@ -21,12 +21,31 @@ type outcome = {
   dag : Dag_id.result option;  (** N1 result when DAG names were built *)
 }
 
+type topology
+(** The tables a run reads that depend only on the graph (and the
+    configuration's metric and fusion flag): per-node metric values and,
+    under fusion, every node's two-hop row. Build one per graph and pass
+    it to every run on that graph to stop recomputing them. *)
+
+val topology :
+  ?values:Density.t array -> Config.t -> Ss_topology.Graph.t -> topology
+(** [values] overrides the per-node metric values (used by the
+    energy-aware extension); default is [Metric.value_all config.metric].
+    The two-hop rows ({!Ss_topology.Neighborhood.two_hop_rows}) are built
+    iff [config.fusion]. Raises [Invalid_argument] when [values] has the
+    wrong length. *)
+
+val two_hop : topology -> int -> int array
+(** [two_hop t p] is N²_p as an ascending array. Raises
+    [Invalid_argument] when [t] was built for a fusion-free
+    configuration. *)
+
 val run :
   ?scheduler:scheduler ->
   ?init_heads:int array ->
   ?max_rounds:int ->
   ?dag_names:int array ->
-  ?values:Density.t array ->
+  ?topology:topology ->
   Ss_prng.Rng.t ->
   Config.t ->
   Ss_topology.Graph.t ->
@@ -34,16 +53,19 @@ val run :
   outcome
 (** [init_heads] warm-starts the H variables (mobility epochs, incumbent
     tie-break); default is every node its own head. [dag_names] supplies
-    pre-built names instead of running N1. [values] overrides the per-node
-    metric values (used by the energy-aware extension). The generator is
-    used by N1 and is untouched otherwise. *)
+    pre-built names instead of running N1. [topology] supplies the graph's
+    tables (default: [topology config graph]); it must have been built for
+    this very graph and for a configuration with the same metric and
+    fusion flag — a table of the wrong size, or fusion rows missing,
+    raises [Invalid_argument]. The generator is used by N1 and is
+    untouched otherwise. *)
 
 val cluster :
   ?scheduler:scheduler ->
   ?init_heads:int array ->
   ?max_rounds:int ->
   ?dag_names:int array ->
-  ?values:Density.t array ->
+  ?topology:topology ->
   Ss_prng.Rng.t ->
   Config.t ->
   Ss_topology.Graph.t ->

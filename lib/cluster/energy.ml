@@ -118,8 +118,9 @@ let run_epoch ?(drain = default_drain) ?init_heads rng graph batteries ~ids =
       Config.make ~metric:Metric.Density ~tie:Order.Incumbent_then_id ()
     in
     let outcome =
-      Algorithm.run ~scheduler:Algorithm.Sequential ?init_heads ~values rng
-        config living ~ids
+      Algorithm.run ~scheduler:Algorithm.Sequential ?init_heads
+        ~topology:(Algorithm.topology ~values config living)
+        rng config living ~ids
     in
     let assignment = outcome.Algorithm.assignment in
     apply_drain ~drain batteries assignment;

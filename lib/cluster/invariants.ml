@@ -1,5 +1,4 @@
 module Graph = Ss_topology.Graph
-module Traversal = Ss_topology.Traversal
 module Monitor = Ss_engine.Monitor
 
 (* SplitMix64's finalizer: full-avalanche 64-bit mixing, so single-field
@@ -42,32 +41,9 @@ let digest ~graph:_ ~alive (states : Distributed.state array) =
     states;
   !h
 
-let violations ~config ~ids ~graph ~alive states =
-  let assignment = Distributed.to_assignment ~alive states in
-  let dag_names =
-    if config.Config.use_dag_names then
-      Some (Array.map (fun (st : Distributed.state) -> st.dag) states)
-    else None
-  in
-  let illegitimate =
-    match Legitimacy.check ?dag_names config graph ~ids assignment with
-    | Ok () -> 0
-    | Error vs -> List.length vs
-  in
-  let ghosts = Distributed.ghost_references ~alive states in
-  let base = [ ("illegitimate", illegitimate); ("ghosts", ghosts) ] in
-  if not config.Config.fusion then base
-  else
-    let close_heads =
-      match Metrics.min_head_separation graph assignment with
-      | Some d when d < 3 -> 1
-      | Some _ | None -> 0
-    in
-    base @ [ ("head-separation", close_heads) ]
-
-(* Node-level attribution of the same predicates: which nodes are the
-   violations AT. The containment metrics need this to measure how far
-   each violation sits from the Byzantine set. *)
+(* Node-level attribution: which nodes the violations are AT. The
+   containment metrics need this to measure how far each violation sits
+   from the Byzantine set. *)
 
 let problem_node = function
   | Assignment.Parent_not_neighbor p
@@ -79,27 +55,26 @@ let violation_node = function
   | Legitimacy.Structural problem -> problem_node problem
   | Legitimacy.Not_a_fixpoint { node; _ } -> node
 
-(* Both endpoints of every head pair closer than the fusion rule's 3-hop
-   floor (the per-pair refinement of [Metrics.min_head_separation]). *)
-let close_head_nodes graph assignment =
-  let heads = Assignment.heads assignment in
-  let rec scan acc = function
-    | [] -> acc
-    | h :: rest ->
-        let dist = Traversal.bfs_from graph h in
-        let acc =
-          List.fold_left
-            (fun acc h' ->
-              if dist.(h') <> Traversal.unreachable && dist.(h') < 3 then
-                h :: h' :: acc
-              else acc)
-            acc rest
-        in
-        scan acc rest
-  in
-  scan [] heads
+(* Hop distance 1 or 2 is exactly membership in the two-hop row, so one
+   pass over the heads' rows replaces a BFS per head; each pair is
+   reported once, from its smaller endpoint. *)
+let close_head_pairs topology assignment =
+  List.fold_left
+    (fun acc h ->
+      Array.fold_left
+        (fun acc h' ->
+          if h' > h && Assignment.is_head assignment h' then (h, h') :: acc
+          else acc)
+        acc
+        (Algorithm.two_hop topology h))
+    [] (Assignment.heads assignment)
 
-let violators ~config ~ids ~graph ~alive states =
+let observe ?topology ~config ~ids ~graph ~alive states =
+  let topology =
+    match topology with
+    | Some t -> t
+    | None -> Algorithm.topology config graph
+  in
   let assignment = Distributed.to_assignment ~alive states in
   let dag_names =
     if config.Config.use_dag_names then
@@ -107,32 +82,63 @@ let violators ~config ~ids ~graph ~alive states =
     else None
   in
   let illegitimate =
-    match Legitimacy.check ?dag_names config graph ~ids assignment with
+    match
+      Legitimacy.check ?dag_names ~topology config graph ~ids assignment
+    with
     | Ok () -> []
-    | Error vs -> List.map violation_node vs
+    | Error vs -> vs
   in
-  let ghosts = Distributed.ghost_holders ~alive states in
+  let counts =
+    [
+      ("illegitimate", List.length illegitimate);
+      ("ghosts", Distributed.ghost_references ~alive states);
+    ]
+  in
   let close =
-    if config.Config.fusion then close_head_nodes graph assignment else []
+    if config.Config.fusion then close_head_pairs topology assignment else []
   in
-  List.sort_uniq Int.compare (illegitimate @ ghosts @ close)
+  let counts =
+    if not config.Config.fusion then counts
+    else counts @ [ ("head-separation", if close = [] then 0 else 1) ]
+  in
+  {
+    Monitor.digest = digest ~graph ~alive states;
+    counts;
+    violators =
+      List.sort_uniq Int.compare
+        (List.map violation_node illegitimate
+        @ Distributed.ghost_holders ~alive states
+        @ List.concat_map (fun (h, h') -> [ h; h' ]) close);
+  }
+
+let violations ~config ~ids ~graph ~alive states =
+  (observe ~config ~ids ~graph ~alive states).Monitor.counts
+
+let violators ~config ~ids ~graph ~alive states =
+  (observe ~config ~ids ~graph ~alive states).Monitor.violators
+
+(* The tables depend on the graph alone, so consecutive probes of one
+   snapshot share them. Physical identity is a sound key because
+   [Engine.run] hands a probed run immutable snapshots (it turns snapshot
+   reuse off whenever a probe is attached): an unchanged [==] graph has
+   unchanged adjacency. Built at the first probe, never at creation. *)
+let observer ~config ~ids project =
+  let cache = ref None in
+  fun ~graph ~alive states ->
+    let topology =
+      match !cache with
+      | Some (g, t) when g == graph -> t
+      | Some _ | None ->
+          let t = Algorithm.topology config graph in
+          cache := Some (graph, t);
+          t
+    in
+    observe ~topology ~config ~ids ~graph ~alive (project states)
 
 let monitor ?window ?adversary ~config ~ids () =
-  Monitor.create ?window
-    ~violators:(fun ~graph ~alive states ->
-      violators ~config ~ids ~graph ~alive states)
-    ?adversary ~digest
-    ~invariants:(fun ~graph ~alive states ->
-      violations ~config ~ids ~graph ~alive states)
-    ()
+  Monitor.create ?window ?adversary ~observe:(observer ~config ~ids Fun.id) ()
 
 let monitor_via ?window ?adversary ~project ~config ~ids () =
-  Monitor.create ?window
-    ~violators:(fun ~graph ~alive states ->
-      violators ~config ~ids ~graph ~alive (Array.map project states))
-    ?adversary
-    ~digest:(fun ~graph ~alive states ->
-      digest ~graph ~alive (Array.map project states))
-    ~invariants:(fun ~graph ~alive states ->
-      violations ~config ~ids ~graph ~alive (Array.map project states))
+  Monitor.create ?window ?adversary
+    ~observe:(observer ~config ~ids (Array.map project))
     ()

@@ -22,7 +22,7 @@ let pp_violation ppf = function
       Fmt.pf ppf "node %d: %s is %d but the rule yields %d" node field current
         expected
 
-let check ?dag_names ?values (config : Config.t) graph ~ids assignment =
+let check ?dag_names ?topology (config : Config.t) graph ~ids assignment =
   let structural =
     match Assignment.validate graph assignment with
     | Ok () -> []
@@ -38,7 +38,7 @@ let check ?dag_names ?values (config : Config.t) graph ~ids assignment =
     let rng = Ss_prng.Rng.create ~seed:0 in
     let outcome =
       Algorithm.run ~scheduler:Algorithm.Sequential ~init_heads ?dag_names
-        ?values rng config graph ~ids
+        ?topology rng config graph ~ids
     in
     let reached = outcome.Algorithm.assignment in
     let fixpoint_violations = ref [] in
@@ -69,7 +69,7 @@ let check ?dag_names ?values (config : Config.t) graph ~ids assignment =
     | violations -> Error violations
   end
 
-let is_legitimate ?dag_names ?values config graph ~ids assignment =
-  match check ?dag_names ?values config graph ~ids assignment with
+let is_legitimate ?dag_names ?topology config graph ~ids assignment =
+  match check ?dag_names ?topology config graph ~ids assignment with
   | Ok () -> true
   | Error _ -> false

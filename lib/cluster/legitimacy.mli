@@ -20,19 +20,21 @@ val pp_violation : violation Fmt.t
 
 val check :
   ?dag_names:int array ->
-  ?values:Density.t array ->
+  ?topology:Algorithm.topology ->
   Config.t ->
   Ss_topology.Graph.t ->
   ids:int array ->
   Assignment.t ->
   (unit, violation list) result
-(** Pass the [dag_names] (and custom [values], for the energy extension)
-    the assignment was produced with; otherwise the rule is evaluated
-    against global ids / the configuration's metric. *)
+(** Pass the [dag_names] (and the [topology] tables, e.g. custom values
+    for the energy extension) the assignment was produced with; otherwise
+    the rule is evaluated against global ids / the configuration's metric.
+    A [topology] built once per graph spares each check the per-graph
+    tables ({!Algorithm.topology}). *)
 
 val is_legitimate :
   ?dag_names:int array ->
-  ?values:Density.t array ->
+  ?topology:Algorithm.topology ->
   Config.t ->
   Ss_topology.Graph.t ->
   ids:int array ->

@@ -33,15 +33,17 @@ type report = {
   containment : containment option;
 }
 
+type observation = {
+  digest : int64;
+  counts : (string * int) list;
+  violators : int list;
+}
+
 type 'state t = {
-  digest_fn :
-    graph:Graph.t -> alive:bool array -> 'state array -> int64;
-  invariants_fn :
-    graph:Graph.t -> alive:bool array -> 'state array -> (string * int) list;
-  violators_fn :
-    (graph:Graph.t -> alive:bool array -> 'state array -> int list) option;
+  observe : graph:Graph.t -> alive:bool array -> 'state array -> observation;
   adversary : adversary option;
   ring : int64 Ring.t;
+  mutable last : observation option;
   mutable last_round : int;
   mutable rounds : int;
   mutable violating_rounds : int;
@@ -59,24 +61,19 @@ type 'state t = {
   mutable last_escape : int option;
 }
 
-let create ?(window = 64) ?violators ?adversary ~digest ~invariants () =
+let create ?(window = 64) ?adversary ~observe () =
   if window < 2 then invalid_arg "Monitor.create: window must be >= 2";
   (match adversary with
   | None -> ()
   | Some a ->
-      if violators = None then
-        invalid_arg
-          "Monitor.create: ~adversary needs ~violators (containment \
-           attributes violations to nodes)";
       if a.horizon < 0 then invalid_arg "Monitor.create: negative horizon";
       if a.active_from < 1 then
         invalid_arg "Monitor.create: active_from must be >= 1");
   {
-    digest_fn = digest;
-    invariants_fn = invariants;
-    violators_fn = violators;
+    observe;
     adversary;
     ring = Ring.create ~capacity:window;
+    last = None;
     last_round = 0;
     rounds = 0;
     violating_rounds = 0;
@@ -113,12 +110,17 @@ let bump t label count =
   if count > !peak then peak := count
 
 let probe t ~round ~graph ~alive states =
+  if t.rounds > 0 && round <= t.last_round then
+    invalid_arg
+      (Printf.sprintf
+         "Monitor.probe: round %d fed after round %d; rounds must increase"
+         round t.last_round);
+  let obs = t.observe ~graph ~alive states in
+  t.last <- Some obs;
   t.rounds <- t.rounds + 1;
   t.last_round <- round;
-  Ring.push t.ring (t.digest_fn ~graph ~alive states);
-  let violations =
-    List.filter (fun (_, c) -> c > 0) (t.invariants_fn ~graph ~alive states)
-  in
+  Ring.push t.ring obs.digest;
+  let violations = List.filter (fun (_, c) -> c > 0) obs.counts in
   if violations = [] then begin
     (match t.open_burst with
     | Some (first, last) when round >= last ->
@@ -142,8 +144,8 @@ let probe t ~round ~graph ~alive states =
      its distance from the Byzantine set. A violator beyond the horizon
      (including one with no Byzantine node reachable at all) is an escape
      — damage the clean region was supposed to be immune to. *)
-  match (t.adversary, t.violators_fn) with
-  | Some adv, Some violators when round >= adv.active_from ->
+  match t.adversary with
+  | Some adv when round >= adv.active_from ->
       t.tracked <- t.tracked + 1;
       let escape = ref false in
       List.iter
@@ -154,12 +156,14 @@ let probe t ~round ~graph ~alive states =
             if d > t.worst_radius then t.worst_radius <- d;
             if d > adv.horizon then escape := true
           end)
-        (violators ~graph ~alive states);
+        obs.violators;
       if !escape then begin
         t.escaped <- t.escaped + 1;
         t.last_escape <- Some round
       end
   | _ -> ()
+
+let last t = t.last
 
 let classify ~converged ~last_round digests =
   if converged then Converged

@@ -89,30 +89,36 @@ type report = {
       (** [Some] iff the monitor was created with [~adversary] *)
 }
 
+type observation = {
+  digest : int64;
+      (** hash of the round's protocol {e outputs} only — never clocks,
+          timestamps or message caches, which change every round and would
+          mask any oscillation *)
+  counts : (string * int) list;
+      (** labelled violation counts; zero or absent labels mean clean *)
+  violators : int list;
+      (** the nodes the round's violations sit at (e.g.
+          {!Ss_cluster.Invariants.violators}); feeds the containment
+          metrics *)
+}
+(** Everything the monitor reads from one round, computed by one
+    callback so the predicates behind [counts] and [violators] are
+    evaluated once. *)
+
 type 'state t
 
 val create :
   ?window:int ->
-  ?violators:
-    (graph:Ss_topology.Graph.t -> alive:bool array -> 'state array -> int list) ->
   ?adversary:adversary ->
-  digest:(graph:Ss_topology.Graph.t -> alive:bool array -> 'state array -> int64) ->
-  invariants:
-    (graph:Ss_topology.Graph.t ->
-    alive:bool array ->
-    'state array ->
-    (string * int) list) ->
+  observe:
+    (graph:Ss_topology.Graph.t -> alive:bool array -> 'state array -> observation) ->
   unit ->
   'state t
-(** [digest] must hash only protocol {e outputs} (never clocks, timestamps
-    or message caches — those change every round and would mask any
-    oscillation); [invariants] returns labelled violation counts, zero or
-    absent labels meaning clean. [violators] names the violating nodes of a
-    round (e.g. {!Ss_cluster.Invariants.violators}); with [adversary] it
-    feeds the containment metrics — [adversary] without [violators] raises
-    [Invalid_argument], as does [horizon < 0] or [active_from < 1].
-    [window] is the digest-ring capacity (default 64): oscillations with
-    period above [window/2] are reported as [Still_changing]. Raises
+(** [observe] is called once per probed round. With [adversary], the
+    observation's [violators] feed the containment metrics; [horizon < 0]
+    or [active_from < 1] raise [Invalid_argument]. [window] is the
+    digest-ring capacity (default 64): oscillations with period above
+    [window/2] are reported as [Still_changing]. Raises
     [Invalid_argument] when [window < 2]. *)
 
 val probe :
@@ -123,7 +129,13 @@ val probe :
   'state array ->
   unit
 (** Feed one round; pass directly as [Engine.run ~probe:(Monitor.probe m)].
-    Rounds must be fed in increasing order. *)
+    Rounds must be fed in strictly increasing order: a round at or below
+    the previous probe's raises [Invalid_argument]. *)
+
+val last : 'state t -> observation option
+(** The most recent probe's observation, [None] before the first probe —
+    for callers that need more of a round than the report keeps, without
+    evaluating it a second time. *)
 
 val note_disturbance : 'state t -> round:int -> unit
 (** Record that round [round] was disturbed (churn or corruption). Call

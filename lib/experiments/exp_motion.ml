@@ -150,7 +150,9 @@ let one_run ~sparse ~spec ~regime ~channel ~churn ~dt ~rounds rng =
       Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive
     in
     let violators =
-      Invariants.violators ~config:Config.basic ~ids ~graph ~alive states
+      match Monitor.last mon with
+      | Some obs -> obs.Monitor.violators
+      | None -> []
     in
     Summary.add violating
       (float_of_int (List.length violators)

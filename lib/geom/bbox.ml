@@ -13,6 +13,18 @@ let area t = width t *. height t
 let contains t (p : Vec2.t) =
   p.x >= t.min_x && p.x <= t.max_x && p.y >= t.min_y && p.y <= t.max_y
 
+let enclose t (points : Vec2.t array) =
+  let min_x = ref t.min_x and min_y = ref t.min_y in
+  let max_x = ref t.max_x and max_y = ref t.max_y in
+  for i = 0 to Array.length points - 1 do
+    let p = points.(i) in
+    min_x := Float.min !min_x p.x;
+    min_y := Float.min !min_y p.y;
+    max_x := Float.max !max_x p.x;
+    max_y := Float.max !max_y p.y
+  done;
+  { min_x = !min_x; min_y = !min_y; max_x = !max_x; max_y = !max_y }
+
 let clamp t (p : Vec2.t) =
   Vec2.v (Float.min t.max_x (Float.max t.min_x p.x)) (Float.min t.max_y (Float.max t.min_y p.y))
 

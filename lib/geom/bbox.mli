@@ -14,6 +14,9 @@ val area : t -> float
 
 val contains : t -> Vec2.t -> bool
 
+val enclose : t -> Vec2.t array -> t
+(** The smallest box containing both [t] and every point. *)
+
 val clamp : t -> Vec2.t -> Vec2.t
 (** Nearest point inside the box. *)
 

@@ -20,15 +20,15 @@ type t = {
   cell_of_point : int array; (* flat cell index each point is bucketed in *)
 }
 
-let cell_of t (p : Vec2.t) =
-  let clamp v lo hi = if v < lo then lo else if v > hi then hi else v in
-  let cx = clamp (int_of_float ((p.x -. t.box.min_x) /. t.cell)) 0 (t.cols - 1) in
-  let cy = clamp (int_of_float ((p.y -. t.box.min_y) /. t.cell)) 0 (t.rows - 1) in
-  (cx, cy)
+let clamp v lo hi = if v < lo then lo else if v > hi then hi else v
 
-let flat_cell t p =
-  let cx, cy = cell_of t p in
-  (cy * t.cols) + cx
+let cell_x t (p : Vec2.t) =
+  clamp (int_of_float ((p.x -. t.box.min_x) /. t.cell)) 0 (t.cols - 1)
+
+let cell_y t (p : Vec2.t) =
+  clamp (int_of_float ((p.y -. t.box.min_y) /. t.cell)) 0 (t.rows - 1)
+
+let flat_cell t p = (cell_y t p * t.cols) + cell_x t p
 
 let build ~box ~cell points =
   if cell <= 0.0 then invalid_arg "Grid_index.build: cell must be positive";
@@ -72,7 +72,7 @@ let move t i =
 let iter_within t center radius f =
   if radius < 0.0 then invalid_arg "Grid_index.iter_within: negative radius";
   let r2 = radius *. radius in
-  let cx, cy = cell_of t center in
+  let cx = cell_x t center and cy = cell_y t center in
   let reach = max 1 (int_of_float (ceil (radius /. t.cell))) in
   for gy = max 0 (cy - reach) to min (t.rows - 1) (cy + reach) do
     for gx = max 0 (cx - reach) to min (t.cols - 1) (cx + reach) do
@@ -93,3 +93,33 @@ let neighbors t i radius =
   let acc = ref [] in
   iter_within t center radius (fun j -> if j <> i then acc := j :: !acc);
   List.sort Int.compare !acc
+
+(* [iter_within] without its per-bucket closure: the buckets are walked
+   with a list cursor and the distance is spelled out, so unit-disk
+   construction scans every node's 3x3 block without allocating. *)
+let neighbors_into t i radius buf =
+  if radius < 0.0 then invalid_arg "Grid_index.neighbors_into: negative radius";
+  let r2 = radius *. radius in
+  let c = t.points.(i) in
+  let cx = cell_x t c and cy = cell_y t c in
+  let reach = max 1 (int_of_float (ceil (radius /. t.cell))) in
+  let len = ref 0 in
+  for gy = max 0 (cy - reach) to min (t.rows - 1) (cy + reach) do
+    for gx = max 0 (cx - reach) to min (t.cols - 1) (cx + reach) do
+      let cursor = ref t.cells.((gy * t.cols) + gx) in
+      let more = ref true in
+      while !more do
+        match !cursor with
+        | [] -> more := false
+        | j :: rest ->
+            let p = t.points.(j) in
+            let dx = p.x -. c.x and dy = p.y -. c.y in
+            if j <> i && (dx *. dx) +. (dy *. dy) <= r2 then begin
+              buf.(!len) <- j;
+              incr len
+            end;
+            cursor := rest
+      done
+    done
+  done;
+  !len

@@ -34,3 +34,9 @@ val within : t -> Vec2.t -> float -> int list
 val neighbors : t -> int -> float -> int list
 (** [neighbors t i r] is the sorted indices of points within [r] of point
     [i], excluding [i] itself. *)
+
+val neighbors_into : t -> int -> float -> int array -> int
+(** [neighbors_into t i r buf] writes the indices {!neighbors} returns,
+    in bucket order (unsorted), to [buf.(0 ..)] and returns how many it
+    wrote. Allocates nothing; [buf] needs room for [size t - 1]
+    entries. *)

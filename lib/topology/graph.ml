@@ -159,26 +159,38 @@ let of_adjacency ?positions adj =
         t.adj.(p));
   t
 
+(* Insertion sort below the cutoff: in place and closure-free, where
+   [Array.sort]'s local functions and exceptions allocate on every call. *)
+let sorted_row buf len =
+  if len > 64 then begin
+    let row = Array.sub buf 0 len in
+    Array.sort Int.compare row;
+    row
+  end
+  else begin
+    for i = 1 to len - 1 do
+      let x = buf.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && buf.(!j) > x do
+        buf.(!j + 1) <- buf.(!j);
+        decr j
+      done;
+      buf.(!j + 1) <- x
+    done;
+    Array.sub buf 0 len
+  end
+
 let unit_disk ~radius positions =
   if radius < 0.0 then invalid_arg "Graph.unit_disk: negative radius";
   let n = Array.length positions in
-  let box =
-    (* Enclose all points; the index clamps outliers anyway. *)
-    Array.fold_left
-      (fun (b : Ss_geom.Bbox.t) (p : Ss_geom.Vec2.t) ->
-        {
-          Ss_geom.Bbox.min_x = Float.min b.min_x p.x;
-          min_y = Float.min b.min_y p.y;
-          max_x = Float.max b.max_x p.x;
-          max_y = Float.max b.max_y p.y;
-        })
-      Ss_geom.Bbox.unit_square positions
-  in
+  (* Enclose all points; the index clamps outliers anyway. *)
+  let box = Ss_geom.Bbox.enclose Ss_geom.Bbox.unit_square positions in
   let cell = if radius > 0.0 then radius else 1.0 in
   let index = Ss_geom.Grid_index.build ~box ~cell positions in
+  let buf = Array.make n 0 in
   let adj =
     Array.init n (fun p ->
-        Array.of_list (Ss_geom.Grid_index.neighbors index p radius))
+        sorted_row buf (Ss_geom.Grid_index.neighbors_into index p radius buf))
   in
   { n; adj; positions = Some positions; max_deg = -1 }
 

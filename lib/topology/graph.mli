@@ -27,6 +27,13 @@ val unit_disk : radius:float -> Ss_geom.Vec2.t array -> t
     [<= radius]. Built in expected linear time via a spatial index. This is
     the paper's radio model: [radius] is the transmission range R. *)
 
+val sorted_row : int array -> int -> int array
+(** [sorted_row buf len] sorts [buf.(0 .. len-1)] in place and returns a
+    fresh copy of that prefix: how {!unit_disk} and the two-hop rows turn
+    a work buffer of distinct neighbours into an adjacency row. Short rows
+    (every unit-disk row at realistic degrees) allocate nothing but the
+    copy. *)
+
 val node_count : t -> int
 val edge_count : t -> int
 

@@ -22,6 +22,7 @@ type t = {
   pos : Ss_geom.Vec2.t array; (* owned live buffer, aliased by every graph *)
   grid : Ss_geom.Grid_index.t;
   rows : int array array; (* current adjacency; inner rows never mutated *)
+  buf : int array; (* work buffer for one node's re-queried row *)
   mutable graph : Graph.t;
   pending : bool array;
   mutable pending_list : int list;
@@ -47,23 +48,14 @@ let create ?(box = Ss_geom.Bbox.unit_square) ~radius positions =
   if radius < 0.0 then invalid_arg "Motion.create: negative radius";
   let n = Array.length positions in
   let pos = Array.copy positions in
-  let box =
-    (* Enclose all starting points; the index clamps later outliers. *)
-    Array.fold_left
-      (fun (b : Ss_geom.Bbox.t) (p : Ss_geom.Vec2.t) ->
-        {
-          Ss_geom.Bbox.min_x = Float.min b.min_x p.x;
-          min_y = Float.min b.min_y p.y;
-          max_x = Float.max b.max_x p.x;
-          max_y = Float.max b.max_y p.y;
-        })
-      box pos
-  in
+  (* Enclose all starting points; the index clamps later outliers. *)
+  let box = Ss_geom.Bbox.enclose box pos in
   let cell = if radius > 0.0 then radius else 1.0 in
   let grid = Ss_geom.Grid_index.build ~box ~cell pos in
+  let buf = Array.make n 0 in
   let rows =
     Array.init n (fun i ->
-        Array.of_list (Ss_geom.Grid_index.neighbors grid i radius))
+        Graph.sorted_row buf (Ss_geom.Grid_index.neighbors_into grid i radius buf))
   in
   let graph = Graph.of_sorted_adjacency ~positions:pos (Array.copy rows) in
   {
@@ -71,6 +63,7 @@ let create ?(box = Ss_geom.Bbox.unit_square) ~radius positions =
     pos;
     grid;
     rows;
+    buf;
     graph;
     pending = Array.make n false;
     pending_list = [];
@@ -185,8 +178,8 @@ let flush t =
       List.iter
         (fun i ->
           let fresh =
-            Array.of_list
-              (Ss_geom.Grid_index.neighbors t.grid i t.radius)
+            Graph.sorted_row t.buf
+              (Ss_geom.Grid_index.neighbors_into t.grid i t.radius t.buf)
           in
           let old = t.rows.(i) in
           if not (rows_equal old fresh) then begin

@@ -31,6 +31,35 @@ let closed graph p = Iset.add p (one_hop graph p)
 
 let to_sorted_array set = Array.of_list (Iset.elements set)
 
+(* [stamp.(q) = p] marks q as already collected for row p (p itself is
+   pre-stamped, so it never enters its own row); [buf] holds the row
+   until it is copied out and sorted in place. *)
+let two_hop_rows graph =
+  let n = Graph.node_count graph in
+  let stamp = Array.make n (-1) in
+  let buf = Array.make n 0 in
+  let add p len q =
+    if stamp.(q) = p then len
+    else begin
+      stamp.(q) <- p;
+      buf.(len) <- q;
+      len + 1
+    end
+  in
+  Array.init n (fun p ->
+      stamp.(p) <- p;
+      let len = ref 0 in
+      let nbrs = Graph.neighbors graph p in
+      for i = 0 to Array.length nbrs - 1 do
+        let q = nbrs.(i) in
+        len := add p !len q;
+        let second = Graph.neighbors graph q in
+        for j = 0 to Array.length second - 1 do
+          len := add p !len second.(j)
+        done
+      done;
+      Graph.sorted_row buf !len)
+
 let links_within graph set =
   (* Number of graph edges with both endpoints in [set]. *)
   Iset.fold

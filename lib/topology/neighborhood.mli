@@ -13,5 +13,10 @@ val closed : Graph.t -> int -> Iset.t
 
 val to_sorted_array : Iset.t -> int array
 
+val two_hop_rows : Graph.t -> int array array
+(** Every node's N²_p as an ascending array: row [p] equals
+    [to_sorted_array (two_hop g p)]. Built with one stamp array and one
+    reusable buffer instead of sets, so the only allocation is the rows. *)
+
 val links_within : Graph.t -> Iset.t -> int
 (** Edges of the graph with both endpoints inside the set. *)

@@ -15,6 +15,15 @@ module Invariants = Ss_cluster.Invariants
 module Exp_campaign = Ss_experiments.Exp_campaign
 module Scenario = Ss_experiments.Scenario
 module Rng = Ss_prng.Rng
+module Traversal = Ss_topology.Traversal
+module Motion = Ss_topology.Motion
+module Churn = Ss_engine.Churn
+module Algorithm = Ss_cluster.Algorithm
+module Assignment = Ss_cluster.Assignment
+module Legitimacy = Ss_cluster.Legitimacy
+module Metrics = Ss_cluster.Metrics
+module Fleet = Ss_mobility.Fleet
+module Model = Ss_mobility.Model
 
 let rng () = Rng.create ~seed:7331
 
@@ -75,9 +84,12 @@ let test_classify_window_too_small () =
    the single invariant fires while the value is positive. *)
 let manual_monitor () =
   Monitor.create
-    ~digest:(fun ~graph:_ ~alive:_ states -> Int64.of_int states.(0))
-    ~invariants:(fun ~graph:_ ~alive:_ states ->
-      [ ("bad", if states.(0) > 0 then 1 else 0) ])
+    ~observe:(fun ~graph:_ ~alive:_ states ->
+      {
+        Monitor.digest = Int64.of_int states.(0);
+        counts = [ ("bad", if states.(0) > 0 then 1 else 0) ];
+        violators = (if states.(0) > 0 then [ 0 ] else []);
+      })
     ()
 
 let drive m ~graph ~alive plan =
@@ -190,11 +202,15 @@ let test_blinker_classified_oscillating () =
   let g = Builders.path 6 in
   let m =
     Monitor.create
-      ~digest:(fun ~graph:_ ~alive:_ states ->
-        Array.fold_left
-          (fun acc st -> Int64.add (Int64.mul acc 2L) (Int64.of_int st))
-          1L states)
-      ~invariants:(fun ~graph:_ ~alive:_ _ -> [])
+      ~observe:(fun ~graph:_ ~alive:_ states ->
+        {
+          Monitor.digest =
+            Array.fold_left
+              (fun acc st -> Int64.add (Int64.mul acc 2L) (Int64.of_int st))
+              1L states;
+          counts = [];
+          violators = [];
+        })
       ()
   in
   let result =
@@ -205,6 +221,23 @@ let test_blinker_classified_oscillating () =
   check_class "period-2 oscillation from round 1"
     (Monitor.Oscillating { period = 2; first_seen = 1 })
     r.Monitor.classification
+
+let test_probe_rejects_out_of_order_rounds () =
+  let graph = Builders.path 2 in
+  let alive = [| true; true |] in
+  let m = manual_monitor () in
+  drive m ~graph ~alive [ (1, 0, false); (2, 0, false) ];
+  Alcotest.check_raises "repeated round"
+    (Invalid_argument
+       "Monitor.probe: round 2 fed after round 2; rounds must increase")
+    (fun () -> Monitor.probe m ~round:2 ~graph ~alive [| 0 |]);
+  Alcotest.check_raises "earlier round"
+    (Invalid_argument
+       "Monitor.probe: round 1 fed after round 2; rounds must increase")
+    (fun () -> Monitor.probe m ~round:1 ~graph ~alive [| 0 |]);
+  Monitor.probe m ~round:3 ~graph ~alive [| 0 |];
+  Alcotest.(check int) "rejected probes left no trace" 3
+    (Monitor.report m ~converged:true).Monitor.rounds
 
 (* -------------------------------------------------- cluster invariants *)
 
@@ -303,6 +336,184 @@ let test_corrupted_states_never_crash_invariants () =
     | None -> false);
   Alcotest.(check (option int)) "all 8 references are ghosts" (Some 8)
     (List.assoc_opt "ghosts" vs)
+
+(* Close head pairs the way [Metrics.min_head_separation] measures
+   distance: a full BFS from every head. *)
+let bfs_close_pairs graph assignment =
+  let rec scan acc = function
+    | [] -> acc
+    | h :: rest ->
+        let dist = Traversal.bfs_from graph h in
+        scan
+          (List.fold_left
+             (fun acc h' ->
+               if dist.(h') <> Traversal.unreachable && dist.(h') < 3 then
+                 (h, h') :: acc
+               else acc)
+             acc rest)
+          rest
+  in
+  scan [] (Assignment.heads assignment)
+
+let sorted_pairs = List.sort (fun (a, b) (c, d) ->
+    match Int.compare a c with 0 -> Int.compare b d | o -> o)
+
+let test_close_head_pairs_match_bfs () =
+  (* Random fusion runs stopped after 0, 1, 2 rounds and at the fixpoint:
+     early stops leave plenty of heads within 2 hops of each other. *)
+  let config = Config.make ~fusion:true () in
+  let nonempty = ref 0 in
+  for seed = 0 to 29 do
+    let rng = Rng.create ~seed in
+    let graph = Builders.gnp rng ~n:40 ~p:(0.04 +. (0.004 *. float_of_int seed)) in
+    let ids = Algorithm.shuffled_ids rng graph in
+    let topology = Algorithm.topology config graph in
+    List.iter
+      (fun max_rounds ->
+        let a = Algorithm.cluster ?max_rounds rng config graph ~ids in
+        let pairs = sorted_pairs (Invariants.close_head_pairs topology a) in
+        if pairs <> [] then incr nonempty;
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "seed %d, %s rounds" seed
+             (match max_rounds with Some r -> string_of_int r | None -> "all"))
+          (sorted_pairs (bfs_close_pairs graph a))
+          pairs)
+      [ Some 0; Some 1; Some 2; None ]
+  done;
+  Alcotest.(check bool) "close pairs were exercised" true (!nonempty > 30)
+
+(* The uncached reference of one probe: fresh tables inside
+   [Legitimacy.check], a BFS per head for the fusion pairs and
+   [Metrics.min_head_separation] for their count. *)
+let reference_observation ~config ~ids ~graph ~alive states =
+  let assignment = Distributed.to_assignment ~alive states in
+  let dag_names =
+    if config.Config.use_dag_names then
+      Some (Array.map (fun (st : Distributed.state) -> st.Distributed.dag) states)
+    else None
+  in
+  let illegitimate =
+    match Legitimacy.check ?dag_names config graph ~ids assignment with
+    | Ok () -> []
+    | Error vs -> vs
+  in
+  let node = function
+    | Legitimacy.Not_a_fixpoint { node; _ } -> node
+    | Legitimacy.Structural
+        ( Assignment.Parent_not_neighbor p
+        | Assignment.Parent_cycle p
+        | Assignment.Head_mismatch p
+        | Assignment.Stranded_member p ) ->
+        p
+  in
+  let fusion = config.Config.fusion in
+  let close = if fusion then bfs_close_pairs graph assignment else [] in
+  {
+    Monitor.digest = Invariants.digest ~graph ~alive states;
+    counts =
+      [
+        ("illegitimate", List.length illegitimate);
+        ("ghosts", Distributed.ghost_references ~alive states);
+      ]
+      @
+      if fusion then
+        [
+          ( "head-separation",
+            match Metrics.min_head_separation graph assignment with
+            | Some d when d < 3 -> 1
+            | Some _ | None -> 0 );
+        ]
+      else [];
+    violators =
+      List.sort_uniq Int.compare
+        (List.map node illegitimate
+        @ Distributed.ghost_holders ~alive states
+        @ List.concat_map (fun (h, h') -> [ h; h' ]) close);
+  }
+
+module Differential (C : sig
+  val config : Config.t
+end) =
+struct
+  module P = Distributed.Make (struct
+    let params = { Distributed.default_params with algo = C.config }
+  end)
+
+  module E = Engine.Make (P)
+
+  (* A 50-node unit-disk run with a fifth of the nodes walking (moved
+     every third round, so snapshots both change and repeat), a crash at
+     round 8 rejoining at 16 and a corruption burst at 24: every probe's
+     observation must equal the uncached reference. *)
+  let run seed =
+    let rng = Rng.create ~seed in
+    let n = 50 in
+    let positions =
+      Array.init n (fun _ -> Ss_geom.Vec2.v (Rng.float rng 1.0) (Rng.float rng 1.0))
+    in
+    let motion = Motion.create ~radius:0.22 positions in
+    let movers = Array.init (n / 5) (fun i -> i * 5) in
+    let fleet =
+      Fleet.create rng
+        ~model:(Model.random_walk ~speed_min:0.01 ~speed_max:0.03 ())
+        ~box:Ss_geom.Bbox.unit_square
+        (Array.map (Motion.position motion) movers)
+    in
+    let hook ~round =
+      if round mod 3 <> 0 then None
+      else begin
+        ignore
+          (Fleet.step_moved fleet 1.0 (fun i p -> Motion.move motion movers.(i) p));
+        let diff = Motion.flush motion in
+        if diff.Motion.n_added + diff.Motion.n_removed = 0 then None
+        else Some (Motion.graph motion, diff)
+      end
+    in
+    let ids = Array.init n Fun.id in
+    let mon = Invariants.monitor ~config:C.config ~ids () in
+    let graphs = ref [] and repeats = ref 0 and dirty = ref 0 in
+    let probe ~round ~graph ~alive states =
+      Monitor.probe mon ~round ~graph ~alive states;
+      (match !graphs with
+      | g :: _ when g == graph -> incr repeats
+      | _ -> graphs := graph :: !graphs);
+      let got = Option.get (Monitor.last mon) in
+      let want = reference_observation ~config:C.config ~ids ~graph ~alive states in
+      let label what = Printf.sprintf "seed %d round %d: %s" seed round what in
+      Alcotest.(check int64) (label "digest") want.Monitor.digest got.Monitor.digest;
+      Alcotest.(check (list (pair string int)))
+        (label "counts") want.Monitor.counts got.Monitor.counts;
+      Alcotest.(check (list int))
+        (label "violators") want.Monitor.violators got.Monitor.violators;
+      if got.Monitor.violators <> [] then incr dirty
+    in
+    let churn =
+      Churn.compose
+        [
+          Churn.crash_fraction ~round:8 ~fraction:0.1;
+          Churn.join_all ~round:16;
+          Churn.corrupt_fraction ~round:24 ~fraction:0.2;
+        ]
+    in
+    ignore
+      (E.run ~max_rounds:40 ~quiet_rounds:40 ~churn ~corrupt:Distributed.corrupt
+         ~motion:hook ~probe rng (Motion.graph motion));
+    (List.length !graphs, !repeats, !dirty)
+end
+
+let test_monitor_matches_uncached_reference () =
+  List.iter
+    (fun config ->
+      let module D = Differential (struct
+        let config = config
+      end) in
+      for seed = 0 to 3 do
+        let snapshots, repeats, dirty = D.run seed in
+        Alcotest.(check bool) "the snapshot changed mid-run" true (snapshots >= 3);
+        Alcotest.(check bool) "cached tables were reused" true (repeats > 0);
+        Alcotest.(check bool) "violating rounds were compared" true (dirty > 0)
+      done)
+    [ Config.basic; Config.improved_with_dag ]
 
 (* ------------------------------------------------------ fault campaign *)
 
@@ -419,6 +630,12 @@ let suite =
       test_head_separation_invariant;
     Alcotest.test_case "corrupted states never crash the predicate" `Quick
       test_corrupted_states_never_crash_invariants;
+    Alcotest.test_case "probe rejects out-of-order rounds" `Quick
+      test_probe_rejects_out_of_order_rounds;
+    Alcotest.test_case "close head pairs = per-head BFS" `Quick
+      test_close_head_pairs_match_bfs;
+    Alcotest.test_case "monitor = uncached reference under churn and motion"
+      `Quick test_monitor_matches_uncached_reference;
     Alcotest.test_case "campaign: good cell has zero post-recovery" `Quick
       test_campaign_good_cell_zero_post_recovery;
     Alcotest.test_case "campaign: starved budget is still-changing" `Quick

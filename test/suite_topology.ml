@@ -3,6 +3,9 @@ module Builders = Ss_topology.Builders
 module Traversal = Ss_topology.Traversal
 module Neighborhood = Ss_topology.Neighborhood
 module Dag = Ss_topology.Dag
+module Dynamic = Ss_topology.Dynamic
+module Bbox = Ss_geom.Bbox
+module Grid_index = Ss_geom.Grid_index
 module Vec2 = Ss_geom.Vec2
 module Rng = Ss_prng.Rng
 
@@ -277,6 +280,76 @@ let test_locally_unique () =
   Alcotest.(check bool) "unique" true (Dag.locally_unique g [| 1; 2; 1 |]);
   Alcotest.(check bool) "collision" false (Dag.locally_unique g [| 1; 1; 2 |])
 
+(* The stamp-array two-hop rows against the set-based definition, on
+   random graphs (sparse ones leave isolated nodes) and on churned
+   snapshots of them: crashed nodes appear isolated, downed links vanish
+   from both rows. *)
+let prop_two_hop_rows_match_sets =
+  QCheck.Test.make ~name:"two_hop_rows = sorted two_hop sets" ~count:300
+    (QCheck.make
+       ~print:(fun (n, p, seed) -> Printf.sprintf "n=%d p=%.2f seed=%d" n p seed)
+       QCheck.Gen.(
+         triple (int_range 1 50) (float_range 0.0 0.3) (int_range 0 99_999)))
+    (fun (n, p, seed) ->
+      let rng = Rng.create ~seed in
+      let graph = Builders.gnp rng ~n ~p in
+      let matches g =
+        let rows = Neighborhood.two_hop_rows g in
+        Array.length rows = n
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun v row ->
+                  row = Neighborhood.to_sorted_array (Neighborhood.two_hop g v))
+                rows)
+      in
+      let dyn = Dynamic.create graph in
+      let edges = Array.of_list (Graph.edges graph) in
+      for _ = 1 to 1 + Rng.int rng 5 do
+        ignore (Dynamic.crash dyn (Rng.int rng n));
+        if Array.length edges > 0 then begin
+          let a, b = edges.(Rng.int rng (Array.length edges)) in
+          ignore (Dynamic.link_down dyn a b)
+        end
+      done;
+      matches graph && matches (Dynamic.snapshot dyn))
+
+(* Reference unit-disk construction: a bounding-box fold and one sorted
+   list query per node, through the validating [Graph.of_adjacency]. *)
+let reference_unit_disk ~radius positions =
+  let box =
+    Array.fold_left
+      (fun (b : Bbox.t) (p : Vec2.t) ->
+        {
+          Bbox.min_x = Float.min b.min_x p.x;
+          min_y = Float.min b.min_y p.y;
+          max_x = Float.max b.max_x p.x;
+          max_y = Float.max b.max_y p.y;
+        })
+      Bbox.unit_square positions
+  in
+  let cell = if radius > 0.0 then radius else 1.0 in
+  let index = Grid_index.build ~box ~cell positions in
+  Graph.of_adjacency
+    (Array.init (Array.length positions) (fun p ->
+         Grid_index.neighbors index p radius))
+
+let prop_unit_disk_matches_reference =
+  QCheck.Test.make ~name:"unit_disk = list-based construction" ~count:300
+    (QCheck.make
+       ~print:(fun (n, r, seed) -> Printf.sprintf "n=%d r=%.3f seed=%d" n r seed)
+       QCheck.Gen.(
+         triple (int_range 0 80) (float_range 0.0 0.5) (int_range 0 99_999)))
+    (fun (n, radius, seed) ->
+      let rng = Rng.create ~seed in
+      (* Points spill up to half a side outside the unit square. *)
+      let positions =
+        Array.init n (fun _ ->
+            Vec2.v (Rng.float rng 2.0 -. 0.5) (Rng.float rng 2.0 -. 0.5))
+      in
+      Graph.equal
+        (Graph.unit_disk ~radius positions)
+        (reference_unit_disk ~radius positions))
+
 let suite =
   [
     Alcotest.test_case "of_edges basics" `Quick test_of_edges_basic;
@@ -315,3 +388,5 @@ let suite =
       test_dag_height_bound;
     Alcotest.test_case "locally unique labels" `Quick test_locally_unique;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_two_hop_rows_match_sets; prop_unit_disk_matches_reference ]
