@@ -59,9 +59,10 @@ let pipelines =
       run =
         (fun ~domains () ->
           let rows =
-            E.Exp_churn.run ~seed ~runs ~domains ~spec:churn_spec
-              ~schedulers:[ Ss_engine.Scheduler.Synchronous ]
-              ~storms:[ E.Exp_churn.Crash_recover ] ()
+            E.Sweep.rows ~domains
+              (E.Exp_churn.sweep ~seed ~runs ~spec:churn_spec
+                 ~schedulers:[ Ss_engine.Scheduler.Synchronous ]
+                 ~storms:[ E.Exp_churn.Crash_recover ] ())
           in
           (* Counter.t is hashtable-backed; project to its sorted listing so
              structural comparison is representation-independent. *)

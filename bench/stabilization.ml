@@ -112,7 +112,7 @@ let () =
     (if smoke then " --smoke" else "")
     (List.length cells) domains;
   let t0 = Unix.gettimeofday () in
-  let rows = Exp.run ~domains ~seed ~cells () in
+  let rows = Ss_experiments.Sweep.rows ~domains (Exp.sweep ~seed ~cells ()) in
   let dt = Unix.gettimeofday () -. t0 in
   let verdicts = Exp.verdicts rows in
   Table.print (Exp.to_table rows);

@@ -15,14 +15,25 @@ let runs_arg default =
   let doc = "Number of independent runs to average over." in
   Arg.(value & opt int default & info [ "runs" ] ~docv:"RUNS" ~doc)
 
+(* A bad job count fails loudly instead of quietly running sequential. *)
 let jobs_arg =
   let doc =
-    "Number of domains executing runs in parallel. Every run draws from its \
-     own positional PRNG sub-stream and results are collected in run order, \
-     so the output is bit-identical for every value of $(docv)."
+    "Number of domains executing runs in parallel, a positive integer. \
+     Every run draws from its own positional PRNG sub-stream and results \
+     are collected in run order, so the output is bit-identical for every \
+     value of $(docv)."
   in
   let env = Cmd.Env.info "REPRO_JOBS" ~doc:"Default for $(b,--jobs)." in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~env ~docv:"N" ~doc)
+  let check s =
+    match E.Runner.jobs_of_string s with
+    | n -> n
+    | exception Invalid_argument msg ->
+        Fmt.epr "repro: --jobs/REPRO_JOBS: %s@." msg;
+        exit 2
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt string "1" & info [ "jobs"; "j" ] ~env ~docv:"N" ~doc))
 
 let intensity_arg =
   let doc = "Poisson intensity (expected node count in the unit square)." in
@@ -32,20 +43,11 @@ let csv_arg =
   let doc = "Emit CSV instead of a boxed table." in
   Arg.(value & flag & info [ "csv" ] ~doc)
 
-let sparse_arg =
-  let doc =
-    "Use the engine's sparse dirty-set executor instead of the dense round \
-     walk. Output is bit-identical (the sparse differential test battery is \
-     the contract); per-round cost becomes proportional to the perturbed \
-     region instead of the network."
-  in
-  Arg.(value & flag & info [ "sparse" ] ~doc)
-
 let cell_arg =
   let doc =
     "Replay mode (with $(b,--run)): re-execute exactly one sweep cell/run \
-     pair instead of the sweep — the command printed in the table's replay \
-     column — and exit non-zero iff the run is (still) anomalous."
+     pair instead of the sweep — the command printed for an anomalous run \
+     — and exit non-zero iff the run is (still) anomalous."
   in
   Arg.(value & opt (some int) None & info [ "cell" ] ~docv:"CELL" ~doc)
 
@@ -53,25 +55,51 @@ let run_index_arg =
   let doc = "Replay mode (with $(b,--cell)): the run index to re-execute." in
   Arg.(value & opt (some int) None & info [ "run" ] ~docv:"RUN" ~doc)
 
-(* Replay-mode plumbing shared by campaign/adversary: both --cell and
-   --run, or neither. *)
-let replay_request ~cmd cell run_index =
-  match (cell, run_index) with
-  | Some c, Some r -> Some (c, r)
-  | None, None -> None
-  | _ ->
-      Fmt.epr "repro %s: --cell and --run must be given together@." cmd;
-      exit 2
+let replay_arg = Term.(const (fun c r -> (c, r)) $ cell_arg $ run_index_arg)
 
-let report_replay ~label verdict =
-  match verdict with
-  | Some reason ->
-      Fmt.pr "replay %s: ANOMALOUS — %s@." label reason;
-      exit 1
-  | None -> Fmt.pr "replay %s: clean@." label
+(* A float option value for a replay command: short when that reads back
+   exactly, all 17 digits otherwise. *)
+let float_flag x =
+  let s = Printf.sprintf "%g" x in
+  if Float.equal (float_of_string s) x then s else Printf.sprintf "%.17g" x
 
 let output ~csv table =
   if csv then print_string (Table.to_csv table) else Table.print table
+
+(* The one driver of the six sweep subcommands. With --cell K --run I it
+   replays that pair alone and exits 1 iff it is anomalous. Otherwise it
+   runs the sweep, hands the rows to [show] (tables, summary; [false]
+   for a failed gate), prints a replay command for every run that
+   raised, and exits 1 if one did or [show] failed. *)
+let sweep_main ~cmd ~prefix ~jobs (cell, run) sweep show =
+  match (cell, run) with
+  | Some cell, Some run -> (
+      match E.Sweep.replay sweep ~cell ~run with
+      | exception Invalid_argument msg ->
+          Fmt.epr "repro %s: %s@." cmd msg;
+          exit 2
+      | c, _, verdict -> (
+          let label =
+            Printf.sprintf "cell %d (%s) run %d" cell (sweep.E.Sweep.label c)
+              run
+          in
+          match verdict with
+          | Some reason ->
+              Fmt.pr "replay %s: ANOMALOUS — %s@." label reason;
+              exit 1
+          | None -> Fmt.pr "replay %s: clean@." label))
+  | None, None ->
+      let entries = E.Sweep.run ~domains:jobs sweep in
+      let ok = show (List.map (fun e -> e.E.Sweep.row) entries) in
+      List.iter
+        (fun (cell, run, reason) ->
+          Fmt.epr "repro %s: run raised (%s); replay: %s@." cmd reason
+            (E.Sweep.pointer ~prefix ~cell ~run))
+        (E.Sweep.raised entries);
+      if E.Sweep.exit_status entries <> 0 || not ok then exit 1
+  | _ ->
+      Fmt.epr "repro %s: --cell and --run must be given together@." cmd;
+      exit 2
 
 let table1_cmd =
   let doc = "Table 1 / Figure 1: the worked 10-node example." in
@@ -268,16 +296,23 @@ let churn_cmd =
     in
     Arg.(value & opt float 300.0 & info [ "intensity" ] ~docv:"LAMBDA" ~doc)
   in
-  let run seed runs jobs sparse intensity csv =
+  let run seed runs jobs intensity replay csv =
     let spec = E.Scenario.poisson ~intensity ~radius:0.1 () in
-    let rows = E.Exp_churn.run ~seed ~runs ~domains:jobs ~sparse ~spec () in
-    output ~csv (E.Exp_churn.to_table rows);
-    output ~csv (E.Exp_churn.events_table rows)
+    sweep_main ~cmd:"churn"
+      ~prefix:
+        (Printf.sprintf "repro churn --seed %d --intensity %s" seed
+           (float_flag intensity))
+      ~jobs replay
+      (E.Exp_churn.sweep ~seed ~runs ~spec ())
+      (fun rows ->
+        output ~csv (E.Exp_churn.to_table rows);
+        output ~csv (E.Exp_churn.events_table rows);
+        true)
   in
   Cmd.v (Cmd.info "churn" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ sparse_arg
-      $ churn_intensity_arg $ csv_arg)
+      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ churn_intensity_arg
+      $ replay_arg $ csv_arg)
 
 let motion_cmd =
   let doc =
@@ -320,7 +355,7 @@ let motion_cmd =
     in
     Arg.(value & flag & info [ "churn" ] ~doc)
   in
-  let run seed runs jobs sparse intensity rounds dt tau with_churn csv =
+  let run seed runs jobs intensity rounds dt tau with_churn replay csv =
     let spec = E.Scenario.poisson ~intensity ~radius:0.1 () in
     let channel = Ss_radio.Channel.bernoulli tau in
     let churn =
@@ -334,16 +369,22 @@ let motion_cmd =
              ])
       else None
     in
-    output ~csv
-      (E.Exp_motion.to_table
-         (E.Exp_motion.run ~seed ~runs ~domains:jobs ~sparse ~spec ~channel
-            ?churn ~dt ~rounds ()))
+    sweep_main ~cmd:"motion"
+      ~prefix:
+        (Printf.sprintf
+           "repro motion --seed %d --intensity %s --rounds %d --dt %s --tau %s%s"
+           seed (float_flag intensity) rounds (float_flag dt) (float_flag tau)
+           (if with_churn then " --churn" else ""))
+      ~jobs replay
+      (E.Exp_motion.sweep ~seed ~runs ~spec ~channel ?churn ~dt ~rounds ())
+      (fun rows ->
+        output ~csv (E.Exp_motion.to_table rows);
+        true)
   in
   Cmd.v (Cmd.info "motion" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ sparse_arg
-      $ motion_intensity_arg $ rounds_arg $ dt_arg $ tau_arg $ churn_flag_arg
-      $ csv_arg)
+      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ motion_intensity_arg
+      $ rounds_arg $ dt_arg $ tau_arg $ churn_flag_arg $ replay_arg $ csv_arg)
 
 let flat_cmd =
   let doc =
@@ -387,15 +428,7 @@ let campaign_cmd =
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
-  let strict_arg =
-    let doc =
-      "Exit non-zero when any grid row degraded to a failed (raising) run. \
-       Graceful degradation still prints the full table either way; this \
-       flag lets CI gate on it."
-    in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let run seed runs jobs sparse smoke strict cell run_index csv =
+  let run seed runs jobs smoke replay csv =
     let grid, spec, runs, max_rounds =
       if smoke then
         ( E.Exp_campaign.smoke_grid,
@@ -404,67 +437,21 @@ let campaign_cmd =
           800 )
       else (E.Exp_campaign.default_grid, E.Exp_campaign.default_spec, runs, 1_500)
     in
-    (match replay_request ~cmd:"campaign" cell run_index with
-    | Some (cell, run) ->
-        let c, verdict =
-          E.Exp_campaign.replay ~seed ~sparse ~spec ~grid ~max_rounds ~cell
-            ~run ()
-        in
-        report_replay
-          ~label:
-            (Printf.sprintf "cell %d (%s) run %d" cell
-               (String.concat "/" (E.Exp_campaign.cell_label c))
-               run)
-          verdict;
-        exit 0
-    | None -> ());
-    let rows =
-      E.Exp_campaign.run ~seed ~runs ~domains:jobs ~sparse ~spec ~grid
-        ~max_rounds ()
-    in
-    let replay_prefix =
-      Printf.sprintf "repro campaign --seed %d%s%s" seed
+    let prefix =
+      Printf.sprintf "repro campaign --seed %d%s" seed
         (if smoke then " --smoke" else "")
-        (if sparse then " --sparse" else "")
     in
-    output ~csv (E.Exp_campaign.to_table ~replay_prefix rows);
-    if not csv then begin
-      let worst =
-        List.fold_left
-          (fun acc r -> max acc r.E.Exp_campaign.max_dwell)
-          0 rows
-      in
-      let anomalous =
-        List.length (List.filter (fun r -> r.E.Exp_campaign.bad <> []) rows)
-      in
-      Fmt.pr "worst violation dwell: %d rounds; cells with anomalies: %d/%d@."
-        worst anomalous (List.length rows);
-      let byz_rows =
-        List.filter (fun r -> r.E.Exp_campaign.cell.E.Exp_campaign.c_byz <> None) rows
-      in
-      if byz_rows <> [] then
-        Fmt.pr
-          "worst-case containment radius: %d hops (over %d Byzantine cells; \
-           uncontained runs: %d)@."
-          (List.fold_left
-             (fun acc r -> max acc r.E.Exp_campaign.worst_radius)
-             0 byz_rows)
-          (List.length byz_rows)
-          (List.fold_left
-             (fun acc r -> acc + r.E.Exp_campaign.uncontained)
-             0 byz_rows)
-    end;
-    let failed = E.Exp_campaign.failed_rows rows in
-    if strict && failed <> [] then begin
-      Fmt.epr "campaign --strict: %d row(s) contain failed runs@."
-        (List.length failed);
-      exit 1
-    end
+    sweep_main ~cmd:"campaign" ~prefix ~jobs replay
+      (E.Exp_campaign.sweep ~seed ~runs ~spec ~grid ~max_rounds ())
+      (fun rows ->
+        output ~csv (E.Exp_campaign.to_table ~replay_prefix:prefix rows);
+        if not csv then List.iter print_endline (E.Exp_campaign.verdict rows);
+        true)
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 4 $ jobs_arg $ sparse_arg $ smoke_arg
-      $ strict_arg $ cell_arg $ run_index_arg $ csv_arg)
+      const run $ seed_arg $ runs_arg 4 $ jobs_arg $ smoke_arg $ replay_arg
+      $ csv_arg)
 
 let adversary_cmd =
   let doc =
@@ -480,62 +467,30 @@ let adversary_cmd =
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
-  let run seed runs jobs sparse smoke cell run_index csv =
-    let spec, behaviors, counts, channels, runs, max_rounds =
+  let run seed runs jobs smoke replay csv =
+    let sweep =
       if smoke then
-        ( E.Scenario.uniform ~count:30 ~radius:0.2 (),
-          [ Ss_engine.Adversary.Stuck; Ss_engine.Adversary.Liar ],
-          [ 2 ],
-          [ Ss_radio.Channel.perfect; E.Exp_campaign.default_bursty ],
-          1,
-          400 )
-      else
-        ( E.Exp_adversary.default_spec,
-          Ss_engine.Adversary.behaviors,
-          E.Exp_adversary.default_counts,
-          E.Exp_adversary.default_channels,
-          runs,
-          800 )
+        E.Exp_adversary.sweep ~seed ~runs:1
+          ~spec:(E.Scenario.uniform ~count:30 ~radius:0.2 ())
+          ~behaviors:[ Ss_engine.Adversary.Stuck; Ss_engine.Adversary.Liar ]
+          ~counts:[ 2 ]
+          ~channels:[ Ss_radio.Channel.perfect; E.Exp_campaign.default_bursty ]
+          ~max_rounds:400 ()
+      else E.Exp_adversary.sweep ~seed ~runs ()
     in
-    (match replay_request ~cmd:"adversary" cell run_index with
-    | Some (cell, run) ->
-        let (behavior, count, channel), verdict =
-          E.Exp_adversary.replay ~seed ~sparse ~spec ~behaviors ~counts
-            ~channels ~max_rounds ~cell ~run ()
-        in
-        report_replay
-          ~label:
-            (Fmt.str "cell %d (%s/%d byz/%a) run %d" cell
-               (Ss_engine.Adversary.behavior_to_string behavior)
-               count Ss_radio.Channel.pp channel run)
-          verdict;
-        exit 0
-    | None -> ());
-    let rows =
-      E.Exp_adversary.run ~seed ~runs ~domains:jobs ~sparse ~spec ~behaviors
-        ~counts ~channels ~max_rounds ()
-    in
-    let replay_prefix =
-      Printf.sprintf "repro adversary --seed %d%s%s" seed
+    let prefix =
+      Printf.sprintf "repro adversary --seed %d%s" seed
         (if smoke then " --smoke" else "")
-        (if sparse then " --sparse" else "")
     in
-    output ~csv (E.Exp_adversary.to_table ~replay_prefix rows);
-    if not csv then
-      Fmt.pr "worst-case containment radius: %d hops; uncontained runs: %d@."
-        (List.fold_left
-           (fun acc r -> max acc r.E.Exp_adversary.worst_radius)
-           0 rows)
-        (List.fold_left
-           (fun acc (r : E.Exp_adversary.row) ->
-             acc + (r.E.Exp_adversary.runs - r.E.Exp_adversary.failed
-                    - r.E.Exp_adversary.contained))
-           0 rows)
+    sweep_main ~cmd:"adversary" ~prefix ~jobs replay sweep (fun rows ->
+        output ~csv (E.Exp_adversary.to_table ~replay_prefix:prefix rows);
+        if not csv then List.iter print_endline (E.Exp_adversary.verdict rows);
+        true)
   in
   Cmd.v (Cmd.info "adversary" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ sparse_arg $ smoke_arg
-      $ cell_arg $ run_index_arg $ csv_arg)
+      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ smoke_arg $ replay_arg
+      $ csv_arg)
 
 let traffic_cmd =
   let doc =
@@ -547,24 +502,6 @@ let traffic_cmd =
      executors disagree on any observable or the delivery ratio never \
      recovers to 95% of its pre-burst level."
   in
-  let executor_arg =
-    let doc =
-      "Executor for the sweep: $(b,dense), $(b,sparse) or $(b,flat). The \
-       verification replay always runs sparse and flat regardless."
-    in
-    let e =
-      Arg.enum
-        [
-          ("dense", E.Exp_traffic.Dense);
-          ("sparse", E.Exp_traffic.Sparse);
-          ("flat", E.Exp_traffic.Flat);
-        ]
-    in
-    Arg.(
-      value
-      & opt e E.Exp_traffic.Sparse
-      & info [ "executor" ] ~docv:"EXECUTOR" ~doc)
-  in
   let rounds_arg =
     let doc = "Last round with message arrivals; runs extend by the TTL." in
     Arg.(value & opt int 220 & info [ "rounds" ] ~docv:"ROUNDS" ~doc)
@@ -573,10 +510,14 @@ let traffic_cmd =
     let doc = "Cohort width (rounds) for the dip-and-recovery series." in
     Arg.(value & opt int 20 & info [ "window" ] ~docv:"ROUNDS" ~doc)
   in
-  let run seed runs jobs executor rounds window csv =
-    let rows =
-      E.Exp_traffic.run ~seed ~runs ~domains:jobs ~executor ~rounds ~window ()
-    in
+  let run seed runs jobs rounds window replay csv =
+    sweep_main ~cmd:"traffic"
+      ~prefix:
+        (Printf.sprintf "repro traffic --seed %d --rounds %d --window %d" seed
+           rounds window)
+      ~jobs replay
+      (E.Exp_traffic.sweep ~seed ~runs ~rounds ~window ())
+    @@ fun rows ->
     output ~csv (E.Exp_traffic.to_table rows);
     let v = E.Exp_traffic.verify ~seed ~rounds ~window () in
     if not csv then begin
@@ -596,21 +537,19 @@ let traffic_cmd =
         | None -> "never")
     end;
     let recovered = Option.is_some v.E.Exp_traffic.v_recovered_at in
-    if not (v.E.Exp_traffic.v_agree && recovered) then begin
-      if not v.E.Exp_traffic.v_agree then
-        Fmt.epr "ERROR: sparse and flat executors diverged: %s@."
-          v.E.Exp_traffic.v_detail;
-      if not recovered then
-        Fmt.epr
-          "ERROR: delivery ratio never recovered to 95%% of its pre-burst \
-           level@.";
-      exit 1
-    end
+    if not v.E.Exp_traffic.v_agree then
+      Fmt.epr "ERROR: sparse and flat executors diverged: %s@."
+        v.E.Exp_traffic.v_detail;
+    if not recovered then
+      Fmt.epr
+        "ERROR: delivery ratio never recovered to 95%% of its pre-burst \
+         level@.";
+    v.E.Exp_traffic.v_agree && recovered
   in
   Cmd.v (Cmd.info "traffic" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 2 $ jobs_arg $ executor_arg $ rounds_arg
-      $ window_arg $ csv_arg)
+      const run $ seed_arg $ runs_arg 2 $ jobs_arg $ rounds_arg $ window_arg
+      $ replay_arg $ csv_arg)
 
 let stabilization_cmd =
   let doc =
@@ -630,25 +569,41 @@ let stabilization_cmd =
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
-  let run seed jobs smoke csv =
-    let cells =
-      if smoke then E.Exp_stabilization.smoke_cells
-      else E.Exp_stabilization.default_cells
-    in
-    let ok = E.Exp_stabilization.print ~domains:jobs ~seed ~cells ~csv () in
-    if not ok then begin
-      Fmt.epr
-        "ERROR: a with-DAG curve is not flat in n within CI overlap@.";
-      exit 1
-    end
+  let run seed jobs smoke replay csv =
+    let module S = E.Exp_stabilization in
+    let cells = if smoke then S.smoke_cells else S.default_cells in
+    sweep_main ~cmd:"stabilization"
+      ~prefix:
+        (Printf.sprintf "repro stabilization --seed %d%s" seed
+           (if smoke then " --smoke" else ""))
+      ~jobs replay (S.sweep ~seed ~cells ())
+    @@ fun rows ->
+    let verdicts = S.verdicts rows in
+    output ~csv (S.to_table rows);
+    output ~csv (S.verdicts_table verdicts);
+    if not csv then
+      Fmt.pr "total executor time: %.1f s@."
+        (List.fold_left (fun acc (r : S.row) -> acc +. r.S.seconds) 0.0 rows);
+    let flat = S.dag_flat verdicts in
+    if not flat then
+      Fmt.epr "ERROR: a with-DAG curve is not flat in n within CI overlap@.";
+    flat
   in
   Cmd.v (Cmd.info "stabilization" ~doc)
-    Term.(const run $ seed_arg $ jobs_arg $ smoke_arg $ csv_arg)
+    Term.(const run $ seed_arg $ jobs_arg $ smoke_arg $ replay_arg $ csv_arg)
 
 let all_cmd =
   let doc = "Run every experiment with fast defaults." in
   let run seed jobs =
     let domains = jobs in
+    (* The sweeps below print their tables and keep going past a raising
+       run; the count decides the exit status at the end. *)
+    let raised = ref 0 in
+    let rows sweep =
+      let entries = E.Sweep.run ~domains sweep in
+      raised := !raised + List.length (E.Sweep.raised entries);
+      List.map (fun e -> e.E.Sweep.row) entries
+    in
     Fmt.pr "== Table 1 ==@.";
     E.Exp_example.print ();
     Fmt.pr "@.== Table 2 ==@.";
@@ -684,13 +639,21 @@ let all_cmd =
     Fmt.pr "@.== Extension: stabilization vs link failures ==@.";
     E.Exp_link_failure.print ~seed ~runs:2 ~epochs:15 ~domains ();
     Fmt.pr "@.== Extension: within-run churn ==@.";
-    E.Exp_churn.print ~seed ~runs:2
-      ~spec:(E.Scenario.poisson ~intensity:150.0 ~radius:0.12 ())
-      ~domains ();
+    let churn =
+      rows
+        (E.Exp_churn.sweep ~seed ~runs:2
+           ~spec:(E.Scenario.poisson ~intensity:150.0 ~radius:0.12 ())
+           ())
+    in
+    Table.print (E.Exp_churn.to_table churn);
+    Table.print (E.Exp_churn.events_table churn);
     Fmt.pr "@.== Extension: continuous motion ==@.";
-    E.Exp_motion.print ~seed ~runs:2 ~rounds:80
-      ~spec:(E.Scenario.poisson ~intensity:150.0 ~radius:0.12 ())
-      ~domains ();
+    Table.print
+      (E.Exp_motion.to_table
+         (rows
+            (E.Exp_motion.sweep ~seed ~runs:2 ~rounds:80
+               ~spec:(E.Scenario.poisson ~intensity:150.0 ~radius:0.12 ())
+               ())));
     Fmt.pr "@.== Extension: flat executor (cross-checked) ==@.";
     Table.print
       (E.Exp_flat.to_table
@@ -698,22 +661,31 @@ let all_cmd =
     Fmt.pr "@.== Robustness: fault campaign (smoke grid) ==@.";
     Table.print
       (E.Exp_campaign.to_table
-         (E.Exp_campaign.run ~seed ~runs:1 ~domains
-            ~spec:(E.Scenario.uniform ~count:30 ~radius:0.2 ())
-            ~grid:E.Exp_campaign.smoke_grid ~max_rounds:800 ()));
+         (rows
+            (E.Exp_campaign.sweep ~seed ~runs:1
+               ~spec:(E.Scenario.uniform ~count:30 ~radius:0.2 ())
+               ~grid:E.Exp_campaign.smoke_grid ~max_rounds:800 ())));
     Fmt.pr "@.== Robustness: Byzantine adversary (smoke) ==@.";
     Table.print
       (E.Exp_adversary.to_table
-         (E.Exp_adversary.run ~seed ~runs:1 ~domains
-            ~spec:(E.Scenario.uniform ~count:30 ~radius:0.2 ())
-            ~behaviors:[ Ss_engine.Adversary.Stuck ]
-            ~counts:[ 2 ]
-            ~channels:[ Ss_radio.Channel.perfect ]
-            ~max_rounds:400 ()));
+         (rows
+            (E.Exp_adversary.sweep ~seed ~runs:1
+               ~spec:(E.Scenario.uniform ~count:30 ~radius:0.2 ())
+               ~behaviors:[ Ss_engine.Adversary.Stuck ]
+               ~counts:[ 2 ]
+               ~channels:[ Ss_radio.Channel.perfect ]
+               ~max_rounds:400 ())));
     Fmt.pr "@.== Robustness: data-plane traffic ==@.";
-    E.Exp_traffic.print ~seed ~runs:1 ~domains
-      ~spec:(E.Scenario.poisson ~intensity:300.0 ~radius:0.1 ())
-      ~rounds:120 ()
+    Table.print
+      (E.Exp_traffic.to_table
+         (rows
+            (E.Exp_traffic.sweep ~seed ~runs:1
+               ~spec:(E.Scenario.poisson ~intensity:300.0 ~radius:0.1 ())
+               ~rounds:120 ())));
+    if !raised > 0 then begin
+      Fmt.epr "repro all: %d sweep run(s) raised@." !raised;
+      exit 1
+    end
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const run $ seed_arg $ jobs_arg)
 

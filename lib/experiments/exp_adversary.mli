@@ -8,7 +8,11 @@
     permanent adversary may keep its neighborhood dirty forever); the
     strict-stabilization bar is that violations stay within a bounded
     radius of the Byzantine set and the clean region ends the run
-    legitimate. See [repro adversary]. *)
+    legitimate. See [repro adversary].
+
+    Each cell is an {!Exp_campaign.cell} with no corruption, no churn and
+    the synchronous daemon, so each run is the campaign's Byzantine-cell
+    run ({!Exp_campaign.run_one}), judged by {!Exp_campaign.judge}. *)
 
 type row = {
   behavior : Ss_engine.Adversary.behavior;
@@ -42,19 +46,16 @@ val default_channels : Ss_radio.Channel.t list
 (** perfect, bernoulli 0.8, asymmetric 0.5..1.0, and the campaign's
     Gilbert–Elliott bursty channel. *)
 
-val configs :
+val cells :
   behaviors:Ss_engine.Adversary.behavior list ->
   counts:int list ->
   channels:Ss_radio.Channel.t list ->
-  (Ss_engine.Adversary.behavior * int * Ss_radio.Channel.t) list
-(** The sweep's cell order (behavior-major, channel-minor) — the
-    positional index {!replay} and the printed replay column use. *)
+  Exp_campaign.cell list
+(** The sweep's cell order: behavior-major, count-middle, channel-minor. *)
 
-val run :
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?behaviors:Ss_engine.Adversary.behavior list ->
   ?counts:int list ->
@@ -63,31 +64,9 @@ val run :
   ?from_round:int ->
   ?horizon:int ->
   unit ->
-  row list
-(** Rows in behavior-major, count-middle, channel-minor order. [sparse]
-    switches the engine to dirty-set execution with the wrapped warm
-    hook; rows are bit-identical to the dense walk. *)
-
-val replay :
-  ?seed:int ->
-  ?sparse:bool ->
-  ?spec:Scenario.spec ->
-  ?behaviors:Ss_engine.Adversary.behavior list ->
-  ?counts:int list ->
-  ?channels:Ss_radio.Channel.t list ->
-  ?max_rounds:int ->
-  ?from_round:int ->
-  ?horizon:int ->
-  cell:int ->
-  run:int ->
-  unit ->
-  (Ss_engine.Adversary.behavior * int * Ss_radio.Channel.t) * string option
-(** Re-execute exactly one (cell, run) of the sweep — [cell] indexes
-    {!configs}, [run] draws the [run]-th positional sub-stream of [seed]
-    ({!Runner.streams}; the one every cell's run [run] used, at any
-    [--jobs]) — and judge it exactly as the sweep would: [Some reason]
-    iff the run is anomalous, with the reason text the replay column
-    printed. Raises [Invalid_argument] outside the sweep. *)
+  (Exp_campaign.cell, Exp_campaign.outcome, row) Sweep.t
+(** One row per {!cells}; every cell's run [i] draws stream [i] of
+    [seed]. *)
 
 val to_table : ?replay_prefix:string -> ?title:string -> row list -> Ss_stats.Table.t
 (** With [replay_prefix] (e.g. ["repro adversary --seed 42"]) each
@@ -95,19 +74,6 @@ val to_table : ?replay_prefix:string -> ?title:string -> row list -> Ss_stats.Ta
     [<prefix> --cell K --run I (reason)]. Rows must be in sweep order
     (the cell index is positional). *)
 
-val print :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?sparse:bool ->
-  ?spec:Scenario.spec ->
-  ?behaviors:Ss_engine.Adversary.behavior list ->
-  ?counts:int list ->
-  ?channels:Ss_radio.Channel.t list ->
-  ?max_rounds:int ->
-  ?from_round:int ->
-  ?horizon:int ->
-  unit ->
-  unit
-(** Runs the sweep, prints the table plus a one-line verdict (worst-case
-    containment radius; uncontained runs). *)
+val verdict : row list -> string list
+(** The summary line: worst-case containment radius and uncontained
+    runs. *)

@@ -9,10 +9,9 @@
    round budget ran out — whether the digest ring shows an oscillation or
    genuine ongoing progress.
 
-   Failure containment: the per-run closure catches exceptions, so one
-   pathological run becomes a failed entry in its row (with its run index
-   as replay pointer) instead of tearing down the campaign through the
-   domain pool's re-raise. *)
+   Failure containment comes from {!Sweep}: one pathological run becomes
+   a failed entry in its row (with its run index as replay pointer)
+   instead of tearing down the campaign. *)
 
 module Graph = Ss_topology.Graph
 module Scheduler = Ss_engine.Scheduler
@@ -166,38 +165,29 @@ let plan ~burst_round cell =
   in
   Churn.compose (corruption @ churn)
 
-(* What one run reports, pure per-run so cells parallelize over domains. *)
-type success = {
-  ok_converged : bool;
-  ok_class : Monitor.classification;
-  ok_dwells : int list;
-  ok_unrecovered : int;
-  ok_post : int;
-  ok_ghost_peak : int;
-  ok_containment : Monitor.containment option;
+(* What one run reports; pure per-run so cells parallelize over domains. *)
+type outcome = {
+  converged : bool;
+  classification : Monitor.classification;
+  dwells : int list;
+  burst_unrecovered : int;
+  post : int;
+  ghost_peak : int;
+  containment : Monitor.containment option;
 }
 
-type outcome = Run_ok of success | Run_failed of string
-
-(* Same contract as {!Exp_churn.mode}: sparse rows are bit-identical to
-   dense ones, the flag only buys wall-clock on large sweeps. *)
-let mode ~sparse =
-  if sparse then E.Sparse { warm = Some Distributed.pending_expiry }
-  else E.Dense
-
-let success_of_report ~converged (rep : Monitor.report) =
+let outcome_of_report ~converged (rep : Monitor.report) =
   {
-    ok_converged = converged;
-    ok_class = rep.Monitor.classification;
-    ok_dwells =
-      List.filter_map (fun b -> b.Monitor.dwell) rep.Monitor.bursts;
-    ok_unrecovered = rep.Monitor.unrecovered;
-    ok_post = rep.Monitor.post_recovery_violations;
-    ok_ghost_peak =
+    converged;
+    classification = rep.Monitor.classification;
+    dwells = List.filter_map (fun b -> b.Monitor.dwell) rep.Monitor.bursts;
+    burst_unrecovered = rep.Monitor.unrecovered;
+    post = rep.Monitor.post_recovery_violations;
+    ghost_peak =
       (match List.assoc_opt "ghosts" rep.Monitor.peaks with
       | Some g -> g
       | None -> 0);
-    ok_containment = rep.Monitor.containment;
+    containment = rep.Monitor.containment;
   }
 
 (* Default clean-region horizon: a lying frame poisons its receivers
@@ -206,7 +196,7 @@ let success_of_report ~converged (rep : Monitor.report) =
    stabilization is asserted beyond it. *)
 let default_horizon = 2
 
-let run_one rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell =
+let run_one ~spec ~max_rounds ~burst_round ~horizon cell rng =
   let world = Scenario.build rng spec in
   let graph = world.Scenario.graph in
   let ids = Array.init (Graph.node_count graph) Fun.id in
@@ -214,15 +204,17 @@ let run_one rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell =
   | None ->
       let monitor = Invariants.monitor ~config ~ids () in
       let result =
-        E.run ~mode:(mode ~sparse) ~scheduler:cell.c_scheduler
-          ~channel:cell.c_channel ~quiet_rounds ~max_rounds
+        E.run
+          ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
+          ~scheduler:cell.c_scheduler ~channel:cell.c_channel ~quiet_rounds
+          ~max_rounds
           ~churn:(plan ~burst_round cell)
           ~corrupt:Distributed.corrupt
           ~on_round:(Monitor.on_round monitor)
           ~probe:(Monitor.probe monitor) rng graph
       in
-      let rep = Monitor.report monitor ~converged:result.E.converged in
-      success_of_report ~converged:result.E.converged rep
+      let converged = result.E.converged in
+      outcome_of_report ~converged (Monitor.report monitor ~converged)
   | Some (count, behavior) ->
       (* Byzantine roster and adversary key come from the run's sequential
          generator (plan-evaluation family, like churn victims), drawn in
@@ -255,67 +247,45 @@ let run_one rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell =
       let monitor =
         Invariants.monitor_via ~adversary ~project:Q.project ~config ~ids ()
       in
-      let mode =
-        if sparse then
-          EQ.Sparse { warm = Some (Q.warm Distributed.pending_expiry) }
-        else EQ.Dense
-      in
       let result =
-        EQ.run ~mode ~scheduler:cell.c_scheduler ~channel:cell.c_channel
-          ~quiet_rounds ~max_rounds
+        EQ.run
+          ~mode:(EQ.Sparse { warm = Some (Q.warm Distributed.pending_expiry) })
+          ~scheduler:cell.c_scheduler ~channel:cell.c_channel ~quiet_rounds
+          ~max_rounds
           ~churn:(plan ~burst_round cell)
           ~corrupt:(Q.lift_corrupt Distributed.corrupt)
           ~on_round:(Monitor.on_round monitor)
           ~probe:(Monitor.probe monitor) rng graph
       in
-      let rep = Monitor.report monitor ~converged:result.EQ.converged in
-      success_of_report ~converged:result.EQ.converged rep
+      let converged = result.EQ.converged in
+      outcome_of_report ~converged (Monitor.report monitor ~converged)
 
-let outcome_of_run rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell =
-  match run_one rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell with
-  | ok -> Run_ok ok
-  | exception e -> Run_failed (Printexc.to_string e)
+let judge cell o =
+  if cell.c_byz <> None then
+    (* Under a permanent adversary, recovery-flavoured verdicts
+       (convergence, burst closure, post-recovery cleanliness) no longer
+       apply — Oscillators are *supposed* to keep the run dirty forever.
+       The strict-stabilization verdict is containment: the clean region
+       must end the run legitimate. *)
+    match o.containment with
+    | Some c when not c.Monitor.contained ->
+        Some
+          (Printf.sprintf "escaped (radius=%d, escapes=%d)"
+             c.Monitor.worst_radius c.Monitor.escaped_rounds)
+    | Some _ | None -> None
+  else if not o.converged then
+    Some (Monitor.classification_label o.classification)
+  else if o.burst_unrecovered > 0 then Some "unrecovered burst"
+  else if o.post > 0 then
+    Some (Printf.sprintf "post-recovery violations=%d" o.post)
+  else None
 
-(* Anomaly verdict for one outcome — shared by sweep aggregation and
-   single-run replay so a replayed run is judged exactly like the sweep
-   judged it. *)
-let judge cell outcome =
-  match outcome with
-  | Run_failed reason -> Some reason
-  | Run_ok ok ->
-      if cell.c_byz <> None then
-        (* Under a permanent adversary, recovery-flavoured verdicts
-           (convergence, burst closure, post-recovery cleanliness) no
-           longer apply — Oscillators are *supposed* to keep the run
-           dirty forever. The strict-stabilization verdict is
-           containment: the clean region must end the run legitimate. *)
-        match ok.ok_containment with
-        | Some c when not c.Monitor.contained ->
-            Some
-              (Printf.sprintf "escaped (radius=%d, escapes=%d)"
-                 c.Monitor.worst_radius c.Monitor.escaped_rounds)
-        | Some _ | None -> None
-      else if not ok.ok_converged then
-        Some (Monitor.classification_label ok.ok_class)
-      else if ok.ok_unrecovered > 0 then Some "unrecovered burst"
-      else if ok.ok_post > 0 then
-        Some (Printf.sprintf "post-recovery violations=%d" ok.ok_post)
-      else None
-
-let run_cell ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~burst_round
-    ~horizon cell =
-  let outcomes =
-    Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-        ignore run;
-        outcome_of_run rng ~sparse ~spec ~max_rounds ~burst_round ~horizon
-          cell)
-  in
-  (* Aggregation replays the outcome list in run order (determinism
-     contract: identical for any domain count). *)
+(* Run-order fold (determinism contract: identical for any domain
+   count). *)
+let fold cell (runs : outcome Sweep.runs) =
   let converged = ref 0 in
   let oscillating = ref 0 in
   let still_changing = ref 0 in
-  let failed = ref 0 in
   let dwell = Summary.create () in
   let max_dwell = ref 0 in
   let unrecovered = ref 0 in
@@ -323,41 +293,34 @@ let run_cell ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~burst_round
   let ghosts = ref 0 in
   let radius = ref 0 in
   let uncontained = ref 0 in
-  let bad = ref [] in
-  List.iteri
-    (fun i outcome ->
-      (match outcome with
-      | Run_failed _ -> incr failed
-      | Run_ok ok -> (
-          (match ok.ok_class with
-          | Monitor.Converged -> incr converged
-          | Monitor.Oscillating _ -> incr oscillating
-          | Monitor.Still_changing -> incr still_changing);
-          List.iter
-            (fun d ->
-              Summary.add_int dwell d;
-              if d > !max_dwell then max_dwell := d)
-            ok.ok_dwells;
-          unrecovered := !unrecovered + ok.ok_unrecovered;
-          post := !post + ok.ok_post;
-          if ok.ok_ghost_peak > !ghosts then ghosts := ok.ok_ghost_peak;
-          match ok.ok_containment with
-          | None -> ()
-          | Some c ->
-              if c.Monitor.worst_radius > !radius then
-                radius := c.Monitor.worst_radius;
-              if not c.Monitor.contained then incr uncontained));
-      match judge cell outcome with
-      | Some reason -> bad := (i, reason) :: !bad
-      | None -> ())
-    outcomes;
+  List.iter
+    (fun o ->
+      (match o.classification with
+      | Monitor.Converged -> incr converged
+      | Monitor.Oscillating _ -> incr oscillating
+      | Monitor.Still_changing -> incr still_changing);
+      List.iter
+        (fun d ->
+          Summary.add_int dwell d;
+          if d > !max_dwell then max_dwell := d)
+        o.dwells;
+      unrecovered := !unrecovered + o.burst_unrecovered;
+      post := !post + o.post;
+      if o.ghost_peak > !ghosts then ghosts := o.ghost_peak;
+      match o.containment with
+      | None -> ()
+      | Some c ->
+          if c.Monitor.worst_radius > !radius then
+            radius := c.Monitor.worst_radius;
+          if not c.Monitor.contained then incr uncontained)
+    (Sweep.completed runs);
   {
     cell;
-    runs;
+    runs = List.length runs.Sweep.outcomes;
     converged = !converged;
     oscillating = !oscillating;
     still_changing = !still_changing;
-    failed = !failed;
+    failed = runs.Sweep.failed;
     dwell;
     max_dwell = !max_dwell;
     unrecovered = !unrecovered;
@@ -365,49 +328,23 @@ let run_cell ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~burst_round
     peak_ghosts = !ghosts;
     worst_radius = !radius;
     uncontained = !uncontained;
-    bad = List.rev !bad;
+    bad = runs.Sweep.bad;
   }
 
-let run ?(seed = 42) ?(runs = 4) ?domains ?(sparse = false)
-    ?(spec = default_spec) ?(grid = default_grid) ?(max_rounds = 1_500)
-    ?(burst_round = default_burst_round) ?(horizon = default_horizon) () =
-  List.map
-    (run_cell ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~burst_round
-       ~horizon)
-    (cells grid)
-
-(* Re-execute exactly one (cell, run) of the sweep. Every cell feeds the
-   same per-run positional sub-streams to its replicates, so run [i] of
-   any cell is the [i]-th stream of the base seed — the prefix property of
-   {!Runner.streams} makes this cheap and exact at any original --jobs. *)
-let replay ?(seed = 42) ?(sparse = false) ?(spec = default_spec)
+(* Every cell feeds the same positional sub-streams to its replicates, so
+   run [i] of any cell is the [i]-th stream of the base seed. *)
+let sweep ?(seed = 42) ?(runs = 4) ?(spec = default_spec)
     ?(grid = default_grid) ?(max_rounds = 1_500)
-    ?(burst_round = default_burst_round) ?(horizon = default_horizon)
-    ~cell:cell_index ~run:run_index () =
-  let cs = cells grid in
-  if cell_index < 0 || cell_index >= List.length cs then
-    invalid_arg "Exp_campaign.replay: cell index outside the grid";
-  if run_index < 0 then invalid_arg "Exp_campaign.replay: negative run index";
-  let cell = List.nth cs cell_index in
-  let rng = (Runner.streams ~seed ~runs:(run_index + 1)).(run_index) in
-  let outcome =
-    outcome_of_run rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell
-  in
-  (cell, judge cell outcome)
-
-let render_bad ~replay_prefix ~cell_index bad =
-  match bad with
-  | [] -> "-"
-  | bad ->
-      String.concat "; "
-        (List.map
-           (fun (i, reason) ->
-             match replay_prefix with
-             | Some prefix ->
-                 Printf.sprintf "%s --cell %d --run %d (%s)" prefix
-                   cell_index i reason
-             | None -> Printf.sprintf "%d: %s" i reason)
-           bad)
+    ?(burst_round = default_burst_round) ?(horizon = default_horizon) () =
+  {
+    Sweep.label = (fun c -> String.concat "/" (cell_label c));
+    cells = cells grid;
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run = run_one ~spec ~max_rounds ~burst_round ~horizon;
+    judge;
+    fold;
+  }
 
 let to_table ?replay_prefix
     ?(title = "Campaign — worst case per fault-grid cell") rows =
@@ -438,33 +375,26 @@ let to_table ?replay_prefix
              Table.cell_int r.peak_ghosts;
              (if r.cell.c_byz = None then "-"
               else Table.cell_int r.worst_radius);
-             render_bad ~replay_prefix ~cell_index r.bad;
+             Sweep.replay_column ~prefix:replay_prefix ~index:cell_index
+               r.bad;
            ])
        rows)
 
-let print ?seed ?runs ?domains ?sparse ?spec ?grid ?max_rounds ?burst_round
-    ?horizon () =
-  let rows =
-    run ?seed ?runs ?domains ?sparse ?spec ?grid ?max_rounds ?burst_round
-      ?horizon ()
-  in
-  Table.print (to_table rows);
-  let worst =
-    List.fold_left (fun acc r -> max acc r.max_dwell) 0 rows
-  in
+let verdict rows =
   let byz_rows = List.filter (fun r -> r.cell.c_byz <> None) rows in
-  let worst_radius =
-    List.fold_left (fun acc r -> max acc r.worst_radius) 0 byz_rows
-  in
-  let anomalous = List.length (List.filter (fun r -> r.bad <> []) rows) in
-  Printf.printf
-    "worst violation dwell: %d rounds; cells with anomalies: %d/%d\n" worst
-    anomalous (List.length rows);
-  if byz_rows <> [] then
-    Printf.printf
-      "worst-case containment radius: %d hops (over %d Byzantine cells; \
-       uncontained runs: %d)\n"
-      worst_radius (List.length byz_rows)
-      (List.fold_left (fun acc r -> acc + r.uncontained) 0 byz_rows)
-
-let failed_rows rows = List.filter (fun r -> r.failed > 0) rows
+  let max_of f rows = List.fold_left (fun acc r -> max acc (f r)) 0 rows in
+  Printf.sprintf "worst violation dwell: %d rounds; cells with anomalies: %d/%d"
+    (max_of (fun r -> r.max_dwell) rows)
+    (List.length (List.filter (fun r -> r.bad <> []) rows))
+    (List.length rows)
+  ::
+  (if byz_rows = [] then []
+   else
+     [
+       Printf.sprintf
+         "worst-case containment radius: %d hops (over %d Byzantine cells; \
+          uncontained runs: %d)"
+         (max_of (fun r -> r.worst_radius) byz_rows)
+         (List.length byz_rows)
+         (List.fold_left (fun acc r -> acc + r.uncontained) 0 byz_rows);
+     ])

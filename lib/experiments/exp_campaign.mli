@@ -1,18 +1,16 @@
 (** Robustness experiment C2: adversarial fault-campaign sweep.
 
     A deterministic grid sweep over (corruption fraction × channel ×
-    crash churn × scheduler): each cell runs the distributed stack through
-    {!Ss_cluster.Invariants.monitor} under {!Runner}'s domain pool, so every
+    crash churn × scheduler × Byzantine adversary): each cell runs the
+    distributed stack through {!Ss_cluster.Invariants.monitor}, so every
     run reports its violation dwell per fault burst and — when it exhausts
     the round budget — a divergence classification (oscillating vs still
     changing) instead of a bare [converged = false].
 
-    The campaign degrades gracefully: a run that raises is recorded as a
-    failed run inside its row, never a crashed campaign, and every
-    anomalous run (raising, non-converging, or violating safety after
-    recovery) carries a replay pointer: re-run with the same [~seed] and
-    the listed run index — run [i] always draws the [i]-th positional
-    sub-stream ({!Runner.streams}), for any domain count. *)
+    The campaign is a {!Sweep}: a run that raises is recorded as a failed
+    run inside its row, never a crashed campaign, and every anomalous run
+    (raising, non-converging, or violating safety after recovery) carries
+    a replay pointer ({!Sweep.replay}). *)
 
 type cell = {
   c_fraction : float;  (** fraction of nodes corrupted at the burst round *)
@@ -90,58 +88,47 @@ val default_horizon : int
     via the relayed 2-hop summaries, their neighbors — so strict
     stabilization is asserted at distance > 2 from the Byzantine set. *)
 
-val run_cell :
-  ?domains:int ->
-  seed:int ->
-  runs:int ->
-  sparse:bool ->
+type outcome = {
+  converged : bool;
+  classification : Ss_engine.Monitor.classification;
+  dwells : int list;  (** closed-burst violation dwells *)
+  burst_unrecovered : int;  (** bursts still violating at the end *)
+  post : int;  (** violating rounds after recovery *)
+  ghost_peak : int;  (** worst single-round ghost-reference count *)
+  containment : Ss_engine.Monitor.containment option;
+}
+(** What one run reports. *)
+
+val run_one :
   spec:Scenario.spec ->
   max_rounds:int ->
   burst_round:int ->
   horizon:int ->
   cell ->
-  row
+  Ss_prng.Rng.t ->
+  outcome
+(** One run of a cell, on the sparse executor. A Byzantine cell wraps the
+    protocol in {!Ss_engine.Adversary.Wrap}, switches the adversary on at
+    [burst_round] and watches the clean region beyond [horizon] hops;
+    {!Exp_adversary} runs its cells through this too. *)
 
-val run :
+val judge : cell -> outcome -> string option
+(** [Some reason] iff the run is anomalous. For Byzantine cells only an
+    uncontained run is; elsewhere non-convergence (with its
+    classification), an unrecovered burst or post-recovery violations. *)
+
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?grid:grid ->
   ?max_rounds:int ->
   ?burst_round:int ->
   ?horizon:int ->
   unit ->
-  row list
-(** [sparse] (default false) switches the engine to dirty-set execution
-    with the {!Ss_cluster.Distributed.pending_expiry} warm hook; rows are
-    bit-identical to the dense walk, only faster on large grids. *)
-
-val replay :
-  ?seed:int ->
-  ?sparse:bool ->
-  ?spec:Scenario.spec ->
-  ?grid:grid ->
-  ?max_rounds:int ->
-  ?burst_round:int ->
-  ?horizon:int ->
-  cell:int ->
-  run:int ->
-  unit ->
-  cell * string option
-(** Re-execute exactly one (cell, run) of the sweep — [cell] indexes
-    {!cells} of the grid, [run] draws the [run]-th positional sub-stream
-    of [seed] (the one every cell's run [run] used, at any [--jobs]) — and
-    judge it exactly as the sweep would: [Some reason] iff the run is
-    anomalous, with the same reason text the sweep's replay column
-    printed. Raises [Invalid_argument] outside the grid. *)
-
-val render_bad :
-  replay_prefix:string option -> cell_index:int -> (int * string) list -> string
-(** Render a row's replay pointers for the table: with a prefix, one
-    [<prefix> --cell K --run I (reason)] command per anomalous run;
-    without, the bare [I: reason] pairs. Shared with {!Exp_adversary}. *)
+  (cell, outcome, row) Sweep.t
+(** One row per {!cells} of [grid]; every cell's run [i] draws stream [i]
+    of [seed]. *)
 
 val to_table : ?replay_prefix:string -> ?title:string -> row list -> Ss_stats.Table.t
 (** The worst-case table: per cell, convergence/classification counts, max
@@ -151,23 +138,7 @@ val to_table : ?replay_prefix:string -> ?title:string -> row list -> Ss_stats.Ta
     command: [<prefix> --cell K --run I (reason)]. Rows must be in sweep
     order (the cell index is positional). *)
 
-val print :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?sparse:bool ->
-  ?spec:Scenario.spec ->
-  ?grid:grid ->
-  ?max_rounds:int ->
-  ?burst_round:int ->
-  ?horizon:int ->
-  unit ->
-  unit
-(** Runs the campaign, prints the table plus the verdict lines (worst
-    dwell across the grid; anomalous cell count; for grids with Byzantine
-    cells, the worst-case containment radius and uncontained-run count). *)
-
-val failed_rows : row list -> row list
-(** Rows with at least one {e raising} run — what [repro campaign
-    --strict] gates CI on (graceful degradation still prints the table,
-    but the exit code goes non-zero). *)
+val verdict : row list -> string list
+(** The summary lines: worst dwell across the grid and anomalous cell
+    count; for grids with Byzantine cells, the worst-case containment
+    radius and uncontained-run count. *)

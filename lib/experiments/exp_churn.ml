@@ -37,6 +37,7 @@ type storm =
   | Link_flaps  (** a link-flapping storm, then full link restoration *)
   | Sleep_wake  (** 30% sleep, later wake with retained state *)
   | Combined  (** crashes + flaps + sleep + corruption, staggered *)
+  | Corrupt of float  (** this fraction of the nodes corrupted at once *)
 
 let default_storms =
   [ Crash_recover; Crash_permanent; Link_flaps; Sleep_wake; Combined ]
@@ -47,6 +48,7 @@ let storm_label = function
   | Link_flaps -> "link flap storm"
   | Sleep_wake -> "sleep 30% + wake"
   | Combined -> "combined"
+  | Corrupt fraction -> Printf.sprintf "corrupt %.0f%%" (100.0 *. fraction)
 
 (* First burst well past cold-start convergence (typically < 30 rounds at
    intensity 300, R = 0.1); restoration bursts spaced so each storm phase
@@ -82,6 +84,7 @@ let plan_of_storm = function
           Churn.wake_all ~round:115;
           Churn.corrupt_fraction ~round:130 ~fraction:0.2;
         ]
+  | Corrupt fraction -> Churn.corrupt_fraction ~round:40 ~fraction
 
 type row = {
   scheduler : Scheduler.t;
@@ -99,7 +102,7 @@ type row = {
 (* What one run reports; everything the row aggregates, gathered without
    touching state shared between runs so the runs can execute on any
    number of domains. *)
-type run_outcome = {
+type outcome = {
   run_converged : bool;
   run_bursts : int option list; (* per burst: recovery rounds if finite *)
   run_peak_ghosts : int;
@@ -107,48 +110,36 @@ type run_outcome = {
   run_legitimate : bool;
 }
 
-(* The sparse executor is observationally identical to the dense one (the
-   differential battery in test/suite_sparse.ml is the proof), so rows are
-   the same either way; the flag exists to speed up large sweeps and to
-   cross-check the equivalence at experiment scale. *)
-let mode ~sparse =
-  if sparse then E.Sparse { warm = Some Distributed.pending_expiry }
-  else E.Dense
-
-let measure ?domains ~seed ~runs ~sparse ~spec ~max_rounds scheduler storm =
-  let outcomes =
-    Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-        ignore run;
-        let world = Scenario.build rng spec in
-        let graph = world.Scenario.graph in
-        let ghosts = ref 0 in
-        let events = Counter.create () in
-        let result =
-          E.run ~mode:(mode ~sparse) ~scheduler ~quiet_rounds ~max_rounds
-            ~churn:(plan_of_storm storm) ~corrupt:Distributed.corrupt
-            ~on_event:(fun ~round:_ ev ->
-              Counter.incr events (Churn.event_label ev))
-            ~probe:(fun ~round:_ ~graph:_ ~alive states ->
-              ghosts := max !ghosts (Distributed.ghost_references ~alive states))
-            rng graph
-        in
-        let ids = Array.init (Graph.node_count graph) Fun.id in
-        let assignment =
-          Distributed.to_assignment ~alive:result.E.alive result.E.states
-        in
-        {
-          run_converged = result.E.converged;
-          run_bursts =
-            List.map
-              (fun b -> b.Ss_engine.Engine.recovery_rounds)
-              result.E.bursts;
-          run_peak_ghosts = !ghosts;
-          run_events = events;
-          run_legitimate =
-            Legitimacy.is_legitimate Config.basic result.E.graph ~ids
-              assignment;
-        })
+let run_one ~spec ~max_rounds (scheduler, storm) rng =
+  let world = Scenario.build rng spec in
+  let graph = world.Scenario.graph in
+  let ghosts = ref 0 in
+  let events = Counter.create () in
+  let result =
+    E.run
+      ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
+      ~scheduler ~quiet_rounds ~max_rounds ~churn:(plan_of_storm storm)
+      ~corrupt:Distributed.corrupt
+      ~on_event:(fun ~round:_ ev -> Counter.incr events (Churn.event_label ev))
+      ~probe:(fun ~round:_ ~graph:_ ~alive states ->
+        ghosts := max !ghosts (Distributed.ghost_references ~alive states))
+      rng graph
   in
+  let ids = Array.init (Graph.node_count graph) Fun.id in
+  let assignment =
+    Distributed.to_assignment ~alive:result.E.alive result.E.states
+  in
+  {
+    run_converged = result.E.converged;
+    run_bursts =
+      List.map (fun b -> b.Ss_engine.Engine.recovery_rounds) result.E.bursts;
+    run_peak_ghosts = !ghosts;
+    run_events = events;
+    run_legitimate =
+      Legitimacy.is_legitimate Config.basic result.E.graph ~ids assignment;
+  }
+
+let fold (scheduler, storm) (runs : outcome Sweep.runs) =
   let bursts = ref 0 in
   let recovered = ref 0 in
   let recovery = Summary.create () in
@@ -171,11 +162,11 @@ let measure ?domains ~seed ~runs ~sparse ~spec ~max_rounds scheduler storm =
       Summary.add_int peak_ghosts o.run_peak_ghosts;
       events := Counter.merge !events o.run_events;
       if o.run_legitimate then incr legitimate)
-    outcomes;
+    (Sweep.completed runs);
   {
     scheduler;
     storm;
-    runs;
+    runs = List.length runs.Sweep.outcomes;
     bursts = !bursts;
     recovered = !recovered;
     recovery;
@@ -189,15 +180,23 @@ let default_spec = Scenario.poisson ~intensity:300.0 ~radius:0.1 ()
 
 let default_schedulers = [ Scheduler.Synchronous; Scheduler.Random_order ]
 
-let run ?(seed = 42) ?(runs = 5) ?domains ?(sparse = false)
-    ?(spec = default_spec) ?(schedulers = default_schedulers)
-    ?(storms = default_storms) ?(max_rounds = 2_000) () =
-  List.concat_map
-    (fun scheduler ->
-      List.map
-        (measure ?domains ~seed ~runs ~sparse ~spec ~max_rounds scheduler)
-        storms)
-    schedulers
+let sweep ?(seed = 42) ?(runs = 5) ?(spec = default_spec)
+    ?(schedulers = default_schedulers) ?(storms = default_storms)
+    ?(max_rounds = 2_000) () =
+  {
+    Sweep.label =
+      (fun (scheduler, storm) ->
+        Fmt.str "%a/%s" Scheduler.pp scheduler (storm_label storm));
+    cells =
+      List.concat_map
+        (fun scheduler -> List.map (fun storm -> (scheduler, storm)) storms)
+        schedulers;
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run = run_one ~spec ~max_rounds;
+    judge = Sweep.raised_only;
+    fold;
+  }
 
 let to_table ?(title = "Churn — in-place recovery from topology events") rows =
   let t =
@@ -242,11 +241,3 @@ let events_table ?(title = "Churn — applied events by type") rows =
                 (Counter.to_list r.events));
          ])
        rows)
-
-let print ?seed ?runs ?domains ?sparse ?spec ?schedulers ?storms ?max_rounds ()
-    =
-  let rows =
-    run ?seed ?runs ?domains ?sparse ?spec ?schedulers ?storms ?max_rounds ()
-  in
-  Table.print (to_table rows);
-  Table.print (events_table rows)

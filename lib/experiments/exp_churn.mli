@@ -6,7 +6,8 @@
     states mid-run; the protocol recovers in place. Reported per row:
     per-burst recovery times, peak ghost-reference counts, applied events
     by type, legitimacy of the final configuration on the final effective
-    topology, and convergence. *)
+    topology, and convergence. A {!Sweep} over (scheduler, storm) cells
+    that flags raising runs only. *)
 
 type storm =
   | Crash_recover
@@ -14,6 +15,9 @@ type storm =
   | Link_flaps
   | Sleep_wake
   | Combined
+  | Corrupt of float
+      (** this fraction of the nodes corrupted at round 40; not in
+          {!default_storms} *)
 
 val default_storms : storm list
 
@@ -38,34 +42,21 @@ val default_spec : Scenario.spec
 
 val default_schedulers : Ss_engine.Scheduler.t list
 
-val run :
+type outcome
+(** What one run reports. *)
+
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?schedulers:Ss_engine.Scheduler.t list ->
   ?storms:storm list ->
   ?max_rounds:int ->
   unit ->
-  row list
-(** [sparse] (default false) switches the engine to dirty-set execution
-    with the {!Ss_cluster.Distributed.pending_expiry} warm hook. Rows are
-    bit-identical to the dense walk (the sparse differential battery is
-    the contract); the flag trades nothing but wall-clock. *)
+  (Ss_engine.Scheduler.t * storm, outcome, row) Sweep.t
+(** Cells scheduler-major, storm-minor; every cell's run [i] draws stream
+    [i] of [seed]. *)
 
 val to_table : ?title:string -> row list -> Ss_stats.Table.t
 
 val events_table : ?title:string -> row list -> Ss_stats.Table.t
-
-val print :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?sparse:bool ->
-  ?spec:Scenario.spec ->
-  ?schedulers:Ss_engine.Scheduler.t list ->
-  ?storms:storm list ->
-  ?max_rounds:int ->
-  unit ->
-  unit

@@ -82,7 +82,7 @@ type row = {
   final_legitimate : int; (* runs ending legitimate on the final snapshot *)
 }
 
-type run_outcome = {
+type outcome = {
   o_lifetimes : int list;
   o_reelections : int;
   o_node_rounds : int;
@@ -92,10 +92,6 @@ type run_outcome = {
   o_final_legitimate : bool;
 }
 
-let mode ~sparse =
-  if sparse then E.Sparse { warm = Some Distributed.pending_expiry }
-  else E.Dense
-
 let reelection_rate r =
   if r.node_rounds = 0 then 0.0
   else 100.0 *. float_of_int r.reelections /. float_of_int r.node_rounds
@@ -104,7 +100,7 @@ let reelection_rate r =
    motion maintainer, and let the engine's motion hook drive both. The
    run's graph is the maintainer's own starting snapshot so every
    per-round graph shares its live position buffer. *)
-let one_run ~sparse ~spec ~regime ~channel ~churn ~dt ~rounds rng =
+let run_one ~spec ~channel ~churn ~dt ~rounds regime rng =
   let world = Scenario.build rng spec in
   let positions =
     match Graph.positions world.Scenario.graph with
@@ -178,7 +174,9 @@ let one_run ~sparse ~spec ~regime ~channel ~churn ~dt ~rounds rng =
     done
   in
   let result =
-    E.run ~mode:(mode ~sparse) ~max_rounds:rounds ~quiet_rounds:rounds
+    E.run
+      ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
+      ~max_rounds:rounds ~quiet_rounds:rounds
       ~channel ?churn ~corrupt:Distributed.corrupt ~motion:hook
       ~on_round:(Monitor.on_round mon) ~probe rng graph
   in
@@ -209,13 +207,7 @@ let one_run ~sparse ~spec ~regime ~channel ~churn ~dt ~rounds rng =
       Legitimacy.is_legitimate Config.basic result.E.graph ~ids assignment;
   }
 
-let measure ?domains ~seed ~runs ~sparse ~spec ~channel ~churn ~dt ~rounds
-    regime =
-  let outcomes =
-    Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-        ignore run;
-        one_run ~sparse ~spec ~regime ~channel ~churn ~dt ~rounds rng)
-  in
+let fold regime (runs : outcome Sweep.runs) =
   let head_lifetime = Summary.create () in
   let reelections = ref 0 in
   let node_rounds = ref 0 in
@@ -232,11 +224,11 @@ let measure ?domains ~seed ~runs ~sparse ~spec ~channel ~churn ~dt ~rounds
       violating := Summary.merge !violating o.o_violating;
       edge_flips := Summary.merge !edge_flips o.o_edge_flips;
       if o.o_final_legitimate then incr final_legitimate)
-    outcomes;
+    (Sweep.completed runs);
   {
     regime = regime.label;
     speed_max = regime.speed_max;
-    runs;
+    runs = List.length runs.Sweep.outcomes;
     head_lifetime;
     reelections = !reelections;
     node_rounds = !node_rounds;
@@ -248,14 +240,20 @@ let measure ?domains ~seed ~runs ~sparse ~spec ~channel ~churn ~dt ~rounds
 
 let default_spec = Scenario.poisson ~intensity:300.0 ~radius:0.1 ()
 
-let run ?(seed = 42) ?(runs = 5) ?domains ?(sparse = false)
-    ?(spec = default_spec) ?(regimes = default_regimes)
-    ?(channel = Channel.perfect) ?churn ?(dt = 1.0) ?(rounds = 200) () =
-  if dt < 0.0 then invalid_arg "Exp_motion.run: negative dt";
-  if rounds < 1 then invalid_arg "Exp_motion.run: need at least one round";
-  List.map
-    (measure ?domains ~seed ~runs ~sparse ~spec ~channel ~churn ~dt ~rounds)
-    regimes
+let sweep ?(seed = 42) ?(runs = 5) ?(spec = default_spec)
+    ?(regimes = default_regimes) ?(channel = Channel.perfect) ?churn
+    ?(dt = 1.0) ?(rounds = 200) () =
+  if dt < 0.0 then invalid_arg "Exp_motion.sweep: negative dt";
+  if rounds < 1 then invalid_arg "Exp_motion.sweep: need at least one round";
+  {
+    Sweep.label = (fun regime -> regime.label);
+    cells = regimes;
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run = run_one ~spec ~channel ~churn ~dt ~rounds;
+    judge = Sweep.raised_only;
+    fold;
+  }
 
 let to_table ?(title = "Motion — cluster stability vs speed") rows =
   let t =
@@ -281,11 +279,3 @@ let to_table ?(title = "Motion — cluster stability vs speed") rows =
            Printf.sprintf "%d/%d" r.final_legitimate r.runs;
          ])
        rows)
-
-let print ?seed ?runs ?domains ?sparse ?spec ?regimes ?channel ?churn ?dt
-    ?rounds () =
-  let rows =
-    run ?seed ?runs ?domains ?sparse ?spec ?regimes ?channel ?churn ?dt
-      ?rounds ()
-  in
-  Table.print (to_table rows)

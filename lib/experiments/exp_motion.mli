@@ -11,7 +11,8 @@
 
     Every run executes the full round budget (the quiescence target is
     the budget itself) so the regimes' per-round metrics share a
-    denominator; results are bit-identical for any [domains]. *)
+    denominator. A {!Sweep} over regimes that flags raising runs only;
+    results are bit-identical for any domain count. *)
 
 type regime = {
   label : string;
@@ -50,11 +51,12 @@ val reelection_rate : row -> float
 
 val default_spec : Scenario.spec
 
-val run :
+type outcome
+(** What one run reports. *)
+
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?regimes:regime list ->
   ?channel:Ss_radio.Channel.t ->
@@ -62,25 +64,10 @@ val run :
   ?dt:float ->
   ?rounds:int ->
   unit ->
-  row list
-(** [sparse] switches to dirty-set execution with the
-    {!Ss_cluster.Distributed.pending_expiry} warm hook — bit-identical
-    rows, less wall-clock when the fleet's moving fringe is small.
-    [channel] and [churn] compose with motion: lossy delivery and
-    discrete churn events ride on top of the continuous rewiring. *)
+  (regime, outcome, row) Sweep.t
+(** One cell per regime; every cell's run [i] draws stream [i] of
+    [seed]. [channel] and [churn] compose with motion: lossy delivery and
+    discrete churn events ride on top of the continuous rewiring. Raises
+    [Invalid_argument] for a negative [dt] or fewer than one round. *)
 
 val to_table : ?title:string -> row list -> Ss_stats.Table.t
-
-val print :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?sparse:bool ->
-  ?spec:Scenario.spec ->
-  ?regimes:regime list ->
-  ?channel:Ss_radio.Channel.t ->
-  ?churn:Ss_engine.Churn.t ->
-  ?dt:float ->
-  ?rounds:int ->
-  unit ->
-  unit

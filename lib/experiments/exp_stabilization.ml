@@ -65,6 +65,7 @@ type verdict = {
   v_ks_p : float;
 }
 
+let naming_label = function Dag -> "dag" | Adversarial -> "adv-ids"
 let violation_horizon = 400
 let quiet_rounds = Distributed.default_params.Distributed.cache_ttl + 2
 
@@ -112,7 +113,16 @@ let default_cells =
 (* One replicate: cold-start stabilization, then (lossy, stabilized) the
    fixed-horizon violation phase. Returns plain data so nothing from the
    per-run functor escapes. *)
-let measure c graph rng =
+type outcome = {
+  obs : Estimate.obs;
+  degree : float;
+  horizon : int;
+  viols : int;
+  gap_obs : Estimate.obs list;
+  seconds : float;
+}
+
+let measure c graph ~degree rng =
   let algo =
     match c.c_naming with Dag -> Config.with_dag | Adversarial -> Config.basic
   in
@@ -155,39 +165,32 @@ let measure c graph rng =
       (violation_horizon, List.length viol_rounds, gaps 0 viol_rounds)
     end
   in
-  (obs, horizon, viols, gap_obs, Sys.time () -. t0)
+  { obs; degree; horizon; viols; gap_obs; seconds = Sys.time () -. t0 }
 
-let run_cell ?domains ~seed ~index c =
+(* The cell's graph is built once, before the runs take their streams,
+   and shared by them. *)
+let run_one c =
   let spacing = 1.0 /. float_of_int (c.c_side - 1) in
   let radius = c.c_k *. spacing in
   let graph = Builders.geometric_grid ~cols:c.c_side ~rows:c.c_side ~radius in
-  let results =
-    Runner.replicate ?domains
-      ~seed:(seed + (7919 * (index + 1)))
-      ~runs:c.c_runs
-      (fun ~run:_ rng -> measure c graph rng)
-  in
-  let stab = Estimate.of_obs (List.map (fun (o, _, _, _, _) -> o) results) in
-  let gaps =
-    Estimate.of_obs
-      (List.concat_map (fun (_, _, _, g, _) -> g) results)
-  in
-  let horizon =
-    List.fold_left (fun acc (_, h, _, _, _) -> acc + h) 0 results
-  in
-  let viols =
-    List.fold_left (fun acc (_, _, v, _, _) -> acc + v) 0 results
-  in
-  let seconds =
-    List.fold_left (fun acc (_, _, _, _, s) -> acc +. s) 0.0 results
-  in
+  let degree = Graph.mean_degree graph in
+  fun rng -> measure c graph ~degree rng
+
+let fold ~seed c (runs : outcome Sweep.runs) =
+  let results = Sweep.completed runs in
+  let stab = Estimate.of_obs (List.map (fun o -> o.obs) results) in
+  let gaps = Estimate.of_obs (List.concat_map (fun o -> o.gap_obs) results) in
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 results in
+  let horizon = sum (fun o -> o.horizon) in
+  let viols = sum (fun o -> o.viols) in
   (* statistic keys: (seed, cell, statistic) — independent of run order,
      run results and domain count *)
-  let ck = Rng.subkey (Rng.key ~seed) index in
+  let ck = Rng.subkey (Rng.key ~seed) runs.Sweep.index in
   {
     cell = c;
-    nodes = Graph.node_count graph;
-    degree = Graph.mean_degree graph;
+    nodes = c.c_side * c.c_side;
+    degree =
+      (match results with o :: _ -> o.degree | [] -> Float.nan);
     stab;
     mean_ci = Estimate.bootstrap_mean ~key:(Rng.subkey ck 1) stab;
     median_ci = Estimate.bootstrap_quantile ~key:(Rng.subkey ck 2) ~q:0.5 stab;
@@ -196,11 +199,24 @@ let run_cell ?domains ~seed ~index c =
       (if horizon = 0 then Float.nan
        else 100.0 *. float_of_int viols /. float_of_int horizon);
     gaps;
-    seconds;
+    seconds = List.fold_left (fun acc o -> acc +. o.seconds) 0.0 results;
   }
 
-let run ?domains ?(seed = 42) ?(cells = default_cells) () =
-  List.mapi (fun index c -> run_cell ?domains ~seed ~index c) cells
+(* Each cell has its own base seed, so its replicates never share streams
+   with another cell's. *)
+let sweep ?(seed = 42) ?(cells = default_cells) () =
+  {
+    Sweep.label =
+      (fun c ->
+        Printf.sprintf "side %d/k %.1f/%s/tau %.2f" c.c_side c.c_k
+          (naming_label c.c_naming) c.c_tau);
+    cells;
+    runs = (fun c -> c.c_runs);
+    seed = (fun index -> seed + (7919 * (index + 1)));
+    run = run_one;
+    judge = Sweep.raised_only;
+    fold = fold ~seed;
+  }
 
 (* A series is one (density, naming, loss) combination across sizes. *)
 let compare_series (k1, n1, t1) (k2, n2, t2) =
@@ -276,7 +292,6 @@ let dag_flat verdicts =
     (fun v -> v.v_naming <> Dag || v.v_tau < 1.0 || v.v_trend = Flat)
     verdicts
 
-let naming_label = function Dag -> "dag" | Adversarial -> "adv-ids"
 let trend_label = function
   | Flat -> "flat"
   | Growing -> "GROWING"
@@ -339,14 +354,3 @@ let verdicts_table vs =
            Table.cell_float ~decimals:4 v.v_ks_p;
          ])
        vs)
-
-let print ?domains ?seed ?cells ~csv () =
-  let rows = run ?domains ?seed ?cells () in
-  let vs = verdicts rows in
-  let output t = if csv then print_string (Table.to_csv t) else Table.print t in
-  output (to_table rows);
-  output (verdicts_table vs);
-  if not csv then
-    Fmt.pr "total executor time: %.1f s@."
-      (List.fold_left (fun acc r -> acc +. r.seconds) 0.0 rows);
-  dag_flat vs

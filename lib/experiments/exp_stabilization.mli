@@ -19,9 +19,10 @@
     series as flat or growing in n via CI overlap, stochastic dominance
     and a two-sample KS test.
 
-    Results are bit-identical at any [domains]: replicates draw positional
-    pool sub-streams and every bootstrap is keyed by (seed, cell index,
-    statistic) — see DESIGN §14. *)
+    The experiment is a {!Sweep} that flags raising runs only. Results
+    are bit-identical at any domain count: cell [k]'s replicates draw the
+    positional sub-streams of [seed + 7919 (k + 1)] and every bootstrap is
+    keyed by (seed, cell index, statistic) — see DESIGN §14. *)
 
 module Estimate = Ss_stats.Estimate
 
@@ -89,9 +90,21 @@ val default_cells : cell list
     The 1M-node cap is set between the 100k-node worst case and the
     1M-node best case, so adversarial cells censor there by design. *)
 
-val run :
-  ?domains:int -> ?seed:int -> ?cells:cell list -> unit -> row list
-(** Rows in cell order. [cells] defaults to {!default_cells}. *)
+type outcome = {
+  obs : Estimate.obs;  (** stabilization rounds; censored at the cap *)
+  degree : float;  (** measured mean degree of the cell's grid *)
+  horizon : int;  (** rounds of the violation phase; 0 when skipped *)
+  viols : int;  (** violating rounds in that phase *)
+  gap_obs : Estimate.obs list;  (** times between violations *)
+  seconds : float;  (** processor time of the replicate, informational *)
+}
+(** What one replicate reports. *)
+
+val sweep :
+  ?seed:int -> ?cells:cell list -> unit -> (cell, outcome, row) Sweep.t
+(** Rows in cell order. [cells] defaults to {!default_cells}. A cell's
+    grid is built once and shared by its replicates; the row's [degree]
+    is nan when every replicate raised. *)
 
 val verdicts : row list -> verdict list
 (** One verdict per (density, naming, loss) series with ≥ 2 sizes,
@@ -102,8 +115,3 @@ val dag_flat : verdict list -> bool
 
 val to_table : ?title:string -> row list -> Ss_stats.Table.t
 val verdicts_table : verdict list -> Ss_stats.Table.t
-
-val print :
-  ?domains:int -> ?seed:int -> ?cells:cell list -> csv:bool -> unit -> bool
-(** Runs, prints both tables (CSV when [csv]), and returns {!dag_flat} of
-    the verdicts. *)

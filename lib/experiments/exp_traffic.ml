@@ -31,13 +31,6 @@ module F = Ss_engine.Flat.Make (P)
 
 let quiet_rounds = Distributed.default_params.Distributed.cache_ttl + 2
 
-type executor = Dense | Sparse | Flat
-
-let executor_label = function
-  | Dense -> "dense"
-  | Sparse -> "sparse"
-  | Flat -> "flat"
-
 type load = { load_label : string; rate : float }
 
 let default_loads =
@@ -70,7 +63,7 @@ let default_burst_fraction = 0.10
 
 type cell = { c_load : load; c_chan : chan; c_burst : bool }
 
-type run_outcome = {
+type outcome = {
   run_totals : W.totals;
   run_cohorts : W.cohort list;
   run_energy : W.energy_report option;
@@ -151,7 +144,9 @@ let plan_of ~burst ~burst_round ~rejoin_round ~fraction w =
       else [])
     @ [ W.churn_feed w ])
 
-let run_one ~executor ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
+(* One run on the typed sparse executor, or on the flat one when [flat]
+   (the verification replay). *)
+let run_one ~flat ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
     ~fraction ~energy ~rate ~channel rng =
   let world = Scenario.build rng spec in
   let graph = world.Scenario.graph in
@@ -175,47 +170,38 @@ let run_one ~executor ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
   let churn = plan_of ~burst ~burst_round ~rejoin_round ~fraction w in
   let max_rounds = rounds + ttl + 8 in
   let converged, states, alive =
-    match executor with
-    | Dense ->
-        let r =
-          E.run ~mode:E.Dense ~channel ~quiet_rounds ~max_rounds ~churn
-            ~workload:(W.hook w) rng graph
-        in
-        (r.E.converged, r.E.states, r.E.alive)
-    | Sparse ->
-        let r =
-          E.run
-            ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-            ~channel ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w) rng
-            graph
-        in
-        (r.E.converged, r.E.states, r.E.alive)
-    | Flat ->
-        let r =
-          F.run ~channel ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w)
-            rng graph
-        in
-        (r.F.converged, r.F.states, r.F.alive)
+    if flat then
+      let r =
+        F.run ~channel ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w)
+          rng graph
+      in
+      (r.F.converged, r.F.states, r.F.alive)
+    else
+      let r =
+        E.run
+          ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
+          ~channel ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w) rng
+          graph
+      in
+      (r.E.converged, r.E.states, r.E.alive)
   in
   (w, converged, states, alive)
 
-let measure ?domains ~seed ~runs ~executor ~spec ~rounds ~ttl ~window
-    ~burst_round ~rejoin_round ~fraction ~energy cell =
-  let outcomes =
-    Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-        ignore run;
-        let w, converged, _states, _alive =
-          run_one ~executor ~spec ~rounds ~ttl ~burst:cell.c_burst
-            ~burst_round ~rejoin_round ~fraction ~energy ~rate:cell.c_load.rate
-            ~channel:cell.c_chan.chan rng
-        in
-        {
-          run_totals = W.totals w;
-          run_cohorts = W.cohorts ~window w;
-          run_energy = W.energy_report w;
-          run_converged = converged;
-        })
+let measure ~spec ~rounds ~ttl ~window ~burst_round ~rejoin_round ~fraction
+    ~energy cell rng =
+  let w, converged, _states, _alive =
+    run_one ~flat:false ~spec ~rounds ~ttl ~burst:cell.c_burst ~burst_round
+      ~rejoin_round ~fraction ~energy ~rate:cell.c_load.rate
+      ~channel:cell.c_chan.chan rng
   in
+  {
+    run_totals = W.totals w;
+    run_cohorts = W.cohorts ~window w;
+    run_energy = W.energy_report w;
+    run_converged = converged;
+  }
+
+let fold ~burst_round ~window cell (runs : outcome Sweep.runs) =
   let offered = ref 0
   and delivered = ref 0
   and expired = ref 0
@@ -260,12 +246,12 @@ let measure ?domains ~seed ~runs ~executor ~spec ~rounds ~ttl ~window
             Summary.add_int rec_rounds rr
         | None -> ()
       end)
-    outcomes;
+    (Sweep.completed runs);
   {
     r_load = cell.c_load.load_label;
     r_chan = cell.c_chan.chan_label;
     r_burst = cell.c_burst;
-    r_runs = runs;
+    r_runs = List.length runs.Sweep.outcomes;
     offered = !offered;
     delivered = !delivered;
     expired = !expired;
@@ -287,25 +273,33 @@ let measure ?domains ~seed ~runs ~executor ~spec ~rounds ~ttl ~window
 let default_spec = Scenario.poisson ~intensity:1000.0 ~radius:0.06 ()
 let default_energy = Some W.default_energy
 
-let run ?(seed = 42) ?(runs = 3) ?domains ?(executor = Sparse)
-    ?(spec = default_spec) ?(loads = default_loads)
-    ?(channels = default_channels) ?(bursts = [ false; true ])
-    ?(rounds = 220) ?(ttl = 48) ?(window = 20)
+let sweep ?(seed = 42) ?(runs = 3) ?(spec = default_spec)
+    ?(loads = default_loads) ?(channels = default_channels)
+    ?(bursts = [ false; true ]) ?(rounds = 220) ?(ttl = 48) ?(window = 20)
     ?(burst_round = default_burst_round)
     ?(rejoin_round = default_rejoin_round)
     ?(fraction = default_burst_fraction) ?(energy = default_energy) () =
-  List.concat_map
-    (fun c_load ->
+  {
+    Sweep.label =
+      (fun c ->
+        Printf.sprintf "%s/%s/%s" c.c_load.load_label c.c_chan.chan_label
+          (if c.c_burst then "burst" else "no burst"));
+    cells =
       List.concat_map
-        (fun c_chan ->
-          List.map
-            (fun c_burst ->
-              measure ?domains ~seed ~runs ~executor ~spec ~rounds ~ttl
-                ~window ~burst_round ~rejoin_round ~fraction ~energy
-                { c_load; c_chan; c_burst })
-            bursts)
-        channels)
-    loads
+        (fun c_load ->
+          List.concat_map
+            (fun c_chan ->
+              List.map (fun c_burst -> { c_load; c_chan; c_burst }) bursts)
+            channels)
+        loads;
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run =
+      measure ~spec ~rounds ~ttl ~window ~burst_round ~rejoin_round ~fraction
+        ~energy;
+    judge = Sweep.raised_only;
+    fold = fold ~burst_round ~window;
+  }
 
 let to_table ?(title = "Traffic — delivery under load x channel x churn") rows
     =
@@ -367,12 +361,12 @@ let verify ?(seed = 42) ?(spec = default_spec) ?(rounds = 220) ?(ttl = 48)
     ?(fraction = default_burst_fraction) ?(energy = default_energy)
     ?(rate = 8.0) ?(channel = Channel.bernoulli 0.9) () =
   let stream () = (Runner.streams ~seed ~runs:1).(0) in
-  let go executor =
-    run_one ~executor ~spec ~rounds ~ttl ~burst:true ~burst_round
+  let go flat =
+    run_one ~flat ~spec ~rounds ~ttl ~burst:true ~burst_round
       ~rejoin_round ~fraction ~energy ~rate ~channel (stream ())
   in
-  let ws, _, states_s, alive_s = go Sparse in
-  let wf, _, states_f, alive_f = go Flat in
+  let ws, _, states_s, alive_s = go false in
+  let wf, _, states_f, alive_f = go true in
   let w_eq = W.equal ws wf in
   let st_eq =
     Array.length states_s = Array.length states_f
@@ -397,11 +391,3 @@ let verify ?(seed = 42) ?(spec = default_spec) ?(rounds = 220) ?(ttl = 48)
        else float_of_int totals.W.delivered /. float_of_int totals.W.offered);
     v_latency_mean = Summary.mean totals.W.latency;
   }
-
-let print ?seed ?runs ?domains ?executor ?spec ?loads ?channels ?bursts
-    ?rounds ?ttl ?window ?burst_round ?rejoin_round ?fraction ?energy () =
-  let rows =
-    run ?seed ?runs ?domains ?executor ?spec ?loads ?channels ?bursts ?rounds
-      ?ttl ?window ?burst_round ?rejoin_round ?fraction ?energy ()
-  in
-  Table.print (to_table rows)

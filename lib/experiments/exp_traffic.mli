@@ -1,16 +1,14 @@
 (** Robustness experiment: the data-plane workload under load x channel
     x churn — delivery ratio, latency, retries, the delivery-ratio
     dip-and-recovery around a mid-run crash burst, and energy-fairness
-    of believed-head duty, measured {e during} stabilization. *)
+    of believed-head duty, measured {e during} stabilization. A {!Sweep}
+    over load x channel x burst cells on the typed sparse executor that
+    flags raising runs only. *)
 
 module P :
   Ss_engine.Protocol.FLAT
     with type state = Ss_cluster.Distributed.state
      and type message = Ss_cluster.Distributed.message
-
-type executor = Dense | Sparse | Flat
-
-val executor_label : executor -> string
 
 type load = { load_label : string; rate : float }
 
@@ -65,11 +63,14 @@ val default_spec : Scenario.spec
 
 val default_energy : Ss_traffic.Workload.energy_model option
 
-val run :
+type cell = { c_load : load; c_chan : chan; c_burst : bool }
+
+type outcome
+(** What one run reports. *)
+
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
-  ?executor:executor ->
   ?spec:Scenario.spec ->
   ?loads:load list ->
   ?channels:chan list ->
@@ -82,10 +83,10 @@ val run :
   ?fraction:float ->
   ?energy:Ss_traffic.Workload.energy_model option ->
   unit ->
-  row list
-(** The sweep: one row per load x channel x burst cell, runs replicated
-    on the domain pool. [rounds] is the last offered round; runs extend
-    by [ttl] so every message resolves. *)
+  (cell, outcome, row) Sweep.t
+(** One cell per load x channel x burst, load-major; every cell's run [i]
+    draws stream [i] of [seed]. [rounds] is the last offered round; runs
+    extend by [ttl] so every message resolves. *)
 
 val to_table : ?title:string -> row list -> Ss_stats.Table.t
 
@@ -119,22 +120,3 @@ val verify :
     executor and the flat executor from the same run stream; compare the
     workload planes ({!Ss_traffic.Workload.equal}), protocol states and
     liveness bit for bit, and report the cell's dip-and-recovery. *)
-
-val print :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?executor:executor ->
-  ?spec:Scenario.spec ->
-  ?loads:load list ->
-  ?channels:chan list ->
-  ?bursts:bool list ->
-  ?rounds:int ->
-  ?ttl:int ->
-  ?window:int ->
-  ?burst_round:int ->
-  ?rejoin_round:int ->
-  ?fraction:float ->
-  ?energy:Ss_traffic.Workload.energy_model option ->
-  unit ->
-  unit

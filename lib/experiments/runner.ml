@@ -13,13 +13,21 @@ module Rng = Ss_prng.Rng
 module Summary = Ss_stats.Summary
 module Pool = Ss_stats.Pool
 
+let jobs_of_string s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n >= 1 -> n
+  | Some _ | None ->
+      invalid_arg
+        (Printf.sprintf "job count must be a positive integer, got %S" s)
+
+(* A bad REPRO_JOBS must not quietly run sequential: ./check's 4-domain
+   determinism pass would then pass without exercising the pool. *)
 let default_domains () =
   match Sys.getenv_opt "REPRO_JOBS" with
   | None -> 1
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> 1)
+      try jobs_of_string s
+      with Invalid_argument msg -> invalid_arg ("REPRO_JOBS: " ^ msg))
 
 let streams ~seed ~runs =
   if runs < 0 then invalid_arg "Runner.streams: negative runs";
@@ -38,7 +46,13 @@ let streams ~seed ~runs =
 let replicate ?domains ~seed ~runs f =
   if runs < 1 then invalid_arg "Runner.replicate: need at least one run";
   let domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
+    match domains with
+    | None -> default_domains ()
+    | Some d when d >= 1 -> d
+    | Some d ->
+        invalid_arg
+          (Printf.sprintf "Runner.replicate: domains must be positive, got %d"
+             d)
   in
   let rngs = streams ~seed ~runs in
   Array.to_list (Pool.map_n ~domains runs (fun i -> f ~run:i rngs.(i)))

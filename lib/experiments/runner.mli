@@ -7,10 +7,15 @@
     collection, this makes every entry point below return bit-identical
     results for every [domains] value. *)
 
+val jobs_of_string : string -> int
+(** Parse a domain count: a positive integer, surrounding blanks allowed.
+    Raises [Invalid_argument] naming the value otherwise. *)
+
 val default_domains : unit -> int
-(** Domain count used when [?domains] is omitted: the value of the
-    [REPRO_JOBS] environment variable when it parses as a positive
-    integer, 1 (sequential) otherwise. *)
+(** Domain count used when [?domains] is omitted: 1 when the [REPRO_JOBS]
+    environment variable is unset, its value otherwise. Raises
+    [Invalid_argument] naming the value when it is not a positive
+    integer. *)
 
 val streams : seed:int -> runs:int -> Ss_prng.Rng.t array
 (** The per-run generators: element [i] is the sub-stream run [i]
@@ -26,7 +31,8 @@ val replicate :
 (** Run [f] once per independent PRNG sub-stream of [seed]; the result
     list is in run order. With [domains > 1] the runs execute on a
     {!Ss_stats.Pool} of that many domains — [f] must then not mutate
-    state shared between runs. *)
+    state shared between runs. Raises [Invalid_argument] when [runs] or
+    [domains] is below 1. *)
 
 val summarize :
   ?domains:int ->

@@ -538,12 +538,13 @@ let test_exp_churn_small () =
   (* Acceptance: finite recovery for every burst, legitimate and converged,
      under both schedulers. Miniature deployment to stay quick. *)
   let rows =
-    Ss_experiments.Exp_churn.run ~seed:5 ~runs:1
-      ~spec:(Ss_experiments.Scenario.uniform ~count:40 ~radius:0.2 ())
-      ~storms:
-        [ Ss_experiments.Exp_churn.Crash_recover;
-          Ss_experiments.Exp_churn.Combined ]
-      ()
+    Ss_experiments.Sweep.rows
+      (Ss_experiments.Exp_churn.sweep ~seed:5 ~runs:1
+         ~spec:(Ss_experiments.Scenario.uniform ~count:40 ~radius:0.2 ())
+         ~storms:
+           [ Ss_experiments.Exp_churn.Crash_recover;
+             Ss_experiments.Exp_churn.Combined ]
+         ())
   in
   Alcotest.(check int) "2 schedulers x 2 storms" 4 (List.length rows);
   List.iter

@@ -480,10 +480,11 @@ let test_schedulers_domain_identity () =
   List.iter
     (fun sched ->
       let run domains =
-        Ss_experiments.Exp_churn.run ~seed:11 ~runs:2 ~domains ~spec
-          ~schedulers:[ sched ]
-          ~storms:[ Ss_experiments.Exp_churn.Crash_recover ]
-          ()
+        Ss_experiments.Sweep.rows ~domains
+          (Ss_experiments.Exp_churn.sweep ~seed:11 ~runs:2 ~spec
+             ~schedulers:[ sched ]
+             ~storms:[ Ss_experiments.Exp_churn.Crash_recover ]
+             ())
       in
       Alcotest.(check bool)
         (Fmt.str "%a: 1 domain = 4 domains" Scheduler.pp sched)

@@ -13,6 +13,7 @@ module Config = Ss_cluster.Config
 module Distributed = Ss_cluster.Distributed
 module Invariants = Ss_cluster.Invariants
 module Exp_campaign = Ss_experiments.Exp_campaign
+module Sweep = Ss_experiments.Sweep
 module Scenario = Ss_experiments.Scenario
 module Rng = Ss_prng.Rng
 module Traversal = Ss_topology.Traversal
@@ -517,26 +518,33 @@ let test_monitor_matches_uncached_reference () =
 
 (* ------------------------------------------------------ fault campaign *)
 
-let good_cell =
+(* The one-cell grid of the good cell: 30% corruption, perfect channel,
+   no crash churn, synchronous daemon, no adversary. *)
+let good_grid =
   {
-    Exp_campaign.c_fraction = 0.3;
-    c_channel = Channel.perfect;
-    c_crash = 0.0;
-    c_scheduler = Scheduler.Synchronous;
-    c_byz = None;
+    Exp_campaign.g_fractions = [ 0.3 ];
+    g_channels = [ Channel.perfect ];
+    g_crash = [ 0.0 ];
+    g_schedulers = [ Scheduler.Synchronous ];
+    g_byz = [ None ];
   }
 
 let campaign_spec = Scenario.uniform ~count:40 ~radius:0.2 ()
+
+let good_cell_row ~max_rounds =
+  match
+    Sweep.rows
+      (Exp_campaign.sweep ~seed:11 ~runs:2 ~spec:campaign_spec ~grid:good_grid
+         ~max_rounds ~burst_round:40 ~horizon:Exp_campaign.default_horizon ())
+  with
+  | [ row ] -> row
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 let test_campaign_good_cell_zero_post_recovery () =
   (* Acceptance: an oscillation-free scenario (perfect channel, pure
      corruption burst) recovers and reports zero post-recovery
      violations. *)
-  let row =
-    Exp_campaign.run_cell ~seed:11 ~runs:2 ~sparse:false ~spec:campaign_spec
-      ~max_rounds:2_000 ~burst_round:40 ~horizon:Exp_campaign.default_horizon
-      good_cell
-  in
+  let row = good_cell_row ~max_rounds:2_000 in
   Alcotest.(check int) "all runs converge" 2 row.Exp_campaign.converged;
   Alcotest.(check int) "no raising runs" 0 row.Exp_campaign.failed;
   Alcotest.(check int) "no open bursts" 0 row.Exp_campaign.unrecovered;
@@ -550,11 +558,7 @@ let test_campaign_good_cell_zero_post_recovery () =
 let test_campaign_starved_cell_still_changing () =
   (* Acceptance: a round budget far below cold-start convergence must be
      classified Still_changing, never a silent non-convergence. *)
-  let row =
-    Exp_campaign.run_cell ~seed:11 ~runs:2 ~sparse:false ~spec:campaign_spec
-      ~max_rounds:4 ~burst_round:40 ~horizon:Exp_campaign.default_horizon
-      good_cell
-  in
+  let row = good_cell_row ~max_rounds:4 in
   Alcotest.(check int) "nothing converges in 4 rounds" 0
     row.Exp_campaign.converged;
   Alcotest.(check int) "all runs classified still-changing" 2
@@ -571,7 +575,8 @@ let test_campaign_survives_raising_cells () =
      rejected by Engine.run) is recorded with replay pointers; the sweep
      itself never aborts. *)
   let rows =
-    Exp_campaign.run ~seed:11 ~runs:2 ~spec:campaign_spec
+    Sweep.rows
+    @@ Exp_campaign.sweep ~seed:11 ~runs:2 ~spec:campaign_spec
       ~grid:
         {
           Exp_campaign.g_fractions = [ 0.2 ];

@@ -425,7 +425,8 @@ let test_exp_motion_domain_independence () =
   let module Scenario = Ss_experiments.Scenario in
   let sweep domains =
     let rows =
-      X.run ~seed:7 ~runs:2 ~domains
+      Ss_experiments.Sweep.rows ~domains
+      @@ X.sweep ~seed:7 ~runs:2
         ~spec:(Scenario.poisson ~intensity:60.0 ~radius:0.2 ())
         ~regimes:
           [

@@ -292,9 +292,10 @@ let test_campaign_identical () =
   let seq, par =
     both (fun ~domains ->
         campaign_projection
-          (E.Exp_campaign.run ~seed:3 ~runs:2 ~domains
-             ~spec:(Scenario.uniform ~count:35 ~radius:0.2 ())
-             ~grid:E.Exp_campaign.smoke_grid ~max_rounds:900 ()))
+          (E.Sweep.rows ~domains
+             (E.Exp_campaign.sweep ~seed:3 ~runs:2
+                ~spec:(Scenario.uniform ~count:35 ~radius:0.2 ())
+                ~grid:E.Exp_campaign.smoke_grid ~max_rounds:900 ())))
   in
   check_identical "campaign rows" seq par
 
@@ -302,11 +303,12 @@ let test_churn_identical () =
   let seq, par =
     both (fun ~domains ->
         churn_projection
-          (E.Exp_churn.run ~seed:3 ~runs:2 ~domains
-             ~spec:(Scenario.poisson ~intensity:90.0 ~radius:0.14 ())
-             ~schedulers:[ Ss_engine.Scheduler.Synchronous ]
-             ~storms:[ E.Exp_churn.Crash_recover; E.Exp_churn.Sleep_wake ]
-             ()))
+          (E.Sweep.rows ~domains
+             (E.Exp_churn.sweep ~seed:3 ~runs:2
+                ~spec:(Scenario.poisson ~intensity:90.0 ~radius:0.14 ())
+                ~schedulers:[ Ss_engine.Scheduler.Synchronous ]
+                ~storms:[ E.Exp_churn.Crash_recover; E.Exp_churn.Sleep_wake ]
+                ())))
   in
   check_identical "churn rows" seq par
 

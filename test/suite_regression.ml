@@ -122,10 +122,11 @@ let check_selfstab_golden ~domains =
 
 let check_churn_golden ~domains =
   match
-    E.Exp_churn.run ~seed:7 ~runs:2 ~domains
-      ~spec:(E.Scenario.poisson ~intensity:90.0 ~radius:0.14 ())
-      ~schedulers:[ Ss_engine.Scheduler.Synchronous ]
-      ~storms:[ E.Exp_churn.Crash_recover ] ()
+    E.Sweep.rows ~domains
+      (E.Exp_churn.sweep ~seed:7 ~runs:2
+         ~spec:(E.Scenario.poisson ~intensity:90.0 ~radius:0.14 ())
+         ~schedulers:[ Ss_engine.Scheduler.Synchronous ]
+         ~storms:[ E.Exp_churn.Crash_recover ] ())
   with
   | [ r ] ->
       Alcotest.(check int) "runs" 2 r.E.Exp_churn.runs;

@@ -254,8 +254,11 @@ let test_cell_domain_independent () =
           Estimate.values r.Exp.gaps ))
       rows
   in
-  let a = strip (Exp.run ~domains:1 ~seed:7 ~cells ()) in
-  let b = strip (Exp.run ~domains:3 ~seed:7 ~cells ()) in
+  let run domains =
+    strip (Ss_experiments.Sweep.rows ~domains (Exp.sweep ~seed:7 ~cells ()))
+  in
+  let a = run 1 in
+  let b = run 3 in
   Alcotest.(check bool) "rows identical at 1 vs 3 domains" true (a = b)
 
 let suite =
