@@ -124,57 +124,72 @@ struct
       m_nbrs = Array.of_list summaries;
     }
 
-  (* Sorted-assoc-list update keeping canonical order (so polymorphic
-     equality detects fixpoints). *)
-  let assoc_put key value l =
-    let rec go = function
-      | [] -> [ (key, value) ]
-      | ((k, _) as pair) :: rest ->
-          if k < key then pair :: go rest
-          else if k = key then (key, value) :: rest
-          else (key, value) :: pair :: rest
+  (* One cache refresh: the fresh entries merged over the old canonical
+     list (sorted by node index, keys unique, so polymorphic equality
+     detects fixpoints). [fresh] is sorted stably by [key], so the last
+     element of each run of equal keys is the latest one received: a later
+     frame's claim overwrites an earlier one's, fresh entries replace old
+     ones for the same key, keys satisfying [skip] are never inserted, and
+     [keep] (the TTL filter) runs over the merged list last. One linear
+     pass over both, instead of re-consing the list prefix per insert. *)
+  let merge_fresh ~key ~skip ~entry ~keep fresh old =
+    let n = Array.length fresh in
+    let rec go i old =
+      if i >= n then List.filter (fun (_, e) -> keep e) old
+      else begin
+        let k = key fresh.(i) in
+        let j = ref i in
+        while !j + 1 < n && key fresh.(!j + 1) = k do
+          incr j
+        done;
+        if skip k then go (!j + 1) old else put k fresh.(!j) (!j + 1) old
+      end
+    and put k x next old =
+      match old with
+      | ((ok, oe) as pair) :: rest when ok < k ->
+          if keep oe then pair :: put k x next rest else put k x next rest
+      | (ok, _) :: rest when ok = k -> add k x next rest
+      | _ -> add k x next old
+    and add k x next old =
+      let e = entry x in
+      if keep e then (k, e) :: go next old else go next old
     in
-    go l
+    go 0 old
 
   let refresh_cache clock cache msgs =
-    let cache =
-      List.fold_left
-        (fun cache (q, m) ->
-          let entry =
-            {
-              e_heard = clock;
-              e_gid = m.m_gid;
-              e_dag = m.m_dag;
-              e_density = m.m_density;
-              e_head = m.m_head;
-              e_nbrs = Array.map (fun s -> s.s_node) m.m_nbrs;
-            }
-          in
-          assoc_put q entry cache)
-        cache msgs
-    in
-    List.filter (fun (_, e) -> clock - e.e_heard <= params.cache_ttl) cache
+    let fresh = Array.of_list msgs in
+    Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) fresh;
+    merge_fresh ~key:fst
+      ~skip:(fun _ -> false)
+      ~entry:(fun (_, m) ->
+        {
+          e_heard = clock;
+          e_gid = m.m_gid;
+          e_dag = m.m_dag;
+          e_density = m.m_density;
+          e_head = m.m_head;
+          e_nbrs = Array.map (fun s -> s.s_node) m.m_nbrs;
+        })
+      ~keep:(fun e -> clock - e.e_heard <= params.cache_ttl)
+      fresh cache
 
+  (* The relayed summaries of every frame, in reception order; concat
+     copies, so sorting never touches the (shared) received frames. *)
   let refresh_far ~self clock far msgs =
-    let far =
-      List.fold_left
-        (fun far (_, m) ->
-          Array.fold_left
-            (fun far s ->
-              if s.s_node = self then far
-              else
-                assoc_put s.s_node
-                  {
-                    f_heard = clock;
-                    f_density = s.s_density;
-                    f_eff = s.s_eff;
-                    f_is_head = s.s_is_head;
-                  }
-                  far)
-            far m.m_nbrs)
-        far msgs
-    in
-    List.filter (fun (_, e) -> clock - e.f_heard <= params.cache_ttl) far
+    let fresh = Array.concat (List.map (fun (_, m) -> m.m_nbrs) msgs) in
+    Array.stable_sort (fun a b -> Int.compare a.s_node b.s_node) fresh;
+    merge_fresh
+      ~key:(fun s -> s.s_node)
+      ~skip:(Int.equal self)
+      ~entry:(fun s ->
+        {
+          f_heard = clock;
+          f_density = s.s_density;
+          f_eff = s.s_eff;
+          f_is_head = s.s_is_head;
+        })
+      ~keep:(fun e -> clock - e.f_heard <= params.cache_ttl)
+      fresh far
 
   (* N1: re-pick my name if it collides with a cached neighbor name and I
      hold the smaller global id (ties on gid broken by node index for
@@ -834,10 +849,11 @@ struct
         done;
         (* --- far refresh: fresh relayed summaries first (iterative
            sorted merge across senders ascending, a later sender's claim
-           overwrites an earlier one's, self skipped — the typed fold's
-           assoc_put order), then merged over the TTL-filtered old
-           entries with fresh winning collisions. The ping-pong direction
-           is chosen by parity, so the loop performs no pointer swaps. *)
+           overwrites an earlier one's, self skipped — the order the
+           typed refresh_far's merge_fresh keeps), then merged over the
+           TTL-filtered old entries with fresh winning collisions. The
+           ping-pong direction is chosen by parity, so the loop performs
+           no pointer swaps. *)
         let fcnt = ref 0 and parity = ref false in
         for i = 0 to count - 1 do
           let q = senders.(i) in

@@ -90,15 +90,15 @@ module Make (P : Protocol.S) = struct
   let sparse = Sparse { warm = None }
 
   (* Frames received by node p this step: one per neighbor, each surviving
-     the round's channel plan. [read] supplies the state a neighbor
-     broadcasts from — the pre-round snapshot under the synchronous
-     daemon, the live array otherwise. *)
-  let gather_messages deliver graph read p =
+     the round's channel plan. [frame q] supplies the frame neighbor q
+     broadcasts — re-emitted from the pre-round snapshot or the live array
+     in dense mode, read from the stored emission in sparse mode. *)
+  let gather_messages deliver graph frame p =
     let acc = ref [] in
     let nbrs = Graph.neighbors graph p in
     for i = Array.length nbrs - 1 downto 0 do
       let q = nbrs.(i) in
-      if deliver ~src:q ~dst:p then acc := (q, P.emit graph q (read q)) :: !acc
+      if deliver ~src:q ~dst:p then acc := (q, frame q) :: !acc
     done;
     !acc
 
@@ -116,7 +116,9 @@ module Make (P : Protocol.S) = struct
     let hkey = lane_handle rk in
     let update_node read p =
       if live.(p) then begin
-        let msgs = gather_messages deliver graph read p in
+        let msgs =
+          gather_messages deliver graph (fun q -> P.emit graph q (read q)) p
+        in
         let next = P.handle (node_rng hkey p) graph p states.(p) msgs in
         if not (P.equal_state next states.(p)) then incr changed;
         states.(p) <- next
@@ -152,11 +154,10 @@ module Make (P : Protocol.S) = struct
     mutable cur_list : int list;
     mutable nxt : bool array;
     mutable nxt_list : int list;
-    last_msg : P.message array; (* emission of each node's current state *)
-    shadow : P.state array;
-        (* synchronous daemon: pre-round states of the frontier only —
-           non-frontier nodes never mutate during the walk, so saving the
-           touched slots replaces the per-round O(n) snapshot copy *)
+    last_msg : P.message array;
+        (* emission of each node's current state: the frame every
+           receiver reads, and the reference an emission change is
+           detected against *)
     warm : P.state -> bool;
   }
 
@@ -189,7 +190,6 @@ module Make (P : Protocol.S) = struct
       nxt = Array.make n false;
       nxt_list = [];
       last_msg = Array.init n (fun p -> P.emit graph p states.(p));
-      shadow = Array.copy states;
       warm;
     }
 
@@ -198,7 +198,8 @@ module Make (P : Protocol.S) = struct
      or its emission is rewritten — every node that can hear it. Base-graph
      neighborhoods are a superset of any snapshot's, so marking them is
      always safe. State-rewriting events also rebase the stored emission,
-     keeping the compare-against-previous invariant intact. *)
+     so [last_msg.(p)] is always [P.emit] of [states.(p)]: receivers read
+     it as p's frame, and the next step compares against it. *)
   let touch_event ctx base states ev =
     let mark_with_nbrs p =
       mark_now ctx p;
@@ -256,66 +257,65 @@ module Make (P : Protocol.S) = struct
         done
     | _ -> ());
     (* Stepping a node: identical to the dense path, plus frontier
-       bookkeeping. An output change re-arms the node itself; an emission
-       change disturbs its audience (this round for daemons that still
-       have the neighbor ahead in the order, next round otherwise — the
-       conservative union is safe because stepping a node whose input did
-       not change is output-stable by the protocol contract); a warm state
-       (pending time-based behavior, e.g. cache expiry) keeps the node
-       stepping until it drains. *)
-    let update_node ~in_round read p =
+       bookkeeping. Neighbors' frames are read from [last_msg] — each
+       node's emission is computed once per executed step, not once per
+       receiver. An output change re-arms the node itself. *)
+    let frame q = ctx.last_msg.(q) in
+    let step_node p =
+      let msgs = gather_messages deliver graph frame p in
+      let next = P.handle (node_rng hkey p) graph p states.(p) msgs in
+      if not (P.equal_state next states.(p)) then begin
+        incr changed;
+        mark_nxt ctx p
+      end;
+      states.(p) <- next
+    in
+    (* Publishing a stepped node's new emission: a change disturbs its
+       audience (this round for daemons that still have the neighbor
+       ahead in the order, next round otherwise — the conservative union
+       is safe because stepping a node whose input did not change is
+       output-stable by the protocol contract); a warm state (pending
+       time-based behavior, e.g. cache expiry) keeps the node stepping
+       until it drains. *)
+    let publish ~in_round p =
+      let next = states.(p) in
+      let msg = P.emit graph p next in
+      if msg <> ctx.last_msg.(p) then begin
+        ctx.last_msg.(p) <- msg;
+        Array.iter
+          (fun q ->
+            if in_round then mark_now ctx q;
+            mark_nxt ctx q)
+          (Graph.neighbors graph p)
+      end;
+      if ctx.warm next then mark_nxt ctx p
+    in
+    let update_node p =
       if live.(p) then begin
-        let msgs = gather_messages deliver graph read p in
-        let next = P.handle (node_rng hkey p) graph p states.(p) msgs in
-        if not (P.equal_state next states.(p)) then begin
-          incr changed;
-          mark_nxt ctx p
-        end;
-        states.(p) <- next;
-        let msg = P.emit graph p next in
-        if msg <> ctx.last_msg.(p) then begin
-          ctx.last_msg.(p) <- msg;
-          let nbrs = Graph.neighbors graph p in
-          Array.iter
-            (fun q ->
-              if in_round then mark_now ctx q;
-              mark_nxt ctx q)
-            nbrs
-        end;
-        if ctx.warm next then mark_nxt ctx p
+        step_node p;
+        publish ~in_round:true p
       end
     in
     (match scheduler with
     | Scheduler.Synchronous ->
         (* Frontier order is irrelevant: every step reads the pre-round
-           snapshot and its own key lane. Only frontier nodes mutate
-           during the walk, so saving just their slots into the
-           persistent shadow reproduces the full pre-round snapshot:
-           [read] serves frontier members from the shadow and everyone
-           else (guaranteed untouched this round) from the live array.
-           The frontier cannot grow mid-walk ([in_round:false]), which
-           keeps the membership test stable. *)
-        if ctx.cur_list <> [] then begin
-          List.iter (fun p -> ctx.shadow.(p) <- states.(p)) ctx.cur_list;
-          let read q = if ctx.cur.(q) then ctx.shadow.(q) else states.(q) in
-          List.iter (fun p -> update_node ~in_round:false read p) ctx.cur_list;
-          (* Re-point the saved slots at the current states so the shadow
-             never retains a dead generation of protocol state. *)
-          List.iter (fun p -> ctx.shadow.(p) <- states.(p)) ctx.cur_list
-        end
+           frames and its own key lane. All frontier nodes step before
+           any publishes, so [last_msg] holds exactly the pre-round
+           emissions throughout the first walk — no snapshot needed. The
+           frontier cannot grow mid-round ([in_round:false]). *)
+        List.iter (fun p -> if live.(p) then step_node p) ctx.cur_list;
+        List.iter
+          (fun p -> if live.(p) then publish ~in_round:false p)
+          ctx.cur_list
     | Scheduler.Sequential ->
         (* Scan in daemon order so an emission change reaches the nodes
            behind it in the same round, exactly as in the dense walk. *)
-        let read q = states.(q) in
         for p = 0 to n - 1 do
-          if ctx.cur.(p) then update_node ~in_round:true read p
+          if ctx.cur.(p) then update_node p
         done
     | Scheduler.Random_order ->
         let order = Rng.permutation (Rng.of_key (lane_perm rk)) n in
-        let read q = states.(q) in
-        Array.iter
-          (fun p -> if ctx.cur.(p) then update_node ~in_round:true read p)
-          order);
+        Array.iter (fun p -> if ctx.cur.(p) then update_node p) order);
     advance_frontier ctx;
     !changed
 

@@ -67,9 +67,10 @@ module Make (P : Protocol.FLAT) : sig
       shards synchronous state/emission phases over that many domains.
       [?workload] is {!Engine.Make.run}'s data-plane hook with [read]
       backed by unpack-on-demand: the hook pays one typed unpack per
-      state it actually inspects, so idle traffic costs nothing and the
-      flat representation survives. Same activity semantics: an active
-      workload keeps the run alive through quiescence without resetting
-      the quiescence counter. Defaults otherwise match the reference
-      executor. *)
+      state it actually inspects, and the flat representation survives.
+      Idle traffic is not free: a traffic workload with an energy model
+      reads every alive node's state once per duty period (its duty
+      drain). Same activity semantics: an active workload keeps the run
+      alive through quiescence without resetting the quiescence counter.
+      Defaults otherwise match the reference executor. *)
 end

@@ -37,6 +37,9 @@
     - [message] must be plain structural data (no functions, no cycles):
       the sparse engine compares emissions structurally to decide which
       neighbors a step disturbed.
+    - [handle] must not mutate the frames it receives: the sparse engine
+      stores each node's emission once and hands that one value to every
+      receiver, round after round, until the sender's emission changes.
 
     Every protocol in this repository satisfies the contract; the
     differential battery in [test/suite_sparse.ml] checks sparse ≡ dense

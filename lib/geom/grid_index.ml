@@ -30,8 +30,22 @@ let cell_y t (p : Vec2.t) =
 
 let flat_cell t p = (cell_y t p * t.cols) + cell_x t p
 
+(* A cell far below the point spacing buys nothing, and a tiny one would
+   allocate (extent / cell)^2 buckets: double it until the grid has at
+   most four buckets per point. Queries scan ceil (radius / cell) cells
+   out, so any cell size stays exact. *)
+let coarsen ~box ~cell n =
+  let max_cells = float_of_int (4 * max 1 n) in
+  let rec go cell =
+    let cols = ceil (Bbox.width box /. cell)
+    and rows = ceil (Bbox.height box /. cell) in
+    if cols *. rows > max_cells then go (2.0 *. cell) else cell
+  in
+  go cell
+
 let build ~box ~cell points =
   if cell <= 0.0 then invalid_arg "Grid_index.build: cell must be positive";
+  let cell = coarsen ~box ~cell (Array.length points) in
   let cols = max 1 (int_of_float (ceil (Bbox.width box /. cell))) in
   let rows = max 1 (int_of_float (ceil (Bbox.height box /. cell))) in
   let t =

@@ -9,7 +9,9 @@
 type t
 
 val build : box:Bbox.t -> cell:float -> Vec2.t array -> t
-(** Index the given points. [cell] should normally equal the query radius.
+(** Index the given points. [cell] should normally equal the query radius;
+    a cell so small that the grid would exceed four buckets per point is
+    doubled until it does not (queries stay exact at any cell size).
     Points outside [box] are clamped to the border cells (still found by
     queries, at a small constant cost). The array is adopted, not copied:
     a caller that mutates an entry must call {!move} on its index before

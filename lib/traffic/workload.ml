@@ -3,6 +3,7 @@ module Dynamic = Ss_topology.Dynamic
 module Channel = Ss_radio.Channel
 module Rng = Ss_prng.Rng
 module Churn = Ss_engine.Churn
+module Distributed = Ss_cluster.Distributed
 module Energy = Ss_cluster.Energy
 module Summary = Ss_stats.Summary
 
@@ -192,11 +193,11 @@ let backoff t ~id ~attempt =
 let pay t p cost =
   if Array.length t.batteries > 0 then Energy.spend t.batteries.(p) cost
 
-let tick t ~round ~graph ~alive ~view_of =
+let hook t ~round ~graph ~alive ~read =
   if round <> t.last_round + 1 then
     invalid_arg
       (Printf.sprintf
-         "Workload.tick: round %d after round %d — one workload rides one \
+         "Workload.hook: round %d after round %d — one workload rides one \
           run, rounds are consecutive from 1"
          round t.last_round);
   t.last_round <- round;
@@ -204,7 +205,7 @@ let tick t ~round ~graph ~alive ~view_of =
     match Graph.positions graph with
     | Some ps -> ps
     | None ->
-        invalid_arg "Workload.tick: graph has no positions (routing is \
+        invalid_arg "Workload.hook: graph has no positions (routing is \
                      geographic)"
   in
   let offering =
@@ -295,6 +296,7 @@ let tick t ~round ~graph ~alive ~view_of =
     Ibuf.set t.m_end m.id round;
     incr counter
   in
+  let view_of p = Route.of_distributed (read p) in
   let process m =
     if Ibuf.get t.m_outcome m.id <> o_flight then ()
     else if not alive.(m.holder) then finish m o_died died
@@ -365,7 +367,8 @@ let tick t ~round ~graph ~alive ~view_of =
   List.iter process t.flight;
   t.flight <-
     List.filter (fun m -> Ibuf.get t.m_outcome m.id = o_flight) t.flight;
-  (* --- duty-cycle energy drain --------------------------------------- *)
+  (* --- duty-cycle energy drain: one state read per alive node, for its
+     believed head only — no routing view is built ----------------------- *)
   (match t.cfg.energy with
   | None -> ()
   | Some e ->
@@ -373,7 +376,7 @@ let tick t ~round ~graph ~alive ~view_of =
         let is_head = Array.make t.n false in
         for p = 0 to t.n - 1 do
           if alive.(p) then
-            match (view_of p).Route.v_head with
+            match (read p).Distributed.head with
             | Some h when h = p ->
                 is_head.(p) <- true;
                 t.head_rounds.(p) <- t.head_rounds.(p) + e.duty_every
@@ -397,10 +400,6 @@ let tick t ~round ~graph ~alive ~view_of =
     && match t.cfg.last_round with None -> true | Some l -> round < l
   in
   more_arrivals || inflight > 0
-
-let hook t ~round ~graph ~alive ~read =
-  tick t ~round ~graph ~alive ~view_of:(fun p ->
-      Route.of_distributed (read p))
 
 let churn_feed t =
   if Array.length t.batteries = 0 then Churn.nothing

@@ -63,19 +63,6 @@ val create : config -> n:int -> t
     [rate]/[backoff_base], [backoff_cap < backoff_base], or a
     non-positive [duty_every]/[capacity] in the energy model. *)
 
-val tick :
-  t ->
-  round:int ->
-  graph:Ss_topology.Graph.t ->
-  alive:bool array ->
-  view_of:(int -> Route.view) ->
-  bool
-(** One data-plane round; the engine hooks call this. Rounds must be
-    consecutive from 1 (raises [Invalid_argument] otherwise — one [t]
-    rides exactly one run). Returns whether the workload is still
-    active: more arrivals to offer or messages in flight. Requires the
-    graph to carry positions (geographic routing). *)
-
 val hook :
   t ->
   round:int ->
@@ -83,9 +70,14 @@ val hook :
   alive:bool array ->
   read:(int -> Ss_cluster.Distributed.state) ->
   bool
-(** [tick] pre-composed with {!Route.of_distributed} — exactly the shape
-    of the engines' [?workload] parameter for the {!Ss_cluster.Distributed}
-    protocol. *)
+(** One data-plane round — exactly the shape of the engines' [?workload]
+    parameter for the {!Ss_cluster.Distributed} protocol. Routing reads
+    each holder's {!Route.of_distributed} view; every [duty_every] rounds
+    the duty drain reads every alive node's believed head. Rounds must be
+    consecutive from 1 (raises [Invalid_argument] otherwise — one [t]
+    rides exactly one run). Returns whether the workload is still
+    active: more arrivals to offer or messages in flight. Requires the
+    graph to carry positions (geographic routing). *)
 
 val churn_feed : t -> Ss_engine.Churn.t
 (** The energy→churn half of the feedback loop: a drawless generator

@@ -327,7 +327,178 @@ let prop_recovery_legitimate =
            (Distributed.to_assignment second.E_basic.states)
          = Ok ())
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_recovery_legitimate ]
+(* The typed [handle]'s cache refresh against its reference semantics,
+   kept here as the oracle: a left fold of sorted-list inserts over the
+   received frames (a later put replaces an equal key; the receiver's own
+   relayed summary is never inserted), then the TTL filter. Inputs go
+   beyond what an engine delivers — unsorted frame lists, duplicate
+   senders, unsorted relay arrays with repeated and self entries — and
+   heard stamps straddle the TTL edge. *)
+let assoc_put key value l =
+  let rec go = function
+    | [] -> [ (key, value) ]
+    | ((k, _) as pair) :: rest ->
+        if k < key then pair :: go rest
+        else if k = key then (key, value) :: rest
+        else (key, value) :: pair :: rest
+  in
+  go l
+
+let fold_refresh ~ttl ~self clock (st : Distributed.state) msgs =
+  let cache =
+    List.fold_left
+      (fun cache (q, (m : Distributed.message)) ->
+        assoc_put q
+          {
+            Distributed.e_heard = clock;
+            e_gid = m.m_gid;
+            e_dag = m.m_dag;
+            e_density = m.m_density;
+            e_head = m.m_head;
+            e_nbrs = Array.map (fun s -> s.Distributed.s_node) m.m_nbrs;
+          }
+          cache)
+      st.cache msgs
+  in
+  let far =
+    List.fold_left
+      (fun far (_, (m : Distributed.message)) ->
+        Array.fold_left
+          (fun far (s : Distributed.summary) ->
+            if s.s_node = self then far
+            else
+              assoc_put s.s_node
+                {
+                  Distributed.f_heard = clock;
+                  f_density = s.s_density;
+                  f_eff = s.s_eff;
+                  f_is_head = s.s_is_head;
+                }
+                far)
+          far m.m_nbrs)
+      st.far msgs
+  in
+  ( List.filter (fun (_, e) -> clock - e.Distributed.e_heard <= ttl) cache,
+    List.filter (fun (_, f) -> clock - f.Distributed.f_heard <= ttl) far )
+
+type refresh_case = {
+  r_ttl : int;
+  r_self : int;
+  r_state : Distributed.state;
+  r_msgs : (int * Distributed.message) list;
+}
+
+let gen_refresh_case =
+  let open QCheck.Gen in
+  let key = int_range 0 11 in
+  let density =
+    opt
+      (map2
+         (fun links nodes -> Cluster.Density.make ~links ~nodes)
+         (int_range 0 12) (int_range 1 6))
+  in
+  let canonical entry =
+    map
+      (List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b))
+      (list_size (int_range 0 8) (pair key entry))
+  in
+  let* r_ttl = int_range 0 4 in
+  let* r_self = key in
+  let* clock = int_range (r_ttl + 2) 20 in
+  (* [clock - ttl] is the oldest stamp the filter keeps *)
+  let heard = int_range (clock - r_ttl - 2) (clock - 1) in
+  let* cache =
+    canonical
+      (let+ e_heard = heard
+       and+ e_gid = key
+       and+ e_dag = int_range 0 7
+       and+ e_density = density
+       and+ e_head = opt key
+       and+ e_nbrs = array_size (int_range 0 4) key in
+       { Distributed.e_heard; e_gid; e_dag; e_density; e_head; e_nbrs })
+  in
+  let* far =
+    canonical
+      (let+ f_heard = heard
+       and+ f_density = density
+       and+ f_eff = int_range 0 7
+       and+ f_is_head = bool in
+       { Distributed.f_heard; f_density; f_eff; f_is_head })
+  in
+  let summary =
+    let+ s_node = key
+    and+ s_density = density
+    and+ s_eff = int_range 0 7
+    and+ s_is_head = bool in
+    { Distributed.s_node; s_density; s_eff; s_is_head }
+  in
+  let+ r_msgs =
+    list_size (int_range 0 8)
+      (let* q = key in
+       let+ m_gid = key
+       and+ m_dag = int_range 0 7
+       and+ m_density = density
+       and+ m_head = opt key
+       and+ m_nbrs = array_size (int_range 0 6) summary in
+       (q, { Distributed.m_node = q; m_gid; m_dag; m_density; m_head; m_nbrs }))
+  in
+  let r_state =
+    {
+      Distributed.clock = clock - 1;
+      gamma = 8;
+      gid = r_self;
+      dag = 0;
+      density = None;
+      parent = None;
+      head = None;
+      cache;
+      far;
+    }
+  in
+  { r_ttl; r_self; r_state; r_msgs }
+
+let print_refresh_case c =
+  let keys heard l =
+    String.concat ","
+      (List.map (fun (k, e) -> Printf.sprintf "%d@%d" k (heard e)) l)
+  in
+  Printf.sprintf "ttl=%d self=%d clock=%d cache=[%s] far=[%s] msgs=[%s]"
+    c.r_ttl c.r_self (c.r_state.clock + 1)
+    (keys (fun e -> e.Distributed.e_heard) c.r_state.cache)
+    (keys (fun f -> f.Distributed.f_heard) c.r_state.far)
+    (String.concat "; "
+       (List.map
+          (fun (q, (m : Distributed.message)) ->
+            Printf.sprintf "%d:{%s}" q
+              (String.concat ","
+                 (Array.to_list
+                    (Array.map
+                       (fun s -> string_of_int s.Distributed.s_node)
+                       m.m_nbrs))))
+          c.r_msgs))
+
+let prop_refresh_matches_fold =
+  QCheck.Test.make ~name:"handle's cache refresh = the assoc_put fold"
+    ~count:1000
+    (QCheck.make ~print:print_refresh_case gen_refresh_case)
+    (fun c ->
+      let module P = Distributed.Make (struct
+        let params =
+          { Distributed.default_params with cache_ttl = c.r_ttl }
+      end) in
+      let clock = c.r_state.clock + 1 in
+      let st =
+        P.handle (Rng.create ~seed:0) (Builders.path 2) c.r_self c.r_state
+          c.r_msgs
+      in
+      let cache, far =
+        fold_refresh ~ttl:c.r_ttl ~self:c.r_self clock c.r_state c.r_msgs
+      in
+      st.cache = cache && st.far = far)
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_recovery_legitimate; prop_refresh_matches_fold ]
 
 let suite =
   [

@@ -180,8 +180,78 @@ let test_ttl_expiry_equivalence () =
         true (run_case c))
     [ 1; 2; 3; 4 ]
 
+(* The frame cache: sparse receivers read each sender's stored emission,
+   so [emit] runs once per node at start, once per executed step, and
+   once per state rewrite (Join re-init, churn Corrupt, fault victim) —
+   never once per receiver. Dense mode keeps re-emitting every delivered
+   frame, one [emit] per message handed to [handle], which is what keeps
+   it an independent reference for the cache. *)
+module Counting (P : Ss_engine.Protocol.S) = struct
+  include P
+
+  let emits = ref 0
+  let steps = ref 0
+  let received = ref 0
+
+  let emit graph p st =
+    incr emits;
+    P.emit graph p st
+
+  let handle rng graph p st msgs =
+    incr steps;
+    received := !received + List.length msgs;
+    P.handle rng graph p st msgs
+end
+
+let emit_counts c =
+  let module P = Counting (Distributed.Make (struct
+    let params =
+      { Distributed.default_params with cache_ttl = 1 + (c.ttl mod 4) }
+  end)) in
+  let module E = Engine.Make (P) in
+  let graph = build_graph c in
+  let fault =
+    Ss_engine.Fault.hook
+      (Ss_engine.Fault.at_round ~round:3 ~count:2
+         ~corrupt:Distributed.corrupt)
+  in
+  let exec mode =
+    P.emits := 0;
+    P.steps := 0;
+    P.received := 0;
+    let rewrites = ref 0 in
+    let on_event ~round:_ = function
+      | Churn.Join _ -> incr rewrites
+      | _ -> ()
+    in
+    let on_round (info : Engine.round_info) =
+      rewrites := !rewrites + List.length info.Engine.corrupted
+    in
+    ignore
+      (E.run ~mode ~scheduler:(build_scheduler c) ~channel:(build_channel c)
+         ~max_rounds:40 ~quiet_rounds:2 ~churn:(build_plan c graph)
+         ~corrupt:Distributed.corrupt ~fault ~on_event ~on_round
+         (Rng.create ~seed:c.seed) graph);
+    (!P.emits, !P.steps, !P.received, !rewrites)
+  in
+  let n = Graph.node_count graph in
+  let d_emits, _, d_received, _ = exec E.Dense in
+  let s_emits, s_steps, _, s_rewrites =
+    exec (E.Sparse { warm = Some Distributed.pending_expiry })
+  in
+  (n, (d_emits, d_received), (s_emits, s_steps, s_rewrites))
+
+let prop_sparse_emits_once_per_step =
+  QCheck.Test.make ~name:"sparse emits once per step; dense once per frame"
+    ~count:200 arb_case (fun c ->
+      let n, (d_emits, d_received), (s_emits, s_steps, s_rewrites) =
+        emit_counts c
+      in
+      d_emits = d_received && s_emits <= n + s_steps + s_rewrites)
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_sparse_equals_dense ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_sparse_equals_dense; prop_sparse_emits_once_per_step ]
 
 let suite =
   Alcotest.test_case "sparse: ttl expiry equivalence" `Quick

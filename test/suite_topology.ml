@@ -73,7 +73,14 @@ let test_unit_disk_matches_brute_force () =
 let test_unit_disk_zero_radius () =
   let positions = [| Vec2.v 0.1 0.1; Vec2.v 0.2 0.2 |] in
   let g = Graph.unit_disk ~radius:0.0 positions in
-  Alcotest.(check int) "no edges" 0 (Graph.edge_count g)
+  Alcotest.(check int) "no edges" 0 (Graph.edge_count g);
+  (* A tiny positive radius must not size the grid by it: (extent /
+     radius)^2 buckets would not fit in memory. Only the coincident pair
+     is in range. *)
+  let positions = [| Vec2.v (-0.5) 0.1; Vec2.v 1.5 1.5; Vec2.v 1.5 1.5 |] in
+  let g = Graph.unit_disk ~radius:1e-9 positions in
+  Alcotest.(check (list (pair int int))) "coincident pair only" [ (1, 2) ]
+    (Graph.edges g)
 
 let test_positions_carried () =
   let positions = [| Vec2.v 0.1 0.2; Vec2.v 0.3 0.4 |] in
