@@ -13,11 +13,13 @@
    typed sparse, flat x 1 domain, flat x 2 domains — all three required
    bit-identical on every workload observable (Workload.equal) and on
    the protocol states, and the delivery ratio required to recover to
-   >= 0.95 of its pre-burst value after the burst. Exits non-zero on
-   divergence or failed recovery.
+   >= 0.95 of its pre-burst value after the burst. Each smoke run also
+   carries a drain audit: no duty drain may read more nodes than had
+   their outputs change since the previous drain. Exits non-zero on
+   divergence, failed recovery or an over-reading drain.
 
      dune exec bench/traffic.exe            # full 10k run, writes JSON
-     dune exec bench/traffic.exe -- --smoke # identity + recovery gate *)
+     dune exec bench/traffic.exe -- --smoke # identity, recovery, drain reads *)
 
 module Graph = Ss_topology.Graph
 module Rng = Ss_prng.Rng
@@ -83,6 +85,50 @@ let smoke =
 
 type executor = Sparse | Flat of int
 
+(* The duty-drain read audit. A traffic-free rider workload with the same
+   energy model shares the run, so every state it reads is a drain read.
+   A drain may read a node only when the node's outputs changed since the
+   previous drain (its stamp passed that round) or it was not alive then;
+   a full sweep creeping back in reads every alive node at every drain. *)
+type audit = {
+  mutable drains : int;
+  mutable reads : int;
+  mutable over : (int * int * int) list; (* (round, reads, allowed) *)
+}
+
+let audited_hook cfg ~n ~duty_every =
+  let rider = W.create { cfg with W.rate = 0.0 } ~n in
+  let a = { drains = 0; reads = 0; over = [] } in
+  let prev = ref 0 and was_alive = Array.make n false in
+  let hook ~round ~graph ~alive ~(read : _ Ss_engine.Engine.reader) =
+    let before = a.reads in
+    let counting =
+      {
+        read with
+        Ss_engine.Engine.state =
+          (fun p ->
+            a.reads <- a.reads + 1;
+            read.Ss_engine.Engine.state p);
+      }
+    in
+    ignore (W.hook rider ~round ~graph ~alive ~read:counting);
+    if round mod duty_every = 0 then begin
+      let allowed = ref 0 in
+      for p = 0 to n - 1 do
+        if
+          alive.(p)
+          && ((not was_alive.(p)) || read.Ss_engine.Engine.changed_at p > !prev)
+        then incr allowed;
+        was_alive.(p) <- alive.(p)
+      done;
+      a.drains <- a.drains + 1;
+      if a.reads - before > !allowed then
+        a.over <- (round, a.reads - before, !allowed) :: a.over;
+      prev := round
+    end
+  in
+  (hook, a)
+
 let executor_label = function
   | Sparse -> "sparse"
   | Flat d -> Printf.sprintf "flat x%d domains" d
@@ -91,7 +137,7 @@ let executor_label = function
    Control plane on a perfect channel (the deterministic fast path at
    10k); the data plane pays Bernoulli 0.95 frame loss — retries are the
    point of the exercise. *)
-let run_one c executor =
+let run_one ?(audit = false) c executor =
   let rng = (Ss_experiments.Runner.streams ~seed ~runs:1).(0) in
   let spec =
     Scenario.uniform ~count:c.count ~radius:(radius_for c.count) ()
@@ -112,6 +158,18 @@ let run_one c executor =
     }
   in
   let w = W.create wcfg ~n in
+  let workload, drain_audit =
+    if not audit then (W.hook w, None)
+    else
+      let duty_every =
+        match wcfg.W.energy with Some e -> e.W.duty_every | None -> 1
+      in
+      let rider, a = audited_hook wcfg ~n ~duty_every in
+      ( (fun ~round ~graph ~alive ~read ->
+          rider ~round ~graph ~alive ~read;
+          W.hook w ~round ~graph ~alive ~read),
+        Some a )
+  in
   let churn =
     Churn.compose
       [
@@ -128,20 +186,19 @@ let run_one c executor =
         let r =
           E.run
             ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-            ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w) rng graph
+            ~quiet_rounds ~max_rounds ~churn ~workload rng graph
         in
         (r.E.states, r.E.alive, r.E.rounds)
     | Flat domains ->
         let r =
-          F.run ~quiet_rounds ~max_rounds ~churn ~domains ~workload:(W.hook w)
-            rng graph
+          F.run ~quiet_rounds ~max_rounds ~churn ~domains ~workload rng graph
         in
         (r.F.states, r.F.alive, r.F.rounds)
   in
   let dt = Unix.gettimeofday () -. t0 in
-  (w, states, alive, rounds, dt)
+  (w, states, alive, rounds, dt, drain_audit)
 
-let check_identical label (wa, sa, la, ra, _) (wb, sb, lb, rb, _) =
+let check_identical label (wa, sa, la, ra, _, _) (wb, sb, lb, rb, _, _) =
   let ok =
     W.equal wa wb && ra = rb
     && Array.length sa = Array.length sb
@@ -256,20 +313,33 @@ let recovery_ok pre dip rec_at =
   ignore dip;
   (not (Float.is_nan pre)) && Option.is_some rec_at
 
+let check_audit label = function
+  | None -> true
+  | Some a ->
+      Printf.printf "  drain reads (%s): %d over %d drains\n%!" label a.reads
+        a.drains;
+      List.iter
+        (fun (round, reads, allowed) ->
+          Printf.printf
+            "  DRAIN OVER-READ (%s): round %d read %d nodes, %d moved\n%!"
+            label round reads allowed)
+        (List.rev a.over);
+      a.drains > 0 && a.over = []
+
 let run_smoke () =
   let c = smoke in
   Printf.printf "traffic --smoke: %d nodes, rate %.0f, burst %.0f%% @%d\n%!"
     c.count c.rate (100.0 *. c.fraction) c.burst_round;
-  let rs = run_one c Sparse in
-  let (ws, _, _, _, dts) = rs in
-  Printf.printf "%s: %.2fs\n%!" (executor_label Sparse) dts;
+  let timed executor =
+    let ((_, _, _, _, dt, a) as r) = run_one ~audit:true c executor in
+    Printf.printf "%s: %.2fs\n%!" (executor_label executor) dt;
+    (r, check_audit (executor_label executor) a)
+  in
+  let rs, ok_as = timed Sparse in
+  let (ws, _, _, _, _, _) = rs in
   ignore (report c ws);
-  let rf1 = run_one c (Flat 1) in
-  let (_, _, _, _, dt1) = rf1 in
-  Printf.printf "%s: %.2fs\n%!" (executor_label (Flat 1)) dt1;
-  let rf2 = run_one c (Flat 2) in
-  let (_, _, _, _, dt2) = rf2 in
-  Printf.printf "%s: %.2fs\n%!" (executor_label (Flat 2)) dt2;
+  let rf1, ok_a1 = timed (Flat 1) in
+  let rf2, ok_a2 = timed (Flat 2) in
   let ok_sf = check_identical "sparse == flat x1" rs rf1 in
   let ok_dd = check_identical "flat x1 == flat x2" rf1 rf2 in
   let _, pre, dip, rec_at = report c ws in
@@ -277,7 +347,7 @@ let run_smoke () =
   if not ok_rec then
     Printf.printf "  RECOVERY FAILED: ratio never regained 95%% of %.3f\n%!"
       pre;
-  if ok_sf && ok_dd && ok_rec then begin
+  if ok_sf && ok_dd && ok_rec && ok_as && ok_a1 && ok_a2 then begin
     Printf.printf "traffic smoke: OK\n%!";
     exit 0
   end
@@ -290,7 +360,7 @@ let run_full () =
      @%d, rejoin @%d (flat executor)\n%!"
     c.count c.rate c.last_offer (100.0 *. c.fraction) c.burst_round
     c.rejoin_round;
-  let (w, _, _, rounds, dt) = run_one c (Flat 1) in
+  let (w, _, _, rounds, dt, _) = run_one c (Flat 1) in
   Printf.printf "flat: %d rounds in %.2fs\n%!" rounds dt;
   let ratio, pre, dip, rec_at = report c w in
   write_json c w dt ratio pre dip rec_at;

@@ -22,6 +22,8 @@ type burst = {
   recovery_rounds : int option;
 }
 
+type 's reader = { state : int -> 's; changed_at : int -> int }
+
 (* Fold per-round (round, applied-event-count) pairs into maximal runs of
    consecutive event rounds, then read each burst's recovery time off the
    change history: the last round with activity before the next burst (or
@@ -83,6 +85,7 @@ module Make (P : Protocol.S) = struct
     graph : Graph.t;
     bursts : burst list;
     faults : fault_report list; (* rounds with corrupted nodes, oldest first *)
+    changed_at : int array; (* round of each node's last output change, or 0 *)
   }
 
   type mode = Dense | Sparse of { warm : (P.state -> bool) option }
@@ -104,7 +107,8 @@ module Make (P : Protocol.S) = struct
 
   let node_rng hkey p = Rng.of_key (Rng.subkey hkey p)
 
-  let step_round ~rk ~round ~scratch graph live channel scheduler states =
+  let step_round ~rk ~round ~scratch ~changed_at graph live channel scheduler
+      states =
     let n = Array.length states in
     let changed = ref 0 in
     (* One delivery plan per round: slotted channels memoize their slot
@@ -120,7 +124,10 @@ module Make (P : Protocol.S) = struct
           gather_messages deliver graph (fun q -> P.emit graph q (read q)) p
         in
         let next = P.handle (node_rng hkey p) graph p states.(p) msgs in
-        if not (P.equal_state next states.(p)) then incr changed;
+        if not (P.equal_state next states.(p)) then begin
+          incr changed;
+          changed_at.(p) <- round
+        end;
         states.(p) <- next
       end
     in
@@ -222,8 +229,8 @@ module Make (P : Protocol.S) = struct
   (* One sparse round: step only the frontier. [prev_rk] keys the previous
      round's channel plan — counter-keyed sampling makes it reconstructible,
      so delivery diffs need no storage. *)
-  let step_round_sparse ctx ~rk ~prev_rk ~round graph live channel scheduler
-      states =
+  let step_round_sparse ctx ~rk ~prev_rk ~round ~changed_at graph live channel
+      scheduler states =
     let n = Array.length states in
     let changed = ref 0 in
     let deliver =
@@ -266,6 +273,7 @@ module Make (P : Protocol.S) = struct
       let next = P.handle (node_rng hkey p) graph p states.(p) msgs in
       if not (P.equal_state next states.(p)) then begin
         incr changed;
+        changed_at.(p) <- round;
         mark_nxt ctx p
       end;
       states.(p) <- next
@@ -401,6 +409,14 @@ module Make (P : Protocol.S) = struct
           | None -> 0)
     in
     let live = Array.make (Array.length states) true in
+    (* The round in which each node's outputs last changed: an
+       [equal_state]-visible step or a state rewrite (Join, Corrupt, fault
+       victim). The workload reader exposes it, so a hook can skip
+       re-reading nodes whose outputs it has already seen. *)
+    let changed_at = Array.make (Array.length states) 0 in
+    let reader =
+      { state = (fun p -> states.(p)); changed_at = (fun p -> changed_at.(p)) }
+    in
     let quiet = ref 0 in
     let round = ref 0 in
     let last_change = ref 0 in
@@ -469,7 +485,10 @@ module Make (P : Protocol.S) = struct
               (fun acc ev ->
                 if apply_event dyn states corrupt rng ev then begin
                   (match ev with
-                  | Churn.Corrupt p -> churn_corrupted := p :: !churn_corrupted
+                  | Churn.Corrupt p ->
+                      churn_corrupted := p :: !churn_corrupted;
+                      changed_at.(p) <- !round
+                  | Churn.Join p -> changed_at.(p) <- !round
                   | _ -> ());
                   (match ctx with
                   | Some c -> touch_event c (Dynamic.base dyn) states ev
@@ -492,6 +511,7 @@ module Make (P : Protocol.S) = struct
         | None -> []
         | Some inject -> inject ~round:!round ~states rng
       in
+      List.iter (fun v -> changed_at.(v) <- !round) victims;
       (match ctx with
       | Some c -> List.iter (touch_fault c (Dynamic.base dyn) states) victims
       | None -> ());
@@ -511,15 +531,15 @@ module Make (P : Protocol.S) = struct
       let changed =
         match ctx with
         | None ->
-            step_round ~rk ~round:!round ~scratch g live channel scheduler
-              states
+            step_round ~rk ~round:!round ~scratch ~changed_at g live channel
+              scheduler states
         | Some c ->
             let prev_rk =
               if !round > 1 then Some (Rng.subkey base_key (!round - 1))
               else None
             in
-            step_round_sparse c ~rk ~prev_rk ~round:!round g live channel
-              scheduler states
+            step_round_sparse c ~rk ~prev_rk ~round:!round ~changed_at g live
+              channel scheduler states
       in
       history := changed :: !history;
       (match on_round with
@@ -531,9 +551,7 @@ module Make (P : Protocol.S) = struct
       (match workload with
       | None -> ()
       | Some tickf ->
-          wl_active :=
-            tickf ~round:!round ~graph:g ~alive:live ~read:(fun p ->
-                states.(p)));
+          wl_active := tickf ~round:!round ~graph:g ~alive:live ~read:reader);
       if changed > 0 || victims <> [] || applied > 0 || !moved_links > 0
       then begin
         quiet := 0;
@@ -555,5 +573,6 @@ module Make (P : Protocol.S) = struct
           ~event_rounds:(List.rev !event_rounds)
           ~history:(List.rev !history) ~rounds:!round ~converged;
       faults = List.rev !faults;
+      changed_at;
     }
   end

@@ -44,6 +44,18 @@ type burst = {
           [max_rounds] still churning after the final burst *)
 }
 
+type 's reader = {
+  state : int -> 's;  (** node [p]'s current state *)
+  changed_at : int -> int;
+      (** the round in which node [p]'s outputs last changed, or 0 when
+          they never did: a step that changed the state in the
+          [P.equal_state] sense, or a state rewrite ([Join], [Corrupt], a
+          [?fault] victim). While it stays at or below a round [r], the
+          node's outputs are the ones [state] returned after round [r]. *)
+}
+(** The [?workload] hook's read-only view of the protocol states, built
+    once per run. *)
+
 (** {2 Shared executor internals}
 
     Used by both this executor and {!Flat}; exposed so the two stay on one
@@ -115,6 +127,9 @@ module Make (P : Protocol.S) : sig
         (** every round on which at least one node was corrupted (by churn
             [Corrupt] or the [?fault] hook), oldest first — the dwell-time
             attribution feed for {!Monitor} *)
+    changed_at : int array;
+        (** per node, the round of its last output change, or 0 — the
+            final values of {!reader.changed_at} *)
   }
 
   val init_states :
@@ -143,7 +158,7 @@ module Make (P : Protocol.S) : sig
       (round:int ->
       graph:Ss_topology.Graph.t ->
       alive:bool array ->
-      read:(int -> P.state) ->
+      read:P.state reader ->
       bool) ->
     ?states:P.state array ->
     Ss_prng.Rng.t ->
@@ -194,8 +209,10 @@ module Make (P : Protocol.S) : sig
 
       [workload] is the data-plane hook ({!Ss_traffic.Workload} is the
       canonical client): it fires once per round, after [probe], with the
-      round's effective snapshot, liveness mask and a read-only state
-      accessor, and returns whether the workload is still active. An
+      round's effective snapshot, liveness mask and a {!reader} (the
+      states plus each node's last output-change round, so a hook that
+      caches what it read re-reads only nodes whose outputs moved), and
+      returns whether the workload is still active. An
       active workload keeps the run alive through protocol quiescence
       (like a bounded churn horizon) so in-flight messages can drain;
       it never resets the quiescence counter, so [last_change_round] and

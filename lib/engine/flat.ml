@@ -24,6 +24,7 @@ module Make (P : Protocol.FLAT) = struct
     graph : Graph.t;
     bursts : Engine.burst list;
     faults : Engine.fault_report list;
+    changed_at : int array;
   }
 
   let run ?(scheduler = Scheduler.Synchronous) ?(channel = Channel.perfect)
@@ -61,7 +62,10 @@ module Make (P : Protocol.FLAT) = struct
       }
     in
     let live = Array.make n true in
-    let core = Flat_core.create ?pool ~ops ~scratches ~live graph in
+    (* Last output-change round per node: the core stamps protocol steps,
+       the churn handler below stamps Join and Corrupt rewrites. *)
+    let changed_at = Array.make n 0 in
+    let core = Flat_core.create ?pool ~ops ~scratches ~live ~changed_at graph in
     (* Establish the emission planes (the flat last_msg) before round 1;
        round 1 then steps everyone, initial states being arbitrary. *)
     for p = 0 to n - 1 do
@@ -90,8 +94,15 @@ module Make (P : Protocol.FLAT) = struct
     let faults = ref [] in
     (* As in Engine.run: an active workload keeps the run alive through
        protocol quiescence without resetting the quiescence counter. The
-       hook reads states through unpack-on-demand, so its cost scales
-       with the traffic it carries, not the network. *)
+       hook reads states through unpack-on-demand and can skip nodes whose
+       stamps have not moved, so its cost scales with the traffic it
+       carries and the nodes that changed, not the network. *)
+    let reader =
+      {
+        Engine.state = P.Flat.unpack buffers;
+        changed_at = (fun p -> changed_at.(p));
+      }
+    in
     let wl_active = ref (workload <> None) in
     while
       (!quiet < quiet_rounds || !round < horizon || !wl_active)
@@ -148,6 +159,7 @@ module Make (P : Protocol.FLAT) = struct
                       if Dynamic.join dyn p then begin
                         P.Flat.pack buffers p
                           (P.init rng (Dynamic.base dyn) p);
+                        changed_at.(p) <- !round;
                         ignore (P.Flat.refresh_emit buffers scratches.(0) p);
                         mark_with_nbrs p;
                         true
@@ -190,6 +202,7 @@ module Make (P : Protocol.FLAT) = struct
                         | Some f ->
                             P.Flat.pack buffers p
                               (f rng p (P.Flat.unpack buffers p));
+                            changed_at.(p) <- !round;
                             ignore
                               (P.Flat.refresh_emit buffers scratches.(0) p);
                             mark_with_nbrs p;
@@ -244,7 +257,7 @@ module Make (P : Protocol.FLAT) = struct
         | Scheduler.Synchronous | Scheduler.Sequential -> None
       in
       let changed =
-        Flat_core.step_round core ~scheduler ~deliver ~prev
+        Flat_core.step_round core ~round:!round ~scheduler ~deliver ~prev
           ~hkey:(Engine.lane_handle rk) ~perm
           ~has_down:(Dynamic.down_count dyn > 0)
           ~edge_down
@@ -257,9 +270,7 @@ module Make (P : Protocol.FLAT) = struct
       (match workload with
       | None -> ()
       | Some tickf ->
-          wl_active :=
-            tickf ~round:!round ~graph:g ~alive:live
-              ~read:(P.Flat.unpack buffers));
+          wl_active := tickf ~round:!round ~graph:g ~alive:live ~read:reader);
       if changed > 0 || applied > 0 || !moved_links > 0 then begin
         quiet := 0;
         last_change := !round
@@ -280,5 +291,6 @@ module Make (P : Protocol.FLAT) = struct
           ~event_rounds:(List.rev !event_rounds)
           ~history:(List.rev !history) ~rounds:!round ~converged;
       faults = List.rev !faults;
+      changed_at;
     }
 end

@@ -33,6 +33,9 @@ module Make (P : Protocol.FLAT) : sig
     graph : Ss_topology.Graph.t;
     bursts : Engine.burst list;
     faults : Engine.fault_report list;
+    changed_at : int array;
+        (** per node, the round of its last output change, or 0 — as
+            {!Engine.Make.run}'s field *)
   }
 
   val run :
@@ -49,7 +52,7 @@ module Make (P : Protocol.FLAT) : sig
       (round:int ->
       graph:Ss_topology.Graph.t ->
       alive:bool array ->
-      read:(int -> P.state) ->
+      read:P.state Engine.reader ->
       bool) ->
     ?domains:int ->
     ?states:P.state array ->
@@ -65,12 +68,13 @@ module Make (P : Protocol.FLAT) : sig
       executors' draw streams coincide. [?states] warm-starts by packing
       the array (one entry per node, checked); [?domains] (default 1)
       shards synchronous state/emission phases over that many domains.
-      [?workload] is {!Engine.Make.run}'s data-plane hook with [read]
-      backed by unpack-on-demand: the hook pays one typed unpack per
-      state it actually inspects, and the flat representation survives.
-      Idle traffic is not free: a traffic workload with an energy model
-      reads every alive node's state once per duty period (its duty
-      drain). Same activity semantics: an active workload keeps the run
+      [?workload] is {!Engine.Make.run}'s data-plane hook with
+      [read.state] backed by unpack-on-demand: the hook pays one typed
+      unpack per state it actually inspects, and the flat representation
+      survives. [read.changed_at] is a plain array read, so a hook that
+      caches what it read pays unpacks only for nodes whose outputs
+      changed since — the traffic workload's duty drain re-reads just
+      those. Same activity semantics: an active workload keeps the run
       alive through quiescence without resetting the quiescence counter.
       Defaults otherwise match the reference executor. *)
 end

@@ -33,6 +33,7 @@ type 's t = {
   sentinel : int array; (* physical marker: overlay slot unused *)
   overlay : int array array; (* rebased base rows, by endpoint *)
   live : bool array; (* shared with the orchestrator *)
+  changed_at : int array; (* last state-change round; shared likewise *)
   mutable cur_bit : Bytes.t; (* frontier membership bits *)
   mutable cur : int array; (* frontier worklist, capacity n *)
   mutable cur_len : int;
@@ -47,11 +48,13 @@ type 's t = {
   ops : 's ops;
 }
 
-let create ?pool ~ops ~scratches ~live graph =
+let create ?pool ~ops ~scratches ~live ~changed_at graph =
   let csr = Csr.of_graph graph in
   let n = Csr.node_count csr in
   if Array.length live <> n then
     invalid_arg "Flat_core.create: live mask length mismatch";
+  if Array.length changed_at <> n then
+    invalid_arg "Flat_core.create: changed_at length mismatch";
   if Array.length scratches < 1 then
     invalid_arg "Flat_core.create: need at least one scratch";
   let sentinel = Array.make 1 (-1) in
@@ -61,6 +64,7 @@ let create ?pool ~ops ~scratches ~live graph =
     sentinel;
     overlay = Array.make n sentinel;
     live;
+    changed_at;
     cur_bit = Bytes.make n '\000';
     cur = Array.make (max 1 n) 0;
     cur_len = 0;
@@ -169,7 +173,7 @@ let mark_audience t ~also_now ~has_down ~edge_down p =
     end
   done
 
-let step_sync t ~deliver ~hkey ~has_down ~edge_down =
+let step_sync t ~round ~deliver ~hkey ~has_down ~edge_down =
   let shards = Array.length t.scratches in
   let run_phase f =
     match t.pool with
@@ -203,9 +207,10 @@ let step_sync t ~deliver ~hkey ~has_down ~edge_down =
         if t.live.(p) && t.ops.refresh sc p then
           Bytes.unsafe_set t.emitch_bit p '\001'
       done);
-  (* Serial mark pass in frontier order: count changes, re-arm changed
-     and warm nodes, wake the audiences of changed emissions. Identical
-     for every shard count, which is the whole determinism argument. *)
+  (* Serial mark pass in frontier order: count and stamp changes, re-arm
+     changed and warm nodes, wake the audiences of changed emissions.
+     Identical for every shard count, which is the whole determinism
+     argument. *)
   let changed = ref 0 in
   for i = 0 to t.cur_len - 1 do
     let p = t.cur.(i) in
@@ -213,6 +218,7 @@ let step_sync t ~deliver ~hkey ~has_down ~edge_down =
       if Bytes.unsafe_get t.changed_bit p = '\001' then begin
         Bytes.unsafe_set t.changed_bit p '\000';
         incr changed;
+        t.changed_at.(p) <- round;
         mark_nxt t p
       end;
       if Bytes.unsafe_get t.emitch_bit p = '\001' then begin
@@ -227,7 +233,7 @@ let step_sync t ~deliver ~hkey ~has_down ~edge_down =
 (* Sequential / random-order daemons: a serial walk in schedule order;
    each step hears the live emission planes, so an in-round refresh is
    visible to the nodes behind it, exactly as in the reference walk. *)
-let step_serial t ~order ~deliver ~hkey ~has_down ~edge_down =
+let step_serial t ~round ~order ~deliver ~hkey ~has_down ~edge_down =
   let sc = t.scratches.(0) in
   let changed = ref 0 in
   let visit p =
@@ -235,6 +241,7 @@ let step_serial t ~order ~deliver ~hkey ~has_down ~edge_down =
       let count = gather t 0 ~deliver ~has_down ~edge_down p in
       if t.ops.step sc hkey p t.senders.(0) count then begin
         incr changed;
+        t.changed_at.(p) <- round;
         mark_nxt t p
       end;
       if t.ops.refresh sc p then
@@ -262,20 +269,23 @@ let advance t =
   t.nxt <- arr;
   t.nxt_len <- 0
 
-let step_round t ~scheduler ~deliver ~prev ~hkey ~perm ~has_down ~edge_down =
+let step_round t ~round ~scheduler ~deliver ~prev ~hkey ~perm ~has_down
+    ~edge_down =
   (match prev with
   | Some prev -> deliver_diff t ~deliver ~prev ~has_down ~edge_down
   | None -> ());
   let changed =
     match scheduler with
-    | Scheduler.Synchronous -> step_sync t ~deliver ~hkey ~has_down ~edge_down
+    | Scheduler.Synchronous ->
+        step_sync t ~round ~deliver ~hkey ~has_down ~edge_down
     | Scheduler.Sequential ->
-        step_serial t ~order:None ~deliver ~hkey ~has_down ~edge_down
+        step_serial t ~round ~order:None ~deliver ~hkey ~has_down ~edge_down
     | Scheduler.Random_order -> (
         match perm with
         | None -> invalid_arg "Flat_core.step_round: Random_order needs ~perm"
         | Some _ ->
-            step_serial t ~order:perm ~deliver ~hkey ~has_down ~edge_down)
+            step_serial t ~round ~order:perm ~deliver ~hkey ~has_down
+              ~edge_down)
   in
   advance t;
   changed

@@ -16,7 +16,8 @@
     node steps against the pre-round emission planes, writing only its
     own planes and a per-node flag byte), parallel {e emission} phase
     (each refreshes its emitted frame), then a {e serial} mark pass in
-    frontier order that counts changes and builds the next frontier.
+    frontier order that counts and stamps changes and builds the next
+    frontier.
     Since no step observes another step's in-round output and the mark
     pass is serial, the shard partition is unobservable: any [domains]
     value yields bit-identical runs. Sequential and random-order daemons
@@ -42,13 +43,18 @@ val create :
   ops:'s ops ->
   scratches:'s array ->
   live:bool array ->
+  changed_at:int array ->
   Ss_topology.Graph.t ->
   's t
 (** Freeze the graph's adjacency into CSR form and allocate the frontier
     planes. [scratches] fixes the shard count (one scratch per shard);
     pass a [pool] to run synchronous phases on its domains, else all
     shards execute on the caller. [live] is shared, not copied: the
-    orchestrator refreshes it in place after churn. *)
+    orchestrator refreshes it in place after churn. [changed_at] is
+    shared the same way: {!step_round} writes the round into the entry
+    of every node whose step changed its state (in the serial mark pass
+    or walk, so the stamps are identical at any shard count), and the
+    orchestrator stamps the state rewrites it performs itself. *)
 
 val mark_now : 's t -> int -> unit
 (** Add a node to the current frontier (idempotent). *)
@@ -66,6 +72,7 @@ val set_row : 's t -> int -> int array -> unit
 
 val step_round :
   's t ->
+  round:int ->
   scheduler:Scheduler.t ->
   deliver:(src:int -> dst:int -> bool) ->
   prev:(src:int -> dst:int -> bool) option ->
@@ -74,8 +81,9 @@ val step_round :
   has_down:bool ->
   edge_down:(int -> int -> bool) ->
   int
-(** Execute one round over the current frontier and advance it; returns
-    the changed-node count. [prev] is the previous round's delivery plan
+(** Execute round [round] over the current frontier and advance it;
+    returns the changed-node count and stamps each changed node's
+    [changed_at] entry with [round]. [prev] is the previous round's delivery plan
     — pass it on non-deterministic channels so nodes whose incident
     delivery pattern flipped get re-stepped ({!Engine} sparse mode's
     replay). [perm] is the round's schedule for [Random_order] (required

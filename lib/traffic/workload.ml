@@ -3,6 +3,7 @@ module Dynamic = Ss_topology.Dynamic
 module Channel = Ss_radio.Channel
 module Rng = Ss_prng.Rng
 module Churn = Ss_engine.Churn
+module Engine = Ss_engine.Engine
 module Distributed = Ss_cluster.Distributed
 module Energy = Ss_cluster.Energy
 module Summary = Ss_stats.Summary
@@ -122,6 +123,8 @@ type t = {
   mutable invalidations : int;
   batteries : Energy.battery array; (* [||] without an energy model *)
   head_rounds : int array;
+  is_head : bool array; (* believed-head flag as of the last read *)
+  read_round : int array; (* round of that read; -1 = never read *)
   mutable last_round : int;
 }
 
@@ -170,6 +173,10 @@ let create cfg ~n =
       | None -> [||]
       | Some e -> Array.init n (fun _ -> Energy.battery ~capacity:e.capacity));
     head_rounds = (match cfg.energy with None -> [||] | Some _ -> Array.make n 0);
+    is_head =
+      (match cfg.energy with None -> [||] | Some _ -> Array.make n false);
+    read_round =
+      (match cfg.energy with None -> [||] | Some _ -> Array.make n (-1));
     last_round = 0;
   }
 
@@ -296,7 +303,7 @@ let hook t ~round ~graph ~alive ~read =
     Ibuf.set t.m_end m.id round;
     incr counter
   in
-  let view_of p = Route.of_distributed (read p) in
+  let view_of p = Route.of_distributed (read.Engine.state p) in
   let process m =
     if Ibuf.get t.m_outcome m.id <> o_flight then ()
     else if not alive.(m.holder) then finish m o_died died
@@ -367,24 +374,28 @@ let hook t ~round ~graph ~alive ~read =
   List.iter process t.flight;
   t.flight <-
     List.filter (fun m -> Ibuf.get t.m_outcome m.id = o_flight) t.flight;
-  (* --- duty-cycle energy drain: one state read per alive node, for its
-     believed head only — no routing view is built ----------------------- *)
+  (* --- duty-cycle energy drain: each alive node's believed-head flag,
+     re-read only when its outputs changed since the cached read ------- *)
   (match t.cfg.energy with
   | None -> ()
   | Some e ->
       if round mod e.duty_every = 0 then begin
-        let is_head = Array.make t.n false in
         for p = 0 to t.n - 1 do
-          if alive.(p) then
-            match (read p).Distributed.head with
-            | Some h when h = p ->
-                is_head.(p) <- true;
-                t.head_rounds.(p) <- t.head_rounds.(p) + e.duty_every
-            | _ -> ()
+          if alive.(p) then begin
+            if read.Engine.changed_at p > t.read_round.(p) then begin
+              t.is_head.(p) <-
+                (match (read.Engine.state p).Distributed.head with
+                | Some h -> h = p
+                | None -> false);
+              t.read_round.(p) <- round
+            end;
+            if t.is_head.(p) then
+              t.head_rounds.(p) <- t.head_rounds.(p) + e.duty_every
+          end
         done;
         Energy.apply_duty ~drain:e.duty t.batteries
           ~alive:(fun p -> alive.(p))
-          ~is_head:(fun p -> is_head.(p))
+          ~is_head:(fun p -> t.is_head.(p))
       end);
   (* --- per-round series ---------------------------------------------- *)
   let inflight = List.length t.flight in

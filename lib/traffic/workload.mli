@@ -68,12 +68,17 @@ val hook :
   round:int ->
   graph:Ss_topology.Graph.t ->
   alive:bool array ->
-  read:(int -> Ss_cluster.Distributed.state) ->
+  read:Ss_cluster.Distributed.state Ss_engine.Engine.reader ->
   bool
 (** One data-plane round — exactly the shape of the engines' [?workload]
     parameter for the {!Ss_cluster.Distributed} protocol. Routing reads
-    each holder's {!Route.of_distributed} view; every [duty_every] rounds
-    the duty drain reads every alive node's believed head. Rounds must be
+    each holder's {!Route.of_distributed} view. Every [duty_every] rounds
+    the duty drain charges each alive node by its believed role; it keeps
+    each node's head flag with the round it was read, and calls
+    [read.state p] only when [read.changed_at p] is later than that
+    round, so a drain reads the nodes whose outputs changed since the
+    previous one (plus those it has never read), not the whole network.
+    Rounds must be
     consecutive from 1 (raises [Invalid_argument] otherwise — one [t]
     rides exactly one run). Returns whether the workload is still
     active: more arrivals to offer or messages in flight. Requires the

@@ -3,9 +3,10 @@
    (a) Flat = dense: [Flat.Make(P).run] must agree with the typed dense
        reference on every observable — final states modulo [equal_state],
        round count, stabilization round, per-round change history,
-       liveness, burst/recovery attribution, fault reports and the final
-       topology — over random (graph x channel x scheduler x churn x TTL)
-       cases on the full protocol stack. Any mismatch in the packed
+       liveness, burst/recovery attribution, fault reports, the final
+       topology and per-node last-change rounds (those also against the
+       typed sparse executor) — over random (graph x channel x scheduler
+       x churn x TTL) cases on the full protocol stack. Any mismatch in the packed
        merge/election arithmetic, the frontier rules or the draw
        discipline shows up here, and QCheck shrinks the plan.
    (b) Domain independence: on synchronous rounds, 4 domains must equal
@@ -136,6 +137,13 @@ let run_case c =
     E.run ~mode:E.Dense ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2
       ~churn ~corrupt:Distributed.corrupt ?states rng graph
   in
+  let sparse =
+    let rng = Rng.create ~seed:c.seed in
+    E.run
+      ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
+      ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2 ~churn
+      ~corrupt:Distributed.corrupt ?states rng graph
+  in
   let flat domains =
     let rng = Rng.create ~seed:c.seed in
     F.run ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2 ~churn
@@ -161,6 +169,8 @@ let run_case c =
     && dense.E.bursts = f1.F.bursts
     && dense.E.faults = f1.F.faults
     && Graph.equal dense.E.graph f1.F.graph
+    && dense.E.changed_at = f1.F.changed_at
+    && sparse.E.changed_at = f1.F.changed_at
   in
   if not against_dense then false
   else if scheduler <> Scheduler.Synchronous then true
@@ -177,6 +187,7 @@ let run_case c =
     && f1.F.bursts = f4.F.bursts
     && f1.F.faults = f4.F.faults
     && Graph.equal f1.F.graph f4.F.graph
+    && f1.F.changed_at = f4.F.changed_at
 
 let print_case c =
   Printf.sprintf
@@ -218,6 +229,70 @@ let prop_flat_equals_dense =
   QCheck.Test.make
     ~name:"flat = dense; 4 domains = 1 domain (all observables)" ~count:400
     arb_case run_case
+
+(* The flat core's stamps count changes exactly like the typed
+   executors' (the check is [Suite_sparse.stamps_track_changes]): the
+   serial mark pass stamps synchronous rounds, at 1 and 4 domains. *)
+let prop_flat_stamps_track_changes =
+  QCheck.Test.make
+    ~name:"flat stamps: per-round stamp count = changed (churn-free)"
+    ~count:150 arb_case (fun c ->
+      let module P = Distributed.Make (struct
+        let params =
+          { Distributed.default_params with cache_ttl = 1 + (c.ttl mod 4) }
+      end) in
+      let module F = Flat.Make (P) in
+      let graph = build_graph c in
+      let exec domains ~on_round ~workload =
+        (F.run ~scheduler:(build_scheduler c) ~channel:(build_channel c)
+           ~max_rounds:40 ~quiet_rounds:2 ~on_round ~workload ~domains
+           (Rng.create ~seed:c.seed) graph)
+          .F.changed_at
+      in
+      Suite_sparse.stamps_track_changes (exec 1)
+      && Suite_sparse.stamps_track_changes (exec 4))
+
+(* A rewrite stamps its round even when no step moves the outputs after
+   it: a node joined and crashed in the same round never steps, an
+   identity [Corrupt] (or, on the typed executors, an identity fault
+   victim) leaves a converged node's outputs as they were. The random
+   battery rarely hits these, since a rewritten node usually changes on
+   its next step and stamps the same round anyway. *)
+let test_rewrite_stamps () =
+  let module P = Distributed.Make (struct
+    let params = Distributed.default_params
+  end) in
+  let module E = Engine.Make (P) in
+  let module F = Flat.Make (P) in
+  let graph = Builders.path 6 in
+  let churn =
+    Churn.schedule
+      [
+        (3, [ Churn.Crash 2 ]);
+        (12, [ Churn.Join 2; Churn.Crash 2 ]);
+        (14, [ Churn.Corrupt 4 ]);
+      ]
+  in
+  let corrupt _ _ st = st in
+  let fault ~round ~states:_ _ = if round = 15 then [ 5 ] else [] in
+  let check label ~fault_victim (changed_at : int array) =
+    Alcotest.(check int) (label ^ ": joined and crashed") 12 changed_at.(2);
+    Alcotest.(check int) (label ^ ": identity Corrupt") 14 changed_at.(4);
+    if fault_victim then
+      Alcotest.(check int) (label ^ ": identity fault victim") 15 changed_at.(5)
+  in
+  let typed mode =
+    (E.run ~mode ~max_rounds:30 ~quiet_rounds:3 ~churn ~corrupt ~fault
+       (Rng.create ~seed:5) graph)
+      .E.changed_at
+  in
+  check "dense" ~fault_victim:true (typed E.Dense);
+  check "sparse" ~fault_victim:true
+    (typed (E.Sparse { warm = Some Distributed.pending_expiry }));
+  check "flat" ~fault_victim:false
+    (F.run ~max_rounds:30 ~quiet_rounds:3 ~churn ~corrupt
+       (Rng.create ~seed:5) graph)
+      .F.changed_at
 
 (* ------------------------------------------------- (c): motion battery *)
 
@@ -326,6 +401,7 @@ let run_sim_case c =
   && dense.E.bursts = f1.F.bursts
   && dense.E.faults = f1.F.faults
   && Graph.equal dense.E.graph f1.F.graph
+  && dense.E.changed_at = f1.F.changed_at
 
 let print_sim c =
   Printf.sprintf
@@ -505,7 +581,11 @@ let test_reuse_rebase_alloc () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_flat_equals_dense; prop_flat_equals_dense_motion ]
+    [
+      prop_flat_equals_dense;
+      prop_flat_equals_dense_motion;
+      prop_flat_stamps_track_changes;
+    ]
 
 let suite =
   [
@@ -519,3 +599,7 @@ let suite =
       test_reuse_rebase_alloc;
   ]
   @ qcheck_cases
+  @ [
+      Alcotest.test_case "rewrites stamp their round" `Quick
+        test_rewrite_stamps;
+    ]

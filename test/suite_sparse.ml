@@ -3,12 +3,12 @@
    (graph x channel x scheduler x churn plan x cache TTL) cases, on the
    full protocol stack. The two runs must agree on every observable —
    final states modulo [equal_state], round count, stabilization round,
-   per-round change history, burst/recovery attribution and fault
-   reports. Counter-keyed in-round randomness makes the comparison
-   bit-exact even on lossy and slotted channels; any frontier-rule bug
-   (an under-marked node whose input changed behind the dirty-set's
-   back) shows up as a divergence, and QCheck shrinks the plan to a
-   minimal counterexample. *)
+   per-round change history, burst/recovery attribution, fault reports
+   and per-node last-change rounds. Counter-keyed in-round randomness
+   makes the comparison bit-exact even on lossy and slotted channels;
+   any frontier-rule bug (an under-marked node whose input changed
+   behind the dirty-set's back) shows up as a divergence, and QCheck
+   shrinks the plan to a minimal counterexample. *)
 
 module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
@@ -122,6 +122,7 @@ let run_case c =
   && dense.E.alive = sparse.E.alive
   && dense.E.bursts = sparse.E.bursts
   && dense.E.faults = sparse.E.faults
+  && dense.E.changed_at = sparse.E.changed_at
 
 let print_case c =
   Printf.sprintf
@@ -249,9 +250,67 @@ let prop_sparse_emits_once_per_step =
       in
       d_emits = d_received && s_emits <= n + s_steps + s_rewrites)
 
+(* Output-change stamps: without churn or faults a stamp moves only when
+   a step changes the node's outputs, so after round r exactly
+   [round_info.changed] nodes carry stamp r. Checked live through the
+   workload hook's reader (the hook fires after [on_round] in the same
+   round) and on the final [changed_at] array. [run ~on_round ~workload]
+   executes one run with both hooks attached and returns its
+   [changed_at]; the flat battery reuses this. *)
+let stamps_track_changes run =
+  let changed = ref 0 and ok = ref true and rounds = ref [] in
+  let on_round (info : Engine.round_info) = changed := info.Engine.changed in
+  let workload ~round ~graph ~alive:_ ~(read : _ Engine.reader) =
+    let k = ref 0 in
+    for p = 0 to Graph.node_count graph - 1 do
+      let s = read.Engine.changed_at p in
+      if s = round then incr k;
+      if s > round then ok := false
+    done;
+    if !k <> !changed then ok := false;
+    rounds := (round, !k) :: !rounds;
+    false
+  in
+  let final = run ~on_round ~workload in
+  let count r =
+    Array.fold_left (fun acc s -> if s = r then acc + 1 else acc) 0 final
+  in
+  (* The final stamps are each node's latest change: a round's count there
+     is at most its live count, and equals it for the last round that
+     changed anything (newest first in [rounds]). *)
+  !ok
+  && List.for_all (fun (r, k) -> count r <= k) !rounds
+  &&
+  match List.find_opt (fun (_, k) -> k > 0) !rounds with
+  | None -> Array.for_all (( = ) 0) final
+  | Some (r, k) -> count r = k && Array.for_all (fun s -> s <= r) final
+
+let prop_sparse_stamps_track_changes =
+  QCheck.Test.make ~name:"stamps: per-round stamp count = changed (churn-free)"
+    ~count:150 arb_case (fun c ->
+      let module P = Distributed.Make (struct
+        let params =
+          { Distributed.default_params with cache_ttl = 1 + (c.ttl mod 4) }
+      end) in
+      let module E = Engine.Make (P) in
+      let graph = build_graph c in
+      let exec mode ~on_round ~workload =
+        (E.run ~mode ~scheduler:(build_scheduler c)
+           ~channel:(build_channel c) ~max_rounds:40 ~quiet_rounds:2
+           ~on_round ~workload (Rng.create ~seed:c.seed) graph)
+          .E.changed_at
+      in
+      stamps_track_changes (exec E.Dense)
+      && stamps_track_changes
+           (exec (E.Sparse { warm = Some Distributed.pending_expiry })))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_sparse_equals_dense; prop_sparse_emits_once_per_step ]
+    [
+      prop_sparse_equals_dense;
+      prop_sparse_emits_once_per_step;
+      prop_sparse_stamps_track_changes;
+    ]
 
 let suite =
   Alcotest.test_case "sparse: ttl expiry equivalence" `Quick

@@ -13,7 +13,10 @@
        total frame loss is the documented deterministic sequence.
    (c) The flat-path workload hook allocates O(1) per idle round — an
        attached-but-idle workload must not scale the quiet-round cost
-       with the network. *)
+       with the network.
+   (d) The duty drain's cached head flags are unobservable: forcing full
+       re-reads changes no observable, and a drain reads no more nodes
+       than had their outputs change since the previous one. *)
 
 module Graph = Ss_topology.Graph
 module Vec2 = Ss_geom.Vec2
@@ -209,21 +212,23 @@ let build_world c =
 
 type exec = Dense | Sparse | FlatD of int
 
-let run_exec c g exec =
-  let cfg =
-    {
-      W.default_config with
-      W.seed = c.w_seed + 1;
-      channel = data_channel c.w_chan;
-      rate = 2.0;
-      last_round = Some 30;
-      ttl = 12;
-      energy =
-        (if c.w_energy then
-           Some { W.default_energy with W.capacity = 40.0; duty_every = 4 }
-         else None);
-    }
-  in
+let workload_config c =
+  {
+    W.default_config with
+    W.seed = c.w_seed + 1;
+    channel = data_channel c.w_chan;
+    rate = 2.0;
+    last_round = Some 30;
+    ttl = 12;
+    energy =
+      (if c.w_energy then
+         Some { W.default_energy with W.capacity = 40.0; duty_every = 4 }
+       else None);
+  }
+
+(* [wrap] sits between the executor and the workload's hook. *)
+let run_exec ?(wrap = Fun.id) c g exec =
+  let cfg = workload_config c in
   let w = W.create cfg ~n:(Graph.node_count g) in
   let churn =
     Churn.compose
@@ -241,20 +246,21 @@ let run_exec c g exec =
     | Dense ->
         let r =
           E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:70 ~churn
-            ~workload:(W.hook w) rng g
+            ~workload:(wrap (W.hook w)) rng g
         in
         (r.E.states, r.E.alive, r.E.rounds)
     | Sparse ->
         let r =
           E.run
             ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-            ~quiet_rounds ~max_rounds:70 ~churn ~workload:(W.hook w) rng g
+            ~quiet_rounds ~max_rounds:70 ~churn ~workload:(wrap (W.hook w))
+            rng g
         in
         (r.E.states, r.E.alive, r.E.rounds)
     | FlatD domains ->
         let r =
           F.run ~quiet_rounds ~max_rounds:70 ~churn ~domains
-            ~workload:(W.hook w) rng g
+            ~workload:(wrap (W.hook w)) rng g
         in
         (r.F.states, r.F.alive, r.F.rounds)
   in
@@ -275,6 +281,128 @@ let prop_workload_executor_independent =
       let flat1 = run_exec c g (FlatD 1) in
       let flat4 = run_exec c g (FlatD 4) in
       same dense sparse && same dense flat1 && same dense flat4)
+
+(* ------------------------- (d): skipped duty-drain reads are unobservable *)
+
+(* Hand the hook a reader whose stamps all say "changed this round": the
+   duty drain then re-reads every alive node, as a full sweep would. *)
+let full_rereads hook ~round ~graph ~alive ~(read : _ Engine.reader) =
+  hook ~round ~graph ~alive
+    ~read:{ read with Engine.changed_at = (fun _ -> round) }
+
+let energy_case =
+  {
+    w_seed = 77;
+    w_n = 60;
+    w_radius = 0.25;
+    w_chan = 1;
+    w_burst = true;
+    w_energy = true;
+  }
+
+let test_skipped_reads_unobservable () =
+  let g = build_world energy_case in
+  List.iter
+    (fun (label, exec) ->
+      let ((w, _, _, _) as cached) = run_exec energy_case g exec in
+      let full = run_exec ~wrap:full_rereads energy_case g exec in
+      Alcotest.(check bool)
+        (label ^ ": cached head flags = full re-reads")
+        true (same cached full);
+      match W.energy_report w with
+      | Some e ->
+          Alcotest.(check bool)
+            (label ^ ": some node paid head duty")
+            true (e.W.head_rounds_max > 0)
+      | None -> Alcotest.fail "energy model missing")
+    [ ("sparse", Sparse); ("flat", FlatD 1) ]
+
+(* Count a hook's state reads per duty drain and bound them by what can
+   have moved since the previous drain: nodes whose stamp passed it, and
+   nodes that were not alive at it (never read, or read before a crash).
+   Only meaningful for a hook that reads nothing but the drain — a
+   workload offering no traffic, whose activity result is dropped.
+   Returns the audited hook and a report (drains, drains over the bound,
+   total reads). *)
+let drain_audit ~n ~duty_every hook =
+  let reads = ref 0 and drains = ref 0 and over = ref 0 in
+  let prev = ref 0 and was_alive = Array.make n false in
+  let audited ~round ~graph ~alive ~(read : _ Engine.reader) =
+    let counting =
+      {
+        read with
+        Engine.state =
+          (fun p ->
+            incr reads;
+            read.Engine.state p);
+      }
+    in
+    let before = !reads in
+    ignore (hook ~round ~graph ~alive ~read:counting);
+    if round mod duty_every = 0 then begin
+      let allowed = ref 0 in
+      for p = 0 to n - 1 do
+        if alive.(p) && ((not was_alive.(p)) || read.Engine.changed_at p > !prev)
+        then incr allowed;
+        was_alive.(p) <- alive.(p)
+      done;
+      incr drains;
+      if !reads - before > !allowed then incr over;
+      prev := round
+    end
+  in
+  (audited, fun () -> (!drains, !over, !reads))
+
+(* A traffic-free rider with the same energy model shares the run: its
+   drain sees the same roles as the real workload's (equal head duty)
+   while reading at most the initial reads plus the output changes in
+   between. The same rider fed forced re-reads breaks the bound, so the
+   audit is not vacuous. *)
+let test_drain_reads_bounded () =
+  let c = energy_case in
+  let g = build_world c in
+  let n = Graph.node_count g in
+  let duty_every =
+    match (workload_config c).W.energy with
+    | Some e -> e.W.duty_every
+    | None -> Alcotest.fail "energy model missing"
+  in
+  let ride ~force exec =
+    let rider = W.create { (workload_config c) with W.rate = 0.0 } ~n in
+    let rider_hook = if force then full_rereads (W.hook rider) else W.hook rider in
+    let audited, report = drain_audit ~n ~duty_every rider_hook in
+    let wrap hook ~round ~graph ~alive ~read =
+      audited ~round ~graph ~alive ~read;
+      hook ~round ~graph ~alive ~read
+    in
+    let w, _, _, _ = run_exec ~wrap c g exec in
+    (w, rider, report ())
+  in
+  List.iter
+    (fun (label, exec) ->
+      let w, rider, (drains, over, reads) = ride ~force:false exec in
+      let head_duty w =
+        Option.map (fun e -> (e.W.head_rounds_max, e.W.head_rounds_mean))
+          (W.energy_report w)
+      in
+      Alcotest.(check bool)
+        (label ^ ": rider charges the same head duty")
+        true
+        (head_duty w = head_duty rider);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d drains" label drains)
+        true (drains >= 5);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: drains reading more than moved (%d reads)" label
+           reads)
+        0 over;
+      let _, _, (_, forced_over, forced_reads) = ride ~force:true exec in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: full re-reads exceed the bound (%d > %d reads)"
+           label forced_reads reads)
+        true
+        (forced_over > 0 && forced_reads > reads))
+    [ ("sparse", Sparse); ("flat", FlatD 1) ]
 
 (* -------------------------------- (c): idle workload hook allocation *)
 
@@ -325,3 +453,9 @@ let suite =
       test_idle_hook_alloc;
   ]
   @ qcheck_cases
+  @ [
+      Alcotest.test_case "skipped duty-drain reads are unobservable" `Quick
+        test_skipped_reads_unobservable;
+      Alcotest.test_case "duty drain reads only what moved" `Quick
+        test_drain_reads_bounded;
+    ]
