@@ -405,18 +405,51 @@ struct
 
     type scratch = {
       mutable cbuf : int array; (* next cache image *)
-      mutable ckeys : int array; (* its entry keys, ascending *)
-      mutable fa : int array; (* far-merge ping-pong *)
-      mutable fb : int array;
+      mutable fbuf : int array; (* next far image *)
+      mutable fkeys : int array; (* fresh far keys, then sorted *)
+      mutable fsrc : int array; (* per fresh key: the winning sender *)
+      mutable foff : int array; (* and its summary offset in em_nbrs *)
+      marks : int array;
+          (* node-indexed stamp plane: [tok lsl slot_bits lor slot] marks
+             "seen in the current use", so the plane is never cleared *)
+      mutable tok : int; (* token of the current use, bumped per use *)
       mutable ebuf : int array; (* next emission image *)
       mutable excl : bool array; (* N1 name exclusion, gamma-sized *)
       mutable free_names : int array;
     }
 
+    (* Rows start at the size a converged node needs on [graph]: one
+       cache entry per neighbor q carrying q's whole neighbor list, one
+       far entry per distinct key within two hops, one summary per
+       neighbor. Grown from [||] instead, every row would reallocate
+       through [grow]'s doubling during a cold start's first rounds,
+       charging that allocation to the steps, and end with up to twice
+       the capacity it uses. Rows still grow when churn or motion
+       outgrows them. *)
     let alloc graph =
       let n = Graph.node_count graph in
       let ia () = Array.make n 0 in
       let aa () = Array.make n [||] in
+      let cache = aa () and far = aa () and em_nbrs = aa () in
+      let seen = Array.make n (-1) in
+      for p = 0 to n - 1 do
+        let nb = Graph.neighbors graph p in
+        let used = ref 0 and fcnt = ref 0 in
+        for i = 0 to Array.length nb - 1 do
+          let nq = Graph.neighbors graph nb.(i) in
+          used := !used + 8 + Array.length nq;
+          for j = 0 to Array.length nq - 1 do
+            let r = nq.(j) in
+            if r <> p && seen.(r) <> p then begin
+              seen.(r) <- p;
+              incr fcnt
+            end
+          done
+        done;
+        cache.(p) <- Array.make !used 0;
+        far.(p) <- Array.make (6 * !fcnt) 0;
+        em_nbrs.(p) <- Array.make (5 * Array.length nb) 0
+      done;
       {
         n;
         clock = ia ();
@@ -427,13 +460,13 @@ struct
         dens_n = ia ();
         parent = Array.make n (-1);
         head = Array.make n (-1);
-        cache = aa ();
+        cache;
         cache_used = ia ();
         cache_cnt = ia ();
-        far = aa ();
+        far;
         far_len = ia ();
         em = Array.init (6 * n) (fun i -> if i mod 6 = 5 then -1 else 0);
-        em_nbrs = aa ();
+        em_nbrs;
         now = 0;
         em_ver = ia ();
         synced = Array.make n (-1);
@@ -444,12 +477,15 @@ struct
 
     let tick b = b.now <- b.now + 1
 
-    let scratch _b =
+    let scratch b =
       {
         cbuf = Array.make 64 0;
-        ckeys = Array.make 16 0;
-        fa = Array.make 96 0;
-        fb = Array.make 96 0;
+        fbuf = Array.make 96 0;
+        fkeys = Array.make 16 0;
+        fsrc = Array.make 16 0;
+        foff = Array.make 16 0;
+        marks = Array.make b.n 0;
+        tok = 0;
         ebuf = Array.make 80 0;
         excl = Array.make 16 false;
         free_names = Array.make 16 0;
@@ -458,6 +494,22 @@ struct
     let grow a needed =
       if Array.length a >= needed then a
       else Array.make (max needed ((2 * Array.length a) + 8)) 0
+
+    (* A stamp word packs the use's token above [slot_bits] bits of slot.
+       Slots count distinct far keys in one step, far below 2^30; tokens
+       stay below 2^32, so every word is positive and a zeroed plane
+       matches no token. *)
+    let slot_bits = 30
+
+    let slot_mask = (1 lsl slot_bits) - 1
+
+    let next_token s =
+      if s.tok >= (1 lsl 32) - 1 then begin
+        Array.fill s.marks 0 (Array.length s.marks) 0;
+        s.tok <- 0
+      end;
+      s.tok <- s.tok + 1;
+      s.tok
 
 
     let init_all b rng graph =
@@ -696,15 +748,15 @@ struct
          planes were last built all-fresh from these same senders, the
          merges below would reproduce both planes verbatim with every
          heard stamp at clock'. Restamp in place, skip the rebuilds. *)
-      let stamp = b.synced.(p) in
+      let synced = b.synced.(p) in
       let fast =
-        stamp >= 0
+        synced >= 0
         && count = b.cache_cnt.(p)
         &&
         let ok = ref true and pos = ref 0 and i = ref 0 in
         while !ok && !i < count do
           let q = senders.(!i) in
-          if old.(!pos) <> q || b.em_ver.(q) > stamp then ok := false
+          if old.(!pos) <> q || b.em_ver.(q) > synced then ok := false
           else begin
             pos := !pos + 8 + old.(!pos + 7);
             incr i
@@ -761,7 +813,6 @@ struct
            refresh_cache. Scratch is pre-sized from upper bounds once,
            so the merge loops are plain int stores: no growth checks,
            no write barriers, no C-call blits. *)
-        let old_cnt = b.cache_cnt.(p) in
         let ofar = b.far.(p) and ocnt = b.far_len.(p) in
         let sn_total = ref 0 in
         for i = 0 to count - 1 do
@@ -772,181 +823,172 @@ struct
           if a != s.cbuf then s.cbuf <- a;
           a
         in
-        let ckeys =
-          let a = grow s.ckeys (old_cnt + count) in
-          if a != s.ckeys then s.ckeys <- a;
+        let fdst =
+          let a = grow s.fbuf (6 * (ocnt + !sn_total)) in
+          if a != s.fbuf then s.fbuf <- a;
           a
         in
-        let fmax = 6 * (ocnt + !sn_total) in
-        let fa0 =
-          let a = grow s.fa fmax in
-          if a != s.fa then s.fa <- a;
+        let fkeys =
+          let a = grow s.fkeys !sn_total in
+          if a != s.fkeys then s.fkeys <- a;
           a
         in
-        let fb0 =
-          let a = grow s.fb fmax in
-          if a != s.fb then s.fb <- a;
+        let fsrc =
+          let a = grow s.fsrc !sn_total in
+          if a != s.fsrc then s.fsrc <- a;
+          a
+        in
+        let foff =
+          let a = grow s.foff !sn_total in
+          if a != s.foff then s.foff <- a;
           a
         in
         let minh = ref max_int in
         let all_fresh = ref true in
         let used = ref 0 and cnt = ref 0 in
-        let put_old pos =
-          let sz = 8 + old.(pos + 7) in
-          let u = !used in
-          for i = 0 to sz - 1 do
-            cbuf.(u + i) <- old.(pos + i)
-          done;
-          (let h = old.(pos + 1) in
-           if h < !minh then minh := h);
-          ckeys.(!cnt) <- old.(pos);
-          incr cnt;
-          all_fresh := false;
-          used := u + sz
-        in
-        let put_fresh q =
-          let e = 6 * q in
-          let nlen = b.em.(e + 5) in
-          let u = !used in
-          cbuf.(u) <- q;
-          cbuf.(u + 1) <- clock';
-          cbuf.(u + 2) <- b.em.(e);
-          cbuf.(u + 3) <- b.em.(e + 1);
-          cbuf.(u + 4) <- b.em.(e + 2);
-          cbuf.(u + 5) <- b.em.(e + 3);
-          cbuf.(u + 6) <- b.em.(e + 4);
-          cbuf.(u + 7) <- nlen;
-          let en = b.em_nbrs.(q) in
-          for i = 0 to nlen - 1 do
-            cbuf.(u + 8 + i) <- en.(5 * i)
-          done;
-          ckeys.(!cnt) <- q;
-          incr cnt;
-          used := u + 8 + nlen
-        in
         let opos = ref 0 and si = ref 0 in
         while !opos < old_used || !si < count do
-          if !si >= count then begin
-            if clock' - old.(!opos + 1) <= ttl then put_old !opos;
-            opos := !opos + 8 + old.(!opos + 7)
-          end
-          else if !opos >= old_used then begin
-            put_fresh senders.(!si);
-            incr si
+          if !si >= count || (!opos < old_used && old.(!opos) < senders.(!si))
+          then begin
+            let pos = !opos in
+            let sz = 8 + old.(pos + 7) in
+            let h = old.(pos + 1) in
+            if clock' - h <= ttl then begin
+              let u = !used in
+              for i = 0 to sz - 1 do
+                cbuf.(u + i) <- old.(pos + i)
+              done;
+              if h < !minh then minh := h;
+              all_fresh := false;
+              incr cnt;
+              used := u + sz
+            end;
+            opos := pos + sz
           end
           else begin
-            let oq = old.(!opos) and sq = senders.(!si) in
-            if oq < sq then begin
-              if clock' - old.(!opos + 1) <= ttl then put_old !opos;
+            let q = senders.(!si) in
+            let e = 6 * q in
+            let nlen = b.em.(e + 5) in
+            let u = !used in
+            cbuf.(u) <- q;
+            cbuf.(u + 1) <- clock';
+            cbuf.(u + 2) <- b.em.(e);
+            cbuf.(u + 3) <- b.em.(e + 1);
+            cbuf.(u + 4) <- b.em.(e + 2);
+            cbuf.(u + 5) <- b.em.(e + 3);
+            cbuf.(u + 6) <- b.em.(e + 4);
+            cbuf.(u + 7) <- nlen;
+            let en = b.em_nbrs.(q) in
+            for i = 0 to nlen - 1 do
+              cbuf.(u + 8 + i) <- en.(5 * i)
+            done;
+            used := u + 8 + nlen;
+            incr cnt;
+            incr si;
+            if !opos < old_used && old.(!opos) = q then
               opos := !opos + 8 + old.(!opos + 7)
-            end
-            else begin
-              put_fresh sq;
-              incr si;
-              if oq = sq then opos := !opos + 8 + old.(!opos + 7)
-            end
           end
         done;
-        (* --- far refresh: fresh relayed summaries first (iterative
-           sorted merge across senders ascending, a later sender's claim
-           overwrites an earlier one's, self skipped — the order the
-           typed refresh_far's merge_fresh keeps), then merged over the
-           TTL-filtered old entries with fresh winning collisions. The
-           ping-pong direction is chosen by parity, so the loop performs
-           no pointer swaps. *)
-        let fcnt = ref 0 and parity = ref false in
+        (* --- far refresh, fresh half: one pass over every sender's
+           relayed summaries (senders ascending, self skipped). A key's
+           first sighting appends it to [fkeys]; every sighting
+           overwrites its winner, so the later claim wins — the last of
+           each run of equal keys after the typed refresh_far's stable
+           sort. The stamp plane maps an in-range key to its slot in
+           O(1); a key outside it (only a packed arbitrary state carries
+           one) is found by a linear probe over the collected keys. The
+           keys are then insertion-sorted with their winners: there are
+           a few dozen at realistic degrees. *)
+        let marks = s.marks in
+        let plane = Array.length marks in
+        let tok = next_token s in
+        let tag = tok lsl slot_bits in
+        let nk = ref 0 in
         for i = 0 to count - 1 do
           let q = senders.(i) in
-          let sn = b.em.((6 * q) + 5) in
-          if sn > 0 then begin
-            let en = b.em_nbrs.(q) in
-            let fa = if !parity then fb0 else fa0 in
-            let fb = if !parity then fa0 else fb0 in
-            let out = ref 0 and ai = ref 0 and bi = ref 0 in
-            let put_summary j =
-              let e = 5 * j and o = 6 * !out in
-              fb.(o) <- en.(e);
-              fb.(o + 1) <- clock';
-              fb.(o + 2) <- en.(e + 1);
-              fb.(o + 3) <- en.(e + 2);
-              fb.(o + 4) <- en.(e + 3);
-              fb.(o + 5) <- en.(e + 4);
-              incr out
-            in
-            let copy_a () =
-              let sa = 6 * !ai and o = 6 * !out in
-              fb.(o) <- fa.(sa);
-              fb.(o + 1) <- fa.(sa + 1);
-              fb.(o + 2) <- fa.(sa + 2);
-              fb.(o + 3) <- fa.(sa + 3);
-              fb.(o + 4) <- fa.(sa + 4);
-              fb.(o + 5) <- fa.(sa + 5);
-              incr ai;
-              incr out
-            in
-            while !ai < !fcnt || !bi < sn do
-              if !bi < sn && en.(5 * !bi) = p then incr bi
-              else if !bi >= sn then copy_a ()
-              else if !ai >= !fcnt then begin
-                put_summary !bi;
-                incr bi
-              end
-              else begin
-                let ak = fa.(6 * !ai) and bk = en.(5 * !bi) in
-                if ak < bk then copy_a ()
-                else begin
-                  put_summary !bi;
-                  incr bi;
-                  if ak = bk then incr ai
+          let en = b.em_nbrs.(q) in
+          for j = 0 to b.em.((6 * q) + 5) - 1 do
+            let v = en.(5 * j) in
+            if v <> p then begin
+              let slot =
+                if v >= 0 && v < plane then begin
+                  let w = marks.(v) in
+                  if w lsr slot_bits = tok then w land slot_mask
+                  else begin
+                    let k = !nk in
+                    marks.(v) <- tag lor k;
+                    fkeys.(k) <- v;
+                    nk := k + 1;
+                    k
+                  end
                 end
-              end
-            done;
-            parity := not !parity;
-            fcnt := !out
-          end
-        done;
-        let fresh = if !parity then fb0 else fa0 in
-        let fn = !fcnt in
-        let fdst = if !parity then fa0 else fb0 in
-        let fout = ref 0 and oi = ref 0 and fi = ref 0 in
-        let keep_old () =
-          let so = 6 * !oi in
-          let h = ofar.(so + 1) in
-          if clock' - h <= ttl then begin
-            let o = 6 * !fout in
-            fdst.(o) <- ofar.(so);
-            fdst.(o + 1) <- h;
-            fdst.(o + 2) <- ofar.(so + 2);
-            fdst.(o + 3) <- ofar.(so + 3);
-            fdst.(o + 4) <- ofar.(so + 4);
-            fdst.(o + 5) <- ofar.(so + 5);
-            if h < !minh then minh := h;
-            all_fresh := false;
-            incr fout
-          end;
-          incr oi
-        in
-        let take_fresh () =
-          let sf = 6 * !fi and o = 6 * !fout in
-          fdst.(o) <- fresh.(sf);
-          fdst.(o + 1) <- fresh.(sf + 1);
-          fdst.(o + 2) <- fresh.(sf + 2);
-          fdst.(o + 3) <- fresh.(sf + 3);
-          fdst.(o + 4) <- fresh.(sf + 4);
-          fdst.(o + 5) <- fresh.(sf + 5);
-          incr fi;
-          incr fout
-        in
-        while !oi < ocnt || !fi < fn do
-          if !oi >= ocnt then take_fresh ()
-          else if !fi >= fn then keep_old ()
-          else begin
-            let ok = ofar.(6 * !oi) and fk = fresh.(6 * !fi) in
-            if ok < fk then keep_old ()
-            else begin
-              take_fresh ();
-              if ok = fk then incr oi
+                else begin
+                  let k = ref 0 in
+                  while !k < !nk && fkeys.(!k) <> v do
+                    incr k
+                  done;
+                  if !k = !nk then begin
+                    fkeys.(!k) <- v;
+                    incr nk
+                  end;
+                  !k
+                end
+              in
+              fsrc.(slot) <- q;
+              foff.(slot) <- 5 * j
             end
+          done
+        done;
+        let fn = !nk in
+        for i = 1 to fn - 1 do
+          let k = fkeys.(i) and src = fsrc.(i) and off = foff.(i) in
+          let j = ref (i - 1) in
+          while !j >= 0 && fkeys.(!j) > k do
+            fkeys.(!j + 1) <- fkeys.(!j);
+            fsrc.(!j + 1) <- fsrc.(!j);
+            foff.(!j + 1) <- foff.(!j);
+            decr j
+          done;
+          fkeys.(!j + 1) <- k;
+          fsrc.(!j + 1) <- src;
+          foff.(!j + 1) <- off
+        done;
+        (* --- far refresh, merge: the sorted fresh keys over the
+           TTL-filtered old entries, fresh winning collisions; a fresh
+           entry is read straight from its winner's emission plane. *)
+        let fout = ref 0 and oi = ref 0 and fi = ref 0 in
+        while !oi < ocnt || !fi < fn do
+          if !fi >= fn || (!oi < ocnt && ofar.(6 * !oi) < fkeys.(!fi))
+          then begin
+            let so = 6 * !oi in
+            let h = ofar.(so + 1) in
+            if clock' - h <= ttl then begin
+              let o = 6 * !fout in
+              fdst.(o) <- ofar.(so);
+              fdst.(o + 1) <- h;
+              fdst.(o + 2) <- ofar.(so + 2);
+              fdst.(o + 3) <- ofar.(so + 3);
+              fdst.(o + 4) <- ofar.(so + 4);
+              fdst.(o + 5) <- ofar.(so + 5);
+              if h < !minh then minh := h;
+              all_fresh := false;
+              incr fout
+            end;
+            incr oi
+          end
+          else begin
+            let k = fkeys.(!fi) in
+            let en = b.em_nbrs.(fsrc.(!fi)) and e = foff.(!fi) in
+            let o = 6 * !fout in
+            fdst.(o) <- k;
+            fdst.(o + 1) <- clock';
+            fdst.(o + 2) <- en.(e + 1);
+            fdst.(o + 3) <- en.(e + 2);
+            fdst.(o + 4) <- en.(e + 3);
+            fdst.(o + 5) <- en.(e + 4);
+            incr fi;
+            incr fout;
+            if !oi < ocnt && ofar.(6 * !oi) = k then incr oi
           end
         done;
         if (count > 0 || fn > 0) && clock' < !minh then minh := clock';
@@ -1029,30 +1071,40 @@ struct
           end
         end
       in
-      (* --- density from the new cache (Density.of_local_view on the
-         entry keys, which are already sorted) *)
+      (* --- density from the new cache (Density.of_local_view): stamp
+         the entry keys, then count the claims r > q that hit a stamp. A
+         claim outside the plane can only match a key outside it too, so
+         the cache is scanned for it only when such a key exists. *)
       let deg = new_cnt in
-      (* In the fast path the senders array IS the key set (just
-         verified); s.ckeys was not rebuilt. *)
-      let keys = if fast then senders else s.ckeys in
-      let mem_key r =
-        let lo = ref 0 and hi = ref deg and found = ref false in
-        while (not !found) && !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if keys.(mid) = r then found := true
-          else if keys.(mid) < r then lo := mid + 1
-          else hi := mid
-        done;
-        !found
-      in
-      let among = ref 0 in
+      let marks = s.marks in
+      let plane = Array.length marks in
+      let tag = next_token s lsl slot_bits in
+      let outside = ref false in
       let pos = ref 0 in
+      while !pos < new_used do
+        let q = c.(!pos) in
+        if q >= 0 && q < plane then marks.(q) <- tag else outside := true;
+        pos := !pos + 8 + c.(!pos + 7)
+      done;
+      let among = ref 0 in
+      pos := 0;
       while !pos < new_used do
         let q = c.(!pos) in
         let nlen = c.(!pos + 7) in
         for i = 0 to nlen - 1 do
           let r = c.(!pos + 8 + i) in
-          if r > q && mem_key r then incr among
+          if r > q then
+            if r >= 0 && r < plane then begin
+              if marks.(r) = tag then incr among
+            end
+            else if !outside then begin
+              let k = ref 0 and found = ref false in
+              while (not !found) && !k < new_used do
+                if c.(!k) = r then found := true
+                else k := !k + 8 + c.(!k + 7)
+              done;
+              if !found then incr among
+            end
         done;
         pos := !pos + 8 + nlen
       done;
@@ -1064,6 +1116,9 @@ struct
       let use_dag = algo.Config.use_dag_names in
       let parent' = ref old_parent and head' = ref old_head in
       let have_all = ref true in
+      (* the entry to join, if the election picks one: the node takes its
+         key as parent and its head as head, unless that head is None *)
+      let join_off = ref (-1) in
       let pos = ref 0 in
       while !have_all && !pos < new_used do
         if c.(!pos + 4) < 0 then have_all := false
@@ -1077,15 +1132,9 @@ struct
         else begin
           let my_eff = if use_dag then dag' else gid in
           let my_inc = old_head = p in
-          let join off =
-            let h = c.(off + 6) in
-            if h >= 0 then begin
-              parent' := c.(off);
-              head' := h
-            end
-          in
-          (* strongest 1-hop key; ties keep the lowest neighbor *)
-          let best_q = ref (-1) and best_off = ref 0 in
+          (* strongest 1-hop key; ties keep the lowest neighbor. Entries
+             are tracked by offset, as a packed key may be negative. *)
+          let best_off = ref (-1) in
           let bl = ref 0 and bn = ref 0 and bid = ref 0 and binc = ref false in
           let pos = ref 0 in
           while !pos < new_used do
@@ -1094,10 +1143,9 @@ struct
             let eid = if use_dag then c.(!pos + 3) else c.(!pos + 2) in
             let einc = c.(!pos + 6) = q in
             if
-              !best_q < 0
+              !best_off < 0
               || cmp_keys tie el en_ eid einc !bl !bn !bid !binc > 0
             then begin
-              best_q := q;
               best_off := !pos;
               bl := el;
               bn := en_;
@@ -1109,7 +1157,7 @@ struct
           let locally_maximal =
             cmp_keys tie !bl !bn !bid !binc dl' dn' my_eff my_inc < 0
           in
-          if not locally_maximal then join !best_off
+          if not locally_maximal then join_off := !best_off
           else if not algo.Config.fusion then begin
             parent' := p;
             head' := p
@@ -1118,6 +1166,7 @@ struct
             (* strongest dominating 2-hop head from the far plane *)
             let f = b.far.(p) in
             let dv = ref (-1) in
+            (* far offset of the dominating head, -1 = none *)
             let kl = ref 0 and kn = ref 0 and kid = ref 0 in
             for i = 0 to new_far_cnt - 1 do
               let o = 6 * i in
@@ -1126,7 +1175,7 @@ struct
                 if cmp_keys tie dl' dn' my_eff my_inc l nn id true < 0 then
                   if !dv < 0 || cmp_keys tie l nn id true !kl !kn !kid true > 0
                   then begin
-                    dv := f.(o);
+                    dv := o;
                     kl := l;
                     kn := nn;
                     kid := id
@@ -1140,8 +1189,8 @@ struct
             else begin
               (* best bridge neighbor claiming the dominating head; a
                  stale far entry with no live bridge holds state *)
-              let v = !dv in
-              let bq = ref (-1) and boff = ref 0 in
+              let v = f.(!dv) in
+              let boff = ref (-1) in
               let l2 = ref 0
               and n2 = ref 0
               and id2 = ref 0
@@ -1159,10 +1208,9 @@ struct
                   let eid = if use_dag then c.(!pos + 3) else c.(!pos + 2) in
                   let einc = c.(!pos + 6) = q in
                   if
-                    !bq < 0
+                    !boff < 0
                     || cmp_keys tie el en_ eid einc !l2 !n2 !id2 !inc2 > 0
                   then begin
-                    bq := q;
                     boff := !pos;
                     l2 := el;
                     n2 := en_;
@@ -1172,9 +1220,16 @@ struct
                 end;
                 pos := !pos + 8 + nlen
               done;
-              if !bq >= 0 then join !boff
+              if !boff >= 0 then join_off := !boff
             end
           end
+        end
+      end;
+      if !join_off >= 0 then begin
+        let h = c.(!join_off + 6) in
+        if h >= 0 then begin
+          parent' := c.(!join_off);
+          head' := h
         end
       end;
       let changed =

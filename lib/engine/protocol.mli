@@ -79,8 +79,11 @@ end
 
 (** A protocol that additionally exposes a {e flat-memory execution
     plane} for the {!Flat} executor: the whole deployment's state packed
-    into preallocated unboxed arrays, stepped in place by node index with
-    no per-round allocation.
+    into preallocated unboxed arrays, stepped in place by node index.
+    Once the buffers and the scratch have grown to the deployment's sizes,
+    [step] and [refresh_emit] allocate nothing; the one exception is the
+    generator [step] derives on the draw path, when a node re-picks its
+    name ([test/suite_flat.ml] pins this at two sizes).
 
     The typed {!S} operations remain the semantic source of truth. The
     [Flat] operations are an alternative evaluation strategy over the

@@ -579,6 +579,297 @@ let test_reuse_rebase_alloc () =
     true
     (big < (2.0 *. small) +. 8192.0)
 
+(* (f) A flat step allocates nothing once scratch has grown, except the
+   generator on the N1 re-pick's draw path. Converge a deployment, then
+   drive [P.Flat.step] and [refresh_emit] by hand with perturbed inputs:
+   every round each node misses one neighbor's frame (a rotating drop, so
+   cache entries carry over and the far plane merges old and fresh) and
+   three nodes are corrupted (names collide, elections move). The full
+   merge path runs, not just the calm tier. Steps that re-picked a name
+   are counted and excluded; everything else must read 0 words. *)
+let step_alloc n =
+  let module P = Distributed.Make (struct
+    let params =
+      { Distributed.default_params with algo = Config.improved_with_dag }
+  end) in
+  let module F = Flat.Make (P) in
+  let radius = sqrt (8.0 /. (Float.pi *. float_of_int n)) in
+  let graph =
+    Builders.random_geometric_count (Rng.create ~seed:3) ~count:n ~radius
+  in
+  let n = Graph.node_count graph in
+  let settled =
+    F.run ~max_rounds:300 ~quiet_rounds:5 (Rng.create ~seed:4) graph
+  in
+  let b = P.Flat.alloc graph in
+  let s = P.Flat.scratch b in
+  Array.iteri (P.Flat.pack b) settled.F.states;
+  for p = 0 to n - 1 do
+    ignore (P.Flat.refresh_emit b s p)
+  done;
+  let senders = Array.init n (fun p -> Array.copy (Graph.neighbors graph p)) in
+  let scramble = Rng.create ~seed:5 in
+  let hkey = Rng.key ~seed:6 in
+  let overhead =
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    w1 -. w0
+  in
+  let words = ref 0.0 and steps = ref 0 and repicks = ref 0 in
+  let changed = ref 0 in
+  let round r ~measure =
+    P.Flat.tick b;
+    for k = 0 to 2 do
+      let v = ((r * 31) + (k * 97)) mod n in
+      P.Flat.pack b v (Distributed.corrupt scramble v (P.Flat.unpack b v))
+    done;
+    (* and one node takes the name of its highest neighbor, so its next
+       step loses the name and re-picks *)
+    let v = (r * 53) mod n in
+    let nbrs = Graph.neighbors graph v in
+    if Array.length nbrs > 0 then begin
+      let q = nbrs.(Array.length nbrs - 1) in
+      let st = P.Flat.unpack b v in
+      P.Flat.pack b v { st with dag = (P.Flat.unpack b q).Distributed.dag }
+    end;
+    let key = Rng.subkey hkey r in
+    for p = 0 to n - 1 do
+      let nbrs = Graph.neighbors graph p in
+      let drop = r mod (Array.length nbrs + 1) in
+      let count = ref 0 in
+      Array.iteri
+        (fun i q ->
+          if i <> drop then begin
+            senders.(p).(!count) <- q;
+            incr count
+          end)
+        nbrs;
+      let count = !count in
+      let before = P.Flat.unpack b p in
+      let w0 = Gc.minor_words () in
+      let moved = P.Flat.step b s key p ~senders:senders.(p) ~count in
+      let w1 = Gc.minor_words () in
+      let after = P.Flat.unpack b p in
+      (* N1 draws iff some new cache entry holds the old name with a
+         stronger (gid, index) claim — the typed resolve_dag's test. *)
+      let drew =
+        List.exists
+          (fun (q, (e : Distributed.entry)) ->
+            e.e_dag = before.Distributed.dag
+            && (before.gid < e.e_gid || (before.gid = e.e_gid && p < q)))
+          after.Distributed.cache
+      in
+      if measure then
+        if drew then incr repicks
+        else begin
+          words := !words +. (w1 -. w0 -. overhead);
+          incr steps;
+          if moved then incr changed
+        end
+    done;
+    for p = 0 to n - 1 do
+      let w0 = Gc.minor_words () in
+      ignore (P.Flat.refresh_emit b s p);
+      let w1 = Gc.minor_words () in
+      if measure then words := !words +. (w1 -. w0 -. overhead)
+    done
+  in
+  for r = 1 to 4 do
+    round r ~measure:false
+  done;
+  for r = 5 to 12 do
+    round r ~measure:true
+  done;
+  (!words, !steps, !repicks, !changed)
+
+let test_flat_step_alloc () =
+  List.iter
+    (fun n ->
+      let words, steps, repicks, changed = step_alloc n in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "n=%d: %.0f words over %d steps (%d changed, %d re-picks excluded)"
+           n words steps changed repicks)
+        true
+        (words = 0.0 && steps > 0 && changed > 0))
+    [ 200; 1600 ]
+
+(* The stamp-plane far merge and density count against the typed
+   [handle], on hand-built states the random battery rarely reaches:
+   two senders relay the same 2-hop node with different summaries (the
+   later sender's must win), the stepping node appears in a sender's
+   summaries (it must be skipped), and cache keys and claims outside
+   [0, n) — negative and >= n, as a packed arbitrary state may carry —
+   reach both the far path and the density path. Node 2 steps with
+   senders 1 and 3; with [collide] its name equals sender 3's and
+   sender 3 holds the larger gid, so N1 must draw, identically. The
+   same states then warm-start whole runs: flat at [domains] must equal
+   the typed dense run on every observable. *)
+let hand_built ~collide =
+  let density l n = Some (Ss_cluster.Density.make ~links:l ~nodes:n) in
+  let entry ?head heard dag d nbrs =
+    {
+      Distributed.e_heard = heard;
+      e_gid = 40 + dag;
+      e_dag = dag;
+      e_density = d;
+      e_head = head;
+      e_nbrs = nbrs;
+    }
+  in
+  let far heard d eff is_head =
+    {
+      Distributed.f_heard = heard;
+      f_density = d;
+      f_eff = eff;
+      f_is_head = is_head;
+    }
+  in
+  let node ~gid ~dag ~cache ~far =
+    {
+      Distributed.clock = 5;
+      gamma = 12;
+      gid;
+      dag;
+      density = density 3 2;
+      parent = None;
+      head = None;
+      cache;
+      far;
+    }
+  in
+  let plain p = node ~gid:p ~dag:p ~cache:[] ~far:[] in
+  let sender1 =
+    node ~gid:11 ~dag:1
+      ~cache:
+        [
+          (0, entry 5 0 (density 2 2) [| 1 |]);
+          (2, entry 5 2 (density 3 2) [| 1; 3 |]);
+          (5, entry 5 4 (density 1 1) [| 3 |]);
+          (17, entry 5 0 (density 1 1) [||]);
+        ]
+      ~far:[]
+  in
+  let sender3 =
+    node ~gid:33 ~dag:3
+      ~cache:
+        [
+          (-4, entry 4 9 (density 6 3) [| 3 |]);
+          (2, entry 5 2 (density 3 2) [| 1; 3 |]);
+          (4, entry 5 8 (density 1 1) [| 3 |]);
+          (5, entry ~head:5 5 6 (density 9 2) [| 3; 17 |]);
+          (9, entry 5 10 None [| -7 |]);
+          (17, entry 3 11 (density 5 5) [||]);
+        ]
+      ~far:[]
+  in
+  let receiver =
+    node ~gid:2
+      ~dag:(if collide then 3 else 7)
+      ~cache:
+        [
+          (-7, entry 5 5 (density 2 1) [| -4; 9 |]);
+          (-4, entry 4 9 (density 6 3) [| 9; 17; -7 |]);
+          (1, entry 3 1 (density 4 2) [| 2 |]);
+          (9, entry 5 10 (density 1 1) [| -7 |]);
+        ]
+      ~far:
+        [
+          (-4, far 5 (density 6 3) 9 false);
+          (0, far 3 (density 2 2) 0 false);
+          (5, far 5 (density 1 1) 4 false);
+          (17, far 4 (density 5 5) 11 true);
+        ]
+  in
+  [| plain 0; sender1; receiver; sender3; plain 4; plain 5 |]
+
+let hand_graph () =
+  Graph.of_edges ~n:6 [ (0, 1); (1, 2); (2, 3); (3, 4); (3, 5) ]
+
+let test_hand_built_merge ~domains () =
+  List.iter
+    (fun (label, algo) ->
+      let module P = Distributed.Make (struct
+        let params = { Distributed.default_params with algo }
+      end) in
+      let module E = Engine.Make (P) in
+      let module F = Flat.Make (P) in
+      let graph = hand_graph () in
+      List.iter
+        (fun collide ->
+          let states = hand_built ~collide in
+          let tag = Printf.sprintf "%s collide=%b" label collide in
+          (* One buffer set and one scratch across every key: the stamp
+             plane's tokens must separate the uses. *)
+          let b = P.Flat.alloc graph in
+          let s = P.Flat.scratch b in
+          let msgs =
+            List.map (fun q -> (q, P.emit graph q states.(q))) [ 1; 3 ]
+          in
+          let renamed = ref false in
+          for k = 0 to 7 do
+            Array.iteri (P.Flat.pack b) states;
+            Array.iteri (fun p _ -> ignore (P.Flat.refresh_emit b s p)) states;
+            let hkey = Rng.key ~seed:(100 + k) in
+            ignore (P.Flat.step b s hkey 2 ~senders:[| 1; 3 |] ~count:2);
+            let typed =
+              P.handle (Rng.of_key (Rng.subkey hkey 2)) graph 2 states.(2) msgs
+            in
+            let flat = P.Flat.unpack b 2 in
+            if typed.Distributed.dag <> states.(2).Distributed.dag then
+              renamed := true;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s key %d: unpack (step) = handle" tag k)
+              true (flat = typed)
+          done;
+          let use_dag = algo.Config.use_dag_names in
+          Alcotest.(check bool)
+            (tag ^ ": N1 drew exactly when the names collide")
+            (collide && use_dag) !renamed;
+          (* the later sender's summaries won, in and outside [0, n) *)
+          let st =
+            P.handle (Rng.of_key (Rng.key ~seed:1)) graph 2 states.(2) msgs
+          in
+          Alcotest.(check (list int))
+            (tag ^ ": far keys")
+            [ -4; 0; 4; 5; 9; 17 ]
+            (List.map fst st.Distributed.far);
+          List.iter
+            (fun (v, dag) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: node %d's relayed eff is sender 3's" tag v)
+                (if use_dag then dag else 40 + dag)
+                (List.assoc v st.Distributed.far).Distributed.f_eff)
+            [ (5, 6); (17, 11) ];
+          Alcotest.(check bool)
+            (tag ^ ": density counts the out-of-range links")
+            true
+            (st.Distributed.density
+            = Some (Ss_cluster.Density.make ~links:9 ~nodes:5));
+          let dense =
+            E.run ~mode:E.Dense ~max_rounds:30 ~quiet_rounds:3 ~states
+              (Rng.create ~seed:9) graph
+          in
+          let flat =
+            F.run ~max_rounds:30 ~quiet_rounds:3 ~domains ~states
+              (Rng.create ~seed:9) graph
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: flat (%d domains) = dense" tag domains)
+            true
+            (Array.for_all2 P.equal_state dense.E.states flat.F.states
+            && dense.E.rounds = flat.F.rounds
+            && dense.E.converged = flat.F.converged
+            && dense.E.change_history = flat.F.change_history
+            && dense.E.changed_at = flat.F.changed_at))
+        [ false; true ])
+    [
+      ("basic", Config.basic);
+      ("with_dag", Config.with_dag);
+      ("improved", Config.improved);
+      ("improved_with_dag", Config.improved_with_dag);
+    ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -602,4 +893,10 @@ let suite =
   @ [
       Alcotest.test_case "rewrites stamp their round" `Quick
         test_rewrite_stamps;
+      Alcotest.test_case "flat steps allocate nothing but re-pick draws"
+        `Quick test_flat_step_alloc;
+      Alcotest.test_case "stamp-plane merge = handle (1 domain)" `Quick
+        (test_hand_built_merge ~domains:1);
+      Alcotest.test_case "stamp-plane merge = handle (4 domains)" `Quick
+        (test_hand_built_merge ~domains:4);
     ]
