@@ -56,52 +56,29 @@ type 's reader = {
 (** The [?workload] hook's read-only view of the protocol states, built
     once per run. *)
 
-(** {2 Shared executor internals}
-
-    Used by both this executor and {!Flat}; exposed so the two stay on one
-    definition of burst accounting and key-lane derivation (the lanes {e
-    are} the determinism contract: channel loss, permutation and per-node
-    handle streams must coincide between executors for the differential
-    batteries to hold). *)
-
-val finalize_bursts :
-  event_rounds:(int * int) list ->
-  history:int list ->
-  rounds:int ->
-  converged:bool ->
-  burst list
-(** Fold per-round (round, applied-event-count) pairs — oldest first —
-    into maximal bursts and read recovery times off the change history. *)
-
-val lane_channel : Ss_prng.Rng.key -> Ss_prng.Rng.key
-(** Channel-plan lane of a round key. *)
-
-val lane_perm : Ss_prng.Rng.key -> Ss_prng.Rng.key
-(** Random-order permutation lane of a round key. *)
-
-val lane_handle : Ss_prng.Rng.key -> Ss_prng.Rng.key
-(** Per-node handle-generator lane of a round key (subkey by node). *)
-
 module Make (P : Protocol.S) : sig
   type mode =
-    | Dense  (** every live node steps every round — the reference walk *)
+    | Dense
+        (** every live node steps every round: the reference walk, kept
+            independent of the frontier so the differential batteries
+            check one against the other. It reads each node's snapshot
+            row and re-emits every delivered frame from the states. *)
     | Sparse of { warm : (P.state -> bool) option }
-        (** dirty-set execution: a node steps only when its input could
-            have changed since its last step — it changed itself, a node
+        (** dirty-set execution on {!Flat_core}, through a boxed view of
+            [P] (the typed states plus each node's current frame, which
+            every receiver reads). A node steps only when its input could
+            have changed since its last step: it changed itself, a node
             it can hear changed its emission, a churn/fault event touched
             its neighborhood, an incident channel delivery decision
             flipped, or [warm] reports pending time-based behavior (e.g.
             {!Ss_cluster.Distributed.pending_expiry}: cache entries aging
             toward their TTL, which must keep ticking for the protocol to
-            stay self-stabilizing). Equivalent to [Dense] on every
-            observable of {!run} — states modulo [P.equal_state], rounds,
-            change history, bursts, faults — for protocols honoring the
-            {!Protocol.S} step-input contract; cost per round is
-            proportional to the perturbed region, not the network. *)
-
-  val sparse : mode
-  (** [Sparse { warm = None }] — for protocols without time-based
-      behavior. *)
+            stay self-stabilizing; [None] means never warm). Equivalent
+            to [Dense] on every observable of {!run} — states modulo
+            [P.equal_state], rounds, change history, bursts, faults — for
+            protocols honoring the {!Protocol.S} step-input contract;
+            cost per round is proportional to the perturbed region, not
+            the network. *)
 
   type run = {
     states : P.state array;
@@ -240,4 +217,71 @@ module Make (P : Protocol.S) : sig
 
       Defaults: dense mode, synchronous scheduler, perfect channel, 10000
       rounds max, one quiet round, no churn. *)
+
+  (** {2 The run loop}
+
+      [run] and {!Flat.Make.run} are thin entries into one round loop,
+      which owns motion, churn, faults, hooks, bursts and quiescence. The
+      entry points below exist for {!Flat}; callers use [run]. *)
+
+  type 'sc planes = {
+    pack : int -> P.state -> unit;  (** overwrite node [p]'s state *)
+    unpack : int -> P.state;  (** read node [p]'s state *)
+    step :
+      Ss_topology.Graph.t -> 'sc -> Ss_prng.Rng.key -> int -> int array ->
+      int -> bool;
+        (** [step snapshot scratch hkey p senders count]: as
+            {!Protocol.FLAT}'s [Flat.step], given the round's snapshot *)
+    refresh : 'sc -> int -> bool;  (** as [Flat.refresh_emit] *)
+    warm : int -> bool;  (** as [Flat.warm] *)
+    tick : unit -> unit;  (** as [Flat.tick]; once at the top of a round *)
+    scratches : 'sc array;  (** one per shard, at least one *)
+    pool : Ss_stats.Pool.t option;  (** shards synchronous phases *)
+  }
+  (** A {!Protocol.FLAT} deployment with its buffers applied: what
+      {!Flat_core} steps. Handed to [loop] with states set and every
+      emission plane already derived. *)
+
+  type 'sc exec =
+    | Walk of P.state array  (** the dense walk over these states *)
+    | Frontier of 'sc planes  (** the frontier over these planes *)
+
+  val enter :
+    who:string ->
+    max_rounds:int ->
+    quiet_rounds:int ->
+    ?states:P.state array ->
+    Ss_prng.Rng.t ->
+    Ss_topology.Graph.t ->
+    Ss_prng.Rng.key
+  (** Validate a run's arguments, naming [who] in the [Invalid_argument]
+      message, and draw its base key. Call before initializing states. *)
+
+  val loop :
+    who:string ->
+    base_key:Ss_prng.Rng.key ->
+    exec:'sc exec ->
+    scheduler:Scheduler.t ->
+    channel:Ss_radio.Channel.t ->
+    max_rounds:int ->
+    quiet_rounds:int ->
+    ?fault:(round:int -> Ss_prng.Rng.t -> int list) ->
+    ?churn:Churn.t ->
+    ?corrupt:(Ss_prng.Rng.t -> int -> P.state -> P.state) ->
+    ?motion:motion_hook ->
+    ?on_round:(round_info -> unit) ->
+    ?on_event:(round:int -> Churn.event -> unit) ->
+    ?probe:
+      (round:int -> graph:Ss_topology.Graph.t -> alive:bool array -> unit) ->
+    ?workload:
+      (round:int ->
+      graph:Ss_topology.Graph.t ->
+      alive:bool array ->
+      read:P.state reader ->
+      bool) ->
+    Ss_prng.Rng.t ->
+    Ss_topology.Graph.t ->
+    run
+  (** The rounds of {!run}, over [exec]; [fault] and [probe] read the
+      states through their own closures. *)
 end

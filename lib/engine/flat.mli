@@ -1,5 +1,5 @@
-(** The flat-memory executor: {!Engine.Make}'s round semantics re-hosted
-    on a {!Protocol.FLAT}'s struct-of-arrays planes, with the hot loop in
+(** The flat-memory executor: {!Engine.Make}'s run loop over a
+    {!Protocol.FLAT}'s struct-of-arrays planes, with the frontier in
     {!Flat_core} (CSR adjacency, domain-sharded dirty frontier, zero
     per-round allocation).
 
@@ -8,7 +8,10 @@
     options both offer — for protocols honoring the {!Protocol.FLAT}
     contract; the differential battery in [test/suite_flat.ml] enforces
     flat ≡ sparse ≡ dense over random graphs, channels, schedulers,
-    churn and motion. Differences from the reference executor:
+    churn and motion. Engine's [Sparse] mode runs the same loop and the
+    same {!Flat_core} over a boxed view of the typed protocol, so flat ≡
+    sparse compares two representations of one protocol, not two
+    frontiers. Differences from the reference executor:
 
     - [?domains] runs synchronous rounds sharded over a domain pool;
       every domain count yields bit-identical results (see
@@ -20,10 +23,11 @@
       instrumentation.
     - Warm behavior is not optional: the protocol's [Flat.warm] is
       always consulted (the typed executor's [Sparse { warm }] is a
-      per-run choice). *)
+      per-run choice).
+    - Error messages name [Flat.run], not [Engine.run]. *)
 
 module Make (P : Protocol.FLAT) : sig
-  type run = {
+  type run = Engine.Make(P).run = {
     states : P.state array;  (** unpacked final states *)
     rounds : int;
     converged : bool;
@@ -37,6 +41,7 @@ module Make (P : Protocol.FLAT) : sig
         (** per node, the round of its last output change, or 0 — as
             {!Engine.Make.run}'s field *)
   }
+  (** The typed executor's record: both run one loop. *)
 
   val run :
     ?scheduler:Scheduler.t ->

@@ -8,12 +8,14 @@
 
     {2 Step-input determinism (the sparse-execution contract)}
 
-    The engine's sparse mode ({!Engine.Make.run} with [~mode:Sparse])
-    skips a node's step whenever its {e step input} — the multiset of
-    (sender, frame) pairs delivered to it, plus its own state and
-    adjacency row — is unchanged since the last step it executed, and the
-    node is not "warm" (see below). For skipping to be unobservable, every
-    implementation must satisfy, beyond the purity already required:
+    The engine's frontier ({!Flat_core}, which runs {!Engine.Make.run}
+    with [~mode:Sparse] through a boxed view of the protocol, and every
+    {!Flat} run) skips a node's step whenever its {e step input} — the
+    multiset of (sender, frame) pairs delivered to it, plus its own state
+    and adjacency row — is unchanged since the last step it executed, and
+    the node is not "warm" (see below). For skipping to be unobservable,
+    every implementation must satisfy, beyond the purity already
+    required:
 
     - [handle] must be a function of the generator, the node's own
       adjacency in the given graph, its state, and the received frames
@@ -22,7 +24,8 @@
     - [emit] must be a function of the node index and state only; the
       graph argument is provided for convenience but {e must not}
       influence the frame (otherwise a remote topology event could change
-      an emission the sparse engine considers unchanged).
+      an emission the frontier considers unchanged; the boxed view also
+      passes the deployment graph, not the round's snapshot).
     - [handle] at an input fixpoint must be output-stable: re-running it
       with an unchanged input must leave every field observed by
       [equal_state] and every field observable through [emit] unchanged,
@@ -35,9 +38,9 @@
       TTL) must report warm so the engine keeps stepping it until the
       pending behavior has drained.
     - [message] must be plain structural data (no functions, no cycles):
-      the sparse engine compares emissions structurally to decide which
+      the boxed view compares emissions structurally to decide which
       neighbors a step disturbed.
-    - [handle] must not mutate the frames it receives: the sparse engine
+    - [handle] must not mutate the frames it receives: the boxed view
       stores each node's emission once and hands that one value to every
       receiver, round after round, until the sender's emission changes.
 
@@ -108,7 +111,8 @@ module type FLAT = sig
     (** The whole deployment's mutable state, struct-of-arrays: one (or a
         few) unboxed arrays per logical field, plus a per-node {e
         emission plane} caching the frame each node currently broadcasts
-        (the flat analogue of the sparse executor's [last_msg]). *)
+        (the boxed view of a typed protocol keeps it as one message per
+        node). *)
 
     type scratch
     (** Reusable per-worker workspace for [step]/[refresh_emit] — grown

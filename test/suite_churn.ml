@@ -354,7 +354,15 @@ let test_corrupt_without_function_raises () =
   let churn = Churn.schedule [ (2, [ Churn.Corrupt 0 ]) ] in
   Alcotest.check_raises "missing ~corrupt"
     (Invalid_argument "Engine.run: churn plan emits Corrupt but no ~corrupt given")
-    (fun () -> ignore (E.run ~churn (rng ()) g))
+    (fun () -> ignore (E.run ~churn (rng ()) g));
+  (* The flat entry shares the run loop and must still name itself. *)
+  let module P = Distributed.Make (struct
+    let params = Distributed.default_params
+  end) in
+  let module F = Ss_engine.Flat.Make (P) in
+  Alcotest.check_raises "missing ~corrupt (flat)"
+    (Invalid_argument "Flat.run: churn plan emits Corrupt but no ~corrupt given")
+    (fun () -> ignore (F.run ~churn (rng ()) g))
 
 let test_probe_sees_liveness () =
   let g = Builders.path 5 in
@@ -534,6 +542,44 @@ let test_combined_adversity_recovers () =
 
 (* -------------------------------------------------------------- Exp_churn *)
 
+(* A probe may keep the graphs it is handed: a probed run must not patch
+   a past round's snapshot in place. Keep every round's graph with a copy
+   of its rows through crashes, joins and link flaps, then check that no
+   kept graph moved since its round. *)
+let test_probed_snapshots_outlive_their_round () =
+  let graph = Builders.geometric_grid ~cols:5 ~rows:4 ~radius:0.3 in
+  let n = Graph.node_count graph in
+  let p, q = List.hd (Graph.edges graph) in
+  let churn =
+    Churn.schedule
+      [
+        (3, [ Churn.Crash 7; Churn.Link_down (p, q) ]);
+        (5, [ Churn.Sleep 12 ]);
+        (8, [ Churn.Join 7; Churn.Link_up (p, q) ]);
+        (10, [ Churn.Wake 12; Churn.Crash 3 ]);
+      ]
+  in
+  let kept = ref [] in
+  let probe ~round:_ ~graph ~alive:_ _states =
+    kept :=
+      (graph, Array.init n (fun v -> Array.copy (Graph.neighbors graph v)))
+      :: !kept
+  in
+  let result =
+    ED.run
+      ~mode:(ED.Sparse { warm = Some Distributed.pending_expiry })
+      ~churn ~probe ~quiet_rounds:quiet (rng ()) graph
+  in
+  Alcotest.(check bool) "probed every round" true
+    (List.length !kept = result.ED.rounds);
+  List.iter
+    (fun (g, rows) ->
+      for v = 0 to n - 1 do
+        Alcotest.(check (array int))
+          "kept snapshot unchanged" rows.(v) (Graph.neighbors g v)
+      done)
+    !kept
+
 let test_exp_churn_small () =
   (* Acceptance: finite recovery for every burst, legitimate and converged,
      under both schedulers. Miniature deployment to stay quick. *)
@@ -606,5 +652,7 @@ let suite =
       test_combined_adversity_recovers;
     Alcotest.test_case "exp_churn: finite recovery everywhere" `Slow
       test_exp_churn_small;
+    Alcotest.test_case "engine: probed snapshots outlive their round" `Quick
+      test_probed_snapshots_outlive_their_round;
   ]
   @ qcheck_cases

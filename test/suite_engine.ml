@@ -501,7 +501,17 @@ let test_states_length_validated () =
   Alcotest.check_raises "length mismatch rejected"
     (Invalid_argument
        "Engine.run: ~states has 2 entries but the graph has 3 nodes")
-    (fun () -> ignore (E.run ~states:[| 5; 5 |] (rng ()) g))
+    (fun () -> ignore (E.run ~states:[| 5; 5 |] (rng ()) g));
+  (* The flat entry shares the run loop and must still name itself. *)
+  let module P = Ss_cluster.Distributed.Make (struct
+    let params = Ss_cluster.Distributed.default_params
+  end) in
+  let module F = Ss_engine.Flat.Make (P) in
+  let states = Array.init 2 (fun p -> P.init (rng ()) g p) in
+  Alcotest.check_raises "flat length mismatch rejected"
+    (Invalid_argument
+       "Flat.run: ~states has 2 entries but the graph has 3 nodes")
+    (fun () -> ignore (F.run ~states (rng ()) g))
 
 (* --------------------------------------------- jammed-region geometry *)
 

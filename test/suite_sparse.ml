@@ -3,8 +3,9 @@
    (graph x channel x scheduler x churn plan x cache TTL) cases, on the
    full protocol stack. The two runs must agree on every observable —
    final states modulo [equal_state], round count, stabilization round,
-   per-round change history, burst/recovery attribution, fault reports
-   and per-node last-change rounds. Counter-keyed in-round randomness
+   per-round change history, burst/recovery attribution, fault reports,
+   per-node last-change rounds and, when a case injects faults, a
+   per-round probe trace. Counter-keyed in-round randomness
    makes the comparison bit-exact even on lossy and slotted channels;
    any frontier-rule bug (an under-marked node whose input changed
    behind the dirty-set's back) shows up as a divergence, and QCheck
@@ -18,6 +19,8 @@ module Scheduler = Ss_engine.Scheduler
 module Churn = Ss_engine.Churn
 module Engine = Ss_engine.Engine
 module Distributed = Ss_cluster.Distributed
+module Invariants = Ss_cluster.Invariants
+module Fault = Ss_engine.Fault
 module Rng = Ss_prng.Rng
 
 type case = {
@@ -27,6 +30,9 @@ type case = {
   channel_kind : int;  (* 0 perfect / 1 bernoulli / 2 jammed / 3 slotted *)
   sched_kind : int;  (* 0 synchronous / 1 sequential / 2 random order *)
   ttl : int;
+  fault : int * int;
+      (* (round, count): a fault hook corrupting [count] nodes at [round],
+         with a probe tracing every round; count 0 runs unprobed *)
   plan : (int * int * int) list;  (* (round, event kind, victim) *)
 }
 
@@ -99,16 +105,40 @@ let run_case c =
   let channel = build_channel c in
   let scheduler = build_scheduler c in
   let churn = build_plan c graph in
+  (* Both modes must hand the fault hook and the probe the same states
+     every round (a probe also makes the run keep immutable snapshots).
+     Each mode's trace digests every round's (round, liveness, outputs). *)
+  let fault_round, fault_count = c.fault in
+  let hooks () =
+    if fault_count = 0 then (None, None, ref [])
+    else
+      let trace = ref [] in
+      let probe ~round ~graph ~alive states =
+        trace := (round, Invariants.digest ~graph ~alive states) :: !trace
+      in
+      let fault =
+        Fault.hook
+          (Fault.at_round ~round:fault_round ~count:fault_count
+             ~corrupt:Distributed.corrupt)
+      in
+      (Some fault, Some probe, trace)
+  in
   let exec mode =
     (* Fresh same-seeded generators: the base key and every sequential
        plan-evaluation draw (init, churn victims, corrupt scrambles)
        line up by construction; everything in-round is counter-keyed. *)
     let rng = Rng.create ~seed:c.seed in
-    E.run ~mode ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2 ~churn
-      ~corrupt:Distributed.corrupt rng graph
+    let fault, probe, trace = hooks () in
+    let r =
+      E.run ~mode ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2 ~churn
+        ~corrupt:Distributed.corrupt ?fault ?probe rng graph
+    in
+    (r, !trace)
   in
-  let dense = exec E.Dense in
-  let sparse = exec (E.Sparse { warm = Some Distributed.pending_expiry }) in
+  let dense, dense_trace = exec E.Dense in
+  let sparse, sparse_trace =
+    exec (E.Sparse { warm = Some Distributed.pending_expiry })
+  in
   let states_agree =
     Array.for_all2
       (fun a b -> P.equal_state a b)
@@ -123,11 +153,14 @@ let run_case c =
   && dense.E.bursts = sparse.E.bursts
   && dense.E.faults = sparse.E.faults
   && dense.E.changed_at = sparse.E.changed_at
+  && dense_trace = sparse_trace
 
 let print_case c =
   Printf.sprintf
-    "seed=%d graph=%d size=%d channel=%d sched=%d ttl=%d plan=[%s]" c.seed
-    c.graph_kind c.size c.channel_kind c.sched_kind c.ttl
+    "seed=%d graph=%d size=%d channel=%d sched=%d ttl=%d fault=(%d,%d) \
+     plan=[%s]"
+    c.seed c.graph_kind c.size c.channel_kind c.sched_kind c.ttl
+    (fst c.fault) (snd c.fault)
     (String.concat "; "
        (List.map
           (fun (r, k, v) -> Printf.sprintf "(%d,%d,%d)" r k v)
@@ -136,11 +169,13 @@ let print_case c =
 let gen_case =
   QCheck.Gen.(
     map
-      (fun ((seed, graph_kind, size), (channel_kind, sched_kind, ttl), plan) ->
-        { seed; graph_kind; size; channel_kind; sched_kind; ttl; plan })
-      (triple
+      (fun ((seed, graph_kind, size), (channel_kind, sched_kind, ttl), fault, plan)
+         ->
+        { seed; graph_kind; size; channel_kind; sched_kind; ttl; fault; plan })
+      (quad
          (triple (int_range 0 999_999) (int_range 0 4) (int_range 4 20))
          (triple (int_range 0 3) (int_range 0 2) (int_range 0 3))
+         (pair (int_range 1 12) (int_range 0 3))
          (list_size (int_range 0 10)
             (triple (int_range 0 11) (int_range 0 6) (int_range 0 999)))))
 
@@ -173,6 +208,7 @@ let test_ttl_expiry_equivalence () =
           channel_kind = 0;
           sched_kind = 0;
           ttl = ttl - 1;
+          fault = (0, 0);
           plan = [ (4, 6, 5); (4, 6, 9); (9, 0, 2); (10, 1, 2) ];
         }
       in
