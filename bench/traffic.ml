@@ -14,12 +14,14 @@
    bit-identical on every workload observable (Workload.equal) and on
    the protocol states, and the delivery ratio required to recover to
    >= 0.95 of its pre-burst value after the burst. Each smoke run also
-   carries a drain audit: no duty drain may read more nodes than had
-   their outputs change since the previous drain. Exits non-zero on
-   divergence, failed recovery or an over-reading drain.
+   carries two read audits: no duty drain may read more nodes than had
+   their outputs change since the previous drain, and routing may read
+   no node's state twice under one write stamp. Exits non-zero on
+   divergence, failed recovery, an over-reading drain or a repeated
+   routing read.
 
      dune exec bench/traffic.exe            # full 10k run, writes JSON
-     dune exec bench/traffic.exe -- --smoke # identity, recovery, drain reads *)
+     dune exec bench/traffic.exe -- --smoke # identity, recovery, read audits *)
 
 module Graph = Ss_topology.Graph
 module Rng = Ss_prng.Rng
@@ -129,6 +131,38 @@ let audited_hook cfg ~n ~duty_every =
   in
   (hook, a)
 
+(* The routing-read audit, same idiom. A rider routing the same traffic
+   with no energy model (so no duty drain) shares the run, so every
+   state it reads is a routing read. Route views are cached until their
+   node's state is written, so no (node, written_at) pair may be read
+   twice. *)
+type route_audit = {
+  mutable routed : int;
+  mutable repeats : (int * int * int) list; (* (round, node, stamp) *)
+}
+
+let routed_hook cfg ~n =
+  let rider = W.create { cfg with W.energy = None } ~n in
+  let a = { routed = 0; repeats = [] } in
+  let seen = Hashtbl.create 4096 in
+  let hook ~round ~graph ~alive ~(read : _ Ss_engine.Engine.reader) =
+    let counting =
+      {
+        read with
+        Ss_engine.Engine.state =
+          (fun p ->
+            let w = read.Ss_engine.Engine.written_at p in
+            a.routed <- a.routed + 1;
+            if Hashtbl.mem seen (p, w) then
+              a.repeats <- (round, p, w) :: a.repeats
+            else Hashtbl.add seen (p, w) ();
+            read.Ss_engine.Engine.state p);
+      }
+    in
+    ignore (W.hook rider ~round ~graph ~alive ~read:counting)
+  in
+  (hook, a)
+
 let executor_label = function
   | Sparse -> "sparse"
   | Flat d -> Printf.sprintf "flat x%d domains" d
@@ -158,17 +192,19 @@ let run_one ?(audit = false) c executor =
     }
   in
   let w = W.create wcfg ~n in
-  let workload, drain_audit =
+  let workload, audits =
     if not audit then (W.hook w, None)
     else
       let duty_every =
         match wcfg.W.energy with Some e -> e.W.duty_every | None -> 1
       in
-      let rider, a = audited_hook wcfg ~n ~duty_every in
+      let drainer, da = audited_hook wcfg ~n ~duty_every in
+      let router, ra = routed_hook wcfg ~n in
       ( (fun ~round ~graph ~alive ~read ->
-          rider ~round ~graph ~alive ~read;
+          drainer ~round ~graph ~alive ~read;
+          router ~round ~graph ~alive ~read;
           W.hook w ~round ~graph ~alive ~read),
-        Some a )
+        Some (da, ra) )
   in
   let churn =
     Churn.compose
@@ -196,7 +232,7 @@ let run_one ?(audit = false) c executor =
         (r.F.states, r.F.alive, r.F.rounds)
   in
   let dt = Unix.gettimeofday () -. t0 in
-  (w, states, alive, rounds, dt, drain_audit)
+  (w, states, alive, rounds, dt, audits)
 
 let check_identical label (wa, sa, la, ra, _, _) (wb, sb, lb, rb, _, _) =
   let ok =
@@ -315,7 +351,7 @@ let recovery_ok pre dip rec_at =
 
 let check_audit label = function
   | None -> true
-  | Some a ->
+  | Some (a, r) ->
       Printf.printf "  drain reads (%s): %d over %d drains\n%!" label a.reads
         a.drains;
       List.iter
@@ -324,7 +360,14 @@ let check_audit label = function
             "  DRAIN OVER-READ (%s): round %d read %d nodes, %d moved\n%!"
             label round reads allowed)
         (List.rev a.over);
-      a.drains > 0 && a.over = []
+      Printf.printf "  routing reads (%s): %d\n%!" label r.routed;
+      List.iter
+        (fun (round, p, w) ->
+          Printf.printf
+            "  ROUTING RE-READ (%s): round %d read node %d again at stamp %d\n%!"
+            label round p w)
+        (List.rev r.repeats);
+      a.drains > 0 && a.over = [] && r.routed > 0 && r.repeats = []
 
 let run_smoke () =
   let c = smoke in

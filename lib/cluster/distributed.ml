@@ -401,6 +401,13 @@ struct
       quiet_emit : Bytes.t;
           (* '\001' iff the last step proved the emission unchanged;
              consumed by [refresh_emit] to skip the rebuild+compare *)
+      claims_memo : int array array;
+          (* per emitter q: the claimed neighborhood [unpack] last built
+             for q, shared by every entry holding equal claims *)
+      dens_memo : Density.t option array;
+          (* per node v: the [Some density] [unpack] last built for v *)
+      some_memo : int option array;
+          (* per index h: the one [Some h], built on first use *)
     }
 
     type scratch = {
@@ -473,6 +480,9 @@ struct
         minh = Array.make n max_int;
         calm = Bytes.make n '\000';
         quiet_emit = Bytes.make n '\000';
+        claims_memo = aa ();
+        dens_memo = Array.make n None;
+        some_memo = Array.make n None;
       }
 
     let tick b = b.now <- b.now + 1
@@ -552,7 +562,50 @@ struct
           c.(i) <- Density.links d;
           c.(i + 1) <- Density.nodes d
 
-    let density_of l n = if l < 0 then None else Some (Density.make ~links:l ~nodes:n)
+    (* [unpack]'s immutable sub-values are interned: a claimed
+       neighborhood per emitter, a [Some density] per node, a [Some h]
+       per index. In the paper's model every neighbor of q caches q's
+       claims, so a converged deployment's final unpack builds each
+       claimed neighborhood once instead of once per neighbor. A memo
+       slot is reused when its contents equal the planes' and rewritten
+       only when they differ, so every returned state is structurally
+       what a fresh build would give. Keys outside [0, n), which only
+       corrupted states carry, build fresh. *)
+    let intern_density b v l nn =
+      if l < 0 then None
+      else if v < 0 || v >= b.n then Some (Density.make ~links:l ~nodes:nn)
+      else
+        match b.dens_memo.(v) with
+        | Some d as s when Density.links d = l && Density.nodes d = nn -> s
+        | Some _ | None ->
+            let s = Some (Density.make ~links:l ~nodes:nn) in
+            b.dens_memo.(v) <- s;
+            s
+
+    let intern_some b h =
+      if h < 0 then None
+      else if h >= b.n then Some h
+      else
+        match b.some_memo.(h) with
+        | Some _ as s -> s
+        | None ->
+            let s = Some h in
+            b.some_memo.(h) <- s;
+            s
+
+    let rec same_slice m c off i len =
+      i >= len || (m.(i) = c.(off + i) && same_slice m c off (i + 1) len)
+
+    let intern_claims b q c off len =
+      if q < 0 || q >= b.n then Array.sub c off len
+      else
+        let m = b.claims_memo.(q) in
+        if Array.length m = len && same_slice m c off 0 len then m
+        else begin
+          let a = Array.sub c off len in
+          b.claims_memo.(q) <- a;
+          a
+        end
 
     let pack b p (st : state) =
       b.clock.(p) <- st.clock;
@@ -616,48 +669,52 @@ struct
       List.iter (fun (_, fe) -> if fe.f_heard < !mh then mh := fe.f_heard) st.far;
       b.minh.(p) <- !mh
 
+    (* The entries of a cache row from offset [pos], and of a far row
+       below index [i] consed onto [acc]. Neither closes over anything,
+       so an unpack allocates only the state it returns. *)
+    let rec cache_from b c used pos =
+      if pos >= used then []
+      else begin
+        let q = c.(pos) and nlen = c.(pos + 7) in
+        let entry =
+          {
+            e_heard = c.(pos + 1);
+            e_gid = c.(pos + 2);
+            e_dag = c.(pos + 3);
+            e_density = intern_density b q c.(pos + 4) c.(pos + 5);
+            e_head = intern_some b c.(pos + 6);
+            e_nbrs = intern_claims b q c (pos + 8) nlen;
+          }
+        in
+        (q, entry) :: cache_from b c used (pos + 8 + nlen)
+      end
+
+    let rec far_below b f i acc =
+      if i <= 0 then acc
+      else begin
+        let o = 6 * (i - 1) in
+        let fe =
+          {
+            f_heard = f.(o + 1);
+            f_density = intern_density b f.(o) f.(o + 2) f.(o + 3);
+            f_eff = f.(o + 4);
+            f_is_head = f.(o + 5) <> 0;
+          }
+        in
+        far_below b f (i - 1) ((f.(o), fe) :: acc)
+      end
+
     let unpack b p : state =
-      let c = b.cache.(p) in
-      let used = b.cache_used.(p) in
-      let rec cache_from pos =
-        if pos >= used then []
-        else begin
-          let nlen = c.(pos + 7) in
-          let entry =
-            {
-              e_heard = c.(pos + 1);
-              e_gid = c.(pos + 2);
-              e_dag = c.(pos + 3);
-              e_density = density_of c.(pos + 4) c.(pos + 5);
-              e_head = (if c.(pos + 6) < 0 then None else Some c.(pos + 6));
-              e_nbrs = Array.sub c (pos + 8) nlen;
-            }
-          in
-          (c.(pos), entry) :: cache_from (pos + 8 + nlen)
-        end
-      in
-      let f = b.far.(p) in
-      let far =
-        List.init b.far_len.(p) (fun i ->
-            let o = 6 * i in
-            ( f.(o),
-              {
-                f_heard = f.(o + 1);
-                f_density = density_of f.(o + 2) f.(o + 3);
-                f_eff = f.(o + 4);
-                f_is_head = f.(o + 5) <> 0;
-              } ))
-      in
       {
         clock = b.clock.(p);
         gamma = b.gamma.(p);
         gid = b.gid.(p);
         dag = b.dag.(p);
-        density = density_of b.dens_l.(p) b.dens_n.(p);
-        parent = (if b.parent.(p) < 0 then None else Some b.parent.(p));
-        head = (if b.head.(p) < 0 then None else Some b.head.(p));
-        cache = cache_from 0;
-        far;
+        density = intern_density b p b.dens_l.(p) b.dens_n.(p);
+        parent = intern_some b b.parent.(p);
+        head = intern_some b b.head.(p);
+        cache = cache_from b b.cache.(p) b.cache_used.(p) 0;
+        far = far_below b b.far.(p) b.far_len.(p) [];
       }
 
     let refresh_emit b s p =

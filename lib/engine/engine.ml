@@ -23,7 +23,11 @@ type burst = {
   recovery_rounds : int option;
 }
 
-type 's reader = { state : int -> 's; changed_at : int -> int }
+type 's reader = {
+  state : int -> 's;
+  changed_at : int -> int;
+  written_at : int -> int;
+}
 
 (* Fold per-round (round, applied-event-count) pairs into maximal runs of
    consecutive event rounds, then read each burst's recovery time off the
@@ -121,8 +125,8 @@ module Make (P : Protocol.S) = struct
 
   let node_rng hkey p = Rng.of_key (Rng.subkey hkey p)
 
-  let step_round ~rk ~round ~scratch ~changed_at graph live channel scheduler
-      states =
+  let step_round ~rk ~round ~scratch ~changed_at ~written_at graph live
+      channel scheduler states =
     let n = Array.length states in
     let changed = ref 0 in
     (* One delivery plan per round: slotted channels memoize their slot
@@ -142,7 +146,8 @@ module Make (P : Protocol.S) = struct
           incr changed;
           changed_at.(p) <- round
         end;
-        states.(p) <- next
+        states.(p) <- next;
+        written_at.(p) <- round
       end
     in
     (match scheduler with
@@ -246,6 +251,11 @@ module Make (P : Protocol.S) = struct
        victim). The workload reader exposes it, so a hook can skip
        re-reading nodes whose outputs it has already seen. *)
     let changed_at = Array.make n 0 in
+    (* The round in which each node's state was last written: any step,
+       even one that left the outputs equal, or a rewrite. While it stays
+       put, [get p] returns a state structurally equal to the last one,
+       so a hook can cache anything it derives from the whole state. *)
+    let written_at = Array.make n 0 in
     (* The two executors differ only in how a round steps, and in the
        frontier bookkeeping the dense walk has no use for. *)
     let core, step =
@@ -256,8 +266,8 @@ module Make (P : Protocol.S) = struct
           let scratch = Array.copy states in
           ( None,
             fun ~round ~rk g ->
-              step_round ~rk ~round ~scratch ~changed_at g live channel
-                scheduler states )
+              step_round ~rk ~round ~scratch ~changed_at ~written_at g live
+                channel scheduler states )
       | Frontier f ->
           (* Protocol steps see the round's snapshot, as [handle] does in
              the dense walk. *)
@@ -273,7 +283,7 @@ module Make (P : Protocol.S) = struct
           in
           let c =
             Flat_core.create ?pool:f.pool ~ops ~scratches:f.scratches ~live
-              ~changed_at graph
+              ~changed_at ~written_at graph
           in
           (* Round 1 steps everyone: initial states are arbitrary. *)
           Flat_core.mark_all c;
@@ -334,6 +344,7 @@ module Make (P : Protocol.S) = struct
        current state. *)
     let rewritten ~round p =
       changed_at.(p) <- round;
+      written_at.(p) <- round;
       (match core with
       | Some (f, _) -> ignore (f.refresh f.scratches.(0) p)
       | None -> ());
@@ -349,7 +360,13 @@ module Make (P : Protocol.S) = struct
           | Some h -> min h max_rounds
           | None -> 0)
     in
-    let reader = { state = get; changed_at = (fun p -> changed_at.(p)) } in
+    let reader =
+      {
+        state = get;
+        changed_at = (fun p -> changed_at.(p));
+        written_at = (fun p -> written_at.(p));
+      }
+    in
     let quiet = ref 0 in
     let round = ref 0 in
     let last_change = ref 0 in

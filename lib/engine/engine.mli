@@ -52,6 +52,16 @@ type 's reader = {
           [P.equal_state] sense, or a state rewrite ([Join], [Corrupt], a
           [?fault] victim). While it stays at or below a round [r], the
           node's outputs are the ones [state] returned after round [r]. *)
+  written_at : int -> int;
+      (** the last round in which node [p]'s state was written, or 0 when
+          it never was: any executed step, even one that left the outputs
+          equal in the [P.equal_state] sense, or a rewrite ([Join],
+          [Corrupt], a [?fault] victim). Never below [changed_at p].
+          While it does not move, [state p] returns a state structurally
+          equal to the previous read, caches and freshness stamps
+          included, so a hook may cache anything it derives from the
+          whole state under this key. [changed_at] is not such a key:
+          a step can move cache entries that [P.equal_state] ignores. *)
 }
 (** The [?workload] hook's read-only view of the protocol states, built
     once per run. *)
@@ -187,9 +197,10 @@ module Make (P : Protocol.S) : sig
       [workload] is the data-plane hook ({!Ss_traffic.Workload} is the
       canonical client): it fires once per round, after [probe], with the
       round's effective snapshot, liveness mask and a {!reader} (the
-      states plus each node's last output-change round, so a hook that
-      caches what it read re-reads only nodes whose outputs moved), and
-      returns whether the workload is still active. An
+      states plus each node's last output-change and last write round,
+      so a hook that caches what it read re-reads only nodes whose
+      outputs, or whole states, moved), and returns whether the
+      workload is still active. An
       active workload keeps the run alive through protocol quiescence
       (like a bounded churn horizon) so in-flight messages can drain;
       it never resets the quiescence counter, so [last_change_round] and

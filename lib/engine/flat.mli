@@ -28,7 +28,9 @@
 
 module Make (P : Protocol.FLAT) : sig
   type run = Engine.Make(P).run = {
-    states : P.state array;  (** unpacked final states *)
+    states : P.state array;
+        (** unpacked final states; they may share immutable sub-values
+            (see {!Protocol.FLAT}'s [unpack]), so do not mutate them *)
     rounds : int;
     converged : bool;
     last_change_round : int;
@@ -79,7 +81,11 @@ module Make (P : Protocol.FLAT) : sig
       survives. [read.changed_at] is a plain array read, so a hook that
       caches what it read pays unpacks only for nodes whose outputs
       changed since — the traffic workload's duty drain re-reads just
-      those. Same activity semantics: an active workload keeps the run
-      alive through quiescence without resetting the quiescence counter.
-      Defaults otherwise match the reference executor. *)
+      those. [read.written_at] is one too, stamped by {!Flat_core} for
+      every node it steps, so a hook caching something derived from the
+      whole state (the traffic workload's route views) re-reads a node
+      only after its state was written. Same activity semantics: an
+      active workload keeps the run alive through quiescence without
+      resetting the quiescence counter. Defaults otherwise match the
+      reference executor. *)
 end

@@ -34,6 +34,7 @@ type 's t = {
   overlay : int array array; (* rebased base rows, by endpoint *)
   live : bool array; (* shared with the orchestrator *)
   changed_at : int array; (* last state-change round; shared likewise *)
+  written_at : int array; (* last round a step wrote the state; likewise *)
   mutable cur_bit : Bytes.t; (* frontier membership bits *)
   mutable cur : int array; (* frontier worklist, capacity n *)
   mutable cur_len : int;
@@ -48,13 +49,15 @@ type 's t = {
   ops : 's ops;
 }
 
-let create ?pool ~ops ~scratches ~live ~changed_at graph =
+let create ?pool ~ops ~scratches ~live ~changed_at ~written_at graph =
   let csr = Csr.of_graph graph in
   let n = Csr.node_count csr in
   if Array.length live <> n then
     invalid_arg "Flat_core.create: live mask length mismatch";
   if Array.length changed_at <> n then
     invalid_arg "Flat_core.create: changed_at length mismatch";
+  if Array.length written_at <> n then
+    invalid_arg "Flat_core.create: written_at length mismatch";
   if Array.length scratches < 1 then
     invalid_arg "Flat_core.create: need at least one scratch";
   let sentinel = Array.make 1 (-1) in
@@ -65,6 +68,7 @@ let create ?pool ~ops ~scratches ~live ~changed_at graph =
     overlay = Array.make n sentinel;
     live;
     changed_at;
+    written_at;
     cur_bit = Bytes.make n '\000';
     cur = Array.make (max 1 n) 0;
     cur_len = 0;
@@ -185,8 +189,9 @@ let step_sync t ~round ~deliver ~hkey ~has_down ~edge_down =
         done
   in
   (* Phase A: step every live frontier node against the pre-round
-     emission planes. Writes are confined to the node's own state planes
-     and its changed byte, so shards never conflict. *)
+     emission planes. Writes are confined to the node's own state planes,
+     its changed byte and its write stamp, so shards never conflict and
+     the stamps are the same at any shard count. *)
   run_phase (fun s ->
       let lo = s * t.cur_len / shards and hi = (s + 1) * t.cur_len / shards in
       let sc = t.scratches.(s) in
@@ -195,7 +200,8 @@ let step_sync t ~round ~deliver ~hkey ~has_down ~edge_down =
         if t.live.(p) then begin
           let count = gather t s ~deliver ~has_down ~edge_down p in
           if t.ops.step sc hkey p t.senders.(s) count then
-            Bytes.unsafe_set t.changed_bit p '\001'
+            Bytes.unsafe_set t.changed_bit p '\001';
+          t.written_at.(p) <- round
         end
       done);
   (* Phase B: re-derive emission planes from the stepped states. *)
@@ -244,6 +250,7 @@ let step_serial t ~round ~order ~deliver ~hkey ~has_down ~edge_down =
         t.changed_at.(p) <- round;
         mark_nxt t p
       end;
+      t.written_at.(p) <- round;
       if t.ops.refresh sc p then
         mark_audience t ~also_now:true ~has_down ~edge_down p;
       if t.ops.warm p then mark_nxt t p

@@ -44,6 +44,7 @@ val create :
   scratches:'s array ->
   live:bool array ->
   changed_at:int array ->
+  written_at:int array ->
   Ss_topology.Graph.t ->
   's t
 (** Freeze the graph's adjacency into CSR form and allocate the frontier
@@ -54,7 +55,12 @@ val create :
     shared the same way: {!step_round} writes the round into the entry
     of every node whose step changed its state (in the serial mark pass
     or walk, so the stamps are identical at any shard count), and the
-    orchestrator stamps the state rewrites it performs itself. *)
+    orchestrator stamps the state rewrites it performs itself.
+    [written_at] is shared likewise: {!step_round} writes the round into
+    the entry of every node it steps, changed or not (in the parallel
+    state phase, where each node writes only its own entry, or in the
+    serial walk), so while an entry stays put the node's state has not
+    been written. *)
 
 val mark_now : 's t -> int -> unit
 (** Add a node to the current frontier (idempotent). *)
@@ -82,8 +88,9 @@ val step_round :
   edge_down:(int -> int -> bool) ->
   int
 (** Execute round [round] over the current frontier and advance it;
-    returns the changed-node count and stamps each changed node's
-    [changed_at] entry with [round]. [prev] is the previous round's delivery plan
+    returns the changed-node count, stamps each changed node's
+    [changed_at] entry with [round], and each stepped node's
+    [written_at] entry. [prev] is the previous round's delivery plan
     — pass it on non-deterministic channels so nodes whose incident
     delivery pattern flipped get re-stepped ({!Engine} sparse mode's
     replay). [perm] is the round's schedule for [Random_order] (required

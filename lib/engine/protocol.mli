@@ -138,7 +138,14 @@ module type FLAT = sig
         emission plane — callers follow with [refresh_emit]. *)
 
     val unpack : buffers -> int -> state
-    (** Read node [p]'s state planes back into a typed state. *)
+    (** Read node [p]'s state planes back into a typed state. The result
+        may share immutable sub-values (arrays, option boxes) with the
+        results of earlier and later calls on the same buffers — the
+        memo that lets neighbors' cached copies of one claimed
+        neighborhood be one array — so callers must not mutate anything
+        inside a returned state. Structural equality is unaffected. An
+        implementation may write such memo planes, so calls on one
+        [buffers] must not run concurrently. *)
 
     val refresh_emit : buffers -> scratch -> int -> bool
     (** Recompute node [p]'s emission plane from its state planes;

@@ -25,7 +25,9 @@
 type peer = {
   p_node : int;
   p_is_head : bool;  (** the entry claims itself as head *)
-  p_claims : int array;  (** its claimed 1-hop neighborhood *)
+  p_claims : int array;
+      (** its claimed 1-hop neighborhood: the state's own array, which
+          flat unpacks share between states, so never mutate it *)
 }
 
 type view = {
@@ -41,7 +43,10 @@ val of_distributed : Ss_cluster.Distributed.state -> view
     candidates. Freshness stamps are deliberately ignored — they are the
     only cache fields whose dense/sparse evolution differs, and dropping
     them is what keeps workload routing bit-identical across
-    executors. *)
+    executors. The view is still a function of fields [equal_state]
+    ignores (the cache and far entries), so a caller caching views
+    must key them on [Engine.reader]'s [written_at], not on
+    [changed_at]. *)
 
 val no_via : int
 (** Sentinel (-1) for "no backbone waypoint". *)

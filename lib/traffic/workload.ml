@@ -125,8 +125,18 @@ type t = {
   head_rounds : int array;
   is_head : bool array; (* believed-head flag as of the last read *)
   read_round : int array; (* round of that read; -1 = never read *)
+  views : Route.view array; (* per node: the routing view last built *)
+  view_stamp : int array; (* the [written_at] it was built at; -1 = none *)
   mutable last_round : int;
 }
+
+let no_view =
+  {
+    Route.v_head = None;
+    v_parent = None;
+    v_peers = [||];
+    v_far_heads = [||];
+  }
 
 let create cfg ~n =
   if n < 0 then invalid_arg "Workload.create: negative node count";
@@ -141,8 +151,21 @@ let create cfg ~n =
   (match cfg.energy with
   | None -> ()
   | Some e ->
-      if e.capacity <= 0.0 then
+      (* Written so that NaN fails too: a NaN capacity would read every
+         battery as dead from round 1, and a NaN or negative cost would
+         only surface mid-run, from Energy.spend. *)
+      if not (e.capacity > 0.0) then
         invalid_arg "Workload.create: energy capacity must be positive";
+      let non_negative field x =
+        if not (x >= 0.0) then
+          invalid_arg
+            (Printf.sprintf "Workload.create: %s must be a non-negative number"
+               field)
+      in
+      non_negative "tx_cost" e.tx_cost;
+      non_negative "rx_cost" e.rx_cost;
+      non_negative "duty.head_per_epoch" e.duty.Energy.head_per_epoch;
+      non_negative "duty.member_per_epoch" e.duty.Energy.member_per_epoch;
       if e.duty_every < 1 then
         invalid_arg "Workload.create: duty_every must be >= 1");
   {
@@ -177,6 +200,8 @@ let create cfg ~n =
       (match cfg.energy with None -> [||] | Some _ -> Array.make n false);
     read_round =
       (match cfg.energy with None -> [||] | Some _ -> Array.make n (-1));
+    views = Array.make n no_view;
+    view_stamp = Array.make n (-1);
     last_round = 0;
   }
 
@@ -303,7 +328,17 @@ let hook t ~round ~graph ~alive ~read =
     Ibuf.set t.m_end m.id round;
     incr counter
   in
-  let view_of p = Route.of_distributed (read.Engine.state p) in
+  (* A view is a function of the whole state, caches included, so it is
+     keyed on the write stamp: [changed_at] would miss steps that move
+     cache entries while leaving the outputs equal. *)
+  let view_of p =
+    let w = read.Engine.written_at p in
+    if t.view_stamp.(p) <> w then begin
+      t.views.(p) <- Route.of_distributed (read.Engine.state p);
+      t.view_stamp.(p) <- w
+    end;
+    t.views.(p)
+  in
   let process m =
     if Ibuf.get t.m_outcome m.id <> o_flight then ()
     else if not alive.(m.holder) then finish m o_died died

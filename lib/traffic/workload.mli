@@ -60,8 +60,11 @@ type t
 val create : config -> n:int -> t
 (** A workload instance for one run over [n] nodes. Raises
     [Invalid_argument] on non-positive [ttl]/[max_attempts], negative
-    [rate]/[backoff_base], [backoff_cap < backoff_base], or a
-    non-positive [duty_every]/[capacity] in the energy model. *)
+    [rate]/[backoff_base], [backoff_cap < backoff_base], or, in the
+    energy model, a non-positive [duty_every], a [capacity] that is not
+    positive (NaN included), or a [tx_cost], [rx_cost],
+    [duty.head_per_epoch] or [duty.member_per_epoch] that is negative
+    or NaN; the message names the field. *)
 
 val hook :
   t ->
@@ -72,7 +75,11 @@ val hook :
   bool
 (** One data-plane round — exactly the shape of the engines' [?workload]
     parameter for the {!Ss_cluster.Distributed} protocol. Routing reads
-    each holder's {!Route.of_distributed} view. Every [duty_every] rounds
+    each holder's {!Route.of_distributed} view, cached per node with the
+    [read.written_at] value it was built at and rebuilt only when that
+    stamp moves, so routing reads each node's state at most once per
+    write. The key is [written_at], not [changed_at]: a view reads cache
+    and far entries, which [equal_state] ignores. Every [duty_every] rounds
     the duty drain charges each alive node by its believed role; it keeps
     each node's head flag with the round it was read, and calls
     [read.state p] only when [read.changed_at p] is later than that

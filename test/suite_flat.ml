@@ -344,6 +344,33 @@ let build_sim_plan c =
          (1 + (round mod 10), [ ev ]))
        c.s_plan)
 
+let sim_scheduler c =
+  match c.s_sched mod 3 with
+  | 0 -> Scheduler.Synchronous
+  | 1 -> Scheduler.Sequential
+  | _ -> Scheduler.Random_order
+
+(* One execution's world: a generator, the fleet's starting graph and
+   the motion hook. Build it fresh, same-seeded, per execution:
+   deployment, fleet sub-streams and every sequential engine draw line up
+   by construction. *)
+let sim_setup c () =
+  let model = build_model (c.s_model mod 5) in
+  let dt = dts.(c.s_dt mod Array.length dts) in
+  let n = max 4 c.s_n in
+  let rng = Rng.create ~seed:c.s_seed in
+  let start = Array.init n (fun _ -> Bbox.sample rng Bbox.unit_square) in
+  let fleet = Fleet.create rng ~model ~box:Bbox.unit_square start in
+  let motion = Motion.create ~radius:0.3 start in
+  let hook ~round:_ =
+    let moved = Fleet.step_moved fleet dt (fun i p -> Motion.move motion i p) in
+    if moved = 0 then None
+    else
+      let diff = Motion.flush motion in
+      Some (Motion.graph motion, diff)
+  in
+  (rng, Motion.graph motion, hook)
+
 let run_sim_case c =
   let module P = Distributed.Make (struct
     let params =
@@ -351,37 +378,10 @@ let run_sim_case c =
   end) in
   let module E = Engine.Make (P) in
   let module F = Flat.Make (P) in
-  let model = build_model (c.s_model mod 5) in
-  let dt = dts.(c.s_dt mod Array.length dts) in
-  let n = max 4 c.s_n in
-  let radius = 0.3 in
   let channel = build_sim_channel c in
-  let scheduler =
-    match c.s_sched mod 3 with
-    | 0 -> Scheduler.Synchronous
-    | 1 -> Scheduler.Sequential
-    | _ -> Scheduler.Random_order
-  in
+  let scheduler = sim_scheduler c in
   let churn = build_sim_plan c in
-  (* Fresh same-seeded generators per execution: deployment, fleet
-     sub-streams and every sequential engine draw line up by
-     construction. *)
-  let setup () =
-    let rng = Rng.create ~seed:c.s_seed in
-    let start = Array.init n (fun _ -> Bbox.sample rng Bbox.unit_square) in
-    let fleet = Fleet.create rng ~model ~box:Bbox.unit_square start in
-    let motion = Motion.create ~radius start in
-    let hook ~round:_ =
-      let moved =
-        Fleet.step_moved fleet dt (fun i p -> Motion.move motion i p)
-      in
-      if moved = 0 then None
-      else
-        let diff = Motion.flush motion in
-        Some (Motion.graph motion, diff)
-    in
-    (rng, Motion.graph motion, hook)
-  in
+  let setup = sim_setup c in
   let dense =
     let rng, g0, hook = setup () in
     E.run ~mode:E.Dense ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3
@@ -870,12 +870,263 @@ let test_hand_built_merge ~domains () =
       ("improved_with_dag", Config.improved_with_dag);
     ]
 
+(* ------------------------------------------------ (g): the write stamp *)
+
+(* [read.written_at] is the key the traffic workload caches route views
+   on, so its contract is checked live, through a workload hook wrapping
+   the reader, every round and every node: when a node's stamp equals its
+   value at the previous read, the state read is structurally equal to
+   that read's, caches and freshness stamps included; the stamp never
+   trails [changed_at]. Returns the verdict, the rounds on which a stamp
+   held still (a hit), and the per-round stamp planes. *)
+let stamp_trace ~n run =
+  let last_w = Array.make n (-1) and last_st = Array.make n None in
+  let ok = ref true and hits = ref 0 and trace = ref [] in
+  let workload ~round:_ ~graph:_ ~alive:_
+      ~(read : Distributed.state Engine.reader) =
+    let plane = Array.init n read.Engine.written_at in
+    for p = 0 to n - 1 do
+      let w = plane.(p) in
+      if w < read.Engine.changed_at p then ok := false;
+      let st = read.Engine.state p in
+      (match last_st.(p) with
+      | Some prev when last_w.(p) = w ->
+          incr hits;
+          if prev <> st then ok := false
+      | Some _ | None -> ());
+      last_w.(p) <- w;
+      last_st.(p) <- Some st
+    done;
+    trace := plane :: !trace;
+    false
+  in
+  run ~workload;
+  (!ok, !hits, List.rev !trace)
+
+(* Every case runs on a lossy channel with a moving fleet, and its plan
+   carries a crash, a rejoin and a corruption on top of the random
+   events. *)
+let stamp_case c =
+  let v = c.s_seed mod max 4 c.s_n in
+  {
+    c with
+    s_model = 1 + (c.s_model mod 4);
+    s_channel = 1;
+    s_plan = (2, 0, v) :: (6, 1, v) :: (4, 4, v + 1) :: c.s_plan;
+  }
+
+let run_stamp_case c =
+  let module P = Distributed.Make (struct
+    let params =
+      { Distributed.default_params with cache_ttl = 1 + (c.s_ttl mod 4) }
+  end) in
+  let module E = Engine.Make (P) in
+  let module F = Flat.Make (P) in
+  let channel = build_sim_channel c in
+  let scheduler = sim_scheduler c in
+  let churn = build_sim_plan c in
+  let typed mode ~workload =
+    let rng, g0, motion = sim_setup c () in
+    ignore
+      (E.run ~mode ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3 ~churn
+         ~corrupt:Distributed.corrupt ~motion ~workload rng g0)
+  in
+  let flat domains ~workload =
+    let rng, g0, motion = sim_setup c () in
+    ignore
+      (F.run ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3 ~churn
+         ~corrupt:Distributed.corrupt ~motion ~workload ~domains rng g0)
+  in
+  let n = max 4 c.s_n in
+  let ok_d, _, _ = stamp_trace ~n (typed E.Dense) in
+  let ok_s, hits_s, _ =
+    stamp_trace ~n (typed (E.Sparse { warm = Some Distributed.pending_expiry }))
+  in
+  let ok_1, hits_1, trace_1 = stamp_trace ~n (flat 1) in
+  let ok_4, _, trace_4 = stamp_trace ~n (flat 4) in
+  (ok_d && ok_s && ok_1 && ok_4 && trace_1 = trace_4, hits_s + hits_1)
+
+let prop_written_at_contract =
+  QCheck.Test.make
+    ~name:"written_at: still stamp = same state; >= changed_at; 1 = 4 domains"
+    ~count:100 arb_sim (fun c -> fst (run_stamp_case (stamp_case c)))
+
+(* The contract is not vacuous: on a settling network the frontier
+   executors leave stamps still while other nodes keep stepping. *)
+let test_written_at_hits () =
+  let c =
+    stamp_case
+      {
+        s_seed = 41;
+        s_n = 24;
+        s_model = 0;
+        s_channel = 0;
+        s_sched = 0;
+        s_ttl = 2;
+        s_dt = 0;
+        s_plan = [];
+      }
+  in
+  let ok, hits = run_stamp_case c in
+  Alcotest.(check bool) "contract holds" true ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "sparse and flat reads under still stamps (%d)" hits)
+    true (hits > 0)
+
+(* ---------------------------------------------- (h): interned unpacks *)
+
+module Pd = Distributed.Make (struct
+  let params = Distributed.default_params
+end)
+
+module Fd = Flat.Make (Pd)
+
+let converged_world ~count ~degree =
+  let radius = sqrt (degree /. (Float.pi *. float_of_int count)) in
+  let graph =
+    Builders.random_geometric_count (Rng.create ~seed:21) ~count ~radius
+  in
+  let r = Fd.run ~max_rounds:300 ~quiet_rounds:5 (Rng.create ~seed:22) graph in
+  Alcotest.(check bool) "run converged" true r.Fd.converged;
+  (graph, r.Fd.states)
+
+(* (a) A converged run's final states hold one claimed-neighborhood array
+   per emitter: every cache entry with equal claims for the same emitter
+   is the same physical array. *)
+let test_interned_claims () =
+  let graph, states = converged_world ~count:400 ~degree:10.0 in
+  let seen = Array.make (Graph.node_count graph) [] in
+  let shared = ref 0 and split = ref 0 in
+  Array.iter
+    (fun (st : Distributed.state) ->
+      List.iter
+        (fun (q, (e : Distributed.entry)) ->
+          match List.find_opt (fun a -> a = e.e_nbrs) seen.(q) with
+          | Some a -> if a == e.e_nbrs then incr shared else incr split
+          | None -> seen.(q) <- e.e_nbrs :: seen.(q))
+        st.Distributed.cache)
+    states;
+  Alcotest.(check int) "equal claims held in distinct arrays" 0 !split;
+  Alcotest.(check bool)
+    (Printf.sprintf "claims shared (%d entries)" !shared)
+    true (!shared > 0)
+
+(* (b) Keys outside [0, n) bypass the memo: cache and far keys, heads,
+   parents and claims past either end round-trip through pack/unpack,
+   with the memo cold and warm, and a rewrite of an emitter's claims is
+   read back as written, not as the memo's older array. *)
+let test_intern_out_of_range () =
+  let graph = hand_graph () in
+  let n = Graph.node_count graph in
+  let states = hand_built ~collide:false in
+  (* [hand_built] already carries cache keys -7, -4, 9 and 17, far keys
+     -4 and 17, and claims -7 and -4; add a parent and a head past n. *)
+  states.(2) <- { (states.(2)) with head = Some (n + 3); parent = Some n };
+  let b = Pd.Flat.alloc graph in
+  Array.iteri (Pd.Flat.pack b) states;
+  List.iter
+    (fun pass ->
+      Array.iteri
+        (fun p st ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s node %d" pass p)
+            true
+            (Pd.Flat.unpack b p = st))
+        states)
+    [ "cold memo"; "warm memo" ];
+  let before = Pd.Flat.unpack b 2 in
+  List.iter
+    (fun claims ->
+      let moved =
+        {
+          (states.(2)) with
+          cache =
+            List.map
+              (fun (q, (e : Distributed.entry)) ->
+                if q = 1 then (q, { e with e_nbrs = claims }) else (q, e))
+              states.(2).Distributed.cache;
+        }
+      in
+      Pd.Flat.pack b 2 moved;
+      Alcotest.(check bool)
+        (Printf.sprintf "rewritten claims (%d) read back" (Array.length claims))
+        true
+        (Pd.Flat.unpack b 2 = moved))
+    [ [| 4 |]; [| 0; 2; 4 |] ];
+  Alcotest.(check bool) "an earlier unpack is left as it was" true
+    (before = states.(2))
+
+(* (c) The final unpack's allocation: interned, at most 60% of the words
+   per node of a reference that builds every sub-value fresh, as the
+   unpack did before interning (Array.sub per claimed neighborhood, a
+   [Some] and a density per entry). Both read the same converged states;
+   the interned unpack starts from cold memo planes. What interning saves
+   grows with the claimed neighborhoods, so the ratio falls with the
+   degree: about 0.62 at degree 6, 0.60 at 9, 0.58 at 12 (the traffic
+   deployments' degree, pinned here) and 0.56 at 16. *)
+let fresh_copy (st : Distributed.state) =
+  let dens = function
+    | None -> None
+    | Some d ->
+        Some
+          (Ss_cluster.Density.make
+             ~links:(Ss_cluster.Density.links d)
+             ~nodes:(Ss_cluster.Density.nodes d))
+  in
+  let opt = function None -> None | Some v -> Some (v + 0) in
+  {
+    st with
+    density = dens st.Distributed.density;
+    parent = opt st.Distributed.parent;
+    head = opt st.Distributed.head;
+    cache =
+      List.map
+        (fun (q, (e : Distributed.entry)) ->
+          ( q,
+            {
+              e with
+              e_density = dens e.e_density;
+              e_head = opt e.e_head;
+              e_nbrs = Array.sub e.e_nbrs 0 (Array.length e.e_nbrs);
+            } ))
+        st.Distributed.cache;
+    far =
+      List.map
+        (fun (v, (f : Distributed.far_entry)) ->
+          (v, { f with f_density = dens f.f_density }))
+        st.Distributed.far;
+  }
+
+let test_unpack_alloc () =
+  let graph, states = converged_world ~count:1500 ~degree:12.0 in
+  let n = Graph.node_count graph in
+  let out = Array.make n states.(0) in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for p = 0 to n - 1 do
+      out.(p) <- f p
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let b = Pd.Flat.alloc graph in
+  Array.iteri (Pd.Flat.pack b) states;
+  let interned = words (Pd.Flat.unpack b) in
+  Alcotest.(check bool) "interned unpack reads back" true (out = states);
+  let fresh = words (fun p -> fresh_copy states.(p)) in
+  Alcotest.(check bool) "reference copy reads back" true (out = states);
+  Alcotest.(check bool)
+    (Printf.sprintf "words per node: interned %.0f <= 60%% of fresh %.0f"
+       interned fresh)
+    true
+    (interned <= 0.6 *. fresh)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_flat_equals_dense;
       prop_flat_equals_dense_motion;
       prop_flat_stamps_track_changes;
+      prop_written_at_contract;
     ]
 
 let suite =
@@ -899,4 +1150,12 @@ let suite =
         (test_hand_built_merge ~domains:1);
       Alcotest.test_case "stamp-plane merge = handle (4 domains)" `Quick
         (test_hand_built_merge ~domains:4);
+      Alcotest.test_case "written_at holds still while states do" `Quick
+        test_written_at_hits;
+      Alcotest.test_case "unpack: one claims array per emitter" `Quick
+        test_interned_claims;
+      Alcotest.test_case "unpack: out-of-range keys bypass the memo" `Quick
+        test_intern_out_of_range;
+      Alcotest.test_case "unpack: interned words <= 60% of fresh" `Quick
+        test_unpack_alloc;
     ]

@@ -16,7 +16,11 @@
        with the network.
    (d) The duty drain's cached head flags are unobservable: forcing full
        re-reads changes no observable, and a drain reads no more nodes
-       than had their outputs change since the previous one. *)
+       than had their outputs change since the previous one.
+   (e) The route-view cache is unobservable: forcing every view to be
+       rebuilt changes no observable, and routing reads each node's state
+       at most once per write stamp.
+   (f) Bad energy inputs fail at [Workload.create], naming the field. *)
 
 module Graph = Ss_topology.Graph
 module Vec2 = Ss_geom.Vec2
@@ -404,6 +408,158 @@ let test_drain_reads_bounded () =
         (forced_over > 0 && forced_reads > reads))
     [ ("sparse", Sparse); ("flat", FlatD 1) ]
 
+(* ------------------------- (e): the route-view cache is unobservable *)
+
+(* Hand the hook a reader whose write stamps all read "written this
+   round": routing then rebuilds every view it reads, every round. *)
+let fresh_views hook ~round ~graph ~alive ~(read : _ Engine.reader) =
+  hook ~round ~graph ~alive
+    ~read:{ read with Engine.written_at = (fun _ -> round) }
+
+let test_view_cache_unobservable () =
+  let g = build_world energy_case in
+  List.iter
+    (fun (label, exec) ->
+      let cached = run_exec energy_case g exec in
+      let fresh = run_exec ~wrap:fresh_views energy_case g exec in
+      Alcotest.(check bool)
+        (label ^ ": cached views = rebuilt views")
+        true (same cached fresh))
+    [ ("dense", Dense); ("sparse", Sparse); ("flat", FlatD 1) ]
+
+(* Count a hook's state reads by (node, written_at) pair, against the
+   reader's true stamps, and report the reads and the pairs read more
+   than once. Only meaningful for a hook that reads nothing but routing
+   views — a workload without an energy model has no duty drain. *)
+let route_audit hook =
+  let pairs = Hashtbl.create 256 in
+  let reads = ref 0 and repeats = ref 0 in
+  let audited ~round ~graph ~alive ~(read : _ Engine.reader) =
+    let counting =
+      {
+        read with
+        Engine.state =
+          (fun p ->
+            let key = (p, read.Engine.written_at p) in
+            incr reads;
+            if Hashtbl.mem pairs key then incr repeats
+            else Hashtbl.add pairs key ();
+            read.Engine.state p);
+      }
+    in
+    ignore (hook ~round ~graph ~alive ~read:counting)
+  in
+  (audited, fun () -> (!reads, !repeats))
+
+(* A rider routing the same traffic without an energy model shares the
+   run: every state it reads is a routing read, and no (node, stamp)
+   pair may be read twice. On the frontier executors the same rider fed
+   rebuilt views repeats pairs, so the audit is not vacuous; the dense
+   walk writes every live node every round, so there its stamps already
+   move each round and the two riders read alike. *)
+let test_route_reads_once_per_write () =
+  let c = energy_case in
+  let g = build_world c in
+  let n = Graph.node_count g in
+  let ride ~force exec =
+    let rider = W.create { (workload_config c) with W.energy = None } ~n in
+    let rider_hook =
+      if force then fresh_views (W.hook rider) else W.hook rider
+    in
+    let audited, report = route_audit rider_hook in
+    let wrap hook ~round ~graph ~alive ~read =
+      audited ~round ~graph ~alive ~read;
+      hook ~round ~graph ~alive ~read
+    in
+    ignore (run_exec ~wrap c g exec);
+    (W.totals rider, report ())
+  in
+  List.iter
+    (fun (label, exec, frontier) ->
+      let t, (reads, repeats) = ride ~force:false exec in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: rider routed traffic (%d attempts)" label
+           t.W.attempts)
+        true (t.W.attempts > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: (node, written_at) pairs read twice (%d reads)"
+           label reads)
+        0 repeats;
+      let _, (forced_reads, forced_repeats) = ride ~force:true exec in
+      if frontier then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: rebuilt views repeat pairs (%d > %d reads)"
+             label forced_reads reads)
+          true
+          (forced_repeats > 0 && forced_reads > reads)
+      else
+        Alcotest.(check int)
+          (label ^ ": rebuilt views read alike")
+          reads forced_reads)
+    [ ("dense", Dense, false); ("sparse", Sparse, true); ("flat", FlatD 1, true) ]
+
+(* ----------------------------------------- (f): energy input checks *)
+
+let contains msg sub =
+  let k = String.length sub and m = String.length msg in
+  let rec at i = i + k <= m && (String.sub msg i k = sub || at (i + 1)) in
+  at 0
+
+let rejects field energy () =
+  match W.create { W.default_config with W.energy = Some energy } ~n:4 with
+  | _ -> Alcotest.failf "%s: accepted" field
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s named in %S" field msg)
+        true (contains msg field)
+
+let bad_energy_cases =
+  let e = W.default_energy in
+  let duty ?(head = e.W.duty.Ss_cluster.Energy.head_per_epoch)
+      ?(member = e.W.duty.Ss_cluster.Energy.member_per_epoch) () =
+    {
+      e with
+      W.duty =
+        {
+          Ss_cluster.Energy.head_per_epoch = head;
+          member_per_epoch = member;
+        };
+    }
+  in
+  [
+    ("NaN capacity", "capacity", { e with W.capacity = Float.nan });
+    ("negative tx_cost", "tx_cost", { e with W.tx_cost = -1.0 });
+    ("NaN tx_cost", "tx_cost", { e with W.tx_cost = Float.nan });
+    ("negative rx_cost", "rx_cost", { e with W.rx_cost = -0.5 });
+    ("NaN rx_cost", "rx_cost", { e with W.rx_cost = Float.nan });
+    ("negative head_per_epoch", "head_per_epoch", duty ~head:(-5.0) ());
+    ("NaN head_per_epoch", "head_per_epoch", duty ~head:Float.nan ());
+    ("negative member_per_epoch", "member_per_epoch", duty ~member:(-1.0) ());
+    ("NaN member_per_epoch", "member_per_epoch", duty ~member:Float.nan ());
+  ]
+
+(* Zero costs and an infinite capacity stay legal. *)
+let test_energy_edges_accepted () =
+  ignore
+    (W.create
+       {
+         W.default_config with
+         W.energy =
+           Some
+             {
+               W.default_energy with
+               W.capacity = Float.infinity;
+               tx_cost = 0.0;
+               rx_cost = 0.0;
+               duty =
+                 {
+                   Ss_cluster.Energy.head_per_epoch = 0.0;
+                   member_per_epoch = 0.0;
+                 };
+             };
+       }
+       ~n:4)
+
 (* -------------------------------- (c): idle workload hook allocation *)
 
 let idle_hook_alloc n =
@@ -458,4 +614,15 @@ let suite =
         test_skipped_reads_unobservable;
       Alcotest.test_case "duty drain reads only what moved" `Quick
         test_drain_reads_bounded;
+      Alcotest.test_case "cached route views are unobservable" `Quick
+        test_view_cache_unobservable;
+      Alcotest.test_case "routing reads a state once per write" `Quick
+        test_route_reads_once_per_write;
+      Alcotest.test_case "zero energy costs, infinite capacity accepted"
+        `Quick test_energy_edges_accepted;
     ]
+  @ List.map
+      (fun (label, field, energy) ->
+        Alcotest.test_case ("create rejects " ^ label) `Quick
+          (rejects field energy))
+      bad_energy_cases
