@@ -101,100 +101,208 @@ struct
       far = [];
     }
 
-  let is_head_of ~node st = st.head = Some node
+  let ttl = params.cache_ttl
+
+  let () =
+    if ttl < 0 then
+      invalid_arg
+        (Printf.sprintf "Distributed.Make: cache_ttl must be >= 0 (got %d)" ttl)
+
+  (* [q] heads itself in [e], the entry q's own frame refreshed. *)
+  let self_head q e = match e.e_head with Some h -> h = q | None -> false
+
+  let summary (q, e) =
+    {
+      s_node = q;
+      s_density = e.e_density;
+      s_eff = (if algo.Config.use_dag_names then e.e_dag else e.e_gid);
+      s_is_head = self_head q e;
+    }
 
   let emit _graph p st =
-    let summaries =
-      List.map
-        (fun (q, e) ->
-          {
-            s_node = q;
-            s_density = e.e_density;
-            s_eff = (if algo.Config.use_dag_names then e.e_dag else e.e_gid);
-            s_is_head = e.e_head = Some q;
-          })
-        st.cache
-    in
     {
       m_node = p;
       m_gid = st.gid;
       m_dag = st.dag;
       m_density = st.density;
       m_head = st.head;
-      m_nbrs = Array.of_list summaries;
+      m_nbrs = Array.of_list (List.map summary st.cache);
     }
 
-  (* One cache refresh: the fresh entries merged over the old canonical
-     list (sorted by node index, keys unique, so polymorphic equality
-     detects fixpoints). [fresh] is sorted stably by [key], so the last
-     element of each run of equal keys is the latest one received: a later
-     frame's claim overwrites an earlier one's, fresh entries replace old
-     ones for the same key, keys satisfying [skip] are never inserted, and
-     [keep] (the TTL filter) runs over the merged list last. One linear
-     pass over both, instead of re-consing the list prefix per insert. *)
-  let merge_fresh ~key ~skip ~entry ~keep fresh old =
-    let n = Array.length fresh in
-    let rec go i old =
-      if i >= n then List.filter (fun (_, e) -> keep e) old
-      else begin
-        let k = key fresh.(i) in
-        let j = ref i in
-        while !j + 1 < n && key fresh.(!j + 1) = k do
-          incr j
-        done;
-        if skip k then go (!j + 1) old else put k fresh.(!j) (!j + 1) old
-      end
-    and put k x next old =
-      match old with
-      | ((ok, oe) as pair) :: rest when ok < k ->
-          if keep oe then pair :: put k x next rest else put k x next rest
-      | (ok, _) :: rest when ok = k -> add k x next rest
-      | _ -> add k x next old
-    and add k x next old =
-      let e = entry x in
-      if keep e then (k, e) :: go next old else go next old
-    in
-    go 0 old
+  (* --- cache refresh. Both caches are rebuilt from the frames heard
+     and merged over the old lists (canonically sorted by node index with
+     unique keys, so polymorphic equality detects fixpoints). Among the
+     fresh claims for one key the latest received wins: a later frame's,
+     or a later summary's in the same frame. An old entry the merge passes
+     is kept while live ([clock - heard <= ttl]); an old entry for a fresh
+     key is replaced. The merges read the frames in place, which needs
+     them in key order: the executors deliver senders ascending and every
+     emission relays its summaries ascending (a forgery keeps the honest
+     order). Only out-of-order frames (built by hand, or emitted from a
+     hand-built state) go through [sorted_copy]; an out-of-order old list
+     is merged as it stands. *)
+
+  (* The one normaliser: a stably sorted copy, so equal keys keep their
+     order of reception and the received values are never touched. *)
+  let sorted_copy key a =
+    let a = Array.copy a in
+    Array.stable_sort (fun x y -> Int.compare (key x) (key y)) a;
+    a
+
+  let rec keys_ascending = function
+    | ((p : int), _) :: ((q, _) :: _ as rest) ->
+        p <= q && keys_ascending rest
+    | [ _ ] | [] -> true
+
+  let rec summaries_ascending a i =
+    i >= Array.length a
+    || (a.(i - 1).s_node <= a.(i).s_node && summaries_ascending a (i + 1))
+
+  (* The live old entries; the list itself when all of it is live. *)
+  let rec live heard clock = function
+    | [] -> []
+    | ((_, e) as pair) :: rest as l ->
+        let rest' = live heard clock rest in
+        if clock - heard e > ttl then rest'
+        else if rest' == rest then l
+        else pair :: rest'
+
+  let rec same_claims old s i =
+    i >= Array.length s || (old.(i) = s.(i).s_node && same_claims old s (i + 1))
+
+  (* The claims [m] carries; [old]'s array when they are the same, so a
+     steady neighbor's entry shares it round after round. *)
+  let claims m old =
+    let s = m.m_nbrs in
+    if Array.length old = Array.length s && same_claims old s 0 then old
+    else Array.map (fun x -> x.s_node) s
+
+  let entry clock m e_nbrs =
+    {
+      e_heard = clock;
+      e_gid = m.m_gid;
+      e_dag = m.m_dag;
+      e_density = m.m_density;
+      e_head = m.m_head;
+      e_nbrs;
+    }
+
+  let rec cache_go clock fresh old =
+    match fresh with
+    | [] -> live (fun e -> e.e_heard) clock old
+    | (q, m) :: rest -> (
+        match rest with
+        | (q', _) :: _ when q' = q -> cache_go clock rest old
+        | _ -> cache_put clock q m rest old)
+
+  and cache_put clock (q : int) m rest old =
+    match old with
+    | ((k, e) as pair) :: tail when k < q ->
+        if clock - e.e_heard <= ttl then pair :: cache_put clock q m rest tail
+        else cache_put clock q m rest tail
+    | (k, e) :: tail when k = q ->
+        (q, entry clock m (claims m e.e_nbrs)) :: cache_go clock rest tail
+    | _ -> (q, entry clock m (claims m [||])) :: cache_go clock rest old
 
   let refresh_cache clock cache msgs =
-    let fresh = Array.of_list msgs in
-    Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) fresh;
-    merge_fresh ~key:fst
-      ~skip:(fun _ -> false)
-      ~entry:(fun (_, m) ->
-        {
-          e_heard = clock;
-          e_gid = m.m_gid;
-          e_dag = m.m_dag;
-          e_density = m.m_density;
-          e_head = m.m_head;
-          e_nbrs = Array.map (fun s -> s.s_node) m.m_nbrs;
-        })
-      ~keep:(fun e -> clock - e.e_heard <= params.cache_ttl)
-      fresh cache
+    let fresh =
+      if keys_ascending msgs then msgs
+      else Array.to_list (sorted_copy fst (Array.of_list msgs))
+    in
+    cache_go clock fresh cache
 
-  (* The relayed summaries of every frame, in reception order; concat
-     copies, so sorting never touches the (shared) received frames. *)
+  (* The relayed summaries of every frame, merged k-way. [frames] are in
+     reception order, each ascending by key; frame i's cursor is pos.(i)
+     and the key under it heads.(i). The next fresh key is the smallest
+     under any cursor, and the latest frame holding it wins with the last
+     summary of its run there: [next_fresh] moves every cursor past that
+     key and returns the winning frame, whose summary is then at its
+     pos - 1; -1 once every frame is exhausted. *)
+  type merge = {
+    frames : summary array array;
+    pos : int array;
+    heads : int array;
+  }
+
+  let advance mg i v =
+    let f = mg.frames.(i) in
+    let j = ref (mg.pos.(i) + 1) in
+    while !j < Array.length f && f.(!j).s_node = v do
+      incr j
+    done;
+    mg.pos.(i) <- !j;
+    if !j < Array.length f then mg.heads.(i) <- f.(!j).s_node
+
+  let next_fresh mg =
+    let frames = mg.frames and pos = mg.pos and heads = mg.heads in
+    let w = ref (-1) and v = ref 0 in
+    for i = 0 to Array.length frames - 1 do
+      if pos.(i) < Array.length frames.(i) && (!w < 0 || heads.(i) <= !v)
+      then begin
+        w := i;
+        v := heads.(i)
+      end
+    done;
+    if !w >= 0 then
+      for i = 0 to Array.length frames - 1 do
+        if pos.(i) < Array.length frames.(i) && heads.(i) = !v then
+          advance mg i !v
+      done;
+    !w
+
+  let far_entry clock s =
+    {
+      f_heard = clock;
+      f_density = s.s_density;
+      f_eff = s.s_eff;
+      f_is_head = s.s_is_head;
+    }
+
+  let rec far_go self clock mg old =
+    let w = next_fresh mg in
+    if w < 0 then live (fun f -> f.f_heard) clock old
+    else
+      let s = mg.frames.(w).(mg.pos.(w) - 1) in
+      if s.s_node = self then far_go self clock mg old
+      else far_put self clock mg s old
+
+  and far_put self clock mg s old =
+    match old with
+    | ((k, f) as pair) :: tail when k < s.s_node ->
+        if clock - f.f_heard <= ttl then pair :: far_put self clock mg s tail
+        else far_put self clock mg s tail
+    | (k, _) :: tail when k = s.s_node ->
+        (k, far_entry clock s) :: far_go self clock mg tail
+    | _ -> (s.s_node, far_entry clock s) :: far_go self clock mg old
+
+  let rec fill_frames mg i = function
+    | [] -> ()
+    | (_, m) :: rest ->
+        let a = m.m_nbrs in
+        let a =
+          if summaries_ascending a 1 then a
+          else sorted_copy (fun s -> s.s_node) a
+        in
+        mg.frames.(i) <- a;
+        if Array.length a > 0 then mg.heads.(i) <- a.(0).s_node;
+        fill_frames mg (i + 1) rest
+
   let refresh_far ~self clock far msgs =
-    let fresh = Array.concat (List.map (fun (_, m) -> m.m_nbrs) msgs) in
-    Array.stable_sort (fun a b -> Int.compare a.s_node b.s_node) fresh;
-    merge_fresh
-      ~key:(fun s -> s.s_node)
-      ~skip:(Int.equal self)
-      ~entry:(fun s ->
-        {
-          f_heard = clock;
-          f_density = s.s_density;
-          f_eff = s.s_eff;
-          f_is_head = s.s_is_head;
-        })
-      ~keep:(fun e -> clock - e.f_heard <= params.cache_ttl)
-      fresh far
+    let k = List.length msgs in
+    let mg =
+      {
+        frames = Array.make k [||];
+        pos = Array.make k 0;
+        heads = Array.make k 0;
+      }
+    in
+    fill_frames mg 0 msgs;
+    far_go self clock mg far
 
   (* N1: re-pick my name if it collides with a cached neighbor name and I
      hold the smaller global id (ties on gid broken by node index for
      progress under corrupted duplicate ids). *)
-  let resolve_dag rng ~node st cache =
+  let resolve_dag rng ~(node : int) st cache =
     if not algo.Config.use_dag_names then st.dag
     else begin
       let loses (q, e) =
@@ -217,57 +325,105 @@ struct
       end
     end
 
-  let compute_density cache =
-    let neighbors = Array.of_list (List.map fst cache) in
-    let tables = List.map (fun (q, e) -> (q, e.e_nbrs)) cache in
-    Density.of_local_view ~neighbors ~tables
+  (* --- R1: entry q's claims r > q that are cache keys. When the keys
+     and every entry's claims are ascending, which every emission gives,
+     the keys above q are among the entries after q and the claims meet
+     them in one merge; any other order (hand-built states only) goes to
+     Density.of_local_view, the definition. *)
+  let rec among_after (q : int) (claims : int array) i after acc =
+    if i >= Array.length claims then acc
+    else
+      let r = claims.(i) in
+      if r <= q then among_after q claims (i + 1) after acc
+      else
+        match after with
+        | [] -> acc
+        | (k, _) :: rest when k < r -> among_after q claims i rest acc
+        | (k, _) :: _ ->
+            among_after q claims (i + 1) after (if k = r then acc + 1 else acc)
 
-  (* R2 from cached values: None when some needed cache field is missing
-     (guard disabled until the information arrives). *)
-  let elect ~node ~dag st cache far =
-    match st.density with
+  let rec among acc = function
+    | [] -> acc
+    | (q, e) :: rest -> among (among_after q e.e_nbrs 0 rest acc) rest
+
+  let rec claims_ascending (a : int array) i =
+    i >= Array.length a || (a.(i - 1) <= a.(i) && claims_ascending a (i + 1))
+
+  let rec view_ascending = function
+    | [] -> true
+    | ((q : int), e) :: rest ->
+        claims_ascending e.e_nbrs 1
+        && (match rest with (q', _) :: _ -> q <= q' | [] -> true)
+        && view_ascending rest
+
+  (* [prev] itself when the density did not change. *)
+  let density_of prev cache =
+    let nodes = List.length cache in
+    let links =
+      if view_ascending cache then nodes + among 0 cache
+      else
+        Density.links
+          (Density.of_local_view
+             ~neighbors:(Array.of_list (List.map fst cache))
+             ~tables:(List.map (fun (q, e) -> (q, e.e_nbrs)) cache))
+    in
+    match prev with
+    | Some d when Density.links d = links && Density.nodes d = nodes -> prev
+    | Some _ | None -> Some (Density.make ~links ~nodes)
+
+  (* --- R2 from cached values, comparing raw keys (Order.compare_raw):
+     a density [None] reads as Density.zero. *)
+  let links_of = function Some d -> Density.links d | None -> 0
+  let nodes_of = function Some d -> Density.nodes d | None -> 0
+  let eff_of e = if algo.Config.use_dag_names then e.e_dag else e.e_gid
+
+  let cmp_entries tie (q1, e1) (q2, e2) =
+    Order.compare_raw ~tie (links_of e1.e_density) (nodes_of e1.e_density)
+      (eff_of e1) (self_head q1 e1) (links_of e2.e_density)
+      (nodes_of e2.e_density) (eff_of e2) (self_head q2 e2)
+
+  let rec claims_node v (a : int array) i =
+    i < Array.length a && (a.(i) = v || claims_node v a (i + 1))
+
+  (* Joining neighbor q: its first entry's head, if it has one. *)
+  let rec join (q : int) = function
+    | [] -> None
+    | (k, e) :: rest ->
+        if k <> q then join q rest
+        else match e.e_head with Some h -> Some (q, h) | None -> None
+
+  (* R2: [Some (parent, head)], or None when some needed cache field is
+     missing (the guard stays disabled until the information arrives). *)
+  let elect ~node ~dag ~density st cache far =
+    match density with
     | None -> None
     | Some my_density ->
-        let have_all_densities =
-          List.for_all (fun (_, e) -> e.e_density <> None) cache
-        in
-        if not have_all_densities then None
+        if not (List.for_all (fun (_, e) -> Option.is_some e.e_density) cache)
+        then None
         else begin
-          let tie = algo.Config.tie in
-          let my_eff = if algo.Config.use_dag_names then dag else st.gid in
-          let my_key =
-            Order.key ~value:my_density ~id:my_eff
-              ~incumbent:(is_head_of ~node st)
-          in
-          let key_of (q, e) =
-            let value =
-              match e.e_density with Some d -> d | None -> Density.zero
-            in
-            Order.key ~value
-              ~id:(if algo.Config.use_dag_names then e.e_dag else e.e_gid)
-              ~incumbent:(e.e_head = Some q)
-          in
           match cache with
           | [] -> Some (node, node) (* isolated: own head *)
           | first :: rest ->
-              let best, best_key =
+              let tie = algo.Config.tie in
+              let ml = Density.links my_density
+              and mn = Density.nodes my_density
+              and mid = if algo.Config.use_dag_names then dag else st.gid
+              and minc =
+                match st.head with Some h -> h = node | None -> false
+              in
+              (* the strongest neighbor; ties keep the earliest *)
+              let bq, be =
                 List.fold_left
-                  (fun (bq, bk) (q, e) ->
-                    let k = key_of (q, e) in
-                    if Order.compare ~tie k bk > 0 then (q, k) else (bq, bk))
-                  (fst first, key_of first)
-                  rest
+                  (fun best c -> if cmp_entries tie c best > 0 then c else best)
+                  first rest
               in
-              let join q =
-                match List.assoc_opt q cache with
-                | Some e -> (
-                    match e.e_head with
-                    | Some h -> Some (q, h)
-                    | None -> None)
-                | None -> None
+              let locally_maximal =
+                Order.compare_raw ~tie (links_of be.e_density)
+                  (nodes_of be.e_density) (eff_of be) (self_head bq be) ml mn
+                  mid minc
+                < 0
               in
-              let locally_maximal = Order.precedes ~tie best_key my_key in
-              if not locally_maximal then join best
+              if not locally_maximal then join bq cache
               else if not algo.Config.fusion then Some (node, node)
               else begin
                 (* The strongest dominating 2-hop head, from the relayed
@@ -275,20 +431,26 @@ struct
                    a 1-hop head, so only the far cache matters. *)
                 let dominating =
                   List.fold_left
-                    (fun acc (q, e) ->
-                      match e.f_density with
-                      | Some d when e.f_is_head ->
-                          let k =
-                            Order.key ~value:d ~id:e.f_eff ~incumbent:true
-                          in
-                          if Order.precedes ~tie my_key k then
-                            match acc with
-                            | Some (_, kbest)
-                              when Order.compare ~tie k kbest <= 0 ->
-                                acc
-                            | Some _ | None -> Some (q, k)
-                          else acc
-                      | Some _ | None -> acc)
+                    (fun best ((_, f) as c) ->
+                      match f.f_density with
+                      | Some d when f.f_is_head ->
+                          let l = Density.links d and n = Density.nodes d in
+                          if
+                            Order.compare_raw ~tie ml mn mid minc l n f.f_eff
+                              true
+                            >= 0
+                          then best
+                          else begin
+                            match best with
+                            | Some (_, b)
+                              when Order.compare_raw ~tie l n f.f_eff true
+                                     (links_of b.f_density)
+                                     (nodes_of b.f_density) b.f_eff true
+                                   <= 0 ->
+                                best
+                            | Some _ | None -> Some c
+                          end
+                      | Some _ | None -> best)
                     None far
                 in
                 match dominating with
@@ -299,19 +461,16 @@ struct
                        Algorithm.bridge_towards for the rationale. *)
                     let bridge =
                       List.fold_left
-                        (fun acc (q, e) ->
-                          if Array.exists (Int.equal v) e.e_nbrs then
-                            let k = key_of (q, e) in
-                            match acc with
-                            | Some (_, kbest)
-                              when Order.compare ~tie k kbest <= 0 ->
-                                acc
-                            | Some _ | None -> Some (q, k)
-                          else acc)
+                        (fun best ((_, e) as c) ->
+                          if not (claims_node v e.e_nbrs 0) then best
+                          else
+                            match best with
+                            | Some b when cmp_entries tie c b <= 0 -> best
+                            | Some _ | None -> Some c)
                         None cache
                     in
                     match bridge with
-                    | Some (b, _) -> join b
+                    | Some (b, _) -> join b cache
                     | None ->
                         (* Stale far entry with no live bridge: hold state
                            until the cache refreshes or the entry expires. *)
@@ -319,16 +478,29 @@ struct
               end
         end
 
+  (* [prev] itself when it already holds [v]. *)
+  let keep_some prev (v : int) =
+    match prev with Some u when u = v -> prev | Some _ | None -> Some v
+
   let handle rng _graph node st msgs =
     let clock = st.clock + 1 in
     let cache = refresh_cache clock st.cache msgs in
     let far = refresh_far ~self:node clock st.far msgs in
     let dag = resolve_dag rng ~node st cache in
-    let density = Some (compute_density cache) in
-    let st = { st with clock; cache; far; dag; density } in
-    match elect ~node ~dag st cache far with
-    | Some (parent, head) -> { st with parent = Some parent; head = Some head }
-    | None -> st
+    let density = density_of st.density cache in
+    match elect ~node ~dag ~density st cache far with
+    | Some (parent, head) ->
+        {
+          st with
+          clock;
+          cache;
+          far;
+          dag;
+          density;
+          parent = keep_some st.parent parent;
+          head = keep_some st.head head;
+        }
+    | None -> { st with clock; cache; far; dag; density }
 
   let equal_state (a : state) (b : state) =
     (* Quiescence is judged on the protocol's outputs — the shared variables
@@ -779,22 +951,6 @@ struct
        stamp, so the pending-expiry test is one compare. *)
     let warm b p = b.minh.(p) < b.clock.(p)
 
-    (* Order.compare over sentinel-encoded keys, on raw ints. *)
-    let cmp_keys tie l1 n1 id1 inc1 l2 n2 id2 inc2 =
-      let an = if n1 = 0 then 0 else l1
-      and ad = if n1 = 0 then 1 else n1
-      and bn = if n2 = 0 then 0 else l2
-      and bd = if n2 = 0 then 1 else n2 in
-      let c = Int.compare (an * bd) (bn * ad) in
-      if c <> 0 then c
-      else
-        match tie with
-        | Order.Id_only -> Int.compare id2 id1
-        | Order.Incumbent_then_id ->
-            if inc1 && not inc2 then 1
-            else if inc2 && not inc1 then -1
-            else Int.compare id2 id1
-
     let step b s hkey p ~senders ~count =
       let ttl = params.cache_ttl in
       let clock' = b.clock.(p) + 1 in
@@ -1201,7 +1357,7 @@ struct
             let einc = c.(!pos + 6) = q in
             if
               !best_off < 0
-              || cmp_keys tie el en_ eid einc !bl !bn !bid !binc > 0
+              || Order.compare_raw ~tie el en_ eid einc !bl !bn !bid !binc > 0
             then begin
               best_off := !pos;
               bl := el;
@@ -1212,7 +1368,7 @@ struct
             pos := !pos + 8 + c.(!pos + 7)
           done;
           let locally_maximal =
-            cmp_keys tie !bl !bn !bid !binc dl' dn' my_eff my_inc < 0
+            Order.compare_raw ~tie !bl !bn !bid !binc dl' dn' my_eff my_inc < 0
           in
           if not locally_maximal then join_off := !best_off
           else if not algo.Config.fusion then begin
@@ -1229,8 +1385,11 @@ struct
               let o = 6 * i in
               if f.(o + 2) >= 0 && f.(o + 5) <> 0 then begin
                 let l = f.(o + 2) and nn = f.(o + 3) and id = f.(o + 4) in
-                if cmp_keys tie dl' dn' my_eff my_inc l nn id true < 0 then
-                  if !dv < 0 || cmp_keys tie l nn id true !kl !kn !kid true > 0
+                if Order.compare_raw ~tie dl' dn' my_eff my_inc l nn id true < 0
+                then
+                  if
+                    !dv < 0
+                    || Order.compare_raw ~tie l nn id true !kl !kn !kid true > 0
                   then begin
                     dv := o;
                     kl := l;
@@ -1266,7 +1425,8 @@ struct
                   let einc = c.(!pos + 6) = q in
                   if
                     !boff < 0
-                    || cmp_keys tie el en_ eid einc !l2 !n2 !id2 !inc2 > 0
+                    || Order.compare_raw ~tie el en_ eid einc !l2 !n2 !id2 !inc2
+                       > 0
                   then begin
                     boff := !pos;
                     l2 := el;

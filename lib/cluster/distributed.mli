@@ -14,7 +14,9 @@ type params = {
   ids : int array option;  (** global ids; default: the node index *)
   cache_ttl : int;
       (** rounds a cache entry survives without being refreshed; 1 suffices
-          on a perfect channel, larger values ride out frame loss *)
+          on a perfect channel, larger values ride out frame loss. {!Make}
+          raises [Invalid_argument] when it is negative: every entry would
+          expire the round it is heard. *)
 }
 
 val default_params : params

@@ -86,26 +86,51 @@ let membership_stability ~before ~after =
   end
 
 (* Smallest hop distance between two distinct cluster-heads; the fusion rule
-   of Section 4.3 aims for a separation of at least 3. *)
+   of Section 4.3 aims for a separation of at least 3. One BFS from all
+   heads at once labels every reached node with its nearest head [near]
+   at distance [dist]; the answer is the least dist u + 1 + dist v over
+   edges (u, v) whose endpoints carry different labels. That is exact on
+   unweighted graphs: such an edge closes a walk between two distinct
+   heads, and a shortest path between the closest pair changes label
+   along some edge (u, v), where dist u is at most u's distance along
+   the path to one end and dist v at most v's to the other. *)
 let min_head_separation graph assignment =
-  let heads = Assignment.heads assignment in
-  let rec scan acc = function
-    | [] -> acc
-    | h :: rest ->
-        let dist = Traversal.bfs_from graph h in
-        let acc =
-          List.fold_left
-            (fun acc h' ->
-              if dist.(h') = Traversal.unreachable then acc
-              else
-                match acc with
-                | None -> Some dist.(h')
-                | Some best -> Some (min best dist.(h')))
-            acc rest
-        in
-        scan acc rest
-  in
-  scan None heads
+  let n = Graph.node_count graph in
+  let dist = Array.make n Traversal.unreachable in
+  let near = Array.make n (-1) in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
+  List.iter
+    (fun h ->
+      dist.(h) <- 0;
+      near.(h) <- h;
+      queue.(!tail) <- h;
+      incr tail)
+    (Assignment.heads assignment);
+  let next = ref 0 in
+  while !next < !tail do
+    let u = queue.(!next) in
+    incr next;
+    Array.iter
+      (fun v ->
+        if dist.(v) = Traversal.unreachable then begin
+          dist.(v) <- dist.(u) + 1;
+          near.(v) <- near.(u);
+          queue.(!tail) <- v;
+          incr tail
+        end)
+      (Graph.neighbors graph u)
+  done;
+  let best = ref Traversal.unreachable in
+  for u = 0 to n - 1 do
+    if near.(u) >= 0 then
+      Array.iter
+        (fun v ->
+          if near.(v) >= 0 && near.(v) <> near.(u) then
+            best := min !best (dist.(u) + 1 + dist.(v)))
+        (Graph.neighbors graph u)
+  done;
+  if !best = Traversal.unreachable then None else Some !best
 
 type summary = {
   clusters : int;

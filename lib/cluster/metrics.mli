@@ -32,7 +32,9 @@ val membership_stability :
 
 val min_head_separation : Ss_topology.Graph.t -> Assignment.t -> int option
 (** Smallest hop distance between two distinct heads ([None] with fewer than
-    two reachable heads). The fusion rule targets >= 3. *)
+    two mutually reachable heads). The fusion rule targets >= 3. One
+    multi-source BFS from all heads: linear in the graph, not one BFS per
+    head. *)
 
 type summary = {
   clusters : int;

@@ -18,18 +18,29 @@ type key = { value : Density.t; id : int; incumbent : bool }
 
 let key ~value ~id ~incumbent = { value; id; incumbent }
 
-let compare ~tie a b =
-  let c = Density.compare a.value b.value in
+(* The order on raw ints: densities as (links, nodes) with a zero node
+   count reading as value 0 (as in Density.compare), so the flat planes'
+   sentinel encodings and the typed hot loops compare without building
+   keys. *)
+let compare_raw ~tie l1 n1 id1 inc1 l2 n2 id2 inc2 =
+  let an = if n1 = 0 then 0 else l1
+  and ad = if n1 = 0 then 1 else n1
+  and bn = if n2 = 0 then 0 else l2
+  and bd = if n2 = 0 then 1 else n2 in
+  let c = Int.compare (an * bd) (bn * ad) in
   if c <> 0 then c
   else
-    let id_rule () = Int.compare b.id a.id in
     match tie with
-    | Id_only -> id_rule ()
-    | Incumbent_then_id -> (
-        match (a.incumbent, b.incumbent) with
-        | true, false -> 1
-        | false, true -> -1
-        | true, true | false, false -> id_rule ())
+    | Id_only -> Int.compare id2 id1
+    | Incumbent_then_id ->
+        if inc1 && not inc2 then 1
+        else if inc2 && not inc1 then -1
+        else Int.compare id2 id1
+
+let compare ~tie a b =
+  compare_raw ~tie (Density.links a.value) (Density.nodes a.value) a.id
+    a.incumbent (Density.links b.value) (Density.nodes b.value) b.id
+    b.incumbent
 
 let precedes ~tie a b = compare ~tie a b < 0
 

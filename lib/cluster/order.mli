@@ -19,6 +19,14 @@ val key : value:Density.t -> id:int -> incumbent:bool -> key
 val compare : tie:tie -> key -> key -> int
 (** [compare ~tie a b < 0] means [a ≺ b]. Total for distinct ids. *)
 
+val compare_raw :
+  tie:tie -> int -> int -> int -> bool -> int -> int -> int -> bool -> int
+(** [compare_raw ~tie l1 n1 id1 inc1 l2 n2 id2 inc2] is {!compare} on the
+    keys with density [links/nodes], id and incumbency given as raw
+    values; a zero node count reads as density 0, as in
+    {!Density.compare}. The hot loops use it to compare without
+    building keys. *)
+
 val precedes : tie:tie -> key -> key -> bool
 
 val max_key : tie:tie -> key list -> key option

@@ -496,6 +496,283 @@ let prop_refresh_matches_fold =
       in
       st.cache = cache && st.far = far)
 
+
+(* The far refresh as it was first written, kept here as an oracle:
+   every frame's relayed summaries concatenated in reception order,
+   stable-sorted by key (so the last of each run of equal keys is the
+   latest claim received), then merged over the old list with the
+   receiver's own key skipped and the TTL filter last. *)
+let concat_refresh_far ~ttl ~self clock far msgs =
+  let fresh =
+    Array.concat
+      (List.map (fun (_, (m : Distributed.message)) -> m.m_nbrs) msgs)
+  in
+  Array.stable_sort
+    (fun (a : Distributed.summary) b -> Int.compare a.s_node b.s_node)
+    fresh;
+  let keep (f : Distributed.far_entry) = clock - f.f_heard <= ttl in
+  let n = Array.length fresh in
+  let rec go i old =
+    if i >= n then List.filter (fun (_, f) -> keep f) old
+    else begin
+      let k = fresh.(i).Distributed.s_node in
+      let j = ref i in
+      while !j + 1 < n && fresh.(!j + 1).Distributed.s_node = k do
+        incr j
+      done;
+      if k = self then go (!j + 1) old else put k fresh.(!j) (!j + 1) old
+    end
+  and put k (s : Distributed.summary) next old =
+    match old with
+    | ((ok, oe) as pair) :: rest when ok < k ->
+        if keep oe then pair :: put k s next rest else put k s next rest
+    | (ok, _) :: rest when ok = k -> add k s next rest
+    | _ -> add k s next old
+  and add k s next old =
+    let f =
+      {
+        Distributed.f_heard = clock;
+        f_density = s.s_density;
+        f_eff = s.s_eff;
+        f_is_head = s.s_is_head;
+      }
+    in
+    if keep f then (k, f) :: go next old else go next old
+  in
+  go 0 far
+
+(* [gen_refresh_case] with each frame's summaries sorted by key in half of
+   the frames (the order every emission has, duplicates kept in place by a
+   stable sort) and the senders sorted in half of the cases, so the
+   in-place merge and the normaliser for out-of-order frames both run. *)
+let gen_far_case =
+  let open QCheck.Gen in
+  let* c = gen_refresh_case in
+  let* sorted_senders = bool in
+  let* flags = list_repeat (List.length c.r_msgs) bool in
+  let by_node (a : Distributed.summary) (b : Distributed.summary) =
+    Int.compare a.s_node b.s_node
+  in
+  let msgs =
+    List.map2
+      (fun sort (q, (m : Distributed.message)) ->
+        if sort then begin
+          let a = Array.copy m.m_nbrs in
+          Array.stable_sort by_node a;
+          (q, { m with m_nbrs = a })
+        end
+        else (q, m))
+      flags c.r_msgs
+  in
+  let msgs =
+    if sorted_senders then
+      List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) msgs
+    else msgs
+  in
+  return { c with r_msgs = msgs }
+
+let prop_far_refresh_matches_concat =
+  QCheck.Test.make
+    ~name:"handle's far refresh = the concat + stable-sort oracle"
+    ~count:1000
+    (QCheck.make ~print:print_refresh_case gen_far_case)
+    (fun c ->
+      let module P = Distributed.Make (struct
+        let params =
+          { Distributed.default_params with cache_ttl = c.r_ttl }
+      end) in
+      let frozen =
+        List.map
+          (fun (_, (m : Distributed.message)) -> Array.copy m.m_nbrs)
+          c.r_msgs
+      in
+      let st =
+        P.handle (Rng.create ~seed:0) (Builders.path 2) c.r_self c.r_state
+          c.r_msgs
+      in
+      st.far
+      = concat_refresh_far ~ttl:c.r_ttl ~self:c.r_self (c.r_state.clock + 1)
+          c.r_state.far c.r_msgs
+      (* the received frames are never reordered in place *)
+      && List.for_all2
+           (fun a (_, (m : Distributed.message)) -> a = m.m_nbrs)
+           frozen c.r_msgs)
+
+(* The density [handle] computes equals [Density.of_local_view] over the
+   refreshed cache, whatever order the cache is in: hand-built states may
+   carry unsorted or repeated keys, keys outside any node range, and
+   unsorted claims. With no frames and a wide TTL the refreshed cache is
+   the given one. *)
+let gen_density_cache =
+  let open QCheck.Gen in
+  let key = oneof [ int_range 0 9; int_range (-3) 12; oneofl [ -100; 4096 ] ] in
+  let claims =
+    let* a = array_size (int_range 0 6) key in
+    let+ sort = bool in
+    if sort then Array.sort Int.compare a;
+    a
+  in
+  let entry =
+    let+ q = key and+ e_nbrs = claims in
+    ( q,
+      {
+        Distributed.e_heard = 1;
+        e_gid = 0;
+        e_dag = 0;
+        e_density = None;
+        e_head = None;
+        e_nbrs;
+      } )
+  in
+  let* cache = list_size (int_range 0 8) entry in
+  let+ order = int_range 0 2 in
+  match order with
+  | 0 -> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) cache
+  | 1 -> List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) cache
+  | _ -> cache
+
+let prop_density_matches_local_view =
+  QCheck.Test.make ~name:"handle's density = Density.of_local_view" ~count:1000
+    (QCheck.make
+       ~print:(fun cache ->
+         String.concat "; "
+           (List.map
+              (fun (q, e) ->
+                Printf.sprintf "%d:[%s]" q
+                  (String.concat ","
+                     (Array.to_list
+                        (Array.map string_of_int e.Distributed.e_nbrs))))
+              cache))
+       gen_density_cache)
+    (fun cache ->
+      let st =
+        P_long_ttl.handle (Rng.create ~seed:0) (Builders.path 2) 0
+          {
+            Distributed.clock = 1;
+            gamma = 8;
+            gid = 0;
+            dag = 0;
+            density = None;
+            parent = None;
+            head = None;
+            cache;
+            far = [];
+          }
+          []
+      in
+      st.cache = cache
+      && st.density
+         = Some
+             (Cluster.Density.of_local_view
+                ~neighbors:(Array.of_list (List.map fst cache))
+                ~tables:
+                  (List.map (fun (q, e) -> (q, e.Distributed.e_nbrs)) cache)))
+
+(* A converged deployment and, per node, the frames it hears from its
+   neighbors' final states, as an executor delivers them (senders
+   ascending). *)
+let converged_frames (module P : Ss_engine.Protocol.S
+      with type state = Distributed.state
+       and type message = Distributed.message) graph states =
+  Array.init (Graph.node_count graph) (fun p ->
+      Array.to_list
+        (Array.map
+           (fun q -> (q, P.emit graph q states.(q)))
+           (Graph.neighbors graph p)))
+
+(* A steady neighbor's entry keeps its claims array: on a converged
+   deployment every refreshed entry shares [e_nbrs] with the entry it
+   replaces, and the state is still structurally what the fold oracle
+   builds from scratch. *)
+let test_claims_reused () =
+  let graph, rng = random_graph ~n:50 ~p:0.12 5 in
+  let result = E_improved.run ~quiet_rounds:quiet rng graph in
+  let states = result.E_improved.states in
+  let frames = converged_frames (module P_improved) graph states in
+  Array.iteri
+    (fun p (st : Distributed.state) ->
+      let st' = P_improved.handle rng graph p st frames.(p) in
+      let cache, far =
+        fold_refresh ~ttl:Distributed.default_params.cache_ttl ~self:p
+          (st.clock + 1) st frames.(p)
+      in
+      Alcotest.(check bool) (Printf.sprintf "node %d cache = fresh build" p)
+        true (st'.cache = cache && st'.far = far);
+      Alcotest.(check bool) (Printf.sprintf "node %d outputs kept" p) true
+        (P_improved.equal_state st st');
+      List.iter2
+        (fun (_, (e : Distributed.entry)) (_, (e' : Distributed.entry)) ->
+          Alcotest.(check bool) (Printf.sprintf "node %d claims shared" p) true
+            (e.e_nbrs == e'.e_nbrs))
+        st.cache st'.cache)
+    states
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* A negative TTL would expire every entry the round it is heard: each
+   node would read as an isolated self-head. The functor rejects it. *)
+let test_negative_ttl_rejected () =
+  let apply cache_ttl =
+    let module P = Distributed.Make (struct
+      let params = { Distributed.default_params with cache_ttl }
+    end) in
+    ignore P.handle
+  in
+  apply 0;
+  match apply (-2) with
+  | () -> Alcotest.fail "cache_ttl = -2 accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "message names the value: %S" msg)
+        true
+        (contains msg "-2")
+
+(* Words allocated per typed [handle] call on a converged 9x9 jittered
+   grid (mean degree about 9, the byzantine benchmark's shape), each node
+   fed its neighbors' final frames. *)
+let handle_words_per_call () =
+  let module P = Distributed.Make (struct
+    let params =
+      { Distributed.default_params with algo = Config.improved_with_dag }
+  end) in
+  let module E = Engine.Make (P) in
+  let rng = Rng.create ~seed:9 in
+  let side = 9 in
+  let n = side * side in
+  let graph =
+    Graph.unit_disk
+      ~radius:(sqrt (9.0 /. (Float.pi *. float_of_int n)))
+      (Ss_geom.Point_process.jittered_grid rng ~cols:side ~rows:side
+         ~box:Ss_geom.Bbox.unit_square ~jitter:0.4)
+  in
+  let result = E.run ~quiet_rounds:quiet rng graph in
+  Alcotest.(check bool) "converged" true result.E.converged;
+  let states = result.E.states in
+  let frames = converged_frames (module P) graph states in
+  let reps = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    for p = 0 to n - 1 do
+      ignore (Sys.opaque_identity (P.handle rng graph p states.(p) frames.(p)))
+    done
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (reps * n)
+
+(* 60 % of the 1,171 words per call the concat + sort refresh allocated
+   on this deployment. *)
+let handle_words_bound = 0.6 *. 1171.0
+
+let test_handle_alloc_pinned () =
+  let words = handle_words_per_call () in
+  Alcotest.(check bool)
+    (Printf.sprintf "handle words per call %.0f <= %.0f" words
+       handle_words_bound)
+    true
+    (words <= handle_words_bound)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_recovery_legitimate; prop_refresh_matches_fold ]
@@ -533,3 +810,13 @@ let suite =
       test_custom_ids_respected;
   ]
   @ qcheck_cases
+  @ [
+      QCheck_alcotest.to_alcotest prop_far_refresh_matches_concat;
+      QCheck_alcotest.to_alcotest prop_density_matches_local_view;
+      Alcotest.test_case "steady claims are shared, states unchanged" `Quick
+        test_claims_reused;
+      Alcotest.test_case "a negative cache TTL is rejected" `Quick
+        test_negative_ttl_rejected;
+      Alcotest.test_case "typed handle allocation pinned" `Quick
+        test_handle_alloc_pinned;
+    ]

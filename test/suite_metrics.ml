@@ -85,6 +85,48 @@ let test_min_head_separation () =
   Alcotest.(check (option int)) "single head" None
     (Metrics.min_head_separation (graph ()) single)
 
+(* The per-head BFS the metric was first computed with, kept as the
+   oracle: the least finite distance from each head to a later one. *)
+let per_head_separation graph assignment =
+  let rec scan acc = function
+    | [] -> acc
+    | h :: rest ->
+        let dist = Ss_topology.Traversal.bfs_from graph h in
+        let acc =
+          List.fold_left
+            (fun acc h' ->
+              if dist.(h') = Ss_topology.Traversal.unreachable then acc
+              else
+                match acc with
+                | None -> Some dist.(h')
+                | Some best -> Some (min best dist.(h')))
+            acc rest
+        in
+        scan acc rest
+  in
+  scan None (Assignment.heads assignment)
+
+(* Sparse random graphs (often disconnected) with no head, one head or
+   many: each node heads itself with probability [q]. *)
+let prop_separation_matches_per_head_bfs =
+  QCheck.Test.make ~name:"min head separation = per-head BFS" ~count:500
+    (QCheck.make
+       ~print:(fun (n, p, q, seed) ->
+         Printf.sprintf "n=%d p=%.3f q=%.2f seed=%d" n p q seed)
+       QCheck.Gen.(
+         quad (int_range 0 40) (float_range 0.0 0.15)
+           (oneofl [ 0.0; 0.03; 0.2; 0.6; 1.0 ])
+           (int_range 0 99999)))
+    (fun (n, p, q, seed) ->
+      let rng = Ss_prng.Rng.create ~seed in
+      let graph = Builders.gnp rng ~n ~p in
+      let head =
+        Array.init n (fun v ->
+            if Ss_prng.Rng.float rng 1.0 < q then v else -1)
+      in
+      let a = Assignment.make ~parent:(Array.copy head) ~head in
+      Metrics.min_head_separation graph a = per_head_separation graph a)
+
 let test_summarize () =
   let s = Metrics.summarize (graph ()) (sample ()) in
   Alcotest.(check int) "clusters" 2 s.Metrics.clusters;
@@ -105,4 +147,5 @@ let suite =
     Alcotest.test_case "membership stability" `Quick test_membership_stability;
     Alcotest.test_case "min head separation" `Quick test_min_head_separation;
     Alcotest.test_case "summary" `Quick test_summarize;
+    QCheck_alcotest.to_alcotest prop_separation_matches_per_head_bfs;
   ]
