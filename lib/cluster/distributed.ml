@@ -977,34 +977,9 @@ struct
         done;
         !ok
       in
-      if fast && Bytes.unsafe_get b.calm p = '\001' then begin
-        (* --- calm tier: the last step changed no state and drew no
-           randomness, and the inputs are bit-identical again — the
-           name/density/election recomputation below would reproduce
-           every current value and the emission is provably unchanged.
-           Restamp the heard fields and stop; [refresh_emit] consumes
-           the quiet flag to skip its rebuild too. *)
-        let pos = ref 0 in
-        for _ = 1 to count do
-          old.(!pos + 1) <- clock';
-          pos := !pos + 8 + old.(!pos + 7)
-        done;
-        let f = b.far.(p) in
-        for i = 0 to b.far_len.(p) - 1 do
-          f.((6 * i) + 1) <- clock'
-        done;
-        b.minh.(p) <-
-          (if count = 0 && b.far_len.(p) = 0 then max_int else clock');
-        b.synced.(p) <- b.now - 1;
-        b.clock.(p) <- clock';
-        Bytes.unsafe_set b.quiet_emit p '\001';
-        false
-      end
-      else begin
-      let new_used = ref old_used
-      and new_cnt = ref b.cache_cnt.(p)
-      and new_far_cnt = ref b.far_len.(p) in
       if fast then begin
+        (* Restamp the heard fields in place: both planes are already
+           what the merges below would rebuild. *)
         let pos = ref 0 in
         for _ = 1 to count do
           old.(!pos + 1) <- clock';
@@ -1017,8 +992,23 @@ struct
         b.minh.(p) <-
           (if count = 0 && b.far_len.(p) = 0 then max_int else clock');
         b.synced.(p) <- b.now - 1
+      end;
+      if fast && Bytes.unsafe_get b.calm p = '\001' then begin
+        (* --- calm tier: the last step changed no state and drew no
+           randomness, and the inputs are bit-identical again — the
+           name/density/election recomputation below would reproduce
+           every current value and the emission is provably unchanged.
+           Stop after the restamp; [refresh_emit] consumes the quiet
+           flag to skip its rebuild too. *)
+        b.clock.(p) <- clock';
+        Bytes.unsafe_set b.quiet_emit p '\001';
+        false
       end
       else begin
+      let new_used = ref old_used
+      and new_cnt = ref b.cache_cnt.(p)
+      and new_far_cnt = ref b.far_len.(p) in
+      if not fast then begin
         (* --- cache refresh: sorted merge of the surviving old entries
            and the fresh frames (senders ascending); a fresh frame
            replaces the old entry for the same neighbor, everything else

@@ -8,8 +8,8 @@
     applies the emitted events to its {!Ss_topology.Dynamic} overlay
     before the round's communication.
 
-    This generalizes {!Fault}: a corruption-only plan is one kind of
-    churn (see {!Fault.to_churn}). *)
+    [Corrupt] is the engine's only transient-fault injector: a
+    corruption-only plan (say {!corrupt_count}) is one kind of churn. *)
 
 type event =
   | Crash of int  (** node fails and loses its state *)

@@ -69,12 +69,12 @@ let finalize_bursts ~event_rounds ~history ~rounds ~converged =
 
 (* Key lanes under the run's base key: round -> {channel, permutation,
    per-node handle} streams. Every random decision of a round except churn
-   and fault injection is a pure function of its lane, so executing a
-   subset of the nodes cannot shift anyone else's draws — the property the
-   frontier's equivalence to the dense walk rests on. The main sequential
-   generator is reserved for the per-round plan evaluation (churn events,
-   fault hooks, Join re-inits, Corrupt scrambles), which every executor
-   performs identically. *)
+   is a pure function of its lane, so executing a subset of the nodes
+   cannot shift anyone else's draws — the property the frontier's
+   equivalence to the dense walk rests on. The main sequential generator
+   is reserved for the per-round plan evaluation (churn events, Join
+   re-inits, Corrupt scrambles), which every executor performs
+   identically. *)
 let lane_channel rk = Rng.subkey rk 0
 let lane_perm rk = Rng.subkey rk 1
 let lane_handle rk = Rng.subkey rk 2
@@ -107,6 +107,15 @@ module Make (P : Protocol.S) = struct
   }
 
   type 'sc exec = Walk of P.state array | Frontier of 'sc planes
+
+  type settings = {
+    who : string;
+    base_key : Rng.key;
+    scheduler : Scheduler.t;
+    channel : Channel.t;
+    max_rounds : int;
+    quiet_rounds : int;
+  }
 
   (* ------------------------------------------- the dense reference walk *)
 
@@ -215,7 +224,9 @@ module Make (P : Protocol.S) = struct
 
   (* ------------------------------------------------------- the run loop *)
 
-  let enter ~who ~max_rounds ~quiet_rounds ?states rng graph =
+  let enter ~who ?(scheduler = Scheduler.Synchronous)
+      ?(channel = Channel.perfect) ?(max_rounds = 10_000) ?(quiet_rounds = 1)
+      ?states rng graph =
     if max_rounds < 0 then invalid_arg (who ^ ": negative round budget");
     if quiet_rounds < 1 then invalid_arg (who ^ ": quiet_rounds must be >= 1");
     (* A warm-start array of the wrong length would otherwise surface as an
@@ -229,11 +240,14 @@ module Make (P : Protocol.S) = struct
     | _ -> ());
     (* The base key is drawn first, so the keyed lanes are a pure function
        of the generator's state at entry — identical for every executor. *)
-    Rng.key_of rng
+    let base_key = Rng.key_of rng in
+    { who; base_key; scheduler; channel; max_rounds; quiet_rounds }
 
-  let loop ~who ~base_key ~exec ~scheduler ~channel ~max_rounds ~quiet_rounds
-      ?fault ?churn ?corrupt ?motion ?on_round ?on_event ?probe ?workload rng
-      graph =
+  let loop settings ~exec ?churn ?corrupt ?motion ?on_round ?on_event ?probe
+      ?workload rng graph =
+    let { who; base_key; scheduler; channel; max_rounds; quiet_rounds } =
+      settings
+    in
     let n = Graph.node_count graph in
     let get, set =
       match exec with
@@ -247,9 +261,9 @@ module Make (P : Protocol.S) = struct
     let dyn = Dynamic.create ~reuse_snapshots:(Option.is_none probe) graph in
     let live = Array.make n true in
     (* The round in which each node's outputs last changed: an
-       [equal_state]-visible step or a state rewrite (Join, Corrupt, fault
-       victim). The workload reader exposes it, so a hook can skip
-       re-reading nodes whose outputs it has already seen. *)
+       [equal_state]-visible step or a state rewrite (Join, Corrupt). The
+       workload reader exposes it, so a hook can skip re-reading nodes
+       whose outputs it has already seen. *)
     let changed_at = Array.make n 0 in
     (* The round in which each node's state was last written: any step,
        even one that left the outputs equal, or a rewrite. While it stays
@@ -329,8 +343,8 @@ module Make (P : Protocol.S) = struct
     let mark p =
       match core with Some (_, c) -> Flat_core.mark_now c p | None -> ()
     in
-    (* A churn event or fault dirties exactly the nodes whose step input it
-       can change: the victim itself and every node that can hear it.
+    (* A churn event dirties exactly the nodes whose step input it can
+       change: the victim itself and every node that can hear it.
        Base-graph neighborhoods are a superset of any snapshot's, so
        marking them is always safe. *)
     let mark_with_nbrs p =
@@ -339,7 +353,7 @@ module Make (P : Protocol.S) = struct
         Array.iter mark (Graph.neighbors (Dynamic.base dyn) p)
       end
     in
-    (* A state rewritten outside a step (Join, Corrupt, fault victim):
+    (* A state rewritten outside a step (Join, Corrupt):
        stamp it, and re-derive its frame so receivers read [emit] of the
        current state. *)
     let rewritten ~round p =
@@ -482,17 +496,9 @@ module Make (P : Protocol.S) = struct
         for p = 0 to n - 1 do
           live.(p) <- Dynamic.status dyn p = Dynamic.Alive
         done;
-      let victims =
-        match fault with None -> [] | Some inject -> inject ~round rng
-      in
-      List.iter (rewritten ~round) victims;
-      (* Every corrupted node this round: churn [Corrupt] events in plan
-         order, then the fault hook's victims. A fault round counts as a
-         disturbance for burst/recovery attribution even without churn. *)
-      let corrupted = List.rev !churn_corrupted @ victims in
-      let disturbance = applied + List.length victims in
-      if disturbance > 0 then
-        event_rounds := (round, disturbance) :: !event_rounds;
+      (* Every corrupted node this round, in plan order. *)
+      let corrupted = List.rev !churn_corrupted in
+      if applied > 0 then event_rounds := (round, applied) :: !event_rounds;
       if corrupted <> [] then
         faults := { fault_round = round; corrupted } :: !faults;
       (* Incremental: on event-free rounds this returns the cached graph;
@@ -507,8 +513,7 @@ module Make (P : Protocol.S) = struct
       (match workload with
       | None -> ()
       | Some tickf -> wl_active := tickf ~round ~graph:g ~alive:live ~read:reader);
-      if changed > 0 || victims <> [] || applied > 0 || !moved_links > 0
-      then begin
+      if changed > 0 || applied > 0 || !moved_links > 0 then begin
         quiet := 0;
         last_change := round
       end
@@ -531,12 +536,12 @@ module Make (P : Protocol.S) = struct
       changed_at;
     }
 
-  let run ?(mode = Dense) ?(scheduler = Scheduler.Synchronous)
-      ?(channel = Channel.perfect) ?(max_rounds = 10_000) ?(quiet_rounds = 1)
-      ?fault ?churn ?corrupt ?motion ?on_round ?on_event ?probe ?workload
-      ?states rng graph =
-    let who = "Engine.run" in
-    let base_key = enter ~who ~max_rounds ~quiet_rounds ?states rng graph in
+  let run ?(mode = Dense) ?scheduler ?channel ?max_rounds ?quiet_rounds ?churn
+      ?corrupt ?motion ?on_round ?on_event ?probe ?workload ?states rng graph =
+    let settings =
+      enter ~who:"Engine.run" ?scheduler ?channel ?max_rounds ?quiet_rounds
+        ?states rng graph
+    in
     let states =
       (* The round loop updates states in place; copying the warm-start
          array keeps the caller's snapshot intact, so one evolved array can
@@ -549,9 +554,7 @@ module Make (P : Protocol.S) = struct
       | Dense -> Walk states
       | Sparse { warm } -> Frontier (boxed ~warm graph states)
     in
-    loop ~who ~base_key ~exec ~scheduler ~channel ~max_rounds ~quiet_rounds
-      ?fault:(Option.map (fun f ~round rng -> f ~round ~states rng) fault)
-      ?churn ?corrupt ?motion ?on_round ?on_event
+    loop settings ~exec ?churn ?corrupt ?motion ?on_round ?on_event
       ?probe:
         (Option.map (fun f ~round ~graph ~alive -> f ~round ~graph ~alive states) probe)
       ?workload rng graph

@@ -2,19 +2,19 @@
 
     One round is the paper's step Δ(τ): every node locally broadcasts its
     shared variables once and processes the frames that survive the channel.
-    The executor detects fixpoints, counts stabilization rounds, lets a
-    fault hook corrupt states mid-run, and — given a {!Churn} plan — applies
-    topology events (crashes, joins, sleep/wake, link flapping) between
-    rounds so the protocol must recover in place. *)
+    The executor detects fixpoints, counts stabilization rounds and — given
+    a {!Churn} plan — applies events between rounds so the protocol must
+    recover in place: topology events (crashes, joins, sleep/wake, link
+    flapping) and transient state corruption ([Corrupt]), the only way a
+    run rewrites a state outside a step besides [Join]. *)
 
 type round_info = {
   round : int;
   changed : int;
   events : int;  (** churn events applied before this round's communication *)
   corrupted : int list;
-      (** nodes whose state was rewritten before this round's communication:
-          churn [Corrupt] victims in plan order, then the [?fault] hook's
-          victims; [] on clean rounds *)
+      (** nodes whose state churn [Corrupt] events rewrote before this
+          round's communication, in plan order; [] on clean rounds *)
 }
 
 type fault_report = {
@@ -49,14 +49,14 @@ type 's reader = {
   changed_at : int -> int;
       (** the round in which node [p]'s outputs last changed, or 0 when
           they never did: a step that changed the state in the
-          [P.equal_state] sense, or a state rewrite ([Join], [Corrupt], a
-          [?fault] victim). While it stays at or below a round [r], the
+          [P.equal_state] sense, or a state rewrite ([Join] or [Corrupt]).
+          While it stays at or below a round [r], the
           node's outputs are the ones [state] returned after round [r]. *)
   written_at : int -> int;
       (** the last round in which node [p]'s state was written, or 0 when
           it never was: any executed step, even one that left the outputs
-          equal in the [P.equal_state] sense, or a rewrite ([Join],
-          [Corrupt], a [?fault] victim). Never below [changed_at p].
+          equal in the [P.equal_state] sense, or a rewrite ([Join] or
+          [Corrupt]). Never below [changed_at p].
           While it does not move, [state p] returns a state structurally
           equal to the previous read, caches and freshness stamps
           included, so a hook may cache anything it derives from the
@@ -78,14 +78,14 @@ module Make (P : Protocol.S) : sig
             [P] (the typed states plus each node's current frame, which
             every receiver reads). A node steps only when its input could
             have changed since its last step: it changed itself, a node
-            it can hear changed its emission, a churn/fault event touched
+            it can hear changed its emission, a churn event touched
             its neighborhood, an incident channel delivery decision
             flipped, or [warm] reports pending time-based behavior (e.g.
             {!Ss_cluster.Distributed.pending_expiry}: cache entries aging
             toward their TTL, which must keep ticking for the protocol to
             stay self-stabilizing; [None] means never warm). Equivalent
-            to [Dense] on every observable of {!run} — states modulo
-            [P.equal_state], rounds, change history, bursts, faults — for
+            to [Dense] on every field of {!run} — states modulo
+            [P.equal_state], the rest exactly — for
             protocols honoring the {!Protocol.S} step-input contract;
             cost per round is proportional to the perturbed region, not
             the network. *)
@@ -108,12 +108,12 @@ module Make (P : Protocol.S) : sig
         (** final effective topology (= the input graph when no churn
             event ever fired) *)
     bursts : burst list;
-        (** disturbance bursts (churn events and fault-hook rounds), oldest
-            first, with measured recovery times *)
+        (** disturbance bursts (maximal runs of churn-event rounds),
+            oldest first, with measured recovery times *)
     faults : fault_report list;
-        (** every round on which at least one node was corrupted (by churn
-            [Corrupt] or the [?fault] hook), oldest first — the dwell-time
-            attribution feed for {!Monitor} *)
+        (** every round on which churn [Corrupt] rewrote at least one
+            node, oldest first — the dwell-time attribution feed for
+            {!Monitor} *)
     changed_at : int array;
         (** per node, the round of its last output change, or 0 — the
             final values of {!reader.changed_at} *)
@@ -129,7 +129,6 @@ module Make (P : Protocol.S) : sig
     ?channel:Ss_radio.Channel.t ->
     ?max_rounds:int ->
     ?quiet_rounds:int ->
-    ?fault:(round:int -> states:P.state array -> Ss_prng.Rng.t -> int list) ->
     ?churn:Churn.t ->
     ?corrupt:(Ss_prng.Rng.t -> int -> P.state -> P.state) ->
     ?motion:motion_hook ->
@@ -152,7 +151,7 @@ module Make (P : Protocol.S) : sig
     Ss_topology.Graph.t ->
     run
   (** Execute rounds until [quiet_rounds] consecutive rounds change no state
-      (and inject no fault or churn event), or until [max_rounds]. When the
+      (and apply no churn event), or until [max_rounds]. When the
       churn plan has a bounded {!Churn.horizon}, the run is kept alive
       through quiescence until the horizon passes, so scheduled storms
       always fire.
@@ -173,15 +172,12 @@ module Make (P : Protocol.S) : sig
       fresh [P.init] against the base graph, [Wake] revives it with its
       retained state, link events retopologize; [Corrupt] rewrites the
       node's state through [corrupt] — supplying a plan that emits
-      [Corrupt] without [corrupt] raises [Invalid_argument]); then [fault]
-      runs (it may mutate the state array in place and must return the list
-      of nodes it corrupted, [] when it did nothing); then every {e alive}
-      node broadcasts once over the current snapshot and handles what it
-      heard. Crashed and sleeping nodes neither emit nor handle, and their
-      frames vanish from neighbors' caches — recovery is the protocol's
-      job. Rounds on which the fault hook corrupts anything count as
-      disturbance rounds for burst/recovery attribution, exactly like churn
-      event rounds.
+      [Corrupt] without [corrupt] raises [Invalid_argument]; transient
+      faults are injected this way only, e.g. {!Churn.corrupt_count}); then
+      every {e alive} node broadcasts once over the current snapshot and
+      handles what it heard. Crashed and sleeping nodes neither emit nor
+      handle, and their frames vanish from neighbors' caches — recovery is
+      the protocol's job.
 
       [on_event] fires once per applied event (no-ops — crashing a dead
       node, downing a downed link — are skipped and not counted);
@@ -211,7 +207,7 @@ module Make (P : Protocol.S) : sig
 
       Randomness is split into two disjoint families. The supplied
       generator drives only the per-round plan evaluation — churn events,
-      fault hooks, [Join] re-initializations, [Corrupt] scrambles — which
+      [Join] re-initializations, [Corrupt] scrambles — which
       every mode performs identically. Everything inside the round is
       {e counter-keyed} off a base key drawn once at entry: channel loss
       is a pure function of (key, round, src, dst), the random-order
@@ -221,10 +217,10 @@ module Make (P : Protocol.S) : sig
       [~mode:Sparse] bit-equivalent to [Dense] on every channel and
       scheduler.
 
-      Sparse mode additionally relies on the [fault] hook reporting every
-      node it mutated (an unreported mutation would change an emission
-      behind the dirty-set's back), and on the protocol honoring the
-      {!Protocol.S} step-input contract.
+      Sparse mode additionally relies on the protocol honoring the
+      {!Protocol.S} step-input contract. No hook can write a state: the
+      run loop itself applies every rewrite ([Join], [Corrupt]) and puts
+      the node and its audience on the frontier.
 
       Defaults: dense mode, synchronous scheduler, perfect channel, 10000
       rounds max, one quiet round, no churn. *)
@@ -232,8 +228,8 @@ module Make (P : Protocol.S) : sig
   (** {2 The run loop}
 
       [run] and {!Flat.Make.run} are thin entries into one round loop,
-      which owns motion, churn, faults, hooks, bursts and quiescence. The
-      entry points below exist for {!Flat}; callers use [run]. *)
+      which owns motion, churn, hooks, bursts and quiescence. The entry
+      points below exist for {!Flat}; callers use [run]. *)
 
   type 'sc planes = {
     pack : int -> P.state -> unit;  (** overwrite node [p]'s state *)
@@ -257,26 +253,33 @@ module Make (P : Protocol.S) : sig
     | Walk of P.state array  (** the dense walk over these states *)
     | Frontier of 'sc planes  (** the frontier over these planes *)
 
+  type settings = {
+    who : string;  (** the entry point named in error messages *)
+    base_key : Ss_prng.Rng.key;  (** the run's in-round key lanes *)
+    scheduler : Scheduler.t;
+    channel : Ss_radio.Channel.t;
+    max_rounds : int;
+    quiet_rounds : int;
+  }
+  (** A validated run configuration, defaults applied. *)
+
   val enter :
     who:string ->
-    max_rounds:int ->
-    quiet_rounds:int ->
+    ?scheduler:Scheduler.t ->
+    ?channel:Ss_radio.Channel.t ->
+    ?max_rounds:int ->
+    ?quiet_rounds:int ->
     ?states:P.state array ->
     Ss_prng.Rng.t ->
     Ss_topology.Graph.t ->
-    Ss_prng.Rng.key
+    settings
   (** Validate a run's arguments, naming [who] in the [Invalid_argument]
-      message, and draw its base key. Call before initializing states. *)
+      message, apply {!run}'s defaults (the only copy of them) and draw
+      the base key. Call before initializing states. *)
 
   val loop :
-    who:string ->
-    base_key:Ss_prng.Rng.key ->
+    settings ->
     exec:'sc exec ->
-    scheduler:Scheduler.t ->
-    channel:Ss_radio.Channel.t ->
-    max_rounds:int ->
-    quiet_rounds:int ->
-    ?fault:(round:int -> Ss_prng.Rng.t -> int list) ->
     ?churn:Churn.t ->
     ?corrupt:(Ss_prng.Rng.t -> int -> P.state -> P.state) ->
     ?motion:motion_hook ->
@@ -293,6 +296,6 @@ module Make (P : Protocol.S) : sig
     Ss_prng.Rng.t ->
     Ss_topology.Graph.t ->
     run
-  (** The rounds of {!run}, over [exec]; [fault] and [probe] read the
-      states through their own closures. *)
+  (** The rounds of {!run}, over [exec]; [probe] reads the states through
+      its own closure. *)
 end

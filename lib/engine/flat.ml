@@ -1,10 +1,9 @@
 (* The flat-memory executor: Engine's run loop over a Protocol.FLAT's
    struct-of-arrays planes, the frontier in Flat_core. Same observables
-   as Engine's sparse/dense modes — states (modulo equal_state), rounds,
-   change history, bursts, faults — for protocols honoring the flat
-   contract, which the differential battery in test/suite_flat.ml
-   enforces; determinism across ?domains is Flat_core's phase-split
-   argument. *)
+   as Engine's sparse/dense modes — the whole run record, states modulo
+   equal_state — for protocols honoring the flat contract, which the
+   differential battery in test/suite_flat.ml enforces; determinism
+   across ?domains is Flat_core's phase-split argument. *)
 
 module Pool = Ss_stats.Pool
 
@@ -24,12 +23,12 @@ module Make (P : Protocol.FLAT) = struct
     changed_at : int array;
   }
 
-  let run ?(scheduler = Scheduler.Synchronous)
-      ?(channel = Ss_radio.Channel.perfect) ?(max_rounds = 10_000)
-      ?(quiet_rounds = 1) ?churn ?corrupt ?motion ?on_round ?on_event
-      ?workload ?(domains = 1) ?states rng graph =
-    let who = "Flat.run" in
-    let base_key = E.enter ~who ~max_rounds ~quiet_rounds ?states rng graph in
+  let run ?scheduler ?channel ?max_rounds ?quiet_rounds ?churn ?corrupt ?motion
+      ?on_round ?on_event ?workload ?(domains = 1) ?states rng graph =
+    let settings =
+      E.enter ~who:"Flat.run" ?scheduler ?channel ?max_rounds ?quiet_rounds
+        ?states rng graph
+    in
     if domains < 1 then invalid_arg "Flat.run: domains must be >= 1";
     let buffers = P.Flat.alloc graph in
     (match states with
@@ -60,7 +59,6 @@ module Make (P : Protocol.FLAT) = struct
     (* The workload reader unpacks on demand, so a hook that skips nodes
        whose stamps have not moved pays for the traffic it carries and the
        nodes that changed, not the network. *)
-    E.loop ~who ~base_key ~exec:(E.Frontier planes) ~scheduler ~channel
-      ~max_rounds ~quiet_rounds ?churn ?corrupt ?motion ?on_round ?on_event
-      ?workload rng graph
+    E.loop settings ~exec:(E.Frontier planes) ?churn ?corrupt ?motion ?on_round
+      ?on_event ?workload rng graph
 end

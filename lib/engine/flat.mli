@@ -3,9 +3,8 @@
     {!Flat_core} (CSR adjacency, domain-sharded dirty frontier, zero
     per-round allocation).
 
-    Equivalent to [Engine.Make(P).run] — same states modulo
-    [P.equal_state], rounds, change history, bursts and faults for the
-    options both offer — for protocols honoring the {!Protocol.FLAT}
+    Equivalent to [Engine.Make(P).run] — the same run record, states
+    modulo [P.equal_state] — for protocols honoring the {!Protocol.FLAT}
     contract; the differential battery in [test/suite_flat.ml] enforces
     flat ≡ sparse ≡ dense over random graphs, channels, schedulers,
     churn and motion. Engine's [Sparse] mode runs the same loop and the
@@ -16,11 +15,11 @@
     - [?domains] runs synchronous rounds sharded over a domain pool;
       every domain count yields bit-identical results (see
       {!Flat_core}).
-    - No [?fault] hook and no [?probe]: both hand typed state arrays to
-      arbitrary callbacks every round, which would force a full
-      unpack per round and defeat the flat representation. Use the churn
-      plan's [Corrupt] events for fault injection and [?on_round] for
-      instrumentation.
+    - No [?probe]: it hands a typed state array to an arbitrary callback
+      every round, which would force a full unpack per round and defeat
+      the flat representation. Use [?on_round] or [?workload] (its reader
+      unpacks on demand) for instrumentation. Faults are injected as in
+      {!Engine.Make.run}, by the churn plan's [Corrupt] events.
     - Warm behavior is not optional: the protocol's [Flat.warm] is
       always consulted (the typed executor's [Sparse { warm }] is a
       per-run choice).
@@ -86,6 +85,6 @@ module Make (P : Protocol.FLAT) : sig
       whole state (the traffic workload's route views) re-reads a node
       only after its state was written. Same activity semantics: an
       active workload keeps the run alive through quiescence without
-      resetting the quiescence counter. Defaults otherwise match the
-      reference executor. *)
+      resetting the quiescence counter. Defaults are
+      {!Engine.Make.run}'s, kept once in {!Engine.Make.enter}. *)
 end

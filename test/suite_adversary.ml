@@ -2,10 +2,11 @@
 
    (1) Differential battery: [Adversary.Wrap] grafted onto the full
    distributed stack must keep the sparse executor bit-identical to the
-   dense reference walk over random (graph x channel x scheduler x
-   Byzantine roster x activation round x churn plan) cases — including
-   the asymmetric and bursty channels, whose plans are pure functions of
-   (key, edge, round) precisely so this holds. Any under-declared
+   dense reference walk on the whole run record over random (graph x
+   channel x scheduler x Byzantine roster x activation round x churn
+   plan) cases from [Differential] — including the asymmetric and bursty
+   channels, whose plans are pure functions of (key, edge, round)
+   precisely so this holds. Any under-declared
    dependency (a Liar emission moving while its node sleeps, an
    activation clock frozen by the dirty set) shows up as a divergence,
    and QCheck shrinks the roster and plan to a minimal counterexample.
@@ -21,14 +22,13 @@ module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
 module Traversal = Ss_topology.Traversal
 module Channel = Ss_radio.Channel
-module Scheduler = Ss_engine.Scheduler
-module Churn = Ss_engine.Churn
 module Engine = Ss_engine.Engine
 module Adversary = Ss_engine.Adversary
 module Monitor = Ss_engine.Monitor
 module Distributed = Ss_cluster.Distributed
 module Invariants = Ss_cluster.Invariants
 module Rng = Ss_prng.Rng
+module D = Differential
 
 module P = Distributed.Make (struct
   let params = Distributed.default_params
@@ -36,167 +36,38 @@ end)
 
 (* ------------------------------------------------ differential battery *)
 
-type case = {
-  seed : int;
-  graph_kind : int;  (* 0 path / 1 cycle / 2 gnp / 3 geo grid *)
-  size : int;
-  channel_kind : int;  (* 0 perfect / 1 bernoulli / 2 asymmetric / 3 bursty *)
-  sched_kind : int;  (* 0 synchronous / 1 sequential / 2 random order *)
-  from_round : int;
-  byz : (int * int) list;  (* (node selector, behavior selector) *)
-  plan : (int * int * int) list;  (* (round, event kind, victim) churn *)
-}
-
-let build_graph c =
-  let size = max 4 c.size in
-  match c.graph_kind with
-  | 0 -> Builders.path size
-  | 1 -> Builders.cycle size
-  | 2 -> Builders.gnp (Rng.create ~seed:(c.seed + 1)) ~n:size ~p:0.25
-  | _ ->
-      Builders.geometric_grid ~cols:4 ~rows:(max 2 (size / 4)) ~radius:0.45
-
-let build_channel c =
-  match c.channel_kind with
-  | 0 -> Channel.perfect
-  | 1 -> Channel.bernoulli 0.7
-  | 2 -> Channel.asymmetric ~seed:(c.seed + 2) ~tau_lo:0.4 ~tau_hi:1.0
-  | _ ->
-      Channel.bursty ~seed:(c.seed + 3) ~tau_good:0.9 ~tau_bad:0.1
-        ~p_fade:0.15 ~p_recover:0.4
-
-let build_scheduler c =
-  match c.sched_kind with
-  | 0 -> Scheduler.Synchronous
-  | 1 -> Scheduler.Sequential
-  | _ -> Scheduler.Random_order
-
-(* Selectors fold onto the graph; duplicate nodes keep their first
-   behavior (Wrap rejects duplicate roster entries). *)
-let build_roles c n =
-  let seen = Hashtbl.create 4 in
-  List.filter_map
-    (fun (node, b) ->
-      let p = node mod n in
-      if Hashtbl.mem seen p then None
-      else begin
-        Hashtbl.add seen p ();
-        Some (p, List.nth Adversary.behaviors (b mod 4))
-      end)
-    c.byz
-
-let build_plan c graph =
-  let n = Graph.node_count graph in
-  let edges = Array.of_list (Graph.edges graph) in
-  Churn.schedule
-    (List.map
-       (fun (round, kind, victim) ->
-         let v = victim mod n in
-         let link () = edges.(victim mod Array.length edges) in
-         let ev =
-           match kind mod 7 with
-           | 0 -> Churn.Crash v
-           | 1 -> Churn.Join v
-           | 2 -> Churn.Sleep v
-           | 3 -> Churn.Wake v
-           | (4 | 5) when Array.length edges = 0 -> Churn.Crash v
-           | 4 ->
-               let p, q = link () in
-               Churn.Link_down (p, q)
-           | 5 ->
-               let p, q = link () in
-               Churn.Link_up (p, q)
-           | _ -> Churn.Corrupt v
-         in
-         (1 + (round mod 12), [ ev ]))
-       c.plan)
-
 let run_case c =
-  let graph = build_graph c in
-  let n = Graph.node_count graph in
+  let module P = (val D.protocol c.D.ttl) in
+  let w = D.static_world c in
   let module Q =
     Adversary.Wrap
       (P)
       (struct
         type message = Distributed.message
 
-        let key = Rng.key ~seed:(c.seed + 7)
-        let roles = build_roles c n
-        let from_round = 1 + (c.from_round mod 12)
+        let key = Rng.key ~seed:(c.D.seed + 7)
+        let roles = D.roster c (Graph.node_count (D.build_graph c))
+        let from_round = D.activation c
         let forge = Distributed.forge
       end)
   in
-  let module E = Engine.Make (Q) in
-  let channel = build_channel c in
-  let scheduler = build_scheduler c in
-  let churn = build_plan c graph in
-  let exec mode =
-    let rng = Rng.create ~seed:c.seed in
-    E.run ~mode ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2 ~churn
-      ~corrupt:(Q.lift_corrupt Distributed.corrupt)
-      rng graph
+  let module R =
+    D.Run (Q)
+      (struct
+        type state = Q.state
+
+        let corrupt = Q.lift_corrupt Distributed.corrupt
+        let warm = Q.warm Distributed.pending_expiry
+      end)
   in
-  let dense = exec E.Dense in
-  let sparse =
-    exec (E.Sparse { warm = Some (Q.warm Distributed.pending_expiry) })
-  in
-  let states_agree =
-    Array.for_all2
-      (fun a b -> Q.equal_state a b)
-      dense.E.states sparse.E.states
-  in
-  states_agree
-  && dense.E.rounds = sparse.E.rounds
-  && dense.E.converged = sparse.E.converged
-  && dense.E.last_change_round = sparse.E.last_change_round
-  && dense.E.change_history = sparse.E.change_history
-  && dense.E.alive = sparse.E.alive
-  && dense.E.bursts = sparse.E.bursts
-  && dense.E.faults = sparse.E.faults
-
-let print_case c =
-  Printf.sprintf
-    "seed=%d graph=%d size=%d channel=%d sched=%d from=%d byz=[%s] plan=[%s]"
-    c.seed c.graph_kind c.size c.channel_kind c.sched_kind c.from_round
-    (String.concat "; "
-       (List.map (fun (p, b) -> Printf.sprintf "(%d,%d)" p b) c.byz))
-    (String.concat "; "
-       (List.map
-          (fun (r, k, v) -> Printf.sprintf "(%d,%d,%d)" r k v)
-          c.plan))
-
-let gen_case =
-  QCheck.Gen.(
-    map
-      (fun ((seed, graph_kind, size), (channel_kind, sched_kind, from_round),
-            byz, plan) ->
-        { seed; graph_kind; size; channel_kind; sched_kind; from_round;
-          byz; plan })
-      (quad
-         (triple (int_range 0 999_999) (int_range 0 3) (int_range 4 20))
-         (triple (int_range 0 3) (int_range 0 2) (int_range 0 11))
-         (list_size (int_range 1 4)
-            (pair (int_range 0 999) (int_range 0 3)))
-         (list_size (int_range 0 8)
-            (triple (int_range 0 11) (int_range 0 6) (int_range 0 999)))))
-
-(* Shrink the churn plan first, then the roster, then the topology;
-   channel/scheduler/behavior selectors stay fixed so the shrunk case
-   still exercises the failing configuration. *)
-let shrink_case c yield =
-  QCheck.Shrink.list c.plan (fun plan -> yield { c with plan });
-  QCheck.Shrink.list c.byz (fun byz ->
-      if byz <> [] then yield { c with byz });
-  if c.size > 4 then
-    QCheck.Shrink.int c.size (fun size ->
-        if size >= 4 then yield { c with size })
-
-let arb_case = QCheck.make ~print:print_case ~shrink:shrink_case gen_case
+  let states = R.initial w in
+  R.diff ~left:"dense" ~right:"sparse" (R.dense ?states w) (R.sparse ?states w)
 
 let prop_sparse_equals_dense =
   QCheck.Test.make
     ~name:"adversary: sparse run = dense run (all observables)" ~count:300
-    arb_case run_case
+    (D.arb_case ~byz:true ())
+    (fun c -> D.holds (run_case c))
 
 (* ------------------------------------------------------- transparency *)
 

@@ -3,7 +3,6 @@ module Dynamic = Ss_topology.Dynamic
 module Builders = Ss_topology.Builders
 module Engine = Ss_engine.Engine
 module Churn = Ss_engine.Churn
-module Fault = Ss_engine.Fault
 module Scheduler = Ss_engine.Scheduler
 module Config = Ss_cluster.Config
 module Algorithm = Ss_cluster.Algorithm
@@ -377,11 +376,11 @@ let test_probe_sees_liveness () =
   Alcotest.(check bool) "probe observed the crash" true (!dead_seen > 0)
 
 let test_fault_to_churn () =
-  (* A corruption-only fault plan, replayed through the churn DSL: zeroing
-     two nodes after convergence forces a re-flood back to the fixpoint. *)
+  (* A corruption-only plan in the churn DSL: zeroing two nodes after
+     convergence forces a re-flood back to the fixpoint. *)
   let g = Builders.path 6 in
-  let plan = Fault.at_round ~round:12 ~count:2 ~corrupt:(fun _ _ _ -> 0) in
-  let churn, corrupt = Fault.to_churn plan in
+  let churn = Churn.corrupt_count ~round:12 ~count:2 in
+  let corrupt _ _ _ = 0 in
   let counter = Counter.create () in
   let result =
     E.run ~churn ~corrupt ~quiet_rounds:2
@@ -505,29 +504,25 @@ end)
 module EL = Engine.Make (PD_lossy)
 
 let test_combined_adversity_recovers () =
-  (* Every adversity class at once: transient state corruption lifted
-     through [Fault.to_churn], a contended slotted channel, and a
+  (* Every adversity class at once: transient state corruption as
+     [Churn.corrupt_count], a contended slotted channel, and a
      crash-then-rejoin storm — one run, one plan. Self-stabilization
      demands the network still settle into a safe configuration: the final
      assignment is legitimate and no ghost references survive. *)
   let rng = Rng.create ~seed:47 in
   let graph = Builders.gnp rng ~n:40 ~p:0.12 in
-  let fault_churn, corrupt =
-    Fault.to_churn
-      (Fault.at_round ~round:40 ~count:10 ~corrupt:Distributed.corrupt)
-  in
   let churn =
     Churn.compose
       [
         Churn.crash_fraction ~round:25 ~fraction:0.2;
-        fault_churn;
+        Churn.corrupt_count ~round:40 ~count:10;
         Churn.join_all ~round:70;
       ]
   in
   let result =
     EL.run
       ~channel:(Ss_radio.Channel.slotted ~slots:24)
-      ~churn ~corrupt ~quiet_rounds:10 ~max_rounds:5000 rng graph
+      ~churn ~corrupt:Distributed.corrupt ~quiet_rounds:10 ~max_rounds:5000 rng graph
   in
   Alcotest.(check bool) "converged under combined adversity" true
     result.EL.converged;

@@ -3,7 +3,8 @@ module Builders = Ss_topology.Builders
 module Channel = Ss_radio.Channel
 module Engine = Ss_engine.Engine
 module Scheduler = Ss_engine.Scheduler
-module Fault = Ss_engine.Fault
+module Churn = Ss_engine.Churn
+module Dynamic = Ss_topology.Dynamic
 module Rng = Ss_prng.Rng
 
 (* A toy protocol: flood the maximum value seen. Converges in diameter
@@ -101,27 +102,25 @@ let test_fault_hook_resets_quiescence () =
   let g = Builders.path 6 in
   (* Corrupt one node's value downward at round 8, after convergence: the
      flood must re-propagate (value re-raised by neighbors). *)
-  let fault ~round ~states _rng =
-    if round = 8 then begin
-      states.(3) <- 0;
-      [ 3 ]
-    end
-    else []
+  let hit = ref [] in
+  let corrupt _rng p _st =
+    hit := p :: !hit;
+    0
   in
-  (* quiet_rounds large enough that the executor is still alive when the
-     round-8 fault fires. *)
-  let result = E.run ~quiet_rounds:10 ~fault (rng ()) g in
+  let churn = Churn.corrupt_count ~round:8 ~count:1 in
+  let result = E.run ~quiet_rounds:10 ~churn ~corrupt (rng ()) g in
   Alcotest.(check bool) "converged again" true result.E.converged;
   Alcotest.(check bool) "ran past the fault" true (result.E.last_change_round >= 8);
   Array.iter (fun st -> Alcotest.(check int) "healed" 6 st) result.E.states;
-  (* The dead fault_report type is now wired: the run names its victims. *)
-  (match result.E.faults with
+  Alcotest.(check int) "one victim scrambled" 1 (List.length !hit);
+  (* The run names its victim. *)
+  match result.E.faults with
   | [ { Engine.fault_round; corrupted } ] ->
       Alcotest.(check int) "fault round reported" 8 fault_round;
-      Alcotest.(check (list int)) "victims reported" [ 3 ] corrupted
+      Alcotest.(check (list int)) "victim reported" !hit corrupted
   | fs ->
       Alcotest.failf "expected exactly one fault report, got %d"
-        (List.length fs))
+        (List.length fs)
 
 let test_lossy_channel_still_converges () =
   (* Floodmax is monotone, so convergence survives arbitrary loss as long
@@ -151,42 +150,109 @@ let test_init_states_override () =
   Array.iter (fun st -> Alcotest.(check int) "custom seed flooded" 100 st)
     result.E.states
 
-(* ---------------------------------------------------------------- Fault *)
+(* --------------------------------------------- the differential localizer *)
+
+(* The batteries' comparator on hand-edited records: each edit must be
+   named by its field and its round or node, and equal records give
+   [None]. *)
+module DF =
+  Differential.Run
+    (Floodmax)
+    (struct
+      type state = int
+
+      let corrupt _ _ st = st
+      let warm _ = false
+    end)
+
+let test_localizer () =
+  let g = Builders.path 8 in
+  let churn =
+    Churn.schedule [ (2, [ Churn.Crash 6 ]); (5, [ Churn.Join 6 ]) ]
+  in
+  let r = E.run ~churn (rng ()) g in
+  let diff = DF.diff ~left:"a" ~right:"b" r in
+  Alcotest.(check (option string)) "equal records" None (diff r);
+  Alcotest.(check (option string))
+    "a rerun" None
+    (diff (E.run ~churn (rng ()) g));
+  Alcotest.(check (option string))
+    "exact" None
+    (DF.diff ~exact:true ~left:"a" ~right:"b" r
+       { r with states = Array.copy r.E.states });
+  let k = List.nth r.E.change_history 2 in
+  Alcotest.(check (option string)) "change_history"
+    (Some (Printf.sprintf "change_history: round 3: a %d, b %d" k (k + 7)))
+    (diff
+       {
+         r with
+         change_history =
+           List.mapi (fun i c -> if i = 2 then c + 7 else c) r.E.change_history;
+       });
+  let changed_at = Array.copy r.E.changed_at in
+  changed_at.(4) <- changed_at.(4) + 9;
+  Alcotest.(check (option string)) "changed_at"
+    (Some
+       (Printf.sprintf "changed_at: node 4: a %d, b %d" r.E.changed_at.(4)
+          changed_at.(4)))
+    (diff { r with changed_at });
+  let states = Array.copy r.E.states in
+  states.(5) <- states.(5) - 1;
+  Alcotest.(check (option string)) "states"
+    (Some "states: node 5: a and b differ (equal_state)")
+    (diff { r with states })
+
+(* ------------------------------------------------- Churn.corrupt_count *)
+
+(* Corruption plans are churn: [Churn.corrupt_count] emits [Corrupt]
+   events, victims drawn among the alive nodes. [corrupt_victims] reads
+   one round's victims off a plan. *)
+let corrupt_victims plan ~round dyn r =
+  List.map
+    (function
+      | Churn.Corrupt p -> p
+      | ev -> Alcotest.failf "unexpected event %a" Churn.pp_event ev)
+    (Churn.events_at plan ~round dyn r)
 
 let test_fault_plan_schedule () =
   let plan =
-    Fault.make
-      ~schedule:[ (2, 1); (5, 2) ]
-      ~corrupt:(fun _rng _node st -> st + 1000)
+    Churn.compose
+      [
+        Churn.corrupt_count ~round:2 ~count:1;
+        Churn.corrupt_count ~round:5 ~count:2;
+      ]
   in
-  let states = [| 0; 0; 0 |] in
+  let dyn = Dynamic.create (Builders.path 3) in
   let r = rng () in
   Alcotest.(check (list int)) "round 1 silent" []
-    (Fault.inject plan ~round:1 ~states r);
-  let victims = Fault.inject plan ~round:2 ~states r in
-  Alcotest.(check int) "round 2: one victim" 1 (List.length victims);
-  let corrupted = Array.fold_left (fun acc v -> if v >= 1000 then acc + 1 else acc) 0 states in
-  Alcotest.(check int) "one victim" 1 corrupted;
+    (corrupt_victims plan ~round:1 dyn r);
+  Alcotest.(check int) "round 2: one victim" 1
+    (List.length (corrupt_victims plan ~round:2 dyn r));
+  let five = corrupt_victims plan ~round:5 dyn r in
+  Alcotest.(check int) "round 5: two distinct victims" 2
+    (List.length (List.sort_uniq Int.compare five));
   List.iter
-    (fun p -> Alcotest.(check bool) "reported victim corrupted" true (states.(p) >= 1000))
-    victims;
-  Alcotest.(check int) "round 5: two victims" 2
-    (List.length (Fault.inject plan ~round:5 ~states r))
+    (fun p -> Alcotest.(check bool) "victim is a node" true (p >= 0 && p < 3))
+    five
 
 let test_fault_plan_validation () =
-  Alcotest.check_raises "round 0" (Invalid_argument "Fault.make: rounds start at 1")
-    (fun () ->
-      ignore (Fault.make ~schedule:[ (0, 1) ] ~corrupt:(fun _ _ st -> st)));
+  Alcotest.check_raises "round 0" (Invalid_argument "Churn: rounds start at 1")
+    (fun () -> ignore (Churn.corrupt_count ~round:0 ~count:1));
   Alcotest.check_raises "negative count"
-    (Invalid_argument "Fault.make: negative corruption count") (fun () ->
-      ignore (Fault.make ~schedule:[ (1, -1) ] ~corrupt:(fun _ _ st -> st)))
+    (Invalid_argument "Churn.corrupt_count: negative count") (fun () ->
+      ignore (Churn.corrupt_count ~round:1 ~count:(-1)))
 
 let test_fault_count_clamped () =
-  let plan = Fault.at_round ~round:1 ~count:99 ~corrupt:(fun _ _ st -> st + 1) in
-  let states = [| 0; 0 |] in
-  Alcotest.(check int) "both victims reported" 2
-    (List.length (Fault.inject plan ~round:1 ~states (rng ())));
-  Alcotest.(check (array int)) "all corrupted once" [| 1; 1 |] states
+  (* Four nodes, one crashed: a 99-victim burst corrupts each of the
+     three alive nodes once and never the crashed one. *)
+  let dyn = Dynamic.create (Builders.path 4) in
+  ignore (Dynamic.crash dyn 1);
+  let victims =
+    corrupt_victims (Churn.corrupt_count ~round:1 ~count:99) ~round:1 dyn
+      (rng ())
+  in
+  Alcotest.(check (list int)) "every alive node once" [ 0; 2; 3 ]
+    (List.sort Int.compare victims)
 
 (* -------------------------------------------------------------- Channel *)
 
@@ -295,21 +361,24 @@ let test_floodmax_under_slotted_channel () =
   Array.iter (fun st -> Alcotest.(check int) "max everywhere" 8 st) result.E.states
 
 let test_fault_hook_silent_outside_schedule () =
-  (* The hook form used by [Engine.run ~fault]: it must report no victims
-     on every round the schedule does not mention, so quiescence tracking
-     is undisturbed between bursts. *)
-  let plan = Fault.at_round ~round:4 ~count:1 ~corrupt:(fun _ _ st -> st + 1) in
-  let states = [| 0; 0; 0 |] in
+  (* A corruption burst must emit nothing on every round it does not
+     name, so quiescence tracking is undisturbed between bursts; and the
+     run keeps going until it fired. *)
+  let plan = Churn.corrupt_count ~round:4 ~count:1 in
+  let dyn = Dynamic.create (Builders.path 3) in
   let r = rng () in
   for round = 1 to 10 do
-    let victims = Fault.hook plan ~round ~states r in
     Alcotest.(check int)
       (Printf.sprintf "round %d" round)
       (if round = 4 then 1 else 0)
-      (List.length victims)
+      (List.length (corrupt_victims plan ~round dyn r))
   done;
-  Alcotest.(check int) "exactly one corruption" 1
-    (Array.fold_left ( + ) 0 states)
+  Alcotest.(check (option int)) "horizon" (Some 4) (Churn.horizon plan);
+  let result =
+    E.run ~churn:plan ~corrupt:(fun _ _ st -> st + 1) (rng ()) (Builders.path 3)
+  in
+  Alcotest.(check (list int)) "one fault round" [ 4 ]
+    (List.map (fun f -> f.Engine.fault_round) result.E.faults)
 
 let test_floodmax_under_jammed_channel () =
   (* Engine-level jamming: node 2 sits inside the jammed region with
@@ -748,5 +817,7 @@ let suite =
       test_channel_bursty_runs_are_bursty;
     Alcotest.test_case "asymmetric/bursty validation" `Quick
       test_channel_asym_bursty_validation;
+    Alcotest.test_case "differential localizer names the divergence" `Quick
+      test_localizer;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_jammed_disjoint_is_bernoulli ]

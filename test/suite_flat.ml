@@ -1,14 +1,13 @@
 (* The flat executor's proof obligations, as differential batteries.
 
    (a) Flat = dense: [Flat.Make(P).run] must agree with the typed dense
-       reference on every observable — final states modulo [equal_state],
-       round count, stabilization round, per-round change history,
-       liveness, burst/recovery attribution, fault reports, the final
-       topology and per-node last-change rounds (those also against the
-       typed sparse executor) — over random (graph x channel x scheduler
-       x churn x TTL) cases on the full protocol stack. Any mismatch in the packed
-       merge/election arithmetic, the frontier rules or the draw
-       discipline shows up here, and QCheck shrinks the plan.
+       and sparse executors on the whole run record (final states modulo
+       [equal_state], [Differential]'s comparator names the first
+       divergent field) over random (graph x channel x scheduler x churn
+       x corruption burst x TTL x warm start) cases on the full protocol
+       stack. Any mismatch in the packed merge/election arithmetic, the
+       frontier rules or the draw discipline shows up here, and QCheck
+       shrinks the plan.
    (b) Domain independence: on synchronous rounds, 4 domains must equal
        1 domain bit-for-bit (structural equality on the unpacked states,
        not just [equal_state]) — the phase-split determinism argument.
@@ -23,212 +22,53 @@
 module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
 module Dynamic = Ss_topology.Dynamic
-module Motion = Ss_topology.Motion
-module Bbox = Ss_geom.Bbox
-module Channel = Ss_radio.Channel
 module Scheduler = Ss_engine.Scheduler
 module Churn = Ss_engine.Churn
 module Engine = Ss_engine.Engine
 module Flat = Ss_engine.Flat
-module Model = Ss_mobility.Model
-module Fleet = Ss_mobility.Fleet
 module Distributed = Ss_cluster.Distributed
 module Config = Ss_cluster.Config
 module Rng = Ss_prng.Rng
+module D = Differential
 
 (* ------------------------------------------- (a)+(b): static-base battery *)
 
-type case = {
-  seed : int;
-  graph_kind : int; (* 0 path / 1 cycle / 2 complete / 3 gnp / 4 geo grid *)
-  size : int;
-  channel_kind : int; (* 0 perfect / 1 bernoulli / 2 jammed / 3 slotted *)
-  sched_kind : int; (* 0 synchronous / 1 sequential / 2 random order *)
-  ttl : int;
-  plan : (int * int * int) list; (* (round, event kind, victim) *)
-  warm : bool; (* warm-start every executor from one shared array *)
-}
-
-(* The jammed channel needs node positions, so it forces the geometric
-   grid regardless of [graph_kind]. *)
-let build_graph c =
-  let size = max 4 c.size in
-  let kind = if c.channel_kind = 2 then 4 else c.graph_kind in
-  match kind with
-  | 0 -> Builders.path size
-  | 1 -> Builders.cycle size
-  | 2 -> Builders.complete (min size 10)
-  | 3 -> Builders.gnp (Rng.create ~seed:(c.seed + 1)) ~n:size ~p:0.25
-  | _ ->
-      Builders.geometric_grid ~cols:4 ~rows:(max 2 (size / 4)) ~radius:0.45
-
-let jam_region = Bbox.make ~min_x:0.2 ~min_y:0.2 ~max_x:0.8 ~max_y:0.8
-
-let build_channel c =
-  match c.channel_kind with
-  | 0 -> Channel.perfect
-  | 1 -> Channel.bernoulli 0.7
-  | 2 -> Channel.jammed ~tau:0.9 ~region:jam_region ~jam_tau:0.3
-  | _ -> Channel.slotted ~slots:4
-
-let build_scheduler c =
-  match c.sched_kind with
-  | 0 -> Scheduler.Synchronous
-  | 1 -> Scheduler.Sequential
-  | _ -> Scheduler.Random_order
-
-let build_plan c graph =
-  let n = Graph.node_count graph in
-  let edges = Array.of_list (Graph.edges graph) in
-  Churn.schedule
-    (List.map
-       (fun (round, kind, victim) ->
-         let v = victim mod n in
-         let link () = edges.(victim mod Array.length edges) in
-         let ev =
-           match kind mod 7 with
-           | 0 -> Churn.Crash v
-           | 1 -> Churn.Join v
-           | 2 -> Churn.Sleep v
-           | 3 -> Churn.Wake v
-           | (4 | 5) when Array.length edges = 0 -> Churn.Crash v
-           | 4 ->
-               let p, q = link () in
-               Churn.Link_down (p, q)
-           | 5 ->
-               let p, q = link () in
-               Churn.Link_up (p, q)
-           | _ -> Churn.Corrupt v
-         in
-         (1 + (round mod 12), [ ev ]))
-       c.plan)
-
+(* Warm cases deliberately share ONE array across every execution below:
+   the executors must neither mutate the caller's snapshot (the dense run
+   would otherwise hand the flat runs pre-converged states and the change
+   histories would trivially "agree" at zero) nor diverge on the warm
+   path itself. *)
 let run_case c =
-  let module P = Distributed.Make (struct
-    let params =
-      { Distributed.default_params with cache_ttl = 1 + (c.ttl mod 4) }
-  end) in
-  let module E = Engine.Make (P) in
-  let module F = Flat.Make (P) in
-  let graph = build_graph c in
-  let channel = build_channel c in
-  let scheduler = build_scheduler c in
-  let churn = build_plan c graph in
-  (* Warm cases deliberately share ONE array across every execution below:
-     the executors must neither mutate the caller's snapshot (the dense
-     run would otherwise hand the flat runs pre-converged states and the
-     change histories would trivially "agree" at zero) nor diverge on the
-     warm path itself. *)
-  let states =
-    if not c.warm then None
-    else begin
-      let b = P.Flat.alloc graph in
-      P.Flat.init_all b (Rng.create ~seed:(c.seed + 7)) graph;
-      Some (Array.init (Graph.node_count graph) (P.Flat.unpack b))
-    end
-  in
+  let module P = (val D.protocol c.D.ttl) in
+  let module R = D.Run_flat (P) (D.Distributed_hooks) in
+  let w = D.static_world c in
+  let states = R.initial w in
   let pristine = Option.map Array.copy states in
-  (* Fresh same-seeded generators per execution: the base key and every
-     sequential plan-evaluation draw (init, Join re-inits, corrupt
-     scrambles) line up by construction; everything in-round is
-     counter-keyed. *)
-  let dense =
-    let rng = Rng.create ~seed:c.seed in
-    E.run ~mode:E.Dense ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2
-      ~churn ~corrupt:Distributed.corrupt ?states rng graph
-  in
-  let sparse =
-    let rng = Rng.create ~seed:c.seed in
-    E.run
-      ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-      ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2 ~churn
-      ~corrupt:Distributed.corrupt ?states rng graph
-  in
-  let flat domains =
-    let rng = Rng.create ~seed:c.seed in
-    F.run ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2 ~churn
-      ~corrupt:Distributed.corrupt ~domains ?states rng graph
-  in
-  let f1 = flat 1 in
-  let input_preserved =
-    match (states, pristine) with
-    | Some s, Some p -> s = p
-    | _ -> true
-  in
-  if not input_preserved then false
-  else
-  let against_dense =
-    Array.for_all2
-      (fun a b -> P.equal_state a b)
-      dense.E.states f1.F.states
-    && dense.E.rounds = f1.F.rounds
-    && dense.E.converged = f1.F.converged
-    && dense.E.last_change_round = f1.F.last_change_round
-    && dense.E.change_history = f1.F.change_history
-    && dense.E.alive = f1.F.alive
-    && dense.E.bursts = f1.F.bursts
-    && dense.E.faults = f1.F.faults
-    && Graph.equal dense.E.graph f1.F.graph
-    && dense.E.changed_at = f1.F.changed_at
-    && sparse.E.changed_at = f1.F.changed_at
-  in
-  if not against_dense then false
-  else if scheduler <> Scheduler.Synchronous then true
-  else
-    (* Sharding only touches synchronous rounds; there the 4-domain run
-       must be bit-identical — structural equality, caches included. *)
-    let f4 = flat 4 in
-    f1.F.states = f4.F.states
-    && f1.F.rounds = f4.F.rounds
-    && f1.F.converged = f4.F.converged
-    && f1.F.last_change_round = f4.F.last_change_round
-    && f1.F.change_history = f4.F.change_history
-    && f1.F.alive = f4.F.alive
-    && f1.F.bursts = f4.F.bursts
-    && f1.F.faults = f4.F.faults
-    && Graph.equal f1.F.graph f4.F.graph
-    && f1.F.changed_at = f4.F.changed_at
-
-let print_case c =
-  Printf.sprintf
-    "seed=%d graph=%d size=%d channel=%d sched=%d ttl=%d warm=%b plan=[%s]"
-    c.seed c.graph_kind (max 4 c.size) c.channel_kind c.sched_kind
-    (1 + (c.ttl mod 4))
-    c.warm
-    (String.concat "; "
-       (List.map
-          (fun (r, k, v) -> Printf.sprintf "(%d,%d,%d)" r k v)
-          c.plan))
-
-let gen_case =
-  QCheck.Gen.(
-    map
-      (fun
-        (((seed, graph_kind, size), (channel_kind, sched_kind, ttl), plan),
-         warm)
-      ->
-        { seed; graph_kind; size; channel_kind; sched_kind; ttl; plan; warm })
-      (pair
-         (triple
-            (triple (int_range 0 999_999) (int_range 0 4) (int_range 4 30))
-            (triple (int_range 0 3) (int_range 0 2) (int_range 0 3))
-            (list_size (int_range 0 10)
-               (triple (int_range 0 11) (int_range 0 6) (int_range 0 999))))
-         bool))
-
-(* Shrink the plan first (most failures are event interactions), then the
-   size; kind selectors stay fixed so the shrunk case keeps the regime. *)
-let shrink_case c yield =
-  QCheck.Shrink.list c.plan (fun plan -> yield { c with plan });
-  if c.size > 4 then
-    QCheck.Shrink.int c.size (fun size -> if size >= 4 then yield { c with size })
-
-let arb_case = QCheck.make ~print:print_case ~shrink:shrink_case gen_case
+  let dense = R.dense ?states w in
+  let sparse = R.sparse ?states w in
+  let f1 = R.flat ~domains:1 ?states w in
+  D.first
+    [
+      (fun () ->
+        if states = pristine then None
+        else Some "warm start: a run mutated the caller's states");
+      (fun () -> R.diff ~left:"dense" ~right:"flat" dense f1);
+      (fun () -> R.diff ~left:"sparse" ~right:"flat" sparse f1);
+      (fun () ->
+        (* Sharding only touches synchronous rounds; there the 4-domain
+           run must be bit-identical — structural equality, caches
+           included. *)
+        if w.D.scheduler <> Scheduler.Synchronous then None
+        else
+          R.diff ~exact:true ~left:"flat/1" ~right:"flat/4" f1
+            (R.flat ~domains:4 ?states w));
+    ]
 
 let prop_flat_equals_dense =
   QCheck.Test.make
     ~name:"flat = dense; 4 domains = 1 domain (all observables)" ~count:400
-    arb_case run_case
+    (D.arb_case ())
+    (fun c -> D.holds (run_case c))
 
 (* The flat core's stamps count changes exactly like the typed
    executors' (the check is [Suite_sparse.stamps_track_changes]): the
@@ -236,28 +76,21 @@ let prop_flat_equals_dense =
 let prop_flat_stamps_track_changes =
   QCheck.Test.make
     ~name:"flat stamps: per-round stamp count = changed (churn-free)"
-    ~count:150 arb_case (fun c ->
-      let module P = Distributed.Make (struct
-        let params =
-          { Distributed.default_params with cache_ttl = 1 + (c.ttl mod 4) }
-      end) in
-      let module F = Flat.Make (P) in
-      let graph = build_graph c in
+    ~count:150 (D.arb_case ()) (fun c ->
+      let module P = (val D.protocol c.D.ttl) in
+      let module R = D.Run_flat (P) (D.Distributed_hooks) in
+      let w = { (D.static_world c) with churn = Churn.nothing } in
       let exec domains ~on_round ~workload =
-        (F.run ~scheduler:(build_scheduler c) ~channel:(build_channel c)
-           ~max_rounds:40 ~quiet_rounds:2 ~on_round ~workload ~domains
-           (Rng.create ~seed:c.seed) graph)
-          .F.changed_at
+        (R.flat ~domains ~on_round ~workload w).R.E.changed_at
       in
       Suite_sparse.stamps_track_changes (exec 1)
       && Suite_sparse.stamps_track_changes (exec 4))
 
 (* A rewrite stamps its round even when no step moves the outputs after
    it: a node joined and crashed in the same round never steps, an
-   identity [Corrupt] (or, on the typed executors, an identity fault
-   victim) leaves a converged node's outputs as they were. The random
-   battery rarely hits these, since a rewritten node usually changes on
-   its next step and stamps the same round anyway. *)
+   identity [Corrupt] leaves a converged node's outputs as they were.
+   The random battery rarely hits these, since a rewritten node usually
+   changes on its next step and stamps the same round anyway. *)
 let test_rewrite_stamps () =
   let module P = Distributed.Make (struct
     let params = Distributed.default_params
@@ -274,170 +107,33 @@ let test_rewrite_stamps () =
       ]
   in
   let corrupt _ _ st = st in
-  let fault ~round ~states:_ _ = if round = 15 then [ 5 ] else [] in
-  let check label ~fault_victim (changed_at : int array) =
+  let check label (changed_at : int array) =
     Alcotest.(check int) (label ^ ": joined and crashed") 12 changed_at.(2);
-    Alcotest.(check int) (label ^ ": identity Corrupt") 14 changed_at.(4);
-    if fault_victim then
-      Alcotest.(check int) (label ^ ": identity fault victim") 15 changed_at.(5)
+    Alcotest.(check int) (label ^ ": identity Corrupt") 14 changed_at.(4)
   in
   let typed mode =
-    (E.run ~mode ~max_rounds:30 ~quiet_rounds:3 ~churn ~corrupt ~fault
+    (E.run ~mode ~max_rounds:30 ~quiet_rounds:3 ~churn ~corrupt
        (Rng.create ~seed:5) graph)
       .E.changed_at
   in
-  check "dense" ~fault_victim:true (typed E.Dense);
-  check "sparse" ~fault_victim:true
-    (typed (E.Sparse { warm = Some Distributed.pending_expiry }));
-  check "flat" ~fault_victim:false
+  check "dense" (typed E.Dense);
+  check "sparse" (typed (E.Sparse { warm = Some Distributed.pending_expiry }));
+  check "flat"
     (F.run ~max_rounds:30 ~quiet_rounds:3 ~churn ~corrupt
        (Rng.create ~seed:5) graph)
       .F.changed_at
 
 (* ------------------------------------------------- (c): motion battery *)
 
-type sim_case = {
-  s_seed : int;
-  s_n : int;
-  s_model : int; (* 0 static / 1 slow walk / 2 vehicular / 3 wp pause / 4 wp *)
-  s_channel : int;
-  s_sched : int;
-  s_ttl : int;
-  s_dt : int;
-  s_plan : (int * int * int) list;
-}
-
-let dts = [| 0.25; 1.0; 5.0; 30.0 |]
-
-let build_model = function
-  | 0 -> Model.static
-  | 1 -> Model.random_walk ~speed_min:0.001 ~speed_max:0.01 ()
-  | 2 -> Model.vehicular
-  | 3 -> Model.random_waypoint ~pause:2.0 ~speed_min:0.0 ~speed_max:0.05 ()
-  | _ -> Model.random_waypoint ~speed_min:0.01 ~speed_max:0.2 ()
-
-let build_sim_channel c =
-  match c.s_channel mod 4 with
-  | 0 -> Channel.perfect
-  | 1 -> Channel.bernoulli 0.7
-  | 2 -> Channel.jammed ~tau:0.9 ~region:jam_region ~jam_tau:0.3
-  | _ -> Channel.slotted ~slots:4
-
-(* Node events only: a random link event names an edge of the initial
-   graph, but motion may have rebased that edge away by the time the plan
-   fires, and [Dynamic] (correctly) rejects non-base links. Link flapping
-   on a static base is the battery above. *)
-let build_sim_plan c =
-  let n = max 4 c.s_n in
-  Churn.schedule
-    (List.map
-       (fun (round, kind, victim) ->
-         let v = victim mod n in
-         let ev =
-           match kind mod 5 with
-           | 0 -> Churn.Crash v
-           | 1 -> Churn.Join v
-           | 2 -> Churn.Sleep v
-           | 3 -> Churn.Wake v
-           | _ -> Churn.Corrupt v
-         in
-         (1 + (round mod 10), [ ev ]))
-       c.s_plan)
-
-let sim_scheduler c =
-  match c.s_sched mod 3 with
-  | 0 -> Scheduler.Synchronous
-  | 1 -> Scheduler.Sequential
-  | _ -> Scheduler.Random_order
-
-(* One execution's world: a generator, the fleet's starting graph and
-   the motion hook. Build it fresh, same-seeded, per execution:
-   deployment, fleet sub-streams and every sequential engine draw line up
-   by construction. *)
-let sim_setup c () =
-  let model = build_model (c.s_model mod 5) in
-  let dt = dts.(c.s_dt mod Array.length dts) in
-  let n = max 4 c.s_n in
-  let rng = Rng.create ~seed:c.s_seed in
-  let start = Array.init n (fun _ -> Bbox.sample rng Bbox.unit_square) in
-  let fleet = Fleet.create rng ~model ~box:Bbox.unit_square start in
-  let motion = Motion.create ~radius:0.3 start in
-  let hook ~round:_ =
-    let moved = Fleet.step_moved fleet dt (fun i p -> Motion.move motion i p) in
-    if moved = 0 then None
-    else
-      let diff = Motion.flush motion in
-      Some (Motion.graph motion, diff)
-  in
-  (rng, Motion.graph motion, hook)
-
 let run_sim_case c =
-  let module P = Distributed.Make (struct
-    let params =
-      { Distributed.default_params with cache_ttl = 1 + (c.s_ttl mod 4) }
-  end) in
-  let module E = Engine.Make (P) in
-  let module F = Flat.Make (P) in
-  let channel = build_sim_channel c in
-  let scheduler = sim_scheduler c in
-  let churn = build_sim_plan c in
-  let setup = sim_setup c in
-  let dense =
-    let rng, g0, hook = setup () in
-    E.run ~mode:E.Dense ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3
-      ~churn ~corrupt:Distributed.corrupt ~motion:hook rng g0
-  in
-  let f1 =
-    let rng, g0, hook = setup () in
-    F.run ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3 ~churn
-      ~corrupt:Distributed.corrupt ~motion:hook rng g0
-  in
-  Array.for_all2 (fun a b -> P.equal_state a b) dense.E.states f1.F.states
-  && dense.E.rounds = f1.F.rounds
-  && dense.E.converged = f1.F.converged
-  && dense.E.last_change_round = f1.F.last_change_round
-  && dense.E.change_history = f1.F.change_history
-  && dense.E.alive = f1.F.alive
-  && dense.E.bursts = f1.F.bursts
-  && dense.E.faults = f1.F.faults
-  && Graph.equal dense.E.graph f1.F.graph
-  && dense.E.changed_at = f1.F.changed_at
-
-let print_sim c =
-  Printf.sprintf
-    "seed=%d n=%d model=%d channel=%d sched=%d ttl=%d dt=%.2f plan=[%s]"
-    c.s_seed (max 4 c.s_n) (c.s_model mod 5) (c.s_channel mod 4)
-    (c.s_sched mod 3)
-    (1 + (c.s_ttl mod 4))
-    dts.(c.s_dt mod Array.length dts)
-    (String.concat "; "
-       (List.map
-          (fun (r, k, v) -> Printf.sprintf "(%d,%d,%d)" r k v)
-          c.s_plan))
-
-let gen_sim =
-  QCheck.Gen.(
-    map
-      (fun ((s_seed, s_n, s_model), (s_channel, s_sched, s_ttl), (s_dt, s_plan))
-         ->
-        { s_seed; s_n; s_model; s_channel; s_sched; s_ttl; s_dt; s_plan })
-      (triple
-         (triple (int_range 0 999_999) (int_range 4 30) (int_range 0 4))
-         (triple (int_range 0 3) (int_range 0 2) (int_range 0 3))
-         (pair (int_range 0 3)
-            (list_size (int_range 0 8)
-               (triple (int_range 0 9) (int_range 0 4) (int_range 0 999))))))
-
-let shrink_sim c yield =
-  QCheck.Shrink.list c.s_plan (fun s_plan -> yield { c with s_plan });
-  if c.s_n > 4 then
-    QCheck.Shrink.int c.s_n (fun s_n -> if s_n >= 4 then yield { c with s_n })
-
-let arb_sim = QCheck.make ~print:print_sim ~shrink:shrink_sim gen_sim
+  let module P = (val D.protocol c.D.s_ttl) in
+  let module R = D.Run_flat (P) (D.Distributed_hooks) in
+  let w = D.motion_world c in
+  R.diff ~left:"dense" ~right:"flat" (R.dense w) (R.flat ~domains:1 w)
 
 let prop_flat_equals_dense_motion =
   QCheck.Test.make ~name:"flat = dense under motion (all observables)"
-    ~count:200 arb_sim run_sim_case
+    ~count:200 D.arb_sim (fun c -> D.holds (run_sim_case c))
 
 (* ------------------------------------------------------------- directed *)
 
@@ -449,17 +145,16 @@ let test_channel_domain_pins () =
     (fun (label, channel_kind) ->
       let c =
         {
+          D.case0 with
           seed = 37;
           graph_kind = 4;
           size = 28;
           channel_kind;
-          sched_kind = 0;
           ttl = 1;
           plan = [ (2, 0, 5); (3, 6, 7); (5, 1, 5); (7, 4, 0); (9, 5, 0) ];
-          warm = false;
         }
       in
-      Alcotest.(check bool) label true (run_case c))
+      Alcotest.(check (option string)) label None (run_case c))
     [ ("slotted 4-domain identity", 3); ("jammed 4-domain identity", 2) ]
 
 (* (d) pack then unpack is the identity — on states evolved through a
@@ -906,7 +601,7 @@ let stamp_trace ~n run =
 (* Every case runs on a lossy channel with a moving fleet, and its plan
    carries a crash, a rejoin and a corruption on top of the random
    events. *)
-let stamp_case c =
+let stamp_case (c : D.sim) =
   let v = c.s_seed mod max 4 c.s_n in
   {
     c with
@@ -915,33 +610,15 @@ let stamp_case c =
     s_plan = (2, 0, v) :: (6, 1, v) :: (4, 4, v + 1) :: c.s_plan;
   }
 
-let run_stamp_case c =
-  let module P = Distributed.Make (struct
-    let params =
-      { Distributed.default_params with cache_ttl = 1 + (c.s_ttl mod 4) }
-  end) in
-  let module E = Engine.Make (P) in
-  let module F = Flat.Make (P) in
-  let channel = build_sim_channel c in
-  let scheduler = sim_scheduler c in
-  let churn = build_sim_plan c in
-  let typed mode ~workload =
-    let rng, g0, motion = sim_setup c () in
-    ignore
-      (E.run ~mode ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3 ~churn
-         ~corrupt:Distributed.corrupt ~motion ~workload rng g0)
-  in
-  let flat domains ~workload =
-    let rng, g0, motion = sim_setup c () in
-    ignore
-      (F.run ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3 ~churn
-         ~corrupt:Distributed.corrupt ~motion ~workload ~domains rng g0)
-  in
+let run_stamp_case (c : D.sim) =
+  let module P = (val D.protocol c.s_ttl) in
+  let module R = D.Run_flat (P) (D.Distributed_hooks) in
+  let w = D.motion_world c in
+  let typed mode ~workload = ignore (R.typed mode ~workload w) in
+  let flat domains ~workload = ignore (R.flat ~domains ~workload w) in
   let n = max 4 c.s_n in
-  let ok_d, _, _ = stamp_trace ~n (typed E.Dense) in
-  let ok_s, hits_s, _ =
-    stamp_trace ~n (typed (E.Sparse { warm = Some Distributed.pending_expiry }))
-  in
+  let ok_d, _, _ = stamp_trace ~n (typed R.E.Dense) in
+  let ok_s, hits_s, _ = stamp_trace ~n (typed R.sparse_mode) in
   let ok_1, hits_1, trace_1 = stamp_trace ~n (flat 1) in
   let ok_4, _, trace_4 = stamp_trace ~n (flat 4) in
   (ok_d && ok_s && ok_1 && ok_4 && trace_1 = trace_4, hits_s + hits_1)
@@ -949,7 +626,7 @@ let run_stamp_case c =
 let prop_written_at_contract =
   QCheck.Test.make
     ~name:"written_at: still stamp = same state; >= changed_at; 1 = 4 domains"
-    ~count:100 arb_sim (fun c -> fst (run_stamp_case (stamp_case c)))
+    ~count:100 D.arb_sim (fun c -> fst (run_stamp_case (stamp_case c)))
 
 (* The contract is not vacuous: on a settling network the frontier
    executors leave stamps still while other nodes keep stepping. *)
@@ -957,7 +634,7 @@ let test_written_at_hits () =
   let c =
     stamp_case
       {
-        s_seed = 41;
+        D.s_seed = 41;
         s_n = 24;
         s_model = 0;
         s_channel = 0;
