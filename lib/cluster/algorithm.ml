@@ -94,91 +94,82 @@ let run ?(scheduler = Synchronous) ?init_heads ?max_rounds ?dag_names
     | None -> Array.init n Fun.id
   in
   let parent = Array.init n Fun.id in
-  let key snapshot_head p =
-    Order.key ~value:values.(p) ~id:effective_ids.(p)
-      ~incumbent:(snapshot_head.(p) = p)
-  in
   let tie = config.tie in
-  (* The strongest 2-hop cluster-head dominating p, if any (the fusion test
-     of Section 4.3). Only relevant for locally-maximal nodes: a 1-hop
-     dominator would already make p non-maximal. *)
-  let dominating_head snapshot_head kp p =
-    Array.fold_left
-      (fun acc q ->
-        if snapshot_head.(q) = q then begin
-          let kq = key snapshot_head q in
-          if Order.precedes ~tie kp kq then
-            match acc with
-            | Some (_, kbest) when Order.compare ~tie kq kbest <= 0 -> acc
-            | Some _ | None -> Some (q, kq)
-          else acc
-        end
-        else acc)
-      None two_hop.(p)
+  (* The order's inputs as raw planes, so every comparison below is one
+     [Order.compare_raw] call on ints: no key record, no tuple, no
+     option and no closure per comparison. *)
+  let dl = Array.map Density.links values
+  and dn = Array.map Density.nodes values in
+  let snapshot_head =
+    match scheduler with Synchronous -> Array.copy head | Sequential -> head
   in
-  (* A fusion-demoted head merges into the dominating head v's cluster by
-     re-parenting onto its best bridge neighbor (a neighbor adjacent to v).
-     The paper specifies the demotion but not the adoption; copying
-     H(max≺ N_p) literally lets the demoted head's own subtree echo its old
-     H value back forever (a parent cycle), so we follow the paper's stated
-     intent — "p initiates a fusion between u and v's clusters ... v will
-     remain a cluster-head unlike u" — and route the demoted head toward v. *)
-  let bridge_towards snapshot_head p v =
-    let nbrs = Graph.neighbors graph p in
-    Array.fold_left
-      (fun acc b ->
-        if Graph.mem_edge graph b v then
-          match acc with
-          | Some (_, kbest)
-            when Order.compare ~tie (key snapshot_head b) kbest <= 0 ->
-              acc
-          | Some _ | None -> Some (b, key snapshot_head b)
-        else acc)
-      None nbrs
+  (* [above a b]: a's standing under the snapshot beats b's. *)
+  let above a b =
+    Order.compare_raw ~tie dl.(a) dn.(a) effective_ids.(a)
+      (snapshot_head.(a) = a) dl.(b) dn.(b) effective_ids.(b)
+      (snapshot_head.(b) = b)
+    > 0
   in
-  let update snapshot_head p =
-    let kp = key snapshot_head p in
+  (* [update p] leaves p's next parent and head in [new_f] and [new_h]. *)
+  let new_f = ref 0 and new_h = ref 0 in
+  let update p =
     let nbrs = Graph.neighbors graph p in
-    if Array.length nbrs = 0 then (p, p)
-    else begin
+    new_f := p;
+    new_h := p;
+    if Array.length nbrs > 0 then begin
       (* max≺ over the 1-neighborhood. *)
       let best = ref nbrs.(0) in
-      let best_key = ref (key snapshot_head nbrs.(0)) in
       for i = 1 to Array.length nbrs - 1 do
-        let q = nbrs.(i) in
-        let kq = key snapshot_head q in
-        if Order.compare ~tie kq !best_key > 0 then begin
-          best := q;
-          best_key := kq
-        end
+        if above nbrs.(i) !best then best := nbrs.(i)
       done;
-      let locally_maximal = Order.precedes ~tie !best_key kp in
-      if not locally_maximal then (!best, snapshot_head.(!best))
-      else if not config.fusion then (p, p)
-      else begin
-        match dominating_head snapshot_head kp p with
-        | None -> (p, p)
-        | Some (v, _) -> (
-            match bridge_towards snapshot_head p v with
-            | Some (b, _) -> (b, snapshot_head.(b))
-            | None ->
-                (* Unreachable for v in N²_p \ N_p, kept for safety. *)
-                (p, p))
+      if not (above p !best) then begin
+        new_f := !best;
+        new_h := snapshot_head.(!best)
+      end
+      else if config.fusion then begin
+        (* The strongest 2-hop cluster-head dominating p, if any (the
+           fusion test of Section 4.3). Only relevant for locally-maximal
+           nodes: a 1-hop dominator would already make p non-maximal. *)
+        let row = two_hop.(p) and v = ref (-1) in
+        for i = 0 to Array.length row - 1 do
+          let q = row.(i) in
+          if snapshot_head.(q) = q && above q p && (!v < 0 || above q !v) then
+            v := q
+        done;
+        (* A fusion-demoted head merges into the dominating head v's
+           cluster by re-parenting onto its best bridge neighbor (a
+           neighbor adjacent to v). The paper specifies the demotion but
+           not the adoption; copying H(max≺ N_p) literally lets the
+           demoted head's own subtree echo its old H value back forever (a
+           parent cycle), so we follow the paper's stated intent — "p
+           initiates a fusion between u and v's clusters ... v will remain
+           a cluster-head unlike u" — and route the demoted head toward v.
+           A v with no bridge is unreachable for v in N²_p \ N_p; p then
+           stays its own head, for safety. *)
+        if !v >= 0 then begin
+          let b = ref (-1) in
+          for i = 0 to Array.length nbrs - 1 do
+            let c = nbrs.(i) in
+            if Graph.mem_edge graph c !v && (!b < 0 || above c !b) then b := c
+          done;
+          if !b >= 0 then begin
+            new_f := !b;
+            new_h := snapshot_head.(!b)
+          end
+        end
       end
     end
   in
   let round () =
-    let snapshot_head =
-      match scheduler with
-      | Synchronous -> Array.copy head
-      | Sequential -> head
-    in
+    (match scheduler with
+    | Synchronous -> Array.blit head 0 snapshot_head 0 n
+    | Sequential -> ());
     let changed = ref false in
     for p = 0 to n - 1 do
-      let f, h = update snapshot_head p in
-      if parent.(p) <> f || head.(p) <> h then changed := true;
-      parent.(p) <- f;
-      head.(p) <- h
+      update p;
+      if parent.(p) <> !new_f || head.(p) <> !new_h then changed := true;
+      parent.(p) <- !new_f;
+      head.(p) <- !new_h
     done;
     !changed
   in

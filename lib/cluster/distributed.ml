@@ -580,6 +580,11 @@ struct
           (* per node v: the [Some density] [unpack] last built for v *)
       some_memo : int option array;
           (* per index h: the one [Some h], built on first use *)
+      entry_memo : (int * entry) array;
+          (* per key q, [ways] slots from [ways * q]: the [(q, entry)]
+             pairs [unpack] built, shared by every holder whose entry for
+             q equals one of them; key -1 marks an empty slot *)
+      far_memo : (int * far_entry) array; (* the same for far entries *)
     }
 
     type scratch = {
@@ -596,6 +601,25 @@ struct
       mutable excl : bool array; (* N1 name exclusion, gamma-sized *)
       mutable free_names : int array;
     }
+
+    (* Slots per key of [entry_memo] and [far_memo]; DESIGN §12 gives
+       the measurements behind the number. *)
+    let ways = 4
+
+    (* What an empty slot holds: a pair with key -1. *)
+    let no_entry =
+      ( -1,
+        {
+          e_heard = 0;
+          e_gid = 0;
+          e_dag = 0;
+          e_density = None;
+          e_head = None;
+          e_nbrs = [||];
+        } )
+
+    let no_far =
+      (-1, { f_heard = 0; f_density = None; f_eff = 0; f_is_head = false })
 
     (* Rows start at the size a converged node needs on [graph]: one
        cache entry per neighbor q carrying q's whole neighbor list, one
@@ -655,6 +679,8 @@ struct
         claims_memo = aa ();
         dens_memo = Array.make n None;
         some_memo = Array.make n None;
+        entry_memo = Array.make (ways * n) no_entry;
+        far_memo = Array.make (ways * n) no_far;
       }
 
     let tick b = b.now <- b.now + 1
@@ -841,6 +867,74 @@ struct
       List.iter (fun (_, fe) -> if fe.f_heard < !mh then mh := fe.f_heard) st.far;
       b.minh.(p) <- !mh
 
+    (* Whole entries are interned too, per key: holders that last
+       refreshed q at the same clock hold equal copies of q's entry. A
+       slot matches when every field does: the heard stamp, ids, eff and
+       head flag by value, and the density, head and claims — already
+       interned — by identity. A miss builds the pair fresh and stores it
+       in the key's first empty slot; full slots are never overwritten,
+       so reads during a run can occupy at most [ways] slots per key.
+       Keys outside [0, n) build fresh. The probes return the matching
+       slot [w >= 0], or [-1 - w] for the first empty slot [w], which is
+       [-1 - ways] when every slot holds another entry. *)
+    let rec probe_entry m base w heard gid dag dens head nbrs =
+      if w = ways then -1 - ways
+      else
+        let k, e = m.(base + w) in
+        if k < 0 then -1 - w
+        else if
+          e.e_heard = heard && e.e_gid = gid && e.e_dag = dag
+          && e.e_density == dens && e.e_head == head && e.e_nbrs == nbrs
+        then w
+        else probe_entry m base (w + 1) heard gid dag dens head nbrs
+
+    let rec probe_far m base w heard dens eff is_head =
+      if w = ways then -1 - ways
+      else
+        let k, f = m.(base + w) in
+        if k < 0 then -1 - w
+        else if
+          f.f_heard = heard && f.f_density == dens && f.f_eff = eff
+          && f.f_is_head = is_head
+        then w
+        else probe_far m base (w + 1) heard dens eff is_head
+
+    let intern_entry b q heard gid dag dens head nbrs =
+      let w =
+        if q < 0 || q >= b.n then -1 - ways
+        else probe_entry b.entry_memo (ways * q) 0 heard gid dag dens head nbrs
+      in
+      if w >= 0 then b.entry_memo.((ways * q) + w)
+      else begin
+        let pr =
+          ( q,
+            {
+              e_heard = heard;
+              e_gid = gid;
+              e_dag = dag;
+              e_density = dens;
+              e_head = head;
+              e_nbrs = nbrs;
+            } )
+        in
+        if w > -1 - ways then b.entry_memo.((ways * q) - 1 - w) <- pr;
+        pr
+      end
+
+    let intern_far b v heard dens eff is_head =
+      let w =
+        if v < 0 || v >= b.n then -1 - ways
+        else probe_far b.far_memo (ways * v) 0 heard dens eff is_head
+      in
+      if w >= 0 then b.far_memo.((ways * v) + w)
+      else begin
+        let pr =
+          (v, { f_heard = heard; f_density = dens; f_eff = eff; f_is_head = is_head })
+        in
+        if w > -1 - ways then b.far_memo.((ways * v) - 1 - w) <- pr;
+        pr
+      end
+
     (* The entries of a cache row from offset [pos], and of a far row
        below index [i] consed onto [acc]. Neither closes over anything,
        so an unpack allocates only the state it returns. *)
@@ -848,32 +942,20 @@ struct
       if pos >= used then []
       else begin
         let q = c.(pos) and nlen = c.(pos + 7) in
-        let entry =
-          {
-            e_heard = c.(pos + 1);
-            e_gid = c.(pos + 2);
-            e_dag = c.(pos + 3);
-            e_density = intern_density b q c.(pos + 4) c.(pos + 5);
-            e_head = intern_some b c.(pos + 6);
-            e_nbrs = intern_claims b q c (pos + 8) nlen;
-          }
-        in
-        (q, entry) :: cache_from b c used (pos + 8 + nlen)
+        let dens = intern_density b q c.(pos + 4) c.(pos + 5) in
+        let head = intern_some b c.(pos + 6) in
+        let nbrs = intern_claims b q c (pos + 8) nlen in
+        intern_entry b q c.(pos + 1) c.(pos + 2) c.(pos + 3) dens head nbrs
+        :: cache_from b c used (pos + 8 + nlen)
       end
 
     let rec far_below b f i acc =
       if i <= 0 then acc
       else begin
         let o = 6 * (i - 1) in
-        let fe =
-          {
-            f_heard = f.(o + 1);
-            f_density = intern_density b f.(o) f.(o + 2) f.(o + 3);
-            f_eff = f.(o + 4);
-            f_is_head = f.(o + 5) <> 0;
-          }
-        in
-        far_below b f (i - 1) ((f.(o), fe) :: acc)
+        let dens = intern_density b f.(o) f.(o + 2) f.(o + 3) in
+        far_below b f (i - 1)
+          (intern_far b f.(o) f.(o + 1) dens f.(o + 4) (f.(o + 5) <> 0) :: acc)
       end
 
     let unpack b p : state =

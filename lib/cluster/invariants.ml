@@ -4,8 +4,9 @@ module Monitor = Ss_engine.Monitor
 (* SplitMix64's finalizer: full-avalanche 64-bit mixing, so single-field
    differences between states flip about half the digest bits. The stdlib
    generic hash is banned here (see ./check): it traverses only a bounded
-   prefix of each state. *)
-let mix64 z =
+   prefix of each state. [feed] is inlined into [digest], whose running
+   hash is a local, so no int64 is boxed along the way. *)
+let[@inline always] mix64 z =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xbf58476d1ce4e5b9L
@@ -16,29 +17,26 @@ let mix64 z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let feed h v = mix64 (Int64.add (Int64.logxor h v) 0x9e3779b97f4a7c15L)
-
-let feed_int h i = feed h (Int64.of_int i)
-
-let feed_opt h = function None -> feed_int h (-1) | Some v -> feed_int h v
+let[@inline always] feed h i =
+  mix64 (Int64.add (Int64.logxor h (Int64.of_int i)) 0x9e3779b97f4a7c15L)
 
 let digest ~graph:_ ~alive (states : Distributed.state array) =
   let h = ref (Int64.of_int (Array.length states)) in
-  Array.iteri
-    (fun p (st : Distributed.state) ->
-      h := feed_int !h (if alive.(p) then 1 else 0);
-      if alive.(p) then begin
-        h := feed_int !h st.gid;
-        h := feed_int !h st.dag;
-        (match st.density with
-        | None -> h := feed_int !h (-1)
-        | Some d ->
-            h := feed_int !h (Density.links d);
-            h := feed_int !h (Density.nodes d));
-        h := feed_opt !h st.parent;
-        h := feed_opt !h st.head
-      end)
-    states;
+  for p = 0 to Array.length states - 1 do
+    let st = states.(p) in
+    h := feed !h (if alive.(p) then 1 else 0);
+    if alive.(p) then begin
+      h := feed !h st.gid;
+      h := feed !h st.dag;
+      (match st.density with
+      | None -> h := feed !h (-1)
+      | Some d ->
+          h := feed !h (Density.links d);
+          h := feed !h (Density.nodes d));
+      h := feed !h (match st.parent with None -> -1 | Some v -> v);
+      h := feed !h (match st.head with None -> -1 | Some v -> v)
+    end
+  done;
   !h
 
 (* Node-level attribution: which nodes the violations are AT. The

@@ -139,7 +139,7 @@ module type FLAT = sig
 
     val unpack : buffers -> int -> state
     (** Read node [p]'s state planes back into a typed state. The result
-        may share immutable sub-values (arrays, option boxes) with the
+        may share immutable sub-values (arrays, option boxes, entries) with the
         results of earlier and later calls on the same buffers — the
         memo that lets neighbors' cached copies of one claimed
         neighborhood be one array — so callers must not mutate anything

@@ -38,6 +38,30 @@ let key_unit k = Splitmix64.bits53 (of_key k)
 let key_bernoulli k p =
   if p <= 0.0 then false else if p >= 1.0 then true else key_unit k < p
 
+(* [key_bernoulli (subkey (subkey k a) b) p] in one function. Each call
+   into Splitmix64, and each int64 a function here returns, boxes its
+   result once modules are compiled separately (dune's dev profile passes
+   -opaque), so the helper keeps its own copy of the finalizer, inlined,
+   and every intermediate stays unboxed. suite_prng pins it draw-for-draw
+   to the composed helpers. *)
+let[@inline always] mix z =
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
+  in
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
+  in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let key_pair_bernoulli k a b p =
+  if p <= 0.0 then false
+  else if p >= 1.0 then true
+  else
+    let k = mix (Int64.logxor k (Int64.mul (Int64.of_int (a + 1)) golden_gamma)) in
+    let k = mix (Int64.logxor k (Int64.mul (Int64.of_int (b + 1)) golden_gamma)) in
+    let bits = Int64.shift_right_logical (mix (Int64.add k golden_gamma)) 11 in
+    Int64.to_float bits *. (1.0 /. 9007199254740992.0) < p
+
 let float t bound =
   if bound < 0.0 then invalid_arg "Rng.float: negative bound";
   Splitmix64.bits53 t *. bound

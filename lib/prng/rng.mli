@@ -53,6 +53,11 @@ val key_unit : key -> float
 val key_bernoulli : key -> float -> bool
 (** One-shot Bernoulli from the key; stateless. *)
 
+val key_pair_bernoulli : key -> int -> int -> float -> bool
+(** [key_pair_bernoulli k a b p] is
+    [key_bernoulli (subkey (subkey k a) b) p], bit for bit, without
+    allocating: the per-edge draw of a channel plan, keyed by (src, dst). *)
+
 val key_int : key -> int -> int
 (** One-shot uniform in [0, bound-1] from the key (rejection-sampled, so
     exactly uniform). Raises [Invalid_argument] if [bound <= 0]. *)

@@ -126,7 +126,7 @@ let position_dependent = function
    bursty models additionally draw from a channel-owned key (per-direction
    tau, chain state) that must be stable across rounds, so it cannot come
    from the per-round key. *)
-let edge_key key ~src ~dst = Rng.subkey (Rng.subkey (Rng.subkey key 0) src) dst
+let edge_lane key = Rng.subkey key 0
 let slot_key key node = Rng.subkey (Rng.subkey key 1) node
 
 let directional_tau t ~src ~dst =
@@ -180,11 +180,13 @@ let bursty_bad t ~src ~dst ~round =
   | Perfect | Bernoulli _ | Jammed _ | Slotted _ | Asymmetric _ ->
       invalid_arg "Channel.bursty_bad: not a bursty channel"
 
+(* Every per-edge decision below is [Rng.key_pair_bernoulli] under the
+   plan's edge lane, which allocates nothing per call. *)
 let round_plan t ~key ~round ~graph =
+  let lane = edge_lane key in
   match t with
   | Perfect -> fun ~src:_ ~dst:_ -> true
-  | Bernoulli tau ->
-      fun ~src ~dst -> Rng.key_bernoulli (edge_key key ~src ~dst) tau
+  | Bernoulli tau -> fun ~src ~dst -> Rng.key_pair_bernoulli lane src dst tau
   | Jammed { tau; region; jam_tau } ->
       (* A jammed region is meaningless on a graph without geometry; a
          silent fallback to plain [tau] would make the jam a no-op, so the
@@ -199,7 +201,7 @@ let round_plan t ~key ~round ~graph =
             let effective =
               if Ss_geom.Bbox.contains region pos.(dst) then jam_tau else tau
             in
-            Rng.key_bernoulli (edge_key key ~src ~dst) effective)
+            Rng.key_pair_bernoulli lane src dst effective)
   | Slotted { slots } ->
       (* Slot assignments are memoized per plan: repeated queries cost
          O(deg dst) collision checks, not a key derivation per neighbor
@@ -223,14 +225,13 @@ let round_plan t ~key ~round ~graph =
              (Graph.neighbors graph dst)
   | Asymmetric _ ->
       fun ~src ~dst ->
-        Rng.key_bernoulli (edge_key key ~src ~dst)
-          (directional_tau t ~src ~dst)
+        Rng.key_pair_bernoulli lane src dst (directional_tau t ~src ~dst)
   | Bursty { tau_good; tau_bad; _ } ->
       fun ~src ~dst ->
         let effective =
           if bursty_bad t ~src ~dst ~round then tau_bad else tau_good
         in
-        Rng.key_bernoulli (edge_key key ~src ~dst) effective
+        Rng.key_pair_bernoulli lane src dst effective
 
 let pp ppf = function
   | Perfect -> Fmt.string ppf "perfect"

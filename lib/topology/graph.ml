@@ -38,17 +38,18 @@ let mean_degree t =
   if t.n = 0 then 0.0
   else float_of_int (2 * edge_count t) /. float_of_int t.n
 
+(* Top-level, so a lookup allocates no closure. *)
+let rec bsearch a q lo hi =
+  if lo >= hi then false
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) = q then true
+    else if a.(mid) < q then bsearch a q (mid + 1) hi
+    else bsearch a q lo mid
+
 let mem_edge t p q =
   let a = t.adj.(p) in
-  let rec bsearch lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid) = q then true
-      else if a.(mid) < q then bsearch (mid + 1) hi
-      else bsearch lo mid
-  in
-  bsearch 0 (Array.length a)
+  bsearch a q 0 (Array.length a)
 
 let check_node t p =
   if p < 0 || p >= t.n then invalid_arg "Graph: node out of range"

@@ -62,15 +62,17 @@ type decision =
 
 val next_hop :
   positions:Ss_geom.Vec2.t array ->
-  view_of:(int -> view) ->
+  view:view ->
   n:int ->
   cur:int ->
   dst:int ->
   via:int ->
   prev:int ->
-  banned:(int -> bool) ->
+  banned:int list ->
   decision
-(** One routing decision at [cur] for a message addressed to [dst].
+(** One routing decision at [cur], whose view is [view], for a message
+    addressed to [dst]; [banned] lists the nodes the message may no
+    longer be forwarded to. It allocates only the decision it returns.
 
     Preference order: (1) the destination itself when cached; (2) a peer
     claiming the destination one hop behind it (the paper's 2-hop

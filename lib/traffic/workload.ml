@@ -346,9 +346,8 @@ let hook t ~round ~graph ~alive ~read =
     else if round < m.retry_at then ()
     else begin
       match
-        Route.next_hop ~positions ~view_of ~n:t.n ~cur:m.holder ~dst:m.dst
-          ~via:m.via ~prev:m.prev
-          ~banned:(fun q -> List.mem q m.banned)
+        Route.next_hop ~positions ~view:(view_of m.holder) ~n:t.n
+          ~cur:m.holder ~dst:m.dst ~via:m.via ~prev:m.prev ~banned:m.banned
       with
       | Route.Stall ->
           t.stalls <- t.stalls + 1;

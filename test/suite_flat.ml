@@ -733,14 +733,16 @@ let test_intern_out_of_range () =
   Alcotest.(check bool) "an earlier unpack is left as it was" true
     (before = states.(2))
 
-(* (c) The final unpack's allocation: interned, at most 60% of the words
+(* (c) The final unpack's allocation: interned, at most 23% of the words
    per node of a reference that builds every sub-value fresh, as the
    unpack did before interning (Array.sub per claimed neighborhood, a
-   [Some] and a density per entry). Both read the same converged states;
-   the interned unpack starts from cold memo planes. What interning saves
-   grows with the claimed neighborhoods, so the ratio falls with the
-   degree: about 0.62 at degree 6, 0.60 at 9, 0.58 at 12 (the traffic
-   deployments' degree, pinned here) and 0.56 at 16. *)
+   [Some] and a density per entry, a pair and a record per entry). Both
+   read the same converged states; the interned unpack starts from cold
+   memo planes. What interning saves grows with the claimed
+   neighborhoods and with the holders sharing an entry, so the ratio
+   falls with the degree: 0.28 at degree 6, 0.24 at 9, 0.22 at 12 (the
+   traffic deployments' degree, pinned here) and 0.20 at 16. Before the
+   entry memos it was 0.62, 0.60, 0.58 and 0.56. *)
 let fresh_copy (st : Distributed.state) =
   let dens = function
     | None -> None
@@ -792,10 +794,203 @@ let test_unpack_alloc () =
   let fresh = words (fun p -> fresh_copy states.(p)) in
   Alcotest.(check bool) "reference copy reads back" true (out = states);
   Alcotest.(check bool)
-    (Printf.sprintf "words per node: interned %.0f <= 60%% of fresh %.0f"
+    (Printf.sprintf "words per node: interned %.0f <= 23%% of fresh %.0f"
        interned fresh)
     true
-    (interned <= 0.6 *. fresh)
+    (interned <= 0.23 *. fresh)
+
+(* (d) An exact round trip through the entry memos: [unpack] after
+   [pack] is structurally [=] to what was packed (stricter than
+   [equal_state], which ignores the caches' stamps), on cold and warm
+   memos. The states share keys (a converged deployment), every key is
+   heard at more distinct stamps across its holders than the memo has
+   ways, some states are corrupted, and some carry cache and far keys
+   outside [0, n). Equal cache entries do come back as one physical
+   pair. *)
+let test_entry_memo_roundtrip () =
+  let graph, states = converged_world ~count:400 ~degree:10.0 in
+  let n = Graph.node_count graph in
+  let scramble = Rng.create ~seed:23 in
+  let states =
+    Array.mapi
+      (fun p (st : Distributed.state) ->
+        let st =
+          if p mod 17 = 5 then Distributed.corrupt scramble p st else st
+        in
+        let cache =
+          List.map
+            (fun (q, (e : Distributed.entry)) ->
+              (q, { e with e_heard = e.e_heard + (p mod 7) }))
+            st.Distributed.cache
+        and far =
+          List.map
+            (fun (v, (f : Distributed.far_entry)) ->
+              (v, { f with f_heard = f.f_heard + (p mod 9) }))
+            st.Distributed.far
+        in
+        if p mod 23 <> 3 then { st with cache; far }
+        else
+          let e =
+            {
+              Distributed.e_heard = 1;
+              e_gid = 5;
+              e_dag = 2;
+              e_density = None;
+              e_head = Some (n + 2);
+              e_nbrs = [| -1; n |];
+            }
+          and f =
+            {
+              Distributed.f_heard = 1;
+              f_density = None;
+              f_eff = 3;
+              f_is_head = true;
+            }
+          in
+          {
+            st with
+            cache = ((-3, e) :: cache) @ [ (n + 5, e); (n + 5, e) ];
+            far = ((-2, f) :: far) @ [ (n + 1, f) ];
+          })
+      states
+  in
+  let b = Pd.Flat.alloc graph in
+  Array.iteri (Pd.Flat.pack b) states;
+  List.iter
+    (fun pass ->
+      let shared = ref 0 in
+      let firsts = Hashtbl.create 4096 in
+      Array.iteri
+        (fun p st ->
+          let got = Pd.Flat.unpack b p in
+          if got <> st then
+            Alcotest.failf "%s memo: node %d reads back changed" pass p;
+          List.iter
+            (fun ((q, e) as pr) ->
+              match Hashtbl.find_opt firsts (q, e) with
+              | Some first -> if first == pr then incr shared
+              | None -> Hashtbl.add firsts (q, e) pr)
+            got.Distributed.cache)
+        states;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s memo: equal cache entries shared (%d)" pass !shared)
+        true (!shared > 0))
+    [ "cold"; "warm" ]
+
+(* ------------------------- (i): allocation pins outside the protocol step *)
+
+(* A channel plan's per-edge decision allocates nothing, a routing
+   decision allocates only the [Forward] it returns, and a round of the
+   centralized [Algorithm.run] allocates nothing. [words_of] subtracts
+   what reading the counter itself costs. *)
+let words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let w2 = Gc.minor_words () in
+  w1 -. w0 -. (w2 -. w1)
+
+let test_channel_decision_alloc () =
+  let graph =
+    Builders.random_geometric_count (Rng.create ~seed:31) ~count:300
+      ~radius:0.12
+  in
+  let n = Graph.node_count graph in
+  List.iter
+    (fun (name, ch) ->
+      let plan =
+        Ss_radio.Channel.round_plan ch ~key:(Rng.key ~seed:32) ~round:3 ~graph
+      in
+      let hits = ref 0 in
+      let w =
+        words_of (fun () ->
+            for src = 0 to n - 1 do
+              for dst = 0 to n - 1 do
+                if plan ~src ~dst then incr hits
+              done
+            done)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words over %d decisions (%d delivered)" name
+           w (n * n) !hits)
+        true (w = 0.0))
+    [
+      ("bernoulli", Ss_radio.Channel.bernoulli 0.6);
+      ( "jammed",
+        Ss_radio.Channel.jammed ~tau:0.9 ~jam_tau:0.3
+          ~region:
+            (Ss_geom.Bbox.make ~min_x:0.2 ~min_y:0.2 ~max_x:0.6 ~max_y:0.6) );
+    ]
+
+let test_next_hop_alloc () =
+  let graph, states = converged_world ~count:1500 ~degree:12.0 in
+  let n = Graph.node_count graph in
+  let positions = Option.get (Graph.positions graph) in
+  let views = Array.map Ss_traffic.Route.of_distributed states in
+  (* Eight decisions per holder: destinations near and far, every other
+     one carrying a waypoint, every third one with two bans. *)
+  let calls = 8 * n in
+  let dst = Array.init calls (fun i -> ((i / 8 * 7) + (i mod 8 * 193)) mod n) in
+  let via =
+    Array.init calls (fun i -> if i mod 2 = 1 then ((i / 8 * 13) + i) mod n else -1)
+  in
+  let banned =
+    Array.init calls (fun i ->
+        if i mod 3 = 2 then [ ((i / 8) + 1) mod n; dst.(i) ] else [])
+  in
+  let forwards = ref 0 and escapes = ref 0 in
+  let w =
+    words_of (fun () ->
+        for i = 0 to calls - 1 do
+          let cur = i / 8 in
+          match
+            Ss_traffic.Route.next_hop ~positions ~view:views.(cur) ~n ~cur
+              ~dst:dst.(i) ~via:via.(i) ~prev:(-1) ~banned:banned.(i)
+          with
+          | Ss_traffic.Route.Forward { advance; _ } ->
+              incr forwards;
+              if not advance then incr escapes
+          | Ss_traffic.Route.Stall -> ()
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over %d decisions (%d forwards, %d escapes)" w
+       calls !forwards !escapes)
+    true
+    (w = 4.0 *. float_of_int !forwards)
+
+let test_algorithm_round_alloc () =
+  let graph =
+    Builders.random_geometric_count (Rng.create ~seed:34) ~count:1500
+      ~radius:(sqrt (10.0 /. (Float.pi *. 1500.0)))
+  in
+  let n = Graph.node_count graph in
+  let ids = Array.init n (fun p -> (p * 7919) mod n) in
+  List.iter
+    (fun (name, config, scheduler) ->
+      let topology = Ss_cluster.Algorithm.topology config graph in
+      let run max_rounds =
+        Ss_cluster.Algorithm.run ~scheduler ~max_rounds ~dag_names:ids
+          ~topology (Rng.create ~seed:35) config graph ~ids
+      in
+      let full = run 10_000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s converges in %d > 1 rounds" name full.rounds)
+        true
+        (full.converged && full.rounds > 1);
+      let w1 = words_of (fun () -> ignore (run 1)) in
+      let wr = words_of (fun () -> ignore (run 10_000)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f more words over %d more rounds" name
+           (wr -. w1) (full.rounds - 1))
+        true (wr = w1))
+    [
+      ("basic, synchronous", Config.basic, Ss_cluster.Algorithm.Synchronous);
+      ("basic, sequential", Config.basic, Ss_cluster.Algorithm.Sequential);
+      ( "fusion + dag, synchronous",
+        Config.improved_with_dag,
+        Ss_cluster.Algorithm.Synchronous );
+    ]
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -833,6 +1028,14 @@ let suite =
         test_interned_claims;
       Alcotest.test_case "unpack: out-of-range keys bypass the memo" `Quick
         test_intern_out_of_range;
-      Alcotest.test_case "unpack: interned words <= 60% of fresh" `Quick
+      Alcotest.test_case "unpack: interned words <= 23% of fresh" `Quick
         test_unpack_alloc;
+      Alcotest.test_case "unpack: entry memos round-trip exactly" `Quick
+        test_entry_memo_roundtrip;
+      Alcotest.test_case "channel decisions allocate nothing" `Quick
+        test_channel_decision_alloc;
+      Alcotest.test_case "next_hop allocates only its decision" `Quick
+        test_next_hop_alloc;
+      Alcotest.test_case "Algorithm.run rounds allocate nothing" `Quick
+        test_algorithm_round_alloc;
     ]

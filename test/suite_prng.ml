@@ -219,8 +219,26 @@ let test_mix64_avalanche () =
   Alcotest.(check bool) "replays equal" true (Int64.equal y z);
   ignore x
 
+(* The one-function per-edge draw equals the composed keyed helpers
+   draw for draw, over random keys, negative and large indices, and
+   probabilities at and inside the edges of [0, 1]. *)
+let test_key_pair_bernoulli () =
+  let g = Rng.create ~seed:77 in
+  let ps = [| -0.5; 0.0; 1e-9; 0.1; 0.5; 0.9; 0.999999; 1.0; 2.0 |] in
+  for i = 0 to 19_999 do
+    let k = Rng.key_of g in
+    let a = Rng.int g 2_000_000 - 1 and b = Rng.int g 2_000_000 - 1 in
+    let a = if i mod 7 = 0 then max_int - a else a in
+    let p = if i mod 3 = 0 then ps.(i mod Array.length ps) else Rng.unit g in
+    let want = Rng.key_bernoulli (Rng.subkey (Rng.subkey k a) b) p in
+    if Rng.key_pair_bernoulli k a b p <> want then
+      Alcotest.failf "key_pair_bernoulli differs at draw %d (a=%d b=%d p=%g)"
+        i a b p
+  done
+
 let suite =
   [
+
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "split independence" `Quick test_split_independence;
@@ -246,4 +264,6 @@ let suite =
     Alcotest.test_case "split_n prefixes pairwise disjoint" `Quick
       test_split_n_prefixes_disjoint;
     Alcotest.test_case "splitmix64 replay" `Quick test_mix64_avalanche;
+    Alcotest.test_case "key_pair_bernoulli = composed keyed draw" `Quick
+      test_key_pair_bernoulli;
   ]
