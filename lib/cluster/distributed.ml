@@ -590,9 +590,12 @@ struct
     type scratch = {
       mutable cbuf : int array; (* next cache image *)
       mutable fbuf : int array; (* next far image *)
-      mutable fkeys : int array; (* fresh far keys, then sorted *)
-      mutable fsrc : int array; (* per fresh key: the winning sender *)
+      mutable fkeys : int array; (* far keys new to the plane, then sorted *)
+      mutable fsrc : int array; (* per new key: the winning sender *)
       mutable foff : int array; (* and its summary offset in em_nbrs *)
+      mutable owin : int array;
+          (* per old far slot: the winning sender, -1 = none sighted *)
+      mutable ooff : int array; (* and its summary offset in em_nbrs *)
       marks : int array;
           (* node-indexed stamp plane: [tok lsl slot_bits lor slot] marks
              "seen in the current use", so the plane is never cleared *)
@@ -692,6 +695,8 @@ struct
         fkeys = Array.make 16 0;
         fsrc = Array.make 16 0;
         foff = Array.make 16 0;
+        owin = Array.make 16 0;
+        ooff = Array.make 16 0;
         marks = Array.make b.n 0;
         tok = 0;
         ebuf = Array.make 80 0;
@@ -1028,6 +1033,38 @@ struct
       changed
       end
 
+    (* The fresh entries a step writes, shared by both of its write
+       targets: the node's own rows on a steady layout, the scratch
+       images otherwise. [put_entry] writes sender q's cache entry at
+       [dst.(u)] from q's emission planes and returns the offset after
+       it; [put_far] writes key v's far entry at [dst.(o)] from the
+       summary at offset [off] of sender q's emission. *)
+    let put_entry b dst u q clock' =
+      let e = 6 * q in
+      let nlen = b.em.(e + 5) in
+      dst.(u) <- q;
+      dst.(u + 1) <- clock';
+      dst.(u + 2) <- b.em.(e);
+      dst.(u + 3) <- b.em.(e + 1);
+      dst.(u + 4) <- b.em.(e + 2);
+      dst.(u + 5) <- b.em.(e + 3);
+      dst.(u + 6) <- b.em.(e + 4);
+      dst.(u + 7) <- nlen;
+      let en = b.em_nbrs.(q) in
+      for i = 0 to nlen - 1 do
+        dst.(u + 8 + i) <- en.(5 * i)
+      done;
+      u + 8 + nlen
+
+    let put_far b dst o v clock' q off =
+      let en = b.em_nbrs.(q) in
+      dst.(o) <- v;
+      dst.(o + 1) <- clock';
+      dst.(o + 2) <- en.(off + 1);
+      dst.(o + 3) <- en.(off + 2);
+      dst.(o + 4) <- en.(off + 3);
+      dst.(o + 5) <- en.(off + 4)
+
     (* An entry not refreshed at the node's last executed step is aging
        toward its TTL — [step] maintains the plane-wide minimum heard
        stamp, so the pending-expiry test is one compare. *)
@@ -1091,28 +1128,11 @@ struct
       and new_cnt = ref b.cache_cnt.(p)
       and new_far_cnt = ref b.far_len.(p) in
       if not fast then begin
-        (* --- cache refresh: sorted merge of the surviving old entries
-           and the fresh frames (senders ascending); a fresh frame
-           replaces the old entry for the same neighbor, everything else
-           is TTL-filtered at the new clock — exactly the typed
-           refresh_cache. Scratch is pre-sized from upper bounds once,
-           so the merge loops are plain int stores: no growth checks,
-           no write barriers, no C-call blits. *)
         let ofar = b.far.(p) and ocnt = b.far_len.(p) in
         let sn_total = ref 0 in
         for i = 0 to count - 1 do
           sn_total := !sn_total + b.em.((6 * senders.(i)) + 5)
         done;
-        let cbuf =
-          let a = grow s.cbuf (old_used + (8 * count) + !sn_total) in
-          if a != s.cbuf then s.cbuf <- a;
-          a
-        in
-        let fdst =
-          let a = grow s.fbuf (6 * (ocnt + !sn_total)) in
-          if a != s.fbuf then s.fbuf <- a;
-          a
-        in
         let fkeys =
           let a = grow s.fkeys !sn_total in
           if a != s.fkeys then s.fkeys <- a;
@@ -1128,65 +1148,71 @@ struct
           if a != s.foff then s.foff <- a;
           a
         in
-        let minh = ref max_int in
-        let all_fresh = ref true in
-        let used = ref 0 and cnt = ref 0 in
+        let owin =
+          let a = grow s.owin ocnt in
+          if a != s.owin then s.owin <- a;
+          a
+        in
+        let ooff =
+          let a = grow s.ooff ocnt in
+          if a != s.ooff then s.ooff <- a;
+          a
+        in
+        (* --- cache layout check: walk the merge below without writing.
+           The layout is steady when every sender replaces the old entry
+           of its own key with the same claim count and every other old
+           entry survives the TTL at clock': the merge would then rebuild
+           the row entry for entry at the same offsets. *)
+        let steady = ref true in
         let opos = ref 0 and si = ref 0 in
-        while !opos < old_used || !si < count do
+        while !steady && (!opos < old_used || !si < count) do
           if !si >= count || (!opos < old_used && old.(!opos) < senders.(!si))
           then begin
-            let pos = !opos in
-            let sz = 8 + old.(pos + 7) in
-            let h = old.(pos + 1) in
-            if clock' - h <= ttl then begin
-              let u = !used in
-              for i = 0 to sz - 1 do
-                cbuf.(u + i) <- old.(pos + i)
-              done;
-              if h < !minh then minh := h;
-              all_fresh := false;
-              incr cnt;
-              used := u + sz
-            end;
-            opos := pos + sz
+            if clock' - old.(!opos + 1) > ttl then steady := false
+            else opos := !opos + 8 + old.(!opos + 7)
           end
           else begin
             let q = senders.(!si) in
-            let e = 6 * q in
-            let nlen = b.em.(e + 5) in
-            let u = !used in
-            cbuf.(u) <- q;
-            cbuf.(u + 1) <- clock';
-            cbuf.(u + 2) <- b.em.(e);
-            cbuf.(u + 3) <- b.em.(e + 1);
-            cbuf.(u + 4) <- b.em.(e + 2);
-            cbuf.(u + 5) <- b.em.(e + 3);
-            cbuf.(u + 6) <- b.em.(e + 4);
-            cbuf.(u + 7) <- nlen;
-            let en = b.em_nbrs.(q) in
-            for i = 0 to nlen - 1 do
-              cbuf.(u + 8 + i) <- en.(5 * i)
-            done;
-            used := u + 8 + nlen;
-            incr cnt;
-            incr si;
-            if !opos < old_used && old.(!opos) = q then
-              opos := !opos + 8 + old.(!opos + 7)
+            if
+              !opos < old_used
+              && old.(!opos) = q
+              && old.(!opos + 7) = b.em.((6 * q) + 5)
+            then begin
+              opos := !opos + 8 + old.(!opos + 7);
+              incr si
+            end
+            else steady := false
           end
         done;
-        (* --- far refresh, fresh half: one pass over every sender's
-           relayed summaries (senders ascending, self skipped). A key's
-           first sighting appends it to [fkeys]; every sighting
-           overwrites its winner, so the later claim wins — the last of
-           each run of equal keys after the typed refresh_far's stable
-           sort. The stamp plane maps an in-range key to its slot in
-           O(1); a key outside it (only a packed arbitrary state carries
-           one) is found by a linear probe over the collected keys. The
-           keys are then insertion-sorted with their winners: there are
-           a few dozen at realistic degrees. *)
+        (* --- far refresh, sightings: one pass over every sender's
+           relayed summaries (senders ascending, self skipped). The old
+           far keys are stamped first as slots 0 .. ocnt-1 of the stamp
+           plane, so a sighting of an old key lands on the key's old slot
+           ([owin]/[ooff]); a key new to the plane is appended to [fkeys]
+           on its first sighting. Every sighting overwrites its slot's
+           winner, so the later claim wins — the last of each run of
+           equal keys after the typed refresh_far's stable sort. Only an
+           old plane strictly ascending inside [0, n) is stamped; any
+           other (only a packed arbitrary state carries one) stamps no
+           slot, and every key then counts as new, as does a key outside
+           the plane, which is found by a linear probe over the new keys.
+           The new keys, usually none, are then insertion-sorted with
+           their winners. *)
         let marks = s.marks in
         let plane = Array.length marks in
         let tok = next_token s in
+        let ordered = ref true and last = ref (-1) in
+        for i = 0 to ocnt - 1 do
+          owin.(i) <- -1;
+          let v = ofar.(6 * i) in
+          if !ordered then
+            if v > !last && v < plane then begin
+              marks.(v) <- (tok lsl slot_bits) lor i;
+              last := v
+            end
+            else ordered := false
+        done;
+        let tok = if !ordered then tok else next_token s in
         let tag = tok lsl slot_bits in
         let nk = ref 0 in
         for i = 0 to count - 1 do
@@ -1201,10 +1227,10 @@ struct
                   if w lsr slot_bits = tok then w land slot_mask
                   else begin
                     let k = !nk in
-                    marks.(v) <- tag lor k;
+                    marks.(v) <- tag lor (ocnt + k);
                     fkeys.(k) <- v;
                     nk := k + 1;
-                    k
+                    ocnt + k
                   end
                 end
                 else begin
@@ -1216,93 +1242,193 @@ struct
                     fkeys.(!k) <- v;
                     incr nk
                   end;
-                  !k
+                  ocnt + !k
                 end
               in
-              fsrc.(slot) <- q;
-              foff.(slot) <- 5 * j
+              if slot < ocnt then begin
+                owin.(slot) <- q;
+                ooff.(slot) <- 5 * j
+              end
+              else begin
+                fsrc.(slot - ocnt) <- q;
+                foff.(slot - ocnt) <- 5 * j
+              end
             end
           done
         done;
         let fn = !nk in
-        for i = 1 to fn - 1 do
-          let k = fkeys.(i) and src = fsrc.(i) and off = foff.(i) in
-          let j = ref (i - 1) in
-          while !j >= 0 && fkeys.(!j) > k do
-            fkeys.(!j + 1) <- fkeys.(!j);
-            fsrc.(!j + 1) <- fsrc.(!j);
-            foff.(!j + 1) <- foff.(!j);
-            decr j
-          done;
-          fkeys.(!j + 1) <- k;
-          fsrc.(!j + 1) <- src;
-          foff.(!j + 1) <- off
-        done;
-        (* --- far refresh, merge: the sorted fresh keys over the
-           TTL-filtered old entries, fresh winning collisions; a fresh
-           entry is read straight from its winner's emission plane. *)
-        let fout = ref 0 and oi = ref 0 and fi = ref 0 in
-        while !oi < ocnt || !fi < fn do
-          if !fi >= fn || (!oi < ocnt && ofar.(6 * !oi) < fkeys.(!fi))
-          then begin
-            let so = 6 * !oi in
-            let h = ofar.(so + 1) in
-            if clock' - h <= ttl then begin
-              let o = 6 * !fout in
-              fdst.(o) <- ofar.(so);
-              fdst.(o + 1) <- h;
-              fdst.(o + 2) <- ofar.(so + 2);
-              fdst.(o + 3) <- ofar.(so + 3);
-              fdst.(o + 4) <- ofar.(so + 4);
-              fdst.(o + 5) <- ofar.(so + 5);
+        if !steady && fn = 0 then begin
+          let i = ref 0 in
+          while !steady && !i < ocnt do
+            if owin.(!i) < 0 && clock' - ofar.((6 * !i) + 1) > ttl then
+              steady := false;
+            incr i
+          done
+        end
+        else steady := false;
+        let minh = ref max_int in
+        let all_fresh = ref true in
+        if !steady then begin
+          (* --- steady layout: write the fresh entries straight into the
+             node's own rows. Every key stays at its offset, so an entry
+             no frame refreshed (a dropped frame, a far key no sender
+             relayed this round) is already where the merge would put it
+             and stays as it is; it only enters [minh]. *)
+          let opos = ref 0 and si = ref 0 in
+          while !opos < old_used do
+            if !si < count && old.(!opos) = senders.(!si) then begin
+              opos := put_entry b old !opos senders.(!si) clock';
+              incr si
+            end
+            else begin
+              let h = old.(!opos + 1) in
               if h < !minh then minh := h;
               all_fresh := false;
-              incr fout
-            end;
-            incr oi
-          end
-          else begin
-            let k = fkeys.(!fi) in
-            let en = b.em_nbrs.(fsrc.(!fi)) and e = foff.(!fi) in
-            let o = 6 * !fout in
-            fdst.(o) <- k;
-            fdst.(o + 1) <- clock';
-            fdst.(o + 2) <- en.(e + 1);
-            fdst.(o + 3) <- en.(e + 2);
-            fdst.(o + 4) <- en.(e + 3);
-            fdst.(o + 5) <- en.(e + 4);
-            incr fi;
-            incr fout;
-            if !oi < ocnt && ofar.(6 * !oi) = k then incr oi
-          end
-        done;
-        if (count > 0 || fn > 0) && clock' < !minh then minh := clock';
-        (* commit the new cache and far planes *)
-        let nu = !used and nc = !cnt and nfar = !fout in
-        let cdst =
-          let a = grow b.cache.(p) nu in
-          if a != b.cache.(p) then b.cache.(p) <- a;
-          a
-        in
-        for i = 0 to nu - 1 do
-          cdst.(i) <- cbuf.(i)
-        done;
-        b.cache_used.(p) <- nu;
-        b.cache_cnt.(p) <- nc;
-        let fcom =
-          let a = grow b.far.(p) (6 * nfar) in
-          if a != b.far.(p) then b.far.(p) <- a;
-          a
-        in
-        for i = 0 to (6 * nfar) - 1 do
-          fcom.(i) <- fdst.(i)
-        done;
-        b.far_len.(p) <- nfar;
+              opos := !opos + 8 + old.(!opos + 7)
+            end
+          done;
+          for i = 0 to ocnt - 1 do
+            let o = 6 * i in
+            if owin.(i) >= 0 then
+              put_far b ofar o ofar.(o) clock' owin.(i) ooff.(i)
+            else begin
+              let h = ofar.(o + 1) in
+              if h < !minh then minh := h;
+              all_fresh := false
+            end
+          done
+        end
+        else begin
+          (* --- cache refresh: sorted merge of the surviving old entries
+             and the fresh frames (senders ascending); a fresh frame
+             replaces the old entry for the same neighbor, everything
+             else is TTL-filtered at the new clock — exactly the typed
+             refresh_cache. Scratch is pre-sized from upper bounds once,
+             so the merge loops are plain int stores: no growth checks,
+             no write barriers, no C-call blits. *)
+          let cbuf =
+            let a = grow s.cbuf (old_used + (8 * count) + !sn_total) in
+            if a != s.cbuf then s.cbuf <- a;
+            a
+          in
+          let fdst =
+            let a = grow s.fbuf (6 * (ocnt + fn)) in
+            if a != s.fbuf then s.fbuf <- a;
+            a
+          in
+          let used = ref 0 and cnt = ref 0 in
+          let opos = ref 0 and si = ref 0 in
+          while !opos < old_used || !si < count do
+            if
+              !si >= count || (!opos < old_used && old.(!opos) < senders.(!si))
+            then begin
+              let pos = !opos in
+              let sz = 8 + old.(pos + 7) in
+              let h = old.(pos + 1) in
+              if clock' - h <= ttl then begin
+                let u = !used in
+                for i = 0 to sz - 1 do
+                  cbuf.(u + i) <- old.(pos + i)
+                done;
+                if h < !minh then minh := h;
+                all_fresh := false;
+                incr cnt;
+                used := u + sz
+              end;
+              opos := pos + sz
+            end
+            else begin
+              let q = senders.(!si) in
+              used := put_entry b cbuf !used q clock';
+              incr cnt;
+              incr si;
+              if !opos < old_used && old.(!opos) = q then
+                opos := !opos + 8 + old.(!opos + 7)
+            end
+          done;
+          for i = 1 to fn - 1 do
+            let k = fkeys.(i) and src = fsrc.(i) and off = foff.(i) in
+            let j = ref (i - 1) in
+            while !j >= 0 && fkeys.(!j) > k do
+              fkeys.(!j + 1) <- fkeys.(!j);
+              fsrc.(!j + 1) <- fsrc.(!j);
+              foff.(!j + 1) <- foff.(!j);
+              decr j
+            done;
+            fkeys.(!j + 1) <- k;
+            fsrc.(!j + 1) <- src;
+            foff.(!j + 1) <- off
+          done;
+          (* --- far refresh, merge: the sorted new keys over the old
+             slots; a sighted old slot takes its winner, an unsighted one
+             is TTL-filtered, and a fresh entry is read straight from its
+             winner's emission plane. On an unstamped old plane a new key
+             equal to an old one replaces it, as in the typed merge. *)
+          let fout = ref 0 and oi = ref 0 and fi = ref 0 in
+          while !oi < ocnt || !fi < fn do
+            if !fi >= fn || (!oi < ocnt && ofar.(6 * !oi) < fkeys.(!fi))
+            then begin
+              let so = 6 * !oi in
+              if owin.(!oi) >= 0 then begin
+                put_far b fdst (6 * !fout) ofar.(so) clock' owin.(!oi)
+                  ooff.(!oi);
+                incr fout
+              end
+              else begin
+                let h = ofar.(so + 1) in
+                if clock' - h <= ttl then begin
+                  let o = 6 * !fout in
+                  fdst.(o) <- ofar.(so);
+                  fdst.(o + 1) <- h;
+                  fdst.(o + 2) <- ofar.(so + 2);
+                  fdst.(o + 3) <- ofar.(so + 3);
+                  fdst.(o + 4) <- ofar.(so + 4);
+                  fdst.(o + 5) <- ofar.(so + 5);
+                  if h < !minh then minh := h;
+                  all_fresh := false;
+                  incr fout
+                end
+              end;
+              incr oi
+            end
+            else begin
+              let k = fkeys.(!fi) in
+              put_far b fdst (6 * !fout) k clock' fsrc.(!fi) foff.(!fi);
+              incr fi;
+              incr fout;
+              if !oi < ocnt && ofar.(6 * !oi) = k then incr oi
+            end
+          done;
+          (* commit the new cache and far planes *)
+          let nu = !used and nc = !cnt and nfar = !fout in
+          let cdst =
+            let a = grow b.cache.(p) nu in
+            if a != b.cache.(p) then b.cache.(p) <- a;
+            a
+          in
+          for i = 0 to nu - 1 do
+            cdst.(i) <- cbuf.(i)
+          done;
+          b.cache_used.(p) <- nu;
+          b.cache_cnt.(p) <- nc;
+          let fcom =
+            let a = grow b.far.(p) (6 * nfar) in
+            if a != b.far.(p) then b.far.(p) <- a;
+            a
+          in
+          for i = 0 to (6 * nfar) - 1 do
+            fcom.(i) <- fdst.(i)
+          done;
+          b.far_len.(p) <- nfar;
+          new_used := nu;
+          new_cnt := nc;
+          new_far_cnt := nfar
+        end;
+        (* every sighting comes from a sender, so any fresh entry means
+           count > 0 *)
+        if count > 0 && clock' < !minh then minh := clock';
         b.minh.(p) <- !minh;
-        b.synced.(p) <- (if !all_fresh then b.now - 1 else -1);
-        new_used := nu;
-        new_cnt := nc;
-        new_far_cnt := nfar
+        b.synced.(p) <- (if !all_fresh then b.now - 1 else -1)
       end;
       let new_used = !new_used
       and new_cnt = !new_cnt

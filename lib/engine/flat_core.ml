@@ -107,14 +107,19 @@ let frontier_len t = t.cur_len
 let set_row t p row = t.overlay.(p) <- row
 
 (* The potential row of p: the rebased overlay row when motion replaced
-   it, the CSR slice otherwise. Callers filter by liveness/link status to
-   recover the effective (snapshot) row. *)
-let row_parts t p =
+   it, the CSR slice otherwise, read through three accessors rather than
+   one tuple so that the per-node walks below allocate nothing. Callers
+   filter by liveness/link status to recover the effective (snapshot)
+   row. *)
+let row t p =
   let ov = t.overlay.(p) in
-  if ov != t.sentinel then (ov, 0, Array.length ov)
-  else
-    let off = t.csr.Csr.xadj.(p) in
-    (t.csr.Csr.adj, off, t.csr.Csr.xadj.(p + 1) - off)
+  if ov != t.sentinel then ov else t.csr.Csr.adj
+
+let row_lo t p = if t.overlay.(p) != t.sentinel then 0 else t.csr.Csr.xadj.(p)
+
+let row_hi t p =
+  let ov = t.overlay.(p) in
+  if ov != t.sentinel then Array.length ov else t.csr.Csr.xadj.(p + 1)
 
 let ensure_senders t s len =
   if Array.length t.senders.(s) < len then
@@ -124,11 +129,11 @@ let ensure_senders t s len =
    effective neighbors whose frame survives the channel plan, in
    ascending index order (CSR rows and overlay rows are sorted). *)
 let gather t s ~deliver ~has_down ~edge_down p =
-  let row, off, len = row_parts t p in
-  ensure_senders t s len;
+  let row = row t p and lo = row_lo t p and hi = row_hi t p in
+  ensure_senders t s (hi - lo);
   let buf = t.senders.(s) in
   let k = ref 0 in
-  for i = off to off + len - 1 do
+  for i = lo to hi - 1 do
     let q = Array.unsafe_get row i in
     if
       t.live.(q)
@@ -148,9 +153,8 @@ let gather t s ~deliver ~has_down ~edge_down p =
 let deliver_diff t ~deliver ~prev ~has_down ~edge_down =
   for p = 0 to t.n - 1 do
     if t.live.(p) && Bytes.unsafe_get t.cur_bit p = '\000' then begin
-      let row, off, len = row_parts t p in
-      let i = ref off and flipped = ref false in
-      let stop = off + len in
+      let row = row t p and stop = row_hi t p in
+      let i = ref (row_lo t p) and flipped = ref false in
       while (not !flipped) && !i < stop do
         let q = Array.unsafe_get row !i in
         if
@@ -168,8 +172,8 @@ let deliver_diff t ~deliver ~prev ~has_down ~edge_down =
    always; this round too under in-order daemons (nodes behind in the
    schedule hear the new frame immediately). *)
 let mark_audience t ~also_now ~has_down ~edge_down p =
-  let row, off, len = row_parts t p in
-  for i = off to off + len - 1 do
+  let row = row t p in
+  for i = row_lo t p to row_hi t p - 1 do
     let q = Array.unsafe_get row i in
     if t.live.(q) && ((not has_down) || not (edge_down p q)) then begin
       if also_now then mark_now t q;

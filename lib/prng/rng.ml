@@ -53,14 +53,27 @@ let[@inline always] mix z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let[@inline always] sub k i =
+  mix (Int64.logxor k (Int64.mul (Int64.of_int (i + 1)) golden_gamma))
+
+let[@inline always] bits_of k =
+  Int64.to_int (Int64.shift_right_logical (mix (Int64.add k golden_gamma)) 11)
+
 let key_pair_bernoulli k a b p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else
-    let k = mix (Int64.logxor k (Int64.mul (Int64.of_int (a + 1)) golden_gamma)) in
-    let k = mix (Int64.logxor k (Int64.mul (Int64.of_int (b + 1)) golden_gamma)) in
-    let bits = Int64.shift_right_logical (mix (Int64.add k golden_gamma)) 11 in
-    Int64.to_float bits *. (1.0 /. 9007199254740992.0) < p
+    float_of_int (bits_of (sub (sub k a) b)) *. (1.0 /. 9007199254740992.0)
+    < p
+
+(* The same discipline for consumers that scale or compare the draw
+   themselves: the 53 bits behind [key_unit] of a derived key, as an int,
+   and a three-level [subkey] boxed once instead of three times. *)
+let key_sub_bits k i = bits_of (sub k i)
+
+let key_pair_bits k a b = bits_of (sub (sub k a) b)
+
+let key_triple k a b c = sub (sub (sub k a) b) c
 
 let float t bound =
   if bound < 0.0 then invalid_arg "Rng.float: negative bound";

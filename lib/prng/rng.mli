@@ -58,6 +58,19 @@ val key_pair_bernoulli : key -> int -> int -> float -> bool
     [key_bernoulli (subkey (subkey k a) b) p], bit for bit, without
     allocating: the per-edge draw of a channel plan, keyed by (src, dst). *)
 
+val key_sub_bits : key -> int -> int
+(** [key_sub_bits k i] is the 53-bit integer behind
+    [key_unit (subkey k i)]: scaled by [2{^-53}] it is that uniform, bit
+    for bit. An [int], so the call allocates nothing. *)
+
+val key_pair_bits : key -> int -> int -> int
+(** [key_pair_bits k a b] is [key_sub_bits (subkey k a) b] without
+    allocating: the bits of a per-edge draw keyed by (src, dst). *)
+
+val key_triple : key -> int -> int -> int -> key
+(** [key_triple k a b c] is [subkey (subkey (subkey k a) b) c], boxing
+    only the result. *)
+
 val key_int : key -> int -> int
 (** One-shot uniform in [0, bound-1] from the key (rejection-sampled, so
     exactly uniform). Raises [Invalid_argument] if [bound <= 0]. *)

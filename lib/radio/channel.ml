@@ -90,7 +90,8 @@ let bursty ~seed ~tau_good ~tau_bad ~p_fade ~p_recover =
     invalid_arg "Channel.bursty: p_fade + p_recover must be positive";
   Bursty { chain_key = Rng.key ~seed; tau_good; tau_bad; p_fade; p_recover }
 
-let stationary_bad ~p_fade ~p_recover = p_fade /. (p_fade +. p_recover)
+let[@inline always] stationary_bad ~p_fade ~p_recover =
+  p_fade /. (p_fade +. p_recover)
 
 let tau = function
   | Perfect -> 1.0
@@ -129,12 +130,20 @@ let position_dependent = function
 let edge_lane key = Rng.subkey key 0
 let slot_key key node = Rng.subkey (Rng.subkey key 1) node
 
+(* The uniform [Rng.key_unit] draws from the same key, rebuilt from its
+   53 bits: the keyed helpers below return ints, so no draw here boxes a
+   float or an int64 (beyond one epoch key per bursty decision). *)
+let[@inline always] unit_of_bits bits =
+  float_of_int bits *. (1.0 /. 9007199254740992.0)
+
+let[@inline always] lerp_tau link_key tau_lo tau_hi src dst =
+  tau_lo
+  +. ((tau_hi -. tau_lo) *. unit_of_bits (Rng.key_pair_bits link_key src dst))
+
 let directional_tau t ~src ~dst =
   match t with
   | Asymmetric { link_key; tau_lo; tau_hi } ->
-      tau_lo
-      +. ((tau_hi -. tau_lo)
-         *. Rng.key_unit (Rng.subkey (Rng.subkey link_key src) dst))
+      lerp_tau link_key tau_lo tau_hi src dst
   | Perfect | Bernoulli _ | Jammed _ | Slotted _ | Bursty _ -> tau t
 
 (* Gilbert-Elliott chain state (true = bad), pure in (chain key, src, dst,
@@ -153,35 +162,45 @@ let bursty_bad t ~src ~dst ~round =
       if round < 0 then invalid_arg "Channel.bursty_bad: negative round";
       let epoch = round / ge_epoch in
       let offset = round mod ge_epoch in
-      let ekey =
-        Rng.subkey (Rng.subkey (Rng.subkey chain_key src) dst) epoch
+      let ekey = Rng.key_triple chain_key src dst epoch in
+      let bad =
+        ref
+          (unit_of_bits (Rng.key_sub_bits ekey 0)
+          < stationary_bad ~p_fade ~p_recover)
       in
-      let bad0 =
-        Rng.key_bernoulli (Rng.subkey ekey 0)
-          (stationary_bad ~p_fade ~p_recover)
-      in
-      let rec walk bad covered i =
-        let exit_p = if bad then p_recover else p_fade in
-        if exit_p <= 0.0 then bad (* absorbing for the rest of the epoch *)
-        else
-          let u = Rng.key_unit (Rng.subkey ekey i) in
+      let covered = ref 0 and i = ref 1 and settled = ref false in
+      while not !settled do
+        let exit_p = if !bad then p_recover else p_fade in
+        if exit_p <= 0.0 then
+          (* absorbing for the rest of the epoch *)
+          settled := true
+        else begin
+          let u = unit_of_bits (Rng.key_sub_bits ekey !i) in
           (* Geometric sojourn >= 1: rounds spent in [bad] before the
              next transition fires. *)
           let sojourn =
             if exit_p >= 1.0 then 1
             else
-              let l = 1.0 +. Float.floor (Float.log1p (-.u) /. Float.log1p (-.exit_p)) in
+              let l =
+                1.0 +. Float.floor (Float.log1p (-.u) /. Float.log1p (-.exit_p))
+              in
               if l >= float_of_int ge_epoch then ge_epoch else int_of_float l
           in
-          if offset < covered + sojourn then bad
-          else walk (not bad) (covered + sojourn) (i + 1)
-      in
-      walk bad0 0 1
+          if offset < !covered + sojourn then settled := true
+          else begin
+            bad := not !bad;
+            covered := !covered + sojourn;
+            incr i
+          end
+        end
+      done;
+      !bad
   | Perfect | Bernoulli _ | Jammed _ | Slotted _ | Asymmetric _ ->
       invalid_arg "Channel.bursty_bad: not a bursty channel"
 
 (* Every per-edge decision below is [Rng.key_pair_bernoulli] under the
-   plan's edge lane, which allocates nothing per call. *)
+   plan's edge lane (or, for [Asymmetric], its bits), which allocates
+   nothing per call; a bursty decision boxes one epoch key. *)
 let round_plan t ~key ~round ~graph =
   let lane = edge_lane key in
   match t with
@@ -223,9 +242,13 @@ let round_plan t ~key ~round ~graph =
         && Array.for_all
              (fun r -> r = src || slot r <> slot src)
              (Graph.neighbors graph dst)
-  | Asymmetric _ ->
+  | Asymmetric { link_key; tau_lo; tau_hi } ->
+      (* [key_pair_bernoulli lane src dst tau] with the directional tau
+         kept unboxed: a uniform in [0, 1) is below tau exactly when the
+         helper's edge cases (tau <= 0, tau >= 1) say so. *)
       fun ~src ~dst ->
-        Rng.key_pair_bernoulli lane src dst (directional_tau t ~src ~dst)
+        unit_of_bits (Rng.key_pair_bits lane src dst)
+        < lerp_tau link_key tau_lo tau_hi src dst
   | Bursty { tau_good; tau_bad; _ } ->
       fun ~src ~dst ->
         let effective =

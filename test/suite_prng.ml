@@ -236,6 +236,29 @@ let test_key_pair_bernoulli () =
         i a b p
   done
 
+(* The int-returning helpers equal the composed keyed helpers draw for
+   draw: scaled by 2^-53 the bits are [key_unit]'s uniform, and the
+   triple derivation is three [subkey]s, over random keys and negative
+   and large indices. *)
+let test_key_bits () =
+  let g = Rng.create ~seed:78 in
+  let scale bits = float_of_int bits *. (1.0 /. 9007199254740992.0) in
+  for i = 0 to 19_999 do
+    let k = Rng.key_of g in
+    let idx () =
+      let v = Rng.int g 2_000_000 - 1 in
+      if i mod 7 = 0 then max_int - v else v
+    in
+    let a = idx () and b = idx () and c = idx () in
+    let sub = Rng.subkey k a in
+    if scale (Rng.key_sub_bits k a) <> Rng.key_unit sub then
+      Alcotest.failf "key_sub_bits differs at draw %d (a=%d)" i a;
+    if scale (Rng.key_pair_bits k a b) <> Rng.key_unit (Rng.subkey sub b) then
+      Alcotest.failf "key_pair_bits differs at draw %d (a=%d b=%d)" i a b;
+    if Rng.key_triple k a b c <> Rng.subkey (Rng.subkey sub b) c then
+      Alcotest.failf "key_triple differs at draw %d (a=%d b=%d c=%d)" i a b c
+  done
+
 let suite =
   [
 
@@ -266,4 +289,6 @@ let suite =
     Alcotest.test_case "splitmix64 replay" `Quick test_mix64_avalanche;
     Alcotest.test_case "key_pair_bernoulli = composed keyed draw" `Quick
       test_key_pair_bernoulli;
+    Alcotest.test_case "keyed bits and triple key = composed keyed draws"
+      `Quick test_key_bits;
   ]
