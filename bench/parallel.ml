@@ -51,8 +51,9 @@ let pipelines =
       run =
         (fun ~domains () ->
           Obj.repr
-            (E.Exp_selfstab.measure_recovery ~seed ~runs ~domains
-               ~spec:selfstab_spec ~fractions:[ 0.3; 0.5 ] ()));
+            (E.Sweep.rows ~domains
+               (E.Exp_selfstab.sweep ~seed ~runs ~spec:selfstab_spec
+                  ~fractions:[ 0.3; 0.5 ] ~taus:[] ())));
     };
     {
       name = "churn_crash_recover";

@@ -172,7 +172,7 @@ let executor_label = function
    10k); the data plane pays Bernoulli 0.95 frame loss — retries are the
    point of the exercise. *)
 let run_one ?(audit = false) c executor =
-  let rng = (Ss_experiments.Runner.streams ~seed ~runs:1).(0) in
+  let rng = (Ss_experiments.Sweep.streams ~seed ~runs:1).(0) in
   let spec =
     Scenario.uniform ~count:c.count ~radius:(radius_for c.count) ()
   in

@@ -25,7 +25,7 @@ let jobs_arg =
   in
   let env = Cmd.Env.info "REPRO_JOBS" ~doc:"Default for $(b,--jobs)." in
   let check s =
-    match E.Runner.jobs_of_string s with
+    match E.Sweep.jobs_of_string s with
     | n -> n
     | exception Invalid_argument msg ->
         Fmt.epr "repro: --jobs/REPRO_JOBS: %s@." msg;
@@ -66,11 +66,12 @@ let float_flag x =
 let output ~csv table =
   if csv then print_string (Table.to_csv table) else Table.print table
 
-(* The one driver of the six sweep subcommands. With --cell K --run I it
-   replays that pair alone and exits 1 iff it is anomalous. Otherwise it
-   runs the sweep, hands the rows to [show] (tables, summary; [false]
+(* The one driver of every replicated subcommand. With --cell K --run I
+   it replays that pair alone and exits 1 iff it is anomalous. Otherwise
+   it runs the sweep, hands the rows to [show] (tables, summary; [false]
    for a failed gate), prints a replay command for every run that
-   raised, and exits 1 if one did or [show] failed. *)
+   raised, and exits 1 if one did or [show] failed. A pair or a run
+   count outside the sweep exits 2. *)
 let sweep_main ~cmd ~prefix ~jobs (cell, run) sweep show =
   match (cell, run) with
   | Some cell, Some run -> (
@@ -89,7 +90,12 @@ let sweep_main ~cmd ~prefix ~jobs (cell, run) sweep show =
               exit 1
           | None -> Fmt.pr "replay %s: clean@." label))
   | None, None ->
-      let entries = E.Sweep.run ~domains:jobs sweep in
+      let entries =
+        try E.Sweep.run ~domains:jobs sweep
+        with Invalid_argument msg ->
+          Fmt.epr "repro %s: %s@." cmd msg;
+          exit 2
+      in
       let ok = show (List.map (fun e -> e.E.Sweep.row) entries) in
       List.iter
         (fun (cell, run, reason) ->
@@ -116,51 +122,74 @@ let table1_cmd =
   in
   Cmd.v (Cmd.info "table1" ~doc) Term.(const run $ csv_arg)
 
-let table2_cmd =
-  let doc = "Table 2: knowledge schedule of the distributed protocol." in
-  let run seed runs jobs csv =
-    output ~csv
-      (E.Exp_schedule.to_table
-         (E.Exp_schedule.run ~seed ~runs ~domains:jobs ()))
+(* A sweep's [show] that only renders tables. *)
+let tables ~csv renders rows =
+  List.iter (fun render -> output ~csv (render rows)) renders;
+  true
+
+(* One valued option of a replay command. A negative value is attached
+   with [=], so that it cannot read as an option. *)
+let opt name value =
+  let sep = if String.starts_with ~prefix:"-" value then "=" else " " in
+  "--" ^ name ^ sep ^ value
+
+(* The replay prefix of a replicated command: the seed, the run count and
+   the options that choose its cells. *)
+let replicated cmd ~seed ?runs flags =
+  let runs =
+    Option.fold ~none:[] ~some:(fun n -> [ opt "runs" (string_of_int n) ]) runs
   in
-  Cmd.v (Cmd.info "table2" ~doc)
-    Term.(const run $ seed_arg $ runs_arg 10 $ jobs_arg $ csv_arg)
+  String.concat " "
+    (("repro" :: cmd :: opt "seed" (string_of_int seed) :: runs) @ flags)
+
+(* A replicated command that renders tables. [options] is a term giving
+   the command's own option values and the flags that repeat them in a
+   replay command. *)
+let table_cmd name ~doc ~runs options sweep renders =
+  let run seed runs jobs (values, flags) replay csv =
+    sweep_main ~cmd:name
+      ~prefix:(replicated name ~seed ~runs flags)
+      ~jobs replay (sweep ~seed ~runs values) (tables ~csv renders)
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ seed_arg $ runs_arg runs $ jobs_arg $ options $ replay_arg
+      $ csv_arg)
+
+let no_options = Term.const ((), [])
+
+let intensity_option =
+  Term.(
+    const (fun i -> (i, [ opt "intensity" (float_flag i) ])) $ intensity_arg)
+
+let table2_cmd =
+  table_cmd "table2" ~runs:10
+    ~doc:"Table 2: knowledge schedule of the distributed protocol."
+    no_options
+    (fun ~seed ~runs () -> E.Exp_schedule.sweep ~seed ~runs ())
+    [ E.Exp_schedule.to_table ]
 
 let table3_cmd =
-  let doc = "Table 3: steps to build the DAG of local names." in
-  let run seed runs jobs intensity csv =
-    output ~csv
-      (E.Exp_dag_steps.to_table
-         (E.Exp_dag_steps.run ~seed ~runs ~domains:jobs ~intensity ()))
-  in
-  Cmd.v (Cmd.info "table3" ~doc)
-    Term.(
-      const run $ seed_arg $ runs_arg 30 $ jobs_arg $ intensity_arg $ csv_arg)
+  table_cmd "table3" ~runs:30
+    ~doc:"Table 3: steps to build the DAG of local names." intensity_option
+    (fun ~seed ~runs intensity ->
+      E.Exp_dag_steps.sweep ~seed ~runs ~intensity ())
+    [ E.Exp_dag_steps.to_table ]
 
 let table4_cmd =
-  let doc = "Table 4: cluster features on random geometric graphs." in
-  let run seed runs jobs intensity csv =
-    output ~csv
-      (E.Exp_features.to_table
-         ~title:"Table 4 — cluster features on a random geometric graph"
-         (E.Exp_features.run_random ~seed ~runs ~domains:jobs ~intensity ()))
-  in
-  Cmd.v (Cmd.info "table4" ~doc)
-    Term.(
-      const run $ seed_arg $ runs_arg 30 $ jobs_arg $ intensity_arg $ csv_arg)
+  table_cmd "table4" ~runs:30
+    ~doc:"Table 4: cluster features on random geometric graphs."
+    intensity_option
+    (fun ~seed ~runs intensity ->
+      E.Exp_features.random_sweep ~seed ~runs ~intensity ())
+    [ E.Exp_features.to_table ~title:E.Exp_features.random_title ]
 
 let table5_cmd =
-  let doc = "Table 5: cluster features on the adversarial row-major grid." in
-  let run seed runs jobs csv =
-    output ~csv
-      (E.Exp_features.to_table
-         ~title:
-           "Table 5 — cluster features on a grid with adversarial (row-major) \
-            ids"
-         (E.Exp_features.run_grid ~seed ~runs ~domains:jobs ()))
-  in
-  Cmd.v (Cmd.info "table5" ~doc)
-    Term.(const run $ seed_arg $ runs_arg 10 $ jobs_arg $ csv_arg)
+  table_cmd "table5" ~runs:10
+    ~doc:"Table 5: cluster features on the adversarial row-major grid."
+    no_options
+    (fun ~seed ~runs () -> E.Exp_features.grid_sweep ~seed ~runs ())
+    [ E.Exp_features.to_table ~title:E.Exp_features.grid_title ]
 
 let figures_cmd =
   let doc = "Figures 2 and 3: grid clusterings with and without the DAG." in
@@ -173,115 +202,88 @@ let figures_cmd =
   Cmd.v (Cmd.info "figures" ~doc) Term.(const run $ dir_arg)
 
 let mobility_cmd =
-  let doc =
-    "Section 5 mobility experiment: cluster-head retention, improved vs \
-     basic rules."
-  in
   let count_arg =
     Arg.(
       value
-      & opt int E.Exp_mobility.default_params.E.Exp_mobility.count
-      & info [ "count" ] ~docv:"N" ~doc:"Number of nodes.")
+      & opt (some int) None
+      & info [ "count" ] ~docv:"N" ~doc:"Number of nodes (500 when absent).")
   in
   let horizon_arg =
     Arg.(
       value
-      & opt float E.Exp_mobility.default_params.E.Exp_mobility.horizon
+      & opt (some float) None
       & info [ "horizon" ] ~docv:"SECONDS"
-          ~doc:"Simulated duration per run (the paper uses 900 s).")
+          ~doc:
+            "Simulated duration per run (180 s when absent; the paper uses \
+             900 s).")
   in
-  let run seed runs jobs count horizon csv =
-    let params =
-      {
-        E.Exp_mobility.default_params with
-        E.Exp_mobility.seed;
-        runs;
-        count;
-        horizon;
-      }
-    in
-    output ~csv
-      (E.Exp_mobility.to_table (E.Exp_mobility.run ~params ~domains:jobs ()))
+  let options count horizon =
+    let flag name show = Option.fold ~none:[] ~some:(fun v -> [ opt name (show v) ]) in
+    ( (count, horizon),
+      flag "count" string_of_int count @ flag "horizon" float_flag horizon )
   in
-  Cmd.v (Cmd.info "mobility" ~doc)
-    Term.(
-      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ count_arg $ horizon_arg
-      $ csv_arg)
+  table_cmd "mobility" ~runs:5
+    ~doc:
+      "Section 5 mobility experiment: cluster-head retention, improved vs \
+       basic rules."
+    Term.(const options $ count_arg $ horizon_arg)
+    (fun ~seed ~runs (count, horizon) ->
+      E.Exp_mobility.sweep ~seed ~runs ?count ?horizon ())
+    [ E.Exp_mobility.to_table ]
 
 let selfstab_cmd =
-  let doc =
-    "Self-stabilization measurements: recovery after corruption, \
-     convergence under frame loss."
-  in
-  let run seed runs jobs csv =
-    output ~csv
-      (E.Exp_selfstab.recovery_table
-         (E.Exp_selfstab.measure_recovery ~seed ~runs ~domains:jobs ()));
-    output ~csv
-      (E.Exp_selfstab.loss_table
-         (E.Exp_selfstab.measure_loss ~seed ~runs ~domains:jobs ()))
-  in
-  Cmd.v (Cmd.info "selfstab" ~doc)
-    Term.(const run $ seed_arg $ runs_arg 10 $ jobs_arg $ csv_arg)
+  table_cmd "selfstab" ~runs:10
+    ~doc:
+      "Self-stabilization measurements: recovery after corruption, \
+       convergence under frame loss."
+    no_options
+    (fun ~seed ~runs () -> E.Exp_selfstab.sweep ~seed ~runs ())
+    [ E.Exp_selfstab.recovery_table; E.Exp_selfstab.loss_table ]
 
 let compare_cmd =
-  let doc =
-    "Metric comparison: head retention of density vs degree, lowest-id and \
-     max-min."
-  in
-  let run seed runs jobs csv =
-    output ~csv
-      (E.Exp_compare.to_table (E.Exp_compare.run ~seed ~runs ~domains:jobs ()))
-  in
-  Cmd.v (Cmd.info "compare" ~doc)
-    Term.(const run $ seed_arg $ runs_arg 5 $ jobs_arg $ csv_arg)
+  table_cmd "compare" ~runs:5
+    ~doc:
+      "Metric comparison: head retention of density vs degree, lowest-id and \
+       max-min."
+    no_options
+    (fun ~seed ~runs () -> E.Exp_compare.sweep ~seed ~runs ())
+    [ E.Exp_compare.to_table ]
 
 let energy_cmd =
-  let doc =
-    "Extension: network lifetime with and without the energy-aware election."
-  in
-  let run seed runs jobs csv =
-    output ~csv
-      (E.Exp_energy.to_table (E.Exp_energy.run ~seed ~runs ~domains:jobs ()))
-  in
-  Cmd.v (Cmd.info "energy" ~doc)
-    Term.(const run $ seed_arg $ runs_arg 5 $ jobs_arg $ csv_arg)
+  table_cmd "energy" ~runs:5
+    ~doc:
+      "Extension: network lifetime with and without the energy-aware \
+       election."
+    no_options
+    (fun ~seed ~runs () -> E.Exp_energy.sweep ~seed ~runs ())
+    [ E.Exp_energy.to_table ]
 
 let hierarchy_cmd =
-  let doc = "Extension: cluster-head population per hierarchy level." in
-  let run seed runs jobs csv =
-    output ~csv
-      (E.Exp_hierarchy.to_table
-         (E.Exp_hierarchy.run ~seed ~runs ~domains:jobs ()))
-  in
-  Cmd.v (Cmd.info "hierarchy" ~doc)
-    Term.(const run $ seed_arg $ runs_arg 10 $ jobs_arg $ csv_arg)
+  table_cmd "hierarchy" ~runs:10
+    ~doc:"Extension: cluster-head population per hierarchy level."
+    no_options
+    (fun ~seed ~runs () -> E.Exp_hierarchy.sweep ~seed ~runs ())
+    [ E.Exp_hierarchy.to_table ]
 
 let bounds_cmd =
-  let doc =
-    "Extension: stabilization cost and structure churn as a function of \
-     node speed."
-  in
-  let run seed runs jobs csv =
-    output ~csv
-      (E.Exp_mobility_bounds.to_table
-         (E.Exp_mobility_bounds.run ~seed ~runs ~domains:jobs ()))
-  in
-  Cmd.v (Cmd.info "bounds" ~doc)
-    Term.(const run $ seed_arg $ runs_arg 3 $ jobs_arg $ csv_arg)
+  table_cmd "bounds" ~runs:3
+    ~doc:
+      "Extension: stabilization cost and structure churn as a function of \
+       node speed."
+    no_options
+    (fun ~seed ~runs () ->
+      E.Exp_epochs.sweep ~seed ~runs ~epochs:40 E.Exp_epochs.speed_cells)
+    [ E.Exp_epochs.to_table ]
 
 let links_cmd =
-  let doc =
-    "Extension: stabilization cost and churn as a function of the link \
-     failure rate."
-  in
-  let run seed runs jobs csv =
-    output ~csv
-      (E.Exp_link_failure.to_table
-         (E.Exp_link_failure.run ~seed ~runs ~domains:jobs ()))
-  in
-  Cmd.v (Cmd.info "links" ~doc)
-    Term.(const run $ seed_arg $ runs_arg 3 $ jobs_arg $ csv_arg)
+  table_cmd "links" ~runs:3
+    ~doc:
+      "Extension: stabilization cost and churn as a function of the link \
+       failure rate."
+    no_options
+    (fun ~seed ~runs () ->
+      E.Exp_epochs.sweep ~seed ~runs ~epochs:30 E.Exp_epochs.fade_cells)
+    [ E.Exp_epochs.to_table ]
 
 let churn_cmd =
   let doc =
@@ -300,8 +302,7 @@ let churn_cmd =
     let spec = E.Scenario.poisson ~intensity ~radius:0.1 () in
     sweep_main ~cmd:"churn"
       ~prefix:
-        (Printf.sprintf "repro churn --seed %d --intensity %s" seed
-           (float_flag intensity))
+        (replicated "churn" ~seed ~runs [ opt "intensity" (float_flag intensity) ])
       ~jobs replay
       (E.Exp_churn.sweep ~seed ~runs ~spec ())
       (fun rows ->
@@ -371,10 +372,14 @@ let motion_cmd =
     in
     sweep_main ~cmd:"motion"
       ~prefix:
-        (Printf.sprintf
-           "repro motion --seed %d --intensity %s --rounds %d --dt %s --tau %s%s"
-           seed (float_flag intensity) rounds (float_flag dt) (float_flag tau)
-           (if with_churn then " --churn" else ""))
+        (replicated "motion" ~seed ~runs
+           ([
+              opt "intensity" (float_flag intensity);
+              opt "rounds" (string_of_int rounds);
+              opt "dt" (float_flag dt);
+              opt "tau" (float_flag tau);
+            ]
+           @ if with_churn then [ "--churn" ] else []))
       ~jobs replay
       (E.Exp_motion.sweep ~seed ~runs ~spec ~channel ?churn ~dt ~rounds ())
       (fun rows ->
@@ -385,33 +390,6 @@ let motion_cmd =
     Term.(
       const run $ seed_arg $ runs_arg 5 $ jobs_arg $ motion_intensity_arg
       $ rounds_arg $ dt_arg $ tau_arg $ churn_flag_arg $ replay_arg $ csv_arg)
-
-let flat_cmd =
-  let doc =
-    "Extension: the flat-memory executor at scale — unit-disk deployments \
-     at constant expected degree run through the struct-of-arrays round \
-     loop under a crash/rejoin burst schedule; at small sizes the typed \
-     sparse executor cross-checks every observable. Exits non-zero on \
-     divergence."
-  in
-  let smoke_arg =
-    let doc = "Small sizes only (all cross-checked); for CI." in
-    Arg.(value & flag & info [ "smoke" ] ~doc)
-  in
-  let run seed smoke csv =
-    let sizes, check_upto =
-      if smoke then ([ 500; 1_000; 2_000 ], 2_000)
-      else (E.Exp_flat.default_sizes, 3_000)
-    in
-    let rows = E.Exp_flat.run ~seed ~sizes ~check_upto () in
-    output ~csv (E.Exp_flat.to_table rows);
-    if not (E.Exp_flat.verified rows) then begin
-      Fmt.epr "ERROR: flat executor diverged from the sparse reference@.";
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "flat" ~doc)
-    Term.(const run $ seed_arg $ smoke_arg $ csv_arg)
 
 let campaign_cmd =
   let doc =
@@ -438,8 +416,8 @@ let campaign_cmd =
       else (E.Exp_campaign.default_grid, E.Exp_campaign.default_spec, runs, 1_500)
     in
     let prefix =
-      Printf.sprintf "repro campaign --seed %d%s" seed
-        (if smoke then " --smoke" else "")
+      if smoke then replicated "campaign" ~seed [ "--smoke" ]
+      else replicated "campaign" ~seed ~runs []
     in
     sweep_main ~cmd:"campaign" ~prefix ~jobs replay
       (E.Exp_campaign.sweep ~seed ~runs ~spec ~grid ~max_rounds ())
@@ -479,8 +457,8 @@ let adversary_cmd =
       else E.Exp_adversary.sweep ~seed ~runs ()
     in
     let prefix =
-      Printf.sprintf "repro adversary --seed %d%s" seed
-        (if smoke then " --smoke" else "")
+      if smoke then replicated "adversary" ~seed [ "--smoke" ]
+      else replicated "adversary" ~seed ~runs []
     in
     sweep_main ~cmd:"adversary" ~prefix ~jobs replay sweep (fun rows ->
         output ~csv (E.Exp_adversary.to_table ~replay_prefix:prefix rows);
@@ -513,8 +491,11 @@ let traffic_cmd =
   let run seed runs jobs rounds window replay csv =
     sweep_main ~cmd:"traffic"
       ~prefix:
-        (Printf.sprintf "repro traffic --seed %d --rounds %d --window %d" seed
-           rounds window)
+        (replicated "traffic" ~seed ~runs
+           [
+             opt "rounds" (string_of_int rounds);
+             opt "window" (string_of_int window);
+           ])
       ~jobs replay
       (E.Exp_traffic.sweep ~seed ~runs ~rounds ~window ())
     @@ fun rows ->
@@ -574,8 +555,7 @@ let stabilization_cmd =
     let cells = if smoke then S.smoke_cells else S.default_cells in
     sweep_main ~cmd:"stabilization"
       ~prefix:
-        (Printf.sprintf "repro stabilization --seed %d%s" seed
-           (if smoke then " --smoke" else ""))
+        (replicated "stabilization" ~seed (if smoke then [ "--smoke" ] else []))
       ~jobs replay (S.sweep ~seed ~cells ())
     @@ fun rows ->
     let verdicts = S.verdicts rows in
@@ -595,93 +575,80 @@ let stabilization_cmd =
 let all_cmd =
   let doc = "Run every experiment with fast defaults." in
   let run seed jobs =
-    let domains = jobs in
     (* The sweeps below print their tables and keep going past a raising
        run; the count decides the exit status at the end. *)
     let raised = ref 0 in
-    let rows sweep =
-      let entries = E.Sweep.run ~domains sweep in
+    let show heading sweep renders =
+      Fmt.pr "@.== %s ==@." heading;
+      let entries = E.Sweep.run ~domains:jobs sweep in
       raised := !raised + List.length (E.Sweep.raised entries);
-      List.map (fun e -> e.E.Sweep.row) entries
+      let rows = List.map (fun e -> e.E.Sweep.row) entries in
+      List.iter (fun render -> Table.print (render rows)) renders
     in
+    let small = E.Scenario.poisson ~intensity:150.0 ~radius:0.12 () in
+    let tiny = E.Scenario.uniform ~count:30 ~radius:0.2 () in
     Fmt.pr "== Table 1 ==@.";
     E.Exp_example.print ();
-    Fmt.pr "@.== Table 2 ==@.";
-    E.Exp_schedule.print ~seed ~runs:5 ~domains ();
-    Fmt.pr "@.== Table 3 ==@.";
-    E.Exp_dag_steps.print ~seed ~runs:10 ~domains ();
-    Fmt.pr "@.== Table 4 ==@.";
-    E.Exp_features.print_random ~seed ~runs:10 ~domains ();
-    Fmt.pr "@.== Table 5 ==@.";
-    E.Exp_features.print_grid ~seed ~runs:5 ~domains ();
+    show "Table 2"
+      (E.Exp_schedule.sweep ~seed ~runs:5 ())
+      [ E.Exp_schedule.to_table ];
+    show "Table 3"
+      (E.Exp_dag_steps.sweep ~seed ~runs:10 ())
+      [ E.Exp_dag_steps.to_table ];
+    show "Table 4"
+      (E.Exp_features.random_sweep ~seed ~runs:10 ())
+      [ E.Exp_features.to_table ~title:E.Exp_features.random_title ];
+    show "Table 5"
+      (E.Exp_features.grid_sweep ~seed ~runs:5 ())
+      [ E.Exp_features.to_table ~title:E.Exp_features.grid_title ];
     Fmt.pr "@.== Figures 2 & 3 ==@.";
     E.Exp_figures.print ();
-    Fmt.pr "@.== Mobility ==@.";
-    E.Exp_mobility.print
-      ~params:
-        {
-          E.Exp_mobility.default_params with
-          E.Exp_mobility.seed;
-          runs = 3;
-          horizon = 120.0;
-        }
-      ~domains ();
-    Fmt.pr "@.== Self-stabilization ==@.";
-    E.Exp_selfstab.print ~seed ~runs:5 ~domains ();
-    Fmt.pr "@.== Metric comparison ==@.";
-    E.Exp_compare.print ~seed ~runs:3 ~epochs:30 ~domains ();
-    Fmt.pr "@.== Extension: energy ==@.";
-    E.Exp_energy.print ~seed ~runs:3 ~domains ();
-    Fmt.pr "@.== Extension: hierarchy ==@.";
-    E.Exp_hierarchy.print ~seed ~runs:5 ~domains ();
-    Fmt.pr "@.== Extension: stabilization vs mobility ==@.";
-    E.Exp_mobility_bounds.print ~seed ~runs:2 ~epochs:20 ~domains ();
-    Fmt.pr "@.== Extension: stabilization vs link failures ==@.";
-    E.Exp_link_failure.print ~seed ~runs:2 ~epochs:15 ~domains ();
-    Fmt.pr "@.== Extension: within-run churn ==@.";
-    let churn =
-      rows
-        (E.Exp_churn.sweep ~seed ~runs:2
-           ~spec:(E.Scenario.poisson ~intensity:150.0 ~radius:0.12 ())
-           ())
-    in
-    Table.print (E.Exp_churn.to_table churn);
-    Table.print (E.Exp_churn.events_table churn);
-    Fmt.pr "@.== Extension: continuous motion ==@.";
-    Table.print
-      (E.Exp_motion.to_table
-         (rows
-            (E.Exp_motion.sweep ~seed ~runs:2 ~rounds:80
-               ~spec:(E.Scenario.poisson ~intensity:150.0 ~radius:0.12 ())
-               ())));
-    Fmt.pr "@.== Extension: flat executor (cross-checked) ==@.";
-    Table.print
-      (E.Exp_flat.to_table
-         (E.Exp_flat.run ~seed ~sizes:[ 500; 1_000 ] ~check_upto:1_000 ()));
-    Fmt.pr "@.== Robustness: fault campaign (smoke grid) ==@.";
-    Table.print
-      (E.Exp_campaign.to_table
-         (rows
-            (E.Exp_campaign.sweep ~seed ~runs:1
-               ~spec:(E.Scenario.uniform ~count:30 ~radius:0.2 ())
-               ~grid:E.Exp_campaign.smoke_grid ~max_rounds:800 ())));
-    Fmt.pr "@.== Robustness: Byzantine adversary (smoke) ==@.";
-    Table.print
-      (E.Exp_adversary.to_table
-         (rows
-            (E.Exp_adversary.sweep ~seed ~runs:1
-               ~spec:(E.Scenario.uniform ~count:30 ~radius:0.2 ())
-               ~behaviors:[ Ss_engine.Adversary.Stuck ]
-               ~counts:[ 2 ]
-               ~channels:[ Ss_radio.Channel.perfect ]
-               ~max_rounds:400 ())));
-    Fmt.pr "@.== Robustness: data-plane traffic ==@.";
-    Table.print
-      (E.Exp_traffic.to_table
-         (rows
-            (E.Exp_traffic.sweep ~seed ~runs:1
-               ~spec:(E.Scenario.poisson ~intensity:300.0 ~radius:0.1 ())
-               ~rounds:120 ())));
+    show "Mobility"
+      (E.Exp_mobility.sweep ~seed ~runs:3 ~horizon:120.0 ())
+      [ E.Exp_mobility.to_table ];
+    show "Self-stabilization"
+      (E.Exp_selfstab.sweep ~seed ~runs:5 ())
+      [
+        E.Exp_selfstab.recovery_table;
+        E.Exp_selfstab.loss_table;
+      ];
+    show "Metric comparison"
+      (E.Exp_compare.sweep ~seed ~runs:3 ~epochs:30 ())
+      [ E.Exp_compare.to_table ];
+    show "Extension: energy"
+      (E.Exp_energy.sweep ~seed ~runs:3 ())
+      [ E.Exp_energy.to_table ];
+    show "Extension: hierarchy"
+      (E.Exp_hierarchy.sweep ~seed ~runs:5 ())
+      [ E.Exp_hierarchy.to_table ];
+    show "Extension: stabilization vs mobility"
+      (E.Exp_epochs.sweep ~seed ~runs:2 ~epochs:20 E.Exp_epochs.speed_cells)
+      [ E.Exp_epochs.to_table ];
+    show "Extension: stabilization vs link failures"
+      (E.Exp_epochs.sweep ~seed ~runs:2 ~epochs:15 E.Exp_epochs.fade_cells)
+      [ E.Exp_epochs.to_table ];
+    show "Extension: within-run churn"
+      (E.Exp_churn.sweep ~seed ~runs:2 ~spec:small ())
+      [ E.Exp_churn.to_table; E.Exp_churn.events_table ];
+    show "Extension: continuous motion"
+      (E.Exp_motion.sweep ~seed ~runs:2 ~rounds:80 ~spec:small ())
+      [ E.Exp_motion.to_table ];
+    show "Robustness: fault campaign (smoke grid)"
+      (E.Exp_campaign.sweep ~seed ~runs:1 ~spec:tiny
+         ~grid:E.Exp_campaign.smoke_grid ~max_rounds:800 ())
+      [ E.Exp_campaign.to_table ];
+    show "Robustness: Byzantine adversary (smoke)"
+      (E.Exp_adversary.sweep ~seed ~runs:1 ~spec:tiny
+         ~behaviors:[ Ss_engine.Adversary.Stuck ]
+         ~counts:[ 2 ]
+         ~channels:[ Ss_radio.Channel.perfect ]
+         ~max_rounds:400 ())
+      [ E.Exp_adversary.to_table ];
+    show "Robustness: data-plane traffic"
+      (E.Exp_traffic.sweep ~seed ~runs:1
+         ~spec:(E.Scenario.poisson ~intensity:300.0 ~radius:0.1 ())
+         ~rounds:120 ())
+      [ E.Exp_traffic.to_table ];
     if !raised > 0 then begin
       Fmt.epr "repro all: %d sweep run(s) raised@." !raised;
       exit 1
@@ -691,14 +658,14 @@ let all_cmd =
 
 (* The single command registry: the group below, the help listing and the
    unknown-subcommand message all derive from this list, so a sweep added
-   here is automatically visible everywhere (adversary, motion, flat and
+   here is automatically visible everywhere (adversary, motion and
    traffic had previously drifted out of sync). *)
 let commands =
   [
     table1_cmd; table2_cmd; table3_cmd; table4_cmd; table5_cmd;
     figures_cmd; mobility_cmd; selfstab_cmd; compare_cmd; energy_cmd;
     hierarchy_cmd; bounds_cmd; links_cmd; churn_cmd; motion_cmd;
-    flat_cmd; campaign_cmd; adversary_cmd; traffic_cmd; stabilization_cmd;
+    campaign_cmd; adversary_cmd; traffic_cmd; stabilization_cmd;
     all_cmd;
   ]
 

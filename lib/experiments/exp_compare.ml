@@ -71,32 +71,32 @@ let run_once rng ~count ~radius ~model ~epoch ~epochs algorithm =
   done;
   (retention, clusters)
 
-let run ?(seed = 42) ?(runs = 5) ?domains ?(count = 400) ?(radius = 0.1)
+(* The per-run summaries merge in run order. *)
+let sweep ?(seed = 42) ?(runs = 5) ?(count = 400) ?(radius = 0.1)
     ?(model = Model.pedestrian) ?(epoch = 2.0) ?(epochs = 60)
     ?(algorithms = default_algorithms) () =
-  List.map
-    (fun algorithm ->
-      (* run_once builds its summaries from its own sub-stream only;
-         merging afterwards in run order keeps the result independent of
-         the domain count. *)
-      let per_run =
-        Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-            ignore run;
-            run_once rng ~count ~radius ~model ~epoch ~epochs algorithm)
-      in
-      let retention = ref (Summary.create ()) in
-      let clusters = ref (Summary.create ()) in
-      List.iter
-        (fun (r, c) ->
-          retention := Summary.merge !retention r;
-          clusters := Summary.merge !clusters c)
-        per_run;
-      {
-        algorithm = label algorithm;
-        retention = !retention;
-        clusters = !clusters;
-      })
-    algorithms
+  {
+    Sweep.label;
+    cells = algorithms;
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run =
+      (fun algorithm rng ->
+        run_once rng ~count ~radius ~model ~epoch ~epochs algorithm);
+    judge = Sweep.raised_only;
+    fold =
+      (fun algorithm runs ->
+        let merged pick =
+          List.fold_left
+            (fun acc o -> Summary.merge acc (pick o))
+            (Summary.create ()) (Sweep.completed runs)
+        in
+        {
+          algorithm = label algorithm;
+          retention = merged fst;
+          clusters = merged snd;
+        });
+  }
 
 let to_table ?(title = "Metric comparison — head retention under mobility")
     rows =
@@ -115,7 +115,3 @@ let to_table ?(title = "Metric comparison — head retention under mobility")
            Table.cell_float ~decimals:1 (Summary.mean r.clusters);
          ])
        rows)
-
-let print ?seed ?runs ?domains ?count ?radius ?model ?epoch ?epochs () =
-  Table.print
-    (to_table (run ?seed ?runs ?domains ?count ?radius ?model ?epoch ?epochs ()))

@@ -23,10 +23,9 @@ type result = {
   clusters : Ss_stats.Summary.t;
 }
 
-val run :
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
   ?count:int ->
   ?radius:float ->
   ?model:Ss_mobility.Model.t ->
@@ -34,18 +33,8 @@ val run :
   ?epochs:int ->
   ?algorithms:algorithm list ->
   unit ->
-  result list
+  (algorithm, Ss_stats.Summary.t * Ss_stats.Summary.t, result) Sweep.t
+(** One cell per algorithm; a run reports its per-epoch head retention
+    and cluster counts. *)
 
 val to_table : ?title:string -> result list -> Ss_stats.Table.t
-
-val print :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?count:int ->
-  ?radius:float ->
-  ?model:Ss_mobility.Model.t ->
-  ?epoch:float ->
-  ?epochs:int ->
-  unit ->
-  unit

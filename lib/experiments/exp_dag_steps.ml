@@ -12,39 +12,40 @@ let default_radii = [ 0.05; 0.06; 0.07; 0.08; 0.09; 0.1 ]
 
 type row = { scenario : string; radius : float; steps : Summary.t }
 
-let measure ?(gamma_spec = Gamma.delta_sq) ?domains ~seed ~runs spec =
-  Runner.summarize ?domains ~seed ~runs (fun rng ->
-      let world = Scenario.build rng spec in
-      let result =
-        Dag_id.build_spec rng world.Scenario.graph ~ids:world.Scenario.ids
-          ~gamma_spec
-      in
-      float_of_int result.Dag_id.steps)
-
-let run ?(seed = 42) ?(runs = 30) ?domains ?(intensity = 1000.0)
+let sweep ?(seed = 42) ?(runs = 30) ?(intensity = 1000.0)
     ?(radii = default_radii) () =
-  let grid_rows =
-    List.map
-      (fun radius ->
-        let spec = Scenario.grid ~radius () in
-        { scenario = "grid"; radius; steps = measure ?domains ~seed ~runs spec })
-      radii
+  let cells scenario spec_of =
+    List.map (fun radius -> (scenario, radius, spec_of radius)) radii
   in
-  let random_rows =
-    List.map
-      (fun radius ->
-        let spec = Scenario.poisson ~intensity ~radius () in
-        {
-          scenario = "random geometry";
-          radius;
-          steps = measure ?domains ~seed ~runs spec;
-        })
-      radii
-  in
-  (grid_rows, random_rows)
+  {
+    Sweep.label =
+      (fun (scenario, radius, _) -> Printf.sprintf "%s/R=%.2f" scenario radius);
+    cells =
+      cells "grid" (fun radius -> Scenario.grid ~radius ())
+      @ cells "random geometry" (fun radius ->
+            Scenario.poisson ~intensity ~radius ());
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run =
+      (fun (_, _, spec) rng ->
+        let world = Scenario.build rng spec in
+        (Dag_id.build_spec rng world.Scenario.graph ~ids:world.Scenario.ids
+           ~gamma_spec:Gamma.delta_sq)
+          .Dag_id.steps);
+    judge = Sweep.raised_only;
+    fold =
+      (fun (scenario, radius, _) runs ->
+        let s =
+          Sweep.summaries 1 (fun steps add -> add 0 (float_of_int steps)) runs
+        in
+        { scenario; radius; steps = s.(0) });
+  }
 
 let to_table ?(title = "Table 3 — steps to build the DAG (gamma = delta^2)")
-    (grid_rows, random_rows) =
+    rows =
+  let grid_rows, random_rows =
+    List.partition (fun r -> String.equal r.scenario "grid") rows
+  in
   let radii = List.map (fun r -> r.radius) grid_rows in
   let header =
     "R" :: List.map (fun r -> Table.cell_float ~decimals:2 r) radii
@@ -56,6 +57,3 @@ let to_table ?(title = "Table 3 — steps to build the DAG (gamma = delta^2)")
   in
   let t = Table.add_row t (line "Grid" grid_rows) in
   Table.add_row t (line "Random geometry" random_rows)
-
-let print ?seed ?runs ?domains ?intensity ?radii () =
-  Table.print (to_table (run ?seed ?runs ?domains ?intensity ?radii ()))

@@ -10,32 +10,16 @@ type row = {
 val default_radii : float list
 (** The paper's sweep: 0.05 to 0.1. *)
 
-val measure :
-  ?gamma_spec:Ss_cluster.Gamma.t ->
-  ?domains:int ->
-  seed:int ->
-  runs:int ->
-  Scenario.spec ->
-  Ss_stats.Summary.t
-(** Mean steps for one scenario. *)
-
-val run :
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
   ?intensity:float ->
   ?radii:float list ->
   unit ->
-  row list * row list
-(** Grid rows and random-geometry rows. *)
+  (string * float * Scenario.spec, int, row) Sweep.t
+(** Cells (scenario, radius, deployment): the grid at every radius, then
+    the random geometry at every radius. A run reports the steps N1
+    takes. *)
 
-val to_table : ?title:string -> row list * row list -> Ss_stats.Table.t
-
-val print :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?intensity:float ->
-  ?radii:float list ->
-  unit ->
-  unit
+val to_table : ?title:string -> row list -> Ss_stats.Table.t
+(** The grid rows and the random-geometry rows, one line each. *)

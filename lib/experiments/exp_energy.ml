@@ -17,38 +17,39 @@ type row = {
   head_changes : Summary.t;
 }
 
-let measure ?domains ~seed ~runs ~spec ~energy_aware () =
-  let per_run =
-    Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-        ignore run;
-        let world = Scenario.build rng spec in
-        let lifetime =
-          Energy.simulate_lifetime ~energy_aware rng world.Scenario.graph
-            ~ids:world.Scenario.ids
-        in
-        ( lifetime.Energy.epochs_to_first_death,
-          lifetime.Energy.epochs_to_half_dead,
-          lifetime.Energy.total_head_changes ))
-  in
-  let first_death = Summary.create () in
-  let half_dead = Summary.create () in
-  let head_changes = Summary.create () in
-  List.iter
-    (fun (first, half, changes) ->
-      Summary.add_int first_death first;
-      Summary.add_int half_dead half;
-      Summary.add_int head_changes changes)
-    per_run;
-  { label = ""; first_death; half_dead; head_changes }
-
-let run ?(seed = 42) ?(runs = 5) ?domains
+let sweep ?(seed = 42) ?(runs = 5)
     ?(spec = Scenario.poisson ~intensity:200.0 ~radius:0.12 ()) () =
-  [
-    { (measure ?domains ~seed ~runs ~spec ~energy_aware:true ()) with
-      label = "energy-aware election" };
-    { (measure ?domains ~seed ~runs ~spec ~energy_aware:false ()) with
-      label = "plain density election" };
-  ]
+  let label energy_aware =
+    if energy_aware then "energy-aware election" else "plain density election"
+  in
+  {
+    Sweep.label;
+    cells = [ true; false ];
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run =
+      (fun energy_aware rng ->
+        let world = Scenario.build rng spec in
+        Energy.simulate_lifetime ~energy_aware rng world.Scenario.graph
+          ~ids:world.Scenario.ids);
+    judge = Sweep.raised_only;
+    fold =
+      (fun energy_aware runs ->
+        let s =
+          Sweep.summaries 3
+            (fun l add ->
+              add 0 (float_of_int l.Energy.epochs_to_first_death);
+              add 1 (float_of_int l.Energy.epochs_to_half_dead);
+              add 2 (float_of_int l.Energy.total_head_changes))
+            runs
+        in
+        {
+          label = label energy_aware;
+          first_death = s.(0);
+          half_dead = s.(1);
+          head_changes = s.(2);
+        });
+  }
 
 let to_table ?(title = "Energy — network lifetime in duty epochs") rows =
   let t =
@@ -68,6 +69,3 @@ let to_table ?(title = "Energy — network lifetime in duty epochs") rows =
            Table.cell_float ~decimals:1 (Summary.mean r.head_changes);
          ])
        rows)
-
-let print ?seed ?runs ?domains ?spec () =
-  Table.print (to_table (run ?seed ?runs ?domains ?spec ()))

@@ -10,15 +10,13 @@ type row = {
   head_changes : Ss_stats.Summary.t;
 }
 
-val run :
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
   ?spec:Scenario.spec ->
   unit ->
-  row list
+  (bool, Ss_cluster.Energy.lifetime, row) Sweep.t
+(** Two cells: the energy-aware election ([true]), then the plain
+    density election. *)
 
 val to_table : ?title:string -> row list -> Ss_stats.Table.t
-
-val print :
-  ?seed:int -> ?runs:int -> ?domains:int -> ?spec:Scenario.spec -> unit -> unit

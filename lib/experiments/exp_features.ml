@@ -5,6 +5,7 @@
    grid (T5). *)
 
 module Graph = Ss_topology.Graph
+module Rng = Ss_prng.Rng
 module Config = Ss_cluster.Config
 module Algorithm = Ss_cluster.Algorithm
 module Metrics = Ss_cluster.Metrics
@@ -22,55 +23,67 @@ type cell = {
 
 type row = { radius : float; with_dag : cell; without_dag : cell }
 
-let fields = [ "clusters"; "ecc"; "tree"; "rounds" ]
-
-let measure_cell ?domains ~seed ~runs ~config spec =
-  let summaries =
-    Runner.summarize_fields ?domains ~seed ~runs fields (fun rng ->
-        let world = Scenario.build rng spec in
-        let outcome =
-          Algorithm.run rng config world.Scenario.graph ~ids:world.Scenario.ids
-        in
-        let assignment = outcome.Algorithm.assignment in
-        let graph = world.Scenario.graph in
-        [
-          ("clusters", float_of_int (Metrics.cluster_count assignment));
-          ( "ecc",
-            Option.value ~default:0.0
-              (Metrics.mean_head_eccentricity graph assignment) );
-          ( "tree",
-            Option.value ~default:0.0 (Metrics.mean_tree_length assignment) );
-          ("rounds", float_of_int outcome.Algorithm.rounds);
-        ])
+(* One clustering of a fresh deployment: clusters, head eccentricity,
+   tree length, rounds. *)
+let measure ~config spec rng =
+  let world = Scenario.build rng spec in
+  let outcome =
+    Algorithm.run rng config world.Scenario.graph ~ids:world.Scenario.ids
   in
-  let get name = List.assoc name summaries in
+  let assignment = outcome.Algorithm.assignment in
+  let graph = world.Scenario.graph in
+  [|
+    float_of_int (Metrics.cluster_count assignment);
+    Option.value ~default:0.0 (Metrics.mean_head_eccentricity graph assignment);
+    Option.value ~default:0.0 (Metrics.mean_tree_length assignment);
+    float_of_int outcome.Algorithm.rounds;
+  |]
+
+type outcome = float array * float array
+
+let cell_of runs pick =
+  let s =
+    Sweep.summaries 4
+      (fun o add -> Array.iteri add (pick (o : outcome)))
+      runs
+  in
   {
-    clusters = get "clusters";
-    eccentricity = get "ecc";
-    tree_length = get "tree";
-    stabilization_rounds = get "rounds";
+    clusters = s.(0);
+    eccentricity = s.(1);
+    tree_length = s.(2);
+    stabilization_rounds = s.(3);
   }
 
-let measure_row ?domains ~seed ~runs ~spec_of radius =
-  let spec = spec_of radius in
+(* Both configurations run on the same stream (the second on a copy), so
+   they cluster the same deployment. *)
+let sweep ?(seed = 42) ?(runs = 30) ?(radii = default_radii) spec_of =
   {
-    radius;
-    with_dag = measure_cell ?domains ~seed ~runs ~config:Config.with_dag spec;
-    without_dag = measure_cell ?domains ~seed ~runs ~config:Config.basic spec;
+    Sweep.label = Printf.sprintf "R=%.2f";
+    cells = radii;
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run =
+      (fun radius rng ->
+        let spec = spec_of radius in
+        let twin = Rng.copy rng in
+        ( measure ~config:Config.with_dag spec rng,
+          measure ~config:Config.basic spec twin ));
+    judge = Sweep.raised_only;
+    fold =
+      (fun radius runs ->
+        { radius; with_dag = cell_of runs fst; without_dag = cell_of runs snd });
   }
 
-let run_random ?(seed = 42) ?(runs = 30) ?domains ?(intensity = 1000.0)
-    ?(radii = default_radii) () =
-  List.map
-    (measure_row ?domains ~seed ~runs ~spec_of:(fun radius ->
-         Scenario.poisson ~intensity ~radius ()))
-    radii
+let random_sweep ?seed ?runs ?(intensity = 1000.0) ?radii () =
+  sweep ?seed ?runs ?radii (fun radius -> Scenario.poisson ~intensity ~radius ())
 
-let run_grid ?(seed = 42) ?(runs = 30) ?domains ?(radii = default_radii) () =
-  List.map
-    (measure_row ?domains ~seed ~runs ~spec_of:(fun radius ->
-         Scenario.grid ~radius ()))
-    radii
+let grid_sweep ?seed ?runs ?radii () =
+  sweep ?seed ?runs ?radii (fun radius -> Scenario.grid ~radius ())
+
+let random_title = "Table 4 — cluster features on a random geometric graph"
+
+let grid_title =
+  "Table 5 — cluster features on a grid with adversarial (row-major) ids"
 
 let to_table ~title rows =
   let header =
@@ -97,15 +110,3 @@ let to_table ~title rows =
   let t = Table.add_row t (line "avg tree length" (fun c -> c.tree_length) 1) in
   Table.add_row t
     (line "stabilization rounds" (fun c -> c.stabilization_rounds) 1)
-
-let print_random ?seed ?runs ?domains ?intensity ?radii () =
-  Table.print
-    (to_table ~title:"Table 4 — cluster features on a random geometric graph"
-       (run_random ?seed ?runs ?domains ?intensity ?radii ()))
-
-let print_grid ?seed ?runs ?domains ?radii () =
-  Table.print
-    (to_table
-       ~title:
-         "Table 5 — cluster features on a grid with adversarial (row-major) ids"
-       (run_grid ?seed ?runs ?domains ?radii ()))

@@ -14,46 +14,25 @@ type row = { radius : float; with_dag : cell; without_dag : cell }
 val default_radii : float list
 (** The paper's columns: 0.05, 0.08, 0.1. *)
 
-val measure_cell :
-  ?domains:int ->
-  seed:int ->
-  runs:int ->
-  config:Ss_cluster.Config.t ->
-  Scenario.spec ->
-  cell
+type outcome
+(** What one run reports: the four features with and without the DAG. *)
 
-val run_random :
+val random_sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
   ?intensity:float ->
   ?radii:float list ->
   unit ->
-  row list
+  (float, outcome, row) Sweep.t
+(** Table 4: one cell per radius on a Poisson deployment. Both
+    configurations cluster the same deployment of a run. *)
 
-val run_grid :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?radii:float list ->
-  unit ->
-  row list
+val grid_sweep :
+  ?seed:int -> ?runs:int -> ?radii:float list -> unit ->
+  (float, outcome, row) Sweep.t
+(** Table 5: one cell per radius on the paper's row-major grid. *)
+
+val random_title : string
+val grid_title : string
 
 val to_table : title:string -> row list -> Ss_stats.Table.t
-
-val print_random :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?intensity:float ->
-  ?radii:float list ->
-  unit ->
-  unit
-
-val print_grid :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?radii:float list ->
-  unit ->
-  unit

@@ -17,10 +17,15 @@ type row = {
 
 let max_levels = 5
 
-let measure ?domains ~seed ~runs ~radius intensity =
-  let per_run =
-    Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-        ignore run;
+let sweep ?(seed = 42) ?(runs = 10) ?(radius = 0.1)
+    ?(intensities = [ 250.0; 500.0; 1000.0 ]) () =
+  {
+    Sweep.label = Printf.sprintf "lambda %.0f";
+    cells = intensities;
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run =
+      (fun intensity rng ->
         let world =
           Scenario.build rng (Scenario.poisson ~intensity ~radius ())
         in
@@ -30,25 +35,29 @@ let measure ?domains ~seed ~runs ~radius intensity =
         in
         ( Graph.node_count world.Scenario.graph,
           Hierarchy.level_count h,
-          Hierarchy.heads_per_level h ))
-  in
-  let nodes = Summary.create () in
-  let levels = Summary.create () in
-  let per_level = Array.init max_levels (fun _ -> Summary.create ()) in
-  List.iter
-    (fun (node_count, level_count, heads) ->
-      Summary.add_int nodes node_count;
-      Summary.add_int levels level_count;
-      List.iteri
-        (fun i count ->
-          if i < max_levels then Summary.add_int per_level.(i) count)
-        heads)
-    per_run;
-  { intensity; nodes; per_level; levels }
-
-let run ?(seed = 42) ?(runs = 10) ?domains ?(radius = 0.1)
-    ?(intensities = [ 250.0; 500.0; 1000.0 ]) () =
-  List.map (measure ?domains ~seed ~runs ~radius) intensities
+          Hierarchy.heads_per_level h ));
+    judge = Sweep.raised_only;
+    fold =
+      (fun intensity runs ->
+        (* Columns: nodes, levels, then the heads at each level. *)
+        let s =
+          Sweep.summaries (2 + max_levels)
+            (fun (nodes, levels, heads) add ->
+              add 0 (float_of_int nodes);
+              add 1 (float_of_int levels);
+              List.iteri
+                (fun i count ->
+                  if i < max_levels then add (2 + i) (float_of_int count))
+                heads)
+            runs
+        in
+        {
+          intensity;
+          nodes = s.(0);
+          per_level = Array.sub s 2 max_levels;
+          levels = s.(1);
+        });
+  }
 
 let to_table ?(title = "Hierarchy — cluster-heads per level") rows =
   let headers =
@@ -72,6 +81,3 @@ let to_table ?(title = "Hierarchy — cluster-heads per level") rows =
                 r.per_level)
          @ [ Table.cell_float ~decimals:1 (Summary.mean r.levels) ])
        rows)
-
-let print ?seed ?runs ?domains ?radius ?intensities () =
-  Table.print (to_table (run ?seed ?runs ?domains ?radius ?intensities ()))

@@ -11,22 +11,14 @@ type row = {
 
 val max_levels : int
 
-val run :
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
   ?radius:float ->
   ?intensities:float list ->
   unit ->
-  row list
+  (float, int * int * int list, row) Sweep.t
+(** One cell per Poisson intensity; a run reports the node count, the
+    level count and the heads per level. *)
 
 val to_table : ?title:string -> row list -> Ss_stats.Table.t
-
-val print :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?radius:float ->
-  ?intensities:float list ->
-  unit ->
-  unit

@@ -22,46 +22,29 @@ module Fleet = Ss_mobility.Fleet
 module Table = Ss_stats.Table
 module Summary = Ss_stats.Summary
 
-type params = {
-  count : int; (* nodes *)
-  radius : float;
-  epoch : float; (* seconds between reclusterings *)
-  horizon : float; (* total seconds *)
-  seed : int;
-  runs : int;
-}
-
-let default_params =
-  {
-    count = 500;
-    radius = 0.1;
-    epoch = 2.0;
-    horizon = 180.0;
-    seed = 42;
-    runs = 5;
-  }
+(* Re-clustering every 2 s, at radius 0.1. *)
+let radius = 0.1
+let epoch = 2.0
 
 (* One mobility run: returns the retention summary across epochs. *)
-let run_once rng ~params ~model ~config =
+let run_once rng ~count ~epochs ~model ~config =
   let positions =
-    Ss_geom.Point_process.uniform rng ~count:params.count
-      ~box:Ss_geom.Bbox.unit_square
+    Ss_geom.Point_process.uniform rng ~count ~box:Ss_geom.Bbox.unit_square
   in
   let fleet = Fleet.create rng ~model ~box:Ss_geom.Bbox.unit_square positions in
-  let ids = Rng.permutation rng params.count in
-  let epochs = int_of_float (params.horizon /. params.epoch) in
+  let ids = Rng.permutation rng count in
   let retention = Summary.create () in
   let cluster_positions init_heads =
-    let graph = Graph.unit_disk ~radius:params.radius (Fleet.positions fleet) in
+    let graph = Graph.unit_disk ~radius (Fleet.positions fleet) in
     Algorithm.run ~scheduler:Algorithm.Sequential ?init_heads rng config graph
       ~ids
   in
   let previous = ref (cluster_positions None) in
   for _ = 1 to epochs do
-    Fleet.step fleet params.epoch;
+    Fleet.step fleet epoch;
     let prev_assignment = (!previous).Algorithm.assignment in
     let init_heads =
-      Array.init params.count (fun p -> Assignment.head prev_assignment p)
+      Array.init count (fun p -> Assignment.head prev_assignment p)
     in
     let outcome = cluster_positions (Some init_heads) in
     (match
@@ -85,23 +68,36 @@ type result = {
   basic : Summary.t;
 }
 
-let run ?(params = default_params) ?domains
+type outcome = Summary.t * Summary.t
+
+(* Both rule sets run on the same stream (the second on a copy), so they
+   see the same deployment and trajectory. The per-run summaries merge in
+   run order. *)
+let sweep ?(seed = 42) ?(runs = 5) ?(count = 500) ?(horizon = 180.0)
     ?(regimes = [ pedestrian; vehicular ]) () =
-  List.map
-    (fun { label; model } ->
-      let measure config =
-        List.fold_left Summary.merge (Summary.create ())
-          (Runner.replicate ?domains ~seed:params.seed ~runs:params.runs
-             (fun ~run rng ->
-               ignore run;
-               run_once rng ~params ~model ~config))
-      in
-      {
-        regime = label;
-        improved = measure Config.improved;
-        basic = measure Config.basic;
-      })
-    regimes
+  let epochs = int_of_float (horizon /. epoch) in
+  {
+    Sweep.label = (fun r -> r.label);
+    cells = regimes;
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run =
+      (fun { model; _ } rng ->
+        let twin = Rng.copy rng in
+        let measure config rng =
+          run_once rng ~count ~epochs ~model ~config
+        in
+        (measure Config.improved rng, measure Config.basic twin));
+    judge = Sweep.raised_only;
+    fold =
+      (fun { label; _ } runs ->
+        let merged pick =
+          List.fold_left
+            (fun acc o -> Summary.merge acc (pick (o : outcome)))
+            (Summary.create ()) (Sweep.completed runs)
+        in
+        { regime = label; improved = merged fst; basic = merged snd });
+  }
 
 let to_table ?(title = "Mobility — cluster-head retention per 2 s epoch") rows =
   let t =
@@ -119,6 +115,3 @@ let to_table ?(title = "Mobility — cluster-head retention per 2 s epoch") rows
            Printf.sprintf "%.1f%%" (100.0 *. Summary.mean r.basic);
          ])
        rows)
-
-let print ?params ?domains ?regimes () =
-  Table.print (to_table (run ?params ?domains ?regimes ()))

@@ -2,25 +2,6 @@
     under random mobility, improved (Section 4.3) rules versus basic rules.
     The paper's shape: retention falls with speed; improved > basic. *)
 
-type params = {
-  count : int;
-  radius : float;
-  epoch : float;
-  horizon : float;
-  seed : int;
-  runs : int;
-}
-
-val default_params : params
-
-val run_once :
-  Ss_prng.Rng.t ->
-  params:params ->
-  model:Ss_mobility.Model.t ->
-  config:Ss_cluster.Config.t ->
-  Ss_stats.Summary.t
-(** One trajectory; returns the per-epoch retention summary. *)
-
 type regime = { label : string; model : Ss_mobility.Model.t }
 
 val pedestrian : regime
@@ -32,10 +13,20 @@ type result = {
   basic : Ss_stats.Summary.t;
 }
 
-val run :
-  ?params:params -> ?domains:int -> ?regimes:regime list -> unit -> result list
+type outcome
+(** What one run reports: the per-epoch retention with improved and with
+    basic rules. *)
+
+val sweep :
+  ?seed:int ->
+  ?runs:int ->
+  ?count:int ->
+  ?horizon:float ->
+  ?regimes:regime list ->
+  unit ->
+  (regime, outcome, result) Sweep.t
+(** One cell per regime: [count] nodes (default 500) at radius 0.1,
+    re-clustered every 2 s for [horizon] seconds (180). Both rule sets
+    replay the same deployment and trajectory. *)
 
 val to_table : ?title:string -> result list -> Ss_stats.Table.t
-
-val print :
-  ?params:params -> ?domains:int -> ?regimes:regime list -> unit -> unit

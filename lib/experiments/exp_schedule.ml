@@ -34,7 +34,11 @@ let settles_at ok snapshots =
   let rec search i = if i >= n then None else if from i then Some (i + 1) else search (i + 1) in
   search 0
 
-let run_once rng ~spec =
+(* Per piece of knowledge (neighbors, density, father, head) and node,
+   the step from which it is correct. *)
+type outcome = int option array array
+
+let run_once ~spec rng : outcome =
   let world = Scenario.build rng spec in
   let graph = world.Scenario.graph in
   let n = Graph.node_count graph in
@@ -77,39 +81,40 @@ let run_once rng ~spec =
   let head_ok p (st : Distributed.state) =
     st.Distributed.head = Some (Assignment.head oracle_assignment p)
   in
-  ( per_node neighbors_ok,
-    per_node density_ok,
-    per_node father_ok,
-    per_node head_ok )
+  [|
+    per_node neighbors_ok;
+    per_node density_ok;
+    per_node father_ok;
+    per_node head_ok;
+  |]
 
-let run ?(seed = 42) ?(runs = 10) ?domains
+let sweep ?(seed = 42) ?(runs = 10)
     ?(spec = Scenario.poisson ~intensity:300.0 ~radius:0.1 ()) () =
-  let acc =
-    {
-      neighbors = Summary.create ();
-      density = Summary.create ();
-      father = Summary.create ();
-      head = Summary.create ();
-    }
-  in
-  let add summary rounds =
-    Array.iter
-      (fun r -> match r with Some r -> Summary.add_int summary r | None -> ())
-      rounds
-  in
-  List.iter
-    (fun (nbrs, dens, father, head) ->
-      add acc.neighbors nbrs;
-      add acc.density dens;
-      add acc.father father;
-      add acc.head head)
-    (Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-         ignore run;
-         run_once rng ~spec));
-  acc
+  {
+    Sweep.label = Fmt.str "%a" Scenario.pp;
+    cells = [ spec ];
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run = (fun spec -> run_once ~spec);
+    judge = Sweep.raised_only;
+    fold =
+      (fun _ runs ->
+        let s =
+          Sweep.summaries 4
+            (fun o add ->
+              Array.iteri
+                (fun c rounds ->
+                  Array.iter
+                    (Option.iter (fun r -> add c (float_of_int r)))
+                    rounds)
+                o)
+            runs
+        in
+        { neighbors = s.(0); density = s.(1); father = s.(2); head = s.(3) });
+  }
 
 let to_table ?(title = "Table 2 — knowledge schedule (steps until correct)")
-    acc =
+    rows =
   let t =
     Table.create ~title
       ~header:[ "knowledge"; "mean step"; "max step" ]
@@ -124,12 +129,12 @@ let to_table ?(title = "Table 2 — knowledge schedule (steps until correct)")
     ]
   in
   Table.add_rows t
-    [
-      row "1-neighbors" acc.neighbors;
-      row "density" acc.density;
-      row "father" acc.father;
-      row "cluster-head" acc.head;
-    ]
-
-let print ?seed ?runs ?domains ?spec () =
-  Table.print (to_table (run ?seed ?runs ?domains ?spec ()))
+    (List.concat_map
+       (fun m ->
+         [
+           row "1-neighbors" m.neighbors;
+           row "density" m.density;
+           row "father" m.father;
+           row "cluster-head" m.head;
+         ])
+       rows)

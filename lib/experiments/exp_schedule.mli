@@ -10,15 +10,16 @@ type milestones = {
   head : Ss_stats.Summary.t;
 }
 
-val run :
+type outcome
+(** What one run reports: per piece of knowledge and node, the step from
+    which it is correct, if it settles. *)
+
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
   ?spec:Scenario.spec ->
   unit ->
-  milestones
+  (Scenario.spec, outcome, milestones) Sweep.t
+(** One cell, the deployment. *)
 
-val to_table : ?title:string -> milestones -> Ss_stats.Table.t
-
-val print :
-  ?seed:int -> ?runs:int -> ?domains:int -> ?spec:Scenario.spec -> unit -> unit
+val to_table : ?title:string -> milestones list -> Ss_stats.Table.t

@@ -17,12 +17,9 @@ module Distributed = Ss_cluster.Distributed
 module Table = Ss_stats.Table
 module Summary = Ss_stats.Summary
 
-type recovery = {
-  fraction : float; (* of nodes corrupted *)
-  rounds_to_recover : Summary.t;
-  identical_result : int; (* runs whose post-fault fixpoint matched *)
-  runs : int;
-}
+type cell = Recovery of float | Loss of float
+
+type row = { cell : cell; rounds : Summary.t; ok : int; runs : int }
 
 module P = Distributed.Make (struct
   let params = Distributed.default_params
@@ -47,71 +44,72 @@ end)
 
 module E_lossy = Ss_engine.Engine.Make (P_lossy)
 
-let measure_recovery ?(seed = 42) ?(runs = 10) ?domains
-    ?(spec = Scenario.poisson ~intensity:300.0 ~radius:0.1 ())
-    ?(fractions = [ 0.01; 0.1; 0.5; 1.0 ]) () =
-  List.map
-    (fun fraction ->
-      (* The per-run body is pure given its sub-stream; aggregation
-         happens below, in run order, so domain-parallel execution
-         cannot move a bit. *)
-      let per_run =
-        Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-            ignore run;
-            let world = Scenario.build rng spec in
-            let graph = world.Scenario.graph in
-            let first = converge rng graph in
-            let before = Distributed.to_assignment first.E.states in
-            let n = Graph.node_count graph in
-            let count = max 1 (int_of_float (fraction *. float_of_int n)) in
-            let victims = Rng.permutation rng n in
-            for i = 0 to count - 1 do
-              let p = victims.(i) in
-              first.E.states.(p) <- Distributed.corrupt rng p first.E.states.(p)
-            done;
-            let second = converge ~states:first.E.states rng graph in
-            let after = Distributed.to_assignment second.E.states in
-            (second.E.last_change_round, Assignment.equal before after))
-      in
-      let rounds = Summary.create () in
-      let identical = ref 0 in
-      List.iter
-        (fun (recovery_rounds, same_fixpoint) ->
-          Summary.add_int rounds recovery_rounds;
-          if same_fixpoint then incr identical)
-        per_run;
-      { fraction; rounds_to_recover = rounds; identical_result = !identical; runs })
-    fractions
+(* Recovery: converge, scramble [fraction] of the nodes, re-converge from
+   the corrupted states; the recovery rounds and whether the fixpoint is
+   the pre-fault one. *)
+let recover ~spec ~fraction rng =
+  let world = Scenario.build rng spec in
+  let graph = world.Scenario.graph in
+  let first = converge rng graph in
+  let before = Distributed.to_assignment first.E.states in
+  let n = Graph.node_count graph in
+  let count = max 1 (int_of_float (fraction *. float_of_int n)) in
+  let victims = Rng.permutation rng n in
+  for i = 0 to count - 1 do
+    let p = victims.(i) in
+    first.E.states.(p) <- Distributed.corrupt rng p first.E.states.(p)
+  done;
+  let second = converge ~states:first.E.states rng graph in
+  let after = Distributed.to_assignment second.E.states in
+  (Assignment.equal before after, second.E.last_change_round)
 
-type loss_row = { tau : float; rounds : Summary.t; converged : int; runs : int }
+(* Loss: stabilize from scratch over a Bernoulli(tau) channel; whether it
+   converged and when the output last changed. *)
+let stabilize ~spec ~tau rng =
+  let world = Scenario.build rng spec in
+  let result =
+    E_lossy.run ~channel:(Channel.bernoulli tau) ~max_rounds:3_000
+      ~quiet_rounds:25 rng world.Scenario.graph
+  in
+  (result.E_lossy.converged, result.E_lossy.last_change_round)
 
-let measure_loss ?(seed = 42) ?(runs = 10) ?domains
+let sweep ?(seed = 42) ?(runs = 10)
     ?(spec = Scenario.poisson ~intensity:300.0 ~radius:0.1 ())
-    ?(taus = [ 1.0; 0.9; 0.7; 0.5 ]) () =
-  List.map
-    (fun tau ->
-      let per_run =
-        Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
-            ignore run;
-            let world = Scenario.build rng spec in
-            let graph = world.Scenario.graph in
-            let channel = Channel.bernoulli tau in
-            let result =
-              E_lossy.run ~channel ~max_rounds:3_000 ~quiet_rounds:25 rng graph
-            in
-            (result.E_lossy.converged, result.E_lossy.last_change_round))
-      in
-      let rounds = Summary.create () in
-      let converged = ref 0 in
-      List.iter
-        (fun (ok, last_change) ->
-          if ok then begin
-            incr converged;
-            Summary.add_int rounds last_change
-          end)
-        per_run;
-      { tau; rounds; converged = !converged; runs })
-    taus
+    ?(fractions = [ 0.01; 0.1; 0.5; 1.0 ]) ?(taus = [ 1.0; 0.9; 0.7; 0.5 ]) ()
+    =
+  {
+    Sweep.label =
+      (function
+      | Recovery f -> Printf.sprintf "recovery %.0f%%" (100.0 *. f)
+      | Loss tau -> Printf.sprintf "loss tau %.2f" tau);
+    cells =
+      List.map (fun f -> Recovery f) fractions
+      @ List.map (fun tau -> Loss tau) taus;
+    runs = (fun _ -> runs);
+    seed = (fun _ -> seed);
+    run =
+      (function
+      | Recovery fraction -> recover ~spec ~fraction
+      | Loss tau -> stabilize ~spec ~tau);
+    judge = Sweep.raised_only;
+    fold =
+      (fun cell runs ->
+        (* A recovery counts every run's rounds; a lossy run only once it
+           converged. *)
+        let counted ok = match cell with Recovery _ -> true | Loss _ -> ok in
+        let s =
+          Sweep.summaries 1
+            (fun (ok, rounds) add ->
+              if counted ok then add 0 (float_of_int rounds))
+            runs
+        in
+        {
+          cell;
+          rounds = s.(0);
+          ok = List.length (List.filter fst (Sweep.completed runs));
+          runs = List.length runs.Sweep.outcomes;
+        });
+  }
 
 let recovery_table ?(title = "Self-stabilization — recovery after corruption")
     rows =
@@ -122,14 +120,18 @@ let recovery_table ?(title = "Self-stabilization — recovery after corruption")
       ()
   in
   Table.add_rows t
-    (List.map
+    (List.filter_map
        (fun r ->
-         [
-           Printf.sprintf "%.0f%%" (100.0 *. r.fraction);
-           Table.cell_float ~decimals:1 (Summary.mean r.rounds_to_recover);
-           Table.cell_float ~decimals:0 (Summary.maximum r.rounds_to_recover);
-           Printf.sprintf "%d/%d" r.identical_result r.runs;
-         ])
+         match r.cell with
+         | Loss _ -> None
+         | Recovery fraction ->
+             Some
+               [
+                 Printf.sprintf "%.0f%%" (100.0 *. fraction);
+                 Table.cell_float ~decimals:1 (Summary.mean r.rounds);
+                 Table.cell_float ~decimals:0 (Summary.maximum r.rounds);
+                 Printf.sprintf "%d/%d" r.ok r.runs;
+               ])
        rows)
 
 let loss_table ?(title = "Self-stabilization — convergence under frame loss")
@@ -140,16 +142,16 @@ let loss_table ?(title = "Self-stabilization — convergence under frame loss")
       ()
   in
   Table.add_rows t
-    (List.map
+    (List.filter_map
        (fun r ->
-         [
-           Table.cell_float ~decimals:2 r.tau;
-           Table.cell_float ~decimals:1 (Summary.mean r.rounds);
-           Table.cell_float ~decimals:0 (Summary.maximum r.rounds);
-           Printf.sprintf "%d/%d" r.converged r.runs;
-         ])
+         match r.cell with
+         | Recovery _ -> None
+         | Loss tau ->
+             Some
+               [
+                 Table.cell_float ~decimals:2 tau;
+                 Table.cell_float ~decimals:1 (Summary.mean r.rounds);
+                 Table.cell_float ~decimals:0 (Summary.maximum r.rounds);
+                 Printf.sprintf "%d/%d" r.ok r.runs;
+               ])
        rows)
-
-let print ?seed ?runs ?domains ?spec () =
-  Table.print (recovery_table (measure_recovery ?seed ?runs ?domains ?spec ()));
-  Table.print (loss_table (measure_loss ?seed ?runs ?domains ?spec ()))

@@ -2,41 +2,38 @@
     transient state corruption, and stabilization under frame loss.
     Quantifies the Section 4 claims the paper proves but does not measure. *)
 
-type recovery = {
-  fraction : float;
-  rounds_to_recover : Ss_stats.Summary.t;
-  identical_result : int;
-      (** runs whose post-fault fixpoint equalled the pre-fault clustering *)
+type cell =
+  | Recovery of float
+      (** converge, corrupt this fraction of the nodes, re-converge *)
+  | Loss of float
+      (** stabilize from scratch over a channel of this delivery
+          probability *)
+
+type row = {
+  cell : cell;
+  rounds : Ss_stats.Summary.t;
+      (** recovery rounds of every run; for [Loss], the stabilization
+          rounds of the runs that converged *)
+  ok : int;
+      (** [Recovery]: runs whose post-fault fixpoint equalled the pre-fault
+          clustering; [Loss]: runs that converged *)
   runs : int;
 }
 
-val measure_recovery :
+val sweep :
   ?seed:int ->
   ?runs:int ->
-  ?domains:int ->
   ?spec:Scenario.spec ->
   ?fractions:float list ->
-  unit ->
-  recovery list
-
-type loss_row = {
-  tau : float;
-  rounds : Ss_stats.Summary.t;
-  converged : int;
-  runs : int;
-}
-
-val measure_loss :
-  ?seed:int ->
-  ?runs:int ->
-  ?domains:int ->
-  ?spec:Scenario.spec ->
   ?taus:float list ->
   unit ->
-  loss_row list
+  (cell, bool * int, row) Sweep.t
+(** The recovery cells (one per fraction), then the loss cells (one per
+    tau). A run reports the [ok] flag and the round the output last
+    changed. *)
 
-val recovery_table : ?title:string -> recovery list -> Ss_stats.Table.t
-val loss_table : ?title:string -> loss_row list -> Ss_stats.Table.t
+val recovery_table : ?title:string -> row list -> Ss_stats.Table.t
+(** The [Recovery] rows. *)
 
-val print :
-  ?seed:int -> ?runs:int -> ?domains:int -> ?spec:Scenario.spec -> unit -> unit
+val loss_table : ?title:string -> row list -> Ss_stats.Table.t
+(** The [Loss] rows. *)

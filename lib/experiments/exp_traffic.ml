@@ -360,7 +360,7 @@ let verify ?(seed = 42) ?(spec = default_spec) ?(rounds = 220) ?(ttl = 48)
     ?(rejoin_round = default_rejoin_round)
     ?(fraction = default_burst_fraction) ?(energy = default_energy)
     ?(rate = 8.0) ?(channel = Channel.bernoulli 0.9) () =
-  let stream () = (Runner.streams ~seed ~runs:1).(0) in
+  let stream () = (Sweep.streams ~seed ~runs:1).(0) in
   let go flat =
     run_one ~flat ~spec ~rounds ~ttl ~burst:true ~burst_round
       ~rejoin_round ~fraction ~energy ~rate ~channel (stream ())

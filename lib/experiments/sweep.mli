@@ -1,12 +1,13 @@
 (** One experiment sweep: a list of cells, each replicated over
     positional PRNG streams on the domain pool and folded in run order
-    into one row.
+    into one row. Every replicated [repro] command is one of these.
 
-    The contract every sweep driver gets from this module (DESIGN §15):
+    The contract every sweep driver gets from this module (DESIGN §6 and
+    §15):
 
     - {b Positional streams.} Run [i] of cell [k] draws the [i]-th
-      sub-stream of [seed k] ({!Runner.streams}). It never depends on the
-      other cells, on the run count, or on the domain count, so rows are
+      sub-stream of [seed k] ({!streams}). It never depends on the other
+      cells, on the run count, or on the domain count, so rows are
       bit-identical at any [domains].
     - {b Failure capture.} An exception raised while preparing a cell or
       executing one of its runs becomes a [Raised] outcome carrying the
@@ -14,6 +15,22 @@
     - {b Replay.} {!replay} re-executes exactly one (cell, run) pair, from
       the same stream, and judges it as the sweep did.
     - {b Exit status.} {!exit_status} is 1 iff some run raised. *)
+
+val jobs_of_string : string -> int
+(** Parse a domain count: a positive integer, surrounding blanks allowed.
+    Raises [Invalid_argument] naming the value otherwise. *)
+
+val default_domains : unit -> int
+(** Domain count used when [?domains] is omitted: 1 when the [REPRO_JOBS]
+    environment variable is unset, its value otherwise. Raises
+    [Invalid_argument] naming the value when it is not a positive
+    integer. *)
+
+val streams : seed:int -> runs:int -> Ss_prng.Rng.t array
+(** The per-run generators: element [i] is the sub-stream run [i]
+    receives (the [i]-th split of the base generator). A prefix of
+    [streams ~seed ~runs:n] equals [streams ~seed ~runs:m] for
+    [m <= n]. *)
 
 type 'a outcome = Done of 'a | Raised of string  (** the exception text *)
 
@@ -47,12 +64,19 @@ val raised_only : 'cell -> 'a -> string option
 val completed : 'a runs -> 'a list
 (** The outcomes of the runs that did not raise, in run order. *)
 
+val summaries :
+  int -> ('a -> (int -> float -> unit) -> unit) -> 'a runs ->
+  Ss_stats.Summary.t array
+(** [summaries n samples runs]: [n] summaries (columns), filled in run
+    order from the completed runs. [samples o add] calls [add c x] for
+    every observation [x] of column [c] that outcome [o] makes. *)
+
 type ('cell, 'a, 'row) entry = { cell : 'cell; runs : 'a runs; row : 'row }
 
 val run : ?domains:int -> ('cell, 'a, 'row) t -> ('cell, 'a, 'row) entry list
-(** Every cell in order. [domains] defaults to
-    {!Runner.default_domains}. Raises [Invalid_argument] when [domains]
-    or a cell's run count is below 1. *)
+(** Every cell in order. [domains] defaults to {!default_domains}.
+    Raises [Invalid_argument] when [domains] or a cell's run count is
+    below 1. *)
 
 val rows : ?domains:int -> (_, _, 'row) t -> 'row list
 (** The rows of {!run}. *)
@@ -62,7 +86,8 @@ val replay :
 (** Re-execute run [run] of cell [cell] alone: the outcome and the verdict
     ([Some reason] iff anomalous, with the reason text of [bad]) the
     sweep recorded for that pair. Raises [Invalid_argument] for a cell
-    outside the sweep or a negative run index. *)
+    outside the sweep, a negative run index, or a run index the cell
+    does not reach. *)
 
 val raised : (_, _, _) entry list -> (int * int * string) list
 (** Every run that raised, as (cell index, run index, exception text). *)

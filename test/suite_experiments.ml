@@ -44,31 +44,51 @@ let test_scenario_uniform_count () =
   let world = Scenario.build rng (Scenario.uniform ~count:42 ~radius:0.1 ()) in
   Alcotest.(check int) "exact count" 42 (Graph.node_count world.Scenario.graph)
 
-(* ---------------------------------------------------------------- Runner *)
+(* ----------------------------------------------------------------- Sweep *)
+
+(* The row of a one-cell sweep of [runs] runs of [f]. *)
+let one_cell ~seed ~runs fold f =
+  List.hd
+    (E.Sweep.rows
+       {
+         E.Sweep.label = (fun () -> "cell");
+         cells = [ () ];
+         runs = (fun () -> runs);
+         seed = (fun _ -> seed);
+         run = (fun () -> f);
+         judge = E.Sweep.raised_only;
+         fold = (fun () -> fold);
+       })
 
 let test_runner_replicate_deterministic () =
-  let f ~run:_ rng = Rng.unit rng in
-  let a = E.Runner.replicate ~seed:5 ~runs:4 f in
-  let b = E.Runner.replicate ~seed:5 ~runs:4 f in
+  let replicate runs = one_cell ~seed:5 ~runs E.Sweep.completed Rng.unit in
+  let a = replicate 4 in
+  let b = replicate 4 in
   Alcotest.(check bool) "same values" true (a = b);
   (* Prefix stability: adding runs never changes earlier ones. *)
-  let c = E.Runner.replicate ~seed:5 ~runs:6 f in
+  let c = replicate 6 in
   Alcotest.(check bool) "prefix stable" true
     (a = [ List.nth c 0; List.nth c 1; List.nth c 2; List.nth c 3 ])
 
 let test_runner_summarize () =
-  let s = E.Runner.summarize ~seed:5 ~runs:100 (fun _rng -> 2.5) in
-  Alcotest.(check (float 1e-9)) "constant mean" 2.5 (Summary.mean s);
-  Alcotest.(check int) "count" 100 (Summary.count s)
+  let s =
+    one_cell ~seed:5 ~runs:100
+      (E.Sweep.summaries 1 (fun x add -> add 0 x))
+      (fun _rng -> 2.5)
+  in
+  Alcotest.(check (float 1e-9)) "constant mean" 2.5 (Summary.mean s.(0));
+  Alcotest.(check int) "count" 100 (Summary.count s.(0))
 
 let test_runner_fields () =
-  let fields = [ "a"; "b" ] in
   let result =
-    E.Runner.summarize_fields ~seed:5 ~runs:10 fields (fun _rng ->
-        [ ("a", 1.0); ("b", 2.0) ])
+    one_cell ~seed:5 ~runs:10
+      (E.Sweep.summaries 2 (fun (a, b) add ->
+           add 0 a;
+           add 1 b))
+      (fun _rng -> (1.0, 2.0))
   in
-  Alcotest.(check (float 1e-9)) "a" 1.0 (Summary.mean (List.assoc "a" result));
-  Alcotest.(check (float 1e-9)) "b" 2.0 (Summary.mean (List.assoc "b" result))
+  Alcotest.(check (float 1e-9)) "a" 1.0 (Summary.mean result.(0));
+  Alcotest.(check (float 1e-9)) "b" 2.0 (Summary.mean result.(1))
 
 (* ------------------------------------------------------------- Drivers *)
 
@@ -84,8 +104,11 @@ let test_example_driver () =
 
 let test_dag_steps_driver_shape () =
   let grid_rows, random_rows =
-    E.Exp_dag_steps.run ~seed:3 ~runs:3 ~intensity:200.0
-      ~radii:[ 0.08; 0.1 ] ()
+    List.partition
+      (fun row -> row.E.Exp_dag_steps.scenario = "grid")
+      (E.Sweep.rows
+         (E.Exp_dag_steps.sweep ~seed:3 ~runs:3 ~intensity:200.0
+            ~radii:[ 0.08; 0.1 ] ()))
   in
   Alcotest.(check int) "two grid rows" 2 (List.length grid_rows);
   Alcotest.(check int) "two random rows" 2 (List.length random_rows);
@@ -101,7 +124,9 @@ let test_dag_steps_driver_shape () =
 let test_features_driver_shapes () =
   (* Miniature Table 5: the no-DAG grid with row-major ids must give exactly
      one cluster; the DAG variant several; DAG tree length far smaller. *)
-  let rows = E.Exp_features.run_grid ~seed:3 ~runs:2 ~radii:[ 0.13 ] () in
+  let rows =
+    E.Sweep.rows (E.Exp_features.grid_sweep ~seed:3 ~runs:2 ~radii:[ 0.13 ] ())
+  in
   match rows with
   | [ row ] ->
       Alcotest.(check (float 1e-9)) "no-DAG one cluster" 1.0
@@ -117,7 +142,9 @@ let test_random_features_dag_irrelevant () =
   (* Miniature Table 4: with random ids, DAG on/off barely changes the
      cluster count (the paper's observation). *)
   let rows =
-    E.Exp_features.run_random ~seed:3 ~runs:3 ~intensity:150.0 ~radii:[ 0.12 ] ()
+    E.Sweep.rows
+      (E.Exp_features.random_sweep ~seed:3 ~runs:3 ~intensity:150.0
+         ~radii:[ 0.12 ] ())
   in
   match rows with
   | [ row ] ->
@@ -133,9 +160,11 @@ let test_random_features_dag_irrelevant () =
 
 let test_schedule_driver_shape () =
   let m =
-    E.Exp_schedule.run ~seed:3 ~runs:2
-      ~spec:(Scenario.poisson ~intensity:80.0 ~radius:0.15 ())
-      ()
+    List.hd
+      (E.Sweep.rows
+         (E.Exp_schedule.sweep ~seed:3 ~runs:2
+            ~spec:(Scenario.poisson ~intensity:80.0 ~radius:0.15 ())
+            ()))
   in
   Alcotest.(check (float 1e-9)) "neighbors at step 1" 1.0
     (Summary.mean m.E.Exp_schedule.neighbors);
@@ -147,15 +176,9 @@ let test_schedule_driver_shape () =
     (Summary.mean m.E.Exp_schedule.head >= Summary.mean m.E.Exp_schedule.father)
 
 let test_mobility_driver_shape () =
-  let params =
-    {
-      E.Exp_mobility.default_params with
-      E.Exp_mobility.count = 120;
-      horizon = 30.0;
-      runs = 2;
-    }
+  let results =
+    E.Sweep.rows (E.Exp_mobility.sweep ~runs:2 ~count:120 ~horizon:30.0 ())
   in
-  let results = E.Exp_mobility.run ~params () in
   Alcotest.(check int) "two regimes" 2 (List.length results);
   List.iter
     (fun r ->
@@ -168,26 +191,31 @@ let test_mobility_driver_shape () =
 let test_selfstab_driver_shape () =
   let spec = Scenario.poisson ~intensity:80.0 ~radius:0.15 () in
   let rows =
-    E.Exp_selfstab.measure_recovery ~seed:3 ~runs:2 ~spec ~fractions:[ 0.1; 1.0 ] ()
+    E.Sweep.rows
+      (E.Exp_selfstab.sweep ~seed:3 ~runs:2 ~spec ~fractions:[ 0.1; 1.0 ]
+         ~taus:[] ())
   in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   List.iter
     (fun r ->
       Alcotest.(check int)
-        (Printf.sprintf "all runs recovered the fixpoint at %.0f%%"
-           (100.0 *. r.E.Exp_selfstab.fraction))
-        r.E.Exp_selfstab.runs r.E.Exp_selfstab.identical_result)
+        (Printf.sprintf "all runs recovered the fixpoint at %s"
+           (match r.E.Exp_selfstab.cell with
+           | E.Exp_selfstab.Recovery f -> Printf.sprintf "%.0f%%" (100.0 *. f)
+           | E.Exp_selfstab.Loss _ -> "a loss cell"))
+        r.E.Exp_selfstab.runs r.E.Exp_selfstab.ok)
     rows
 
 let test_compare_driver_shape () =
   let rows =
-    E.Exp_compare.run ~seed:3 ~runs:1 ~count:100 ~epochs:10
-      ~algorithms:
-        [
-          E.Exp_compare.Heuristic Ss_cluster.Metric.Density;
-          E.Exp_compare.Heuristic Ss_cluster.Metric.Degree;
-        ]
-      ()
+    E.Sweep.rows
+      (E.Exp_compare.sweep ~seed:3 ~runs:1 ~count:100 ~epochs:10
+         ~algorithms:
+           [
+             E.Exp_compare.Heuristic Ss_cluster.Metric.Density;
+             E.Exp_compare.Heuristic Ss_cluster.Metric.Degree;
+           ]
+         ())
   in
   Alcotest.(check int) "two algorithms" 2 (List.length rows);
   List.iter
@@ -199,29 +227,31 @@ let test_compare_driver_shape () =
 
 let test_link_failure_driver_shape () =
   let rows =
-    E.Exp_link_failure.run ~seed:3 ~runs:1
-      ~spec:(Scenario.poisson ~intensity:120.0 ~radius:0.12 ())
-      ~epochs:8 ~rates:[ 0.0; 0.3 ] ()
+    E.Sweep.rows
+      (E.Exp_epochs.sweep ~seed:3 ~runs:1
+         ~spec:(Scenario.poisson ~intensity:120.0 ~radius:0.12 ())
+         ~epochs:8
+         [ E.Exp_epochs.Fade 0.0; E.Exp_epochs.Fade 0.3 ])
   in
   match rows with
   | [ stable; flaky ] ->
       Alcotest.(check (float 1e-9)) "no failures, full retention" 1.0
-        (Summary.mean stable.E.Exp_link_failure.retention);
+        (Summary.mean stable.E.Exp_epochs.retention);
       Alcotest.(check bool) "failures reduce retention" true
-        (Summary.mean flaky.E.Exp_link_failure.retention
-        < Summary.mean stable.E.Exp_link_failure.retention)
+        (Summary.mean flaky.E.Exp_epochs.retention
+        < Summary.mean stable.E.Exp_epochs.retention)
   | _ -> Alcotest.fail "expected two rows"
 
 let test_faded_graph () =
   let rng = Ss_prng.Rng.create ~seed:4 in
   let g = Ss_topology.Builders.complete 20 in
-  let all_gone = E.Exp_link_failure.faded rng g ~rate:1.0 in
+  let all_gone = E.Exp_epochs.faded rng g ~rate:1.0 in
   Alcotest.(check int) "rate 1 removes everything" 0
     (Graph.edge_count all_gone);
-  let untouched = E.Exp_link_failure.faded rng g ~rate:0.0 in
+  let untouched = E.Exp_epochs.faded rng g ~rate:0.0 in
   Alcotest.(check int) "rate 0 keeps everything" (Graph.edge_count g)
     (Graph.edge_count untouched);
-  let half = E.Exp_link_failure.faded rng g ~rate:0.5 in
+  let half = E.Exp_epochs.faded rng g ~rate:0.5 in
   let m = Graph.edge_count half in
   Alcotest.(check bool) "rate 0.5 keeps roughly half" true (m > 50 && m < 140)
 

@@ -1,4 +1,4 @@
-(* The determinism contract of the domain-parallel runner: every registered
+(* The determinism contract of the domain-parallel sweep: every registered
    experiment driver must produce results at ~domains:4 that are
    structurally identical — exact float equality, not tolerance — to the
    sequential ~domains:1 run, and the Pool itself must preserve index
@@ -103,50 +103,77 @@ let test_pool_shutdown_idempotent () =
     (Invalid_argument "Pool.map: pool is shut down") (fun () ->
       ignore (Pool.map pool 4 Fun.id))
 
-(* ---------------------------------------------------------------- Runner *)
+(* ----------------------------------------------------------------- Sweep *)
+
+(* The row of a one-cell sweep of [runs] runs of [f]. *)
+let one_cell ?domains ~seed ~runs fold f =
+  List.hd
+    (E.Sweep.rows ?domains
+       {
+         E.Sweep.label = (fun () -> "cell");
+         cells = [ () ];
+         runs = (fun () -> runs);
+         seed = (fun _ -> seed);
+         run = (fun () -> f);
+         judge = E.Sweep.raised_only;
+         fold = (fun () -> fold);
+       })
+
+(* The outcomes in run order. *)
+let replicate ?domains ~seed ~runs f =
+  one_cell ?domains ~seed ~runs E.Sweep.completed f
 
 let test_replicate_preserves_run_order () =
   let runs = 23 in
-  let order = E.Runner.replicate ~domains:4 ~seed:1 ~runs (fun ~run _ -> run) in
-  Alcotest.(check (list int)) "run order" (List.init runs Fun.id) order
+  let draw rng = Rng.int rng 1_000_000 in
+  let order = replicate ~domains:4 ~seed:1 ~runs draw in
+  Alcotest.(check (list int)) "run order"
+    (Array.to_list (Array.map draw (E.Sweep.streams ~seed:1 ~runs)))
+    order
 
 let test_replicate_domain_invariant () =
-  let f ~run:_ rng = List.init 8 (fun _ -> Rng.unit rng) in
-  let seq = E.Runner.replicate ~domains:1 ~seed:77 ~runs:12 f in
+  let f rng = List.init 8 (fun _ -> Rng.unit rng) in
+  let seq = replicate ~domains:1 ~seed:77 ~runs:12 f in
   List.iter
     (fun domains ->
-      let par = E.Runner.replicate ~domains ~seed:77 ~runs:12 f in
+      let par = replicate ~domains ~seed:77 ~runs:12 f in
       check_identical (Printf.sprintf "domains %d" domains) seq par)
     [ 2; 3; 4; 7 ]
 
 let test_run_stream_independent_of_total () =
   (* Run i must see the same sub-stream whether it is one of 4 or of 9. *)
-  let f ~run:_ rng = List.init 4 (fun _ -> Rng.unit rng) in
-  let small = E.Runner.replicate ~seed:13 ~runs:4 f in
-  let large = E.Runner.replicate ~domains:3 ~seed:13 ~runs:9 f in
+  let f rng = List.init 4 (fun _ -> Rng.unit rng) in
+  let small = replicate ~seed:13 ~runs:4 f in
+  let large = replicate ~domains:3 ~seed:13 ~runs:9 f in
   check_identical "first four runs agree" small
     (List.filteri (fun i _ -> i < 4) large)
 
 let test_streams_prefix_stability () =
   let draw rngs = Array.map (fun r -> List.init 6 (fun _ -> Rng.unit r)) rngs in
-  let small = draw (E.Runner.streams ~seed:99 ~runs:5) in
-  let large = draw (E.Runner.streams ~seed:99 ~runs:40) in
+  let small = draw (E.Sweep.streams ~seed:99 ~runs:5) in
+  let large = draw (E.Sweep.streams ~seed:99 ~runs:40) in
   check_identical "prefix of streams" small (Array.sub large 0 5)
 
+(* The fold helper's [n] columns; [f] returns (column, value) samples. *)
+let summaries ~domains ~seed ~runs n f =
+  one_cell ~domains ~seed ~runs
+    (E.Sweep.summaries n (fun samples add ->
+         List.iter (fun (c, x) -> add c x) samples))
+    f
+
 let test_summarize_domain_invariant () =
-  let f rng = Rng.unit rng +. Rng.unit rng in
-  let seq = E.Runner.summarize ~domains:1 ~seed:3 ~runs:17 f in
-  let par = E.Runner.summarize ~domains:4 ~seed:3 ~runs:17 f in
+  let f rng = [ (0, Rng.unit rng +. Rng.unit rng) ] in
+  let seq = summaries ~domains:1 ~seed:3 ~runs:17 1 f in
+  let par = summaries ~domains:4 ~seed:3 ~runs:17 1 f in
   check_identical "summaries identical" seq par
 
 let test_summarize_fields_domain_invariant () =
-  let fields = [ "x"; "y" ] in
   let f rng =
     let x = Rng.unit rng in
-    if x < 0.5 then [ ("x", x) ] else [ ("x", x); ("y", x *. x) ]
+    if x < 0.5 then [ (0, x) ] else [ (0, x); (1, x *. x) ]
   in
-  let seq = E.Runner.summarize_fields ~domains:1 ~seed:8 ~runs:19 fields f in
-  let par = E.Runner.summarize_fields ~domains:4 ~seed:8 ~runs:19 fields f in
+  let seq = summaries ~domains:1 ~seed:8 ~runs:19 2 f in
+  let par = summaries ~domains:4 ~seed:8 ~runs:19 2 f in
   check_identical "field summaries identical" seq par
 
 (* ----------------------------------------------- Experiment drivers, 1 = 4 *)
@@ -160,97 +187,103 @@ let both f =
 
 let test_schedule_identical () =
   let seq, par =
-    both (fun ~domains -> E.Exp_schedule.run ~seed:3 ~runs:3 ~domains ~spec:small_spec ())
+    both (fun ~domains ->
+        E.Sweep.rows ~domains
+          (E.Exp_schedule.sweep ~seed:3 ~runs:3 ~spec:small_spec ()))
   in
   check_identical "schedule milestones" seq par
 
 let test_dag_steps_identical () =
   let seq, par =
     both (fun ~domains ->
-        E.Exp_dag_steps.run ~seed:3 ~runs:3 ~domains ~intensity:150.0
-          ~radii:[ 0.09; 0.1 ] ())
+        E.Sweep.rows ~domains
+          (E.Exp_dag_steps.sweep ~seed:3 ~runs:3 ~intensity:150.0
+             ~radii:[ 0.09; 0.1 ] ()))
   in
   check_identical "dag-steps rows" seq par
 
 let test_features_identical () =
   let seq, par =
     both (fun ~domains ->
-        E.Exp_features.run_grid ~seed:3 ~runs:2 ~domains ~radii:[ 0.13 ] ())
+        E.Sweep.rows ~domains
+          (E.Exp_features.grid_sweep ~seed:3 ~runs:2 ~radii:[ 0.13 ] ()))
   in
   check_identical "grid feature rows" seq par
 
 let test_mobility_identical () =
-  let params =
-    {
-      E.Exp_mobility.default_params with
-      E.Exp_mobility.count = 80;
-      horizon = 20.0;
-      runs = 2;
-    }
-  in
   let seq, par =
-    both (fun ~domains -> E.Exp_mobility.run ~params ~domains ())
+    both (fun ~domains ->
+        E.Sweep.rows ~domains
+          (E.Exp_mobility.sweep ~seed:42 ~runs:2 ~count:80 ~horizon:20.0 ()))
   in
   check_identical "mobility results" seq par
 
 let test_selfstab_identical () =
   let seq, par =
     both (fun ~domains ->
-        E.Exp_selfstab.measure_recovery ~seed:3 ~runs:3 ~domains
-          ~spec:small_spec ~fractions:[ 0.3; 1.0 ] ())
+        E.Sweep.rows ~domains
+          (E.Exp_selfstab.sweep ~seed:3 ~runs:3 ~spec:small_spec
+             ~fractions:[ 0.3; 1.0 ] ~taus:[] ()))
   in
   check_identical "recovery rows" seq par;
   let seq, par =
     both (fun ~domains ->
-        E.Exp_selfstab.measure_loss ~seed:3 ~runs:3 ~domains ~spec:small_spec
-          ~taus:[ 0.0; 0.2 ] ())
+        E.Sweep.rows ~domains
+          (E.Exp_selfstab.sweep ~seed:3 ~runs:3 ~spec:small_spec ~fractions:[]
+             ~taus:[ 0.0; 0.2 ] ()))
   in
   check_identical "loss rows" seq par
 
 let test_compare_identical () =
   let seq, par =
     both (fun ~domains ->
-        E.Exp_compare.run ~seed:3 ~runs:2 ~domains ~count:80 ~epochs:6
-          ~algorithms:
-            [
-              E.Exp_compare.Heuristic Ss_cluster.Metric.Density;
-              E.Exp_compare.Maxmin_d 2;
-            ]
-          ())
+        E.Sweep.rows ~domains
+          (E.Exp_compare.sweep ~seed:3 ~runs:2 ~count:80 ~epochs:6
+             ~algorithms:
+               [
+                 E.Exp_compare.Heuristic Ss_cluster.Metric.Density;
+                 E.Exp_compare.Maxmin_d 2;
+               ]
+             ()))
   in
   check_identical "comparison rows" seq par
 
 let test_energy_identical () =
   let seq, par =
     both (fun ~domains ->
-        E.Exp_energy.run ~seed:3 ~runs:2 ~domains
-          ~spec:(Scenario.poisson ~intensity:100.0 ~radius:0.14 ())
-          ())
+        E.Sweep.rows ~domains
+          (E.Exp_energy.sweep ~seed:3 ~runs:2
+             ~spec:(Scenario.poisson ~intensity:100.0 ~radius:0.14 ())
+             ()))
   in
   check_identical "energy rows" seq par
 
 let test_hierarchy_identical () =
   let seq, par =
     both (fun ~domains ->
-        E.Exp_hierarchy.run ~seed:3 ~runs:2 ~domains ~radius:0.12
-          ~intensities:[ 120.0 ] ())
+        E.Sweep.rows ~domains
+          (E.Exp_hierarchy.sweep ~seed:3 ~runs:2 ~radius:0.12
+             ~intensities:[ 120.0 ] ()))
   in
   check_identical "hierarchy rows" seq par
 
 let test_bounds_identical () =
   let seq, par =
     both (fun ~domains ->
-        E.Exp_mobility_bounds.run ~seed:3 ~runs:2 ~domains ~count:60 ~epochs:4
-          ~speeds:[ 1.0; 10.0 ] ())
+        E.Sweep.rows ~domains
+          (E.Exp_epochs.sweep ~seed:3 ~runs:2 ~count:60 ~epochs:4
+             [ E.Exp_epochs.Speed 1.0; E.Exp_epochs.Speed 10.0 ]))
   in
   check_identical "mobility-bounds rows" seq par
 
 let test_link_failure_identical () =
   let seq, par =
     both (fun ~domains ->
-        E.Exp_link_failure.run ~seed:3 ~runs:2 ~domains
-          ~spec:(Scenario.poisson ~intensity:100.0 ~radius:0.13 ())
-          ~epochs:4 ~rates:[ 0.0; 0.2 ] ())
+        E.Sweep.rows ~domains
+          (E.Exp_epochs.sweep ~seed:3 ~runs:2
+             ~spec:(Scenario.poisson ~intensity:100.0 ~radius:0.13 ())
+             ~epochs:4
+             [ E.Exp_epochs.Fade 0.0; E.Exp_epochs.Fade 0.2 ]))
   in
   check_identical "link-failure rows" seq par
 

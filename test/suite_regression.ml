@@ -92,7 +92,7 @@ let test_maxmin_run () =
     (C.Assignment.cluster_count (C.Maxmin.cluster g ~ids ~d:2))
 
 (* Pinned experiment pipelines, exercised sequentially and again on a
-   multi-domain pool: the exact float equality proves the parallel runner
+   multi-domain pool: the exact float equality proves the parallel sweep
    reproduces the sequential aggregation bit for bit.
 
    Values re-pinned when the engine moved channel loss, the random-order
@@ -103,14 +103,14 @@ let test_maxmin_run () =
 let check_selfstab_golden ~domains =
   let spec = E.Scenario.poisson ~intensity:80.0 ~radius:0.15 () in
   match
-    E.Exp_selfstab.measure_recovery ~seed:7 ~runs:3 ~domains ~spec
-      ~fractions:[ 0.5 ] ()
+    E.Sweep.rows ~domains
+      (E.Exp_selfstab.sweep ~seed:7 ~runs:3 ~spec ~fractions:[ 0.5 ] ~taus:[]
+         ())
   with
   | [ r ] ->
-      let rounds = r.E.Exp_selfstab.rounds_to_recover in
+      let rounds = r.E.Exp_selfstab.rounds in
       Alcotest.(check int) "runs" 3 r.E.Exp_selfstab.runs;
-      Alcotest.(check int) "identical fixpoints" 3
-        r.E.Exp_selfstab.identical_result;
+      Alcotest.(check int) "identical fixpoints" 3 r.E.Exp_selfstab.ok;
       Alcotest.(check int) "rounds count" 3 (Summary.count rounds);
       Alcotest.(check (float 0.0)) "rounds mean" 5.333333333333333
         (Summary.mean rounds);

@@ -12,12 +12,12 @@
    the adversary sweep's [Array.sub] raise — all land in the [Raised]
    outcomes the replay pointers point at.
 
-   The last cases drive the [repro] binary: every sweep subcommand
-   replays one (cell, run) pair with --cell K --run I, and a bad job
-   count exits 2 with a message naming the value. *)
+   The last cases drive the [repro] binary: every replicated subcommand
+   replays one (cell, run) pair with --cell K --run I, a pair outside the
+   sweep exits 2, and so does a bad job count, with a message naming the
+   value. *)
 
 module Sweep = Ss_experiments.Sweep
-module Runner = Ss_experiments.Runner
 module Campaign = Ss_experiments.Exp_campaign
 module Adversary_exp = Ss_experiments.Exp_adversary
 module Churn_exp = Ss_experiments.Exp_churn
@@ -121,7 +121,14 @@ let test_replay_rejects_out_of_range () =
       ignore
         (Sweep.replay
            (adversary ~counts:[ 1 ] ~runs:1 ~max_rounds:400)
-           ~cell:0 ~run:(-1)))
+           ~cell:0 ~run:(-1)));
+  Alcotest.check_raises "run beyond the cell's run count"
+    (Invalid_argument "Sweep.replay: run 7 outside cell 0 (1 runs)")
+    (fun () ->
+      ignore
+        (Sweep.replay
+           (adversary ~counts:[ 1 ] ~runs:1 ~max_rounds:400)
+           ~cell:0 ~run:7))
 
 (* ---------------------------------------------- all six sweeps replay *)
 
@@ -281,23 +288,37 @@ let contains text fragment =
 
 let test_cli_replays_every_sweep () =
   List.iter
-    (fun (cmd, args, expected) ->
-      let code, text = repro_exec (cmd ^ " " ^ args ^ " --cell 1 --run 0") in
+    (fun (cmd, args, cell, expected) ->
+      let code, text =
+        repro_exec (Printf.sprintf "%s %s --cell %d --run 0" cmd args cell)
+      in
       Alcotest.(check int) (cmd ^ ": exit code") 0 code;
       Alcotest.(check bool)
         (Printf.sprintf "%s: reports the replayed pair (got %S)" cmd text)
         true
         (contains text
-           (Printf.sprintf "replay cell 1 (%s) run 0: clean" expected)))
+           (Printf.sprintf "replay cell %d (%s) run 0: clean" cell expected)))
     [
-      ("campaign", "--smoke", "25%/perfect/-/synchronous/2 liar");
+      ("campaign", "--smoke", 1, "25%/perfect/-/synchronous/2 liar");
       ( "adversary",
         "--smoke",
+        1,
         "stuck/2 byz/bursty(good=0.95, bad=0.20, fade=0.050, rec=0.250)" );
-      ("churn", "--intensity 40", "synchronous/crash 25% (permanent)");
-      ("motion", "--intensity 40 --rounds 10", "walk pedestrian");
-      ("traffic", "--rounds 40 --window 10", "light/perfect/burst");
-      ("stabilization", "--smoke", "side 12/k 1.2/adv-ids/tau 1.00");
+      ("churn", "--intensity 40", 1, "synchronous/crash 25% (permanent)");
+      ("motion", "--intensity 40 --rounds 10", 1, "walk pedestrian");
+      ("traffic", "--rounds 40 --window 10", 1, "light/perfect/burst");
+      ("stabilization", "--smoke", 1, "side 12/k 1.2/adv-ids/tau 1.00");
+      ("table2", "", 0, "poisson(300) R=0.100 ids=random");
+      ("table3", "--intensity 200", 1, "grid/R=0.06");
+      ("table4", "--intensity 200", 1, "R=0.08");
+      ("table5", "", 0, "R=0.05");
+      ("mobility", "--count 60 --horizon 10", 1, "vehicular (0-10 m/s)");
+      ("selfstab", "", 5, "loss tau 0.90");
+      ("compare", "", 3, "max-min (d=2)");
+      ("energy", "", 0, "energy-aware election");
+      ("hierarchy", "", 0, "lambda 250");
+      ("bounds", "", 1, "0.5 m/s");
+      ("links", "", 1, "1% link failures");
     ]
 
 let test_cli_rejects_bad_jobs () =
@@ -316,15 +337,24 @@ let test_cli_rejects_bad_jobs () =
     ]
 
 let test_runner_rejects_bad_jobs () =
+  let sweep =
+    {
+      Sweep.label = (fun () -> "cell");
+      cells = [ () ];
+      runs = (fun () -> 2);
+      seed = (fun _ -> 1);
+      run = (fun () _ -> ());
+      judge = Sweep.raised_only;
+      fold = (fun () _ -> ());
+    }
+  in
   List.iter
     (fun d ->
       Alcotest.check_raises
-        (Printf.sprintf "replicate ~domains:%d" d)
+        (Printf.sprintf "Sweep.run ~domains:%d" d)
         (Invalid_argument
-           (Printf.sprintf "Runner.replicate: domains must be positive, got %d"
-              d))
-        (fun () ->
-          ignore (Runner.replicate ~domains:d ~seed:1 ~runs:2 (fun ~run _ -> run))))
+           (Printf.sprintf "Sweep.run: domains must be positive, got %d" d))
+        (fun () -> ignore (Sweep.run ~domains:d sweep)))
     [ 0; -3 ];
   List.iter
     (fun s ->
@@ -332,10 +362,21 @@ let test_runner_rejects_bad_jobs () =
         (Printf.sprintf "jobs_of_string %S" s)
         (Invalid_argument
            (Printf.sprintf "job count must be a positive integer, got %S" s))
-        (fun () -> ignore (Runner.jobs_of_string s)))
+        (fun () -> ignore (Sweep.jobs_of_string s)))
     [ "0"; "-3"; "abc"; "" ];
   Alcotest.(check int) "blanks around a count are fine" 4
-    (Runner.jobs_of_string " 4 ")
+    (Sweep.jobs_of_string " 4 ")
+
+(* A run index the cell never reaches is not a pair of the sweep: the CLI
+   exits 2 naming the run and the cell's run count, instead of replaying
+   a run the sweep never made. *)
+let test_cli_rejects_unrun_run () =
+  let code, text = repro_exec "adversary --smoke --cell 0 --run 7" in
+  Alcotest.(check int) "cli exit 2" 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "the message names the run count (got %S)" text)
+    true
+    (contains text "run 7 outside cell 0 (1 runs)")
 
 let suite =
   [
@@ -371,4 +412,6 @@ let suite =
       test_cli_replays_every_sweep;
     Alcotest.test_case "cli: bad --jobs / REPRO_JOBS exit 2" `Quick
       test_cli_rejects_bad_jobs;
+    Alcotest.test_case "cli: a run the sweep never made exits 2" `Quick
+      test_cli_rejects_unrun_run;
   ]
