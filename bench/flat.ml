@@ -23,6 +23,10 @@
    bandwidth interference only ever slow a run down), so the minimum is
    the estimator of the uncontended cost.
 
+   A point (or the million run) whose estimated memory need exceeds the
+   host's MemAvailable is not started: the sweep keeps that point's row
+   from the BENCH_flat.json it finds and says so in the file's note.
+
      dune exec bench/flat.exe            # scaling sweep + 1M flat,
                                          # writes BENCH_flat.json
      dune exec bench/flat.exe -- --smoke # small 3-way identity for CI
@@ -175,6 +179,31 @@ let smoke () =
 
 (* --------------------------------------------- one timed child run *)
 
+(* The kB value of [field] in a /proc file of "Field: N kB" lines;
+   None where unreadable. *)
+let proc_kb file field =
+  match open_in file with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line -> (
+            match Scanf.sscanf line "%s@: %d kB" (fun k v -> (k, v)) with
+            | k, kb when k = field -> Some kb
+            | _ -> scan ()
+            | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+                scan ())
+      in
+      scan ()
+
+(* The process's peak resident set (VmHWM), in MB; 0 where unreadable. *)
+let peak_mb () =
+  match proc_kb "/proc/self/status" "VmHWM" with
+  | Some kb -> float_of_int kb /. 1024.0
+  | None -> 0.0
+
 (* Runs a single executor once and prints one machine-readable line;
    the parent spawns one child per measurement so every number comes
    from a pristine heap. [flat-1m] runs cold (no warm array): holding
@@ -201,8 +230,9 @@ let one exec ~count ~bursts =
         (r.F.rounds, r.F.converged)
     | _ -> invalid_arg ("flat bench: unknown executor " ^ exec)
   in
-  Printf.printf "RESULT %s cpu=%.4f rounds=%d converged=%b\n%!" exec
-    (Sys.time () -. t0) rounds converged
+  let cpu = Sys.time () -. t0 in
+  Printf.printf "RESULT %s cpu=%.4f rounds=%d converged=%b peak_mb=%.0f\n%!"
+    exec cpu rounds converged (peak_mb ())
 
 (* Spawn [--one] in a fresh process, parse its RESULT line. *)
 let child exec ~count ~bursts =
@@ -246,6 +276,75 @@ let child_min exec ~count ~bursts ~reps =
     rounds := r
   done;
   (!best, !rounds)
+
+(* --------------------------------------------------- memory gate *)
+
+(* Peak resident bytes per node of the heaviest process a point runs,
+   rounded up. Measured peaks (VmHWM): the sparse child 975 MB at 100k
+   nodes and 3.0 GB at 300k, the flat child 445 MB and 1.2 GB, the sweep
+   process itself, which holds both executors' results in the 100k
+   identity pass, 1.1 GB. *)
+let bytes_per_node = 14_000
+
+(* [Some (need, available)] in bytes when a run over [count] nodes is
+   estimated not to fit MemAvailable, read right before it would start. *)
+let too_big count =
+  match proc_kb "/proc/meminfo" "MemAvailable" with
+  | Some kb when count * bytes_per_node > kb * 1024 ->
+      Some (count * bytes_per_node, kb * 1024)
+  | Some _ | None -> None
+
+let gb bytes = float_of_int bytes /. 1e9
+
+(* The rows of the BENCH_flat.json in the working directory, as text:
+   each "scaling" object with its node count, and the "million" object.
+   The file is this program's own output, whose rows hold no nested
+   braces. *)
+let committed () =
+  match In_channel.with_open_bin "BENCH_flat.json" In_channel.input_all with
+  | exception Sys_error _ -> ([], None)
+  | text ->
+      let find sub from =
+        let ls = String.length sub and lt = String.length text in
+        let rec go i =
+          if i + ls > lt then None
+          else if String.sub text i ls = sub then Some i
+          else go (i + 1)
+        in
+        go from
+      in
+      let object_at i =
+        match (String.index_from_opt text i '{', String.index_from_opt text i '}') with
+        | Some a, Some b when a < b -> Some (a, String.sub text a (b - a + 1))
+        | _ -> None
+      in
+      let rows =
+        match (find "\"scaling\"" 0, find "\"million\"" 0) with
+        | Some lo, Some hi ->
+            let rec collect i acc =
+              match object_at i with
+              | Some (a, row) when a < hi -> (
+                  match find "\"nodes\":" a with
+                  | Some k ->
+                      let nodes =
+                        Scanf.sscanf
+                          (String.sub text k (String.length text - k))
+                          "\"nodes\": %d" Fun.id
+                      in
+                      collect (a + String.length row) ((nodes, row) :: acc)
+                  | None -> List.rev acc)
+              | Some _ | None -> List.rev acc
+            in
+            collect lo []
+        | _ -> []
+      in
+      let million =
+        Option.bind (find "\"million\"" 0) (fun i -> Option.map snd (object_at i))
+      in
+      (rows, million)
+
+(* A row of the sweep: measured now, or kept from the committed file. *)
+type 'a row = Measured of 'a | Kept of string
 
 type point = {
   nodes : int;
@@ -308,7 +407,7 @@ let million () =
     (float_of_int n *. float_of_int rounds /. run_t);
   (n, edges, radius, run_t, rounds, converged)
 
-let json points (mn, medges, mradius, mrun_t, mrounds, mconverged) =
+let json ~note points million =
   let point p =
     Printf.sprintf
       "    {\n\
@@ -326,24 +425,34 @@ let json points (mn, medges, mradius, mrun_t, mrounds, mconverged) =
       | None -> ""
       | Some ok -> Printf.sprintf ",\n      \"identical\": %b" ok)
   in
+  let row = function Measured p -> point p | Kept text -> "    " ^ text in
+  let million =
+    match million with
+    | Measured (mn, medges, mradius, mrun_t, mrounds, mconverged) ->
+        Printf.sprintf
+          "{\n\
+          \    \"nodes\": %d,\n\
+          \    \"edges\": %d,\n\
+          \    \"radius\": %.5f,\n\
+          \    \"rounds\": %d,\n\
+          \    \"flat_seconds\": %.4f,\n\
+          \    \"converged\": %b\n\
+          \  }"
+          mn medges mradius mrounds mrun_t mconverged
+    | Kept text -> text
+  in
   Printf.sprintf
     "{\n\
     \  \"seed\": %d,\n\
+    \  \"note\": %S,\n\
     \  \"scaling\": [\n\
      %s\n\
     \  ],\n\
-    \  \"million\": {\n\
-    \    \"nodes\": %d,\n\
-    \    \"edges\": %d,\n\
-    \    \"radius\": %.5f,\n\
-    \    \"rounds\": %d,\n\
-    \    \"flat_seconds\": %.4f,\n\
-    \    \"converged\": %b\n\
-    \  }\n\
+    \  \"million\": %s\n\
      }\n"
-    seed
-    (String.concat ",\n" (List.map point points))
-    mn medges mradius mrounds mrun_t mconverged
+    seed note
+    (String.concat ",\n" (List.map row points))
+    million
 
 let () =
   let argv = Sys.argv in
@@ -383,18 +492,55 @@ let () =
            the executors' agreement is scale-independent (no size
            thresholds anywhere in either path) and separately enforced by
            the QCheck battery. *)
-        let p100 = scale_point ~count:100_000 ~bursts:8 ~reps:2 ~identity:true in
-        let p300 = scale_point ~count:300_000 ~bursts:4 ~reps:2 ~identity:false in
-        let p1m = scale_point ~count:1_000_000 ~bursts:4 ~reps:1 ~identity:false in
-        let points = [ p100; p300; p1m ] in
-        let m = million () in
-        let oc = open_out "BENCH_flat.json" in
-        output_string oc (json points m);
-        close_out oc;
-        Fmt.pr "wrote BENCH_flat.json@.";
+        let old_rows, old_million = committed () in
+        let skipped = ref [] in
+        (* [run] unless [count] nodes would not fit; then the committed
+           row, if there is one. *)
+        let gated label count run kept =
+          match too_big count with
+          | None -> Some (Measured (run ()))
+          | Some (need, avail) ->
+              Fmt.pr
+                "%s: not started, needs about %.1f GB with %.1f GB available@."
+                label (gb need) (gb avail);
+              skipped :=
+                Printf.sprintf "%s (about %.1f GB needed, %.1f GB available)"
+                  label (gb need) (gb avail)
+                :: !skipped;
+              Option.map (fun text -> Kept text) kept
+        in
+        let point ~count ~bursts ~reps ~identity label =
+          gated label count
+            (fun () -> scale_point ~count ~bursts ~reps ~identity)
+            (List.assoc_opt count old_rows)
+        in
+        (* Sequential lets: list elements would evaluate right to left. *)
+        let p100 = point ~count:100_000 ~bursts:8 ~reps:2 ~identity:true "100k" in
+        let p300 = point ~count:300_000 ~bursts:4 ~reps:2 ~identity:false "300k" in
+        let p1m = point ~count:1_000_000 ~bursts:4 ~reps:1 ~identity:false "1M" in
+        let points = List.filter_map Fun.id [ p100; p300; p1m ] in
+        let m = gated "million run" 1_000_000 million old_million in
+        let note =
+          match List.rev !skipped with
+          | [] -> "Every row is measured by one run of the sweep."
+          | l ->
+              "Rows not re-measured by the last run of the sweep, kept from \
+               the file it found (their estimated memory need exceeded \
+               MemAvailable): "
+              ^ String.concat "; " l ^ "."
+        in
+        (match m with
+        | Some m ->
+            let oc = open_out "BENCH_flat.json" in
+            output_string oc (json ~note points m);
+            close_out oc;
+            Fmt.pr "wrote BENCH_flat.json@."
+        | None -> Fmt.pr "no million row to write; BENCH_flat.json left as it is@.");
         let identical =
           List.for_all
-            (fun p -> match p.identical with None -> true | Some ok -> ok)
+            (function
+              | Measured { identical = Some ok; _ } -> ok
+              | Measured { identical = None; _ } | Kept _ -> true)
             points
         in
         if not identical then begin

@@ -543,6 +543,9 @@ struct
   module Flat = struct
     type buffers = {
       n : int;
+      slot : int array;
+          (* node -> rank in a BFS order of the alloc graph: every
+             node-indexed plane below holds node p at index [slot.(p)] *)
       clock : int array;
       gamma : int array;
       gid : int array;
@@ -566,13 +569,6 @@ struct
              from the same senders' current summaries; -1 = unsyncable
              (some entry was carried over, or the planes were packed) *)
       minh : int array; (* min heard stamp across cache+far; max_int = none *)
-      calm : Bytes.t;
-          (* '\001' iff the node's last step changed no state and drew no
-             randomness: a repeat step on unchanged inputs is then a
-             provable no-op beyond the heard restamps *)
-      quiet_emit : Bytes.t;
-          (* '\001' iff the last step proved the emission unchanged;
-             consumed by [refresh_emit] to skip the rebuild+compare *)
       claims_memo : int array array;
           (* per emitter q: the claimed neighborhood [unpack] last built
              for q, shared by every entry holding equal claims *)
@@ -591,10 +587,11 @@ struct
       mutable cbuf : int array; (* next cache image *)
       mutable fbuf : int array; (* next far image *)
       mutable fkeys : int array; (* far keys new to the plane, then sorted *)
-      mutable fsrc : int array; (* per new key: the winning sender *)
+      mutable fsrc : int array; (* per new key: the winning sender's slot *)
       mutable foff : int array; (* and its summary offset in em_nbrs *)
       mutable owin : int array;
-          (* per old far slot: the winning sender, -1 = none sighted *)
+          (* per old far entry: the winning sender's slot, -1 = none
+             sighted *)
       mutable ooff : int array; (* and its summary offset in em_nbrs *)
       marks : int array;
           (* node-indexed stamp plane: [tok lsl slot_bits lor slot] marks
@@ -631,14 +628,19 @@ struct
        through [grow]'s doubling during a cold start's first rounds,
        charging that allocation to the steps, and end with up to twice
        the capacity it uses. Rows still grow when churn or motion
-       outgrows them. *)
+       outgrows them. They are allocated in slot order, so neighbouring
+       slots' rows sit next to each other in the heap too. *)
     let alloc graph =
       let n = Graph.node_count graph in
       let ia () = Array.make n 0 in
       let aa () = Array.make n [||] in
       let cache = aa () and far = aa () and em_nbrs = aa () in
+      let order = Ss_topology.Traversal.bfs_order graph in
+      let slot = ia () in
       let seen = Array.make n (-1) in
-      for p = 0 to n - 1 do
+      for sp = 0 to n - 1 do
+        let p = order.(sp) in
+        slot.(p) <- sp;
         let nb = Graph.neighbors graph p in
         let used = ref 0 and fcnt = ref 0 in
         for i = 0 to Array.length nb - 1 do
@@ -652,12 +654,13 @@ struct
             end
           done
         done;
-        cache.(p) <- Array.make !used 0;
-        far.(p) <- Array.make (6 * !fcnt) 0;
-        em_nbrs.(p) <- Array.make (5 * Array.length nb) 0
+        cache.(sp) <- Array.make !used 0;
+        far.(sp) <- Array.make (6 * !fcnt) 0;
+        em_nbrs.(sp) <- Array.make (5 * Array.length nb) 0
       done;
       {
         n;
+        slot;
         clock = ia ();
         gamma = ia ();
         gid = ia ();
@@ -677,8 +680,6 @@ struct
         em_ver = ia ();
         synced = Array.make n (-1);
         minh = Array.make n max_int;
-        calm = Bytes.make n '\000';
-        quiet_emit = Bytes.make n '\000';
         claims_memo = aa ();
         dens_memo = Array.make n None;
         some_memo = Array.make n None;
@@ -738,23 +739,22 @@ struct
       | Some _ | None -> ());
       b.now <- 0;
       for p = 0 to b.n - 1 do
-        b.clock.(p) <- 0;
-        b.gamma.(p) <- gamma;
-        b.gid.(p) <- (match params.ids with None -> p | Some ids -> ids.(p));
-        b.dag.(p) <- Rng.int rng gamma;
-        b.dens_l.(p) <- -1;
-        b.dens_n.(p) <- 0;
-        b.parent.(p) <- -1;
-        b.head.(p) <- -1;
-        b.cache_used.(p) <- 0;
-        b.cache_cnt.(p) <- 0;
-        b.far_len.(p) <- 0;
-        b.em.((6 * p) + 5) <- -1;
-        b.em_ver.(p) <- 0;
-        b.synced.(p) <- -1;
-        b.minh.(p) <- max_int;
-        Bytes.unsafe_set b.calm p '\000';
-        Bytes.unsafe_set b.quiet_emit p '\000'
+        let sp = b.slot.(p) in
+        b.clock.(sp) <- 0;
+        b.gamma.(sp) <- gamma;
+        b.gid.(sp) <- (match params.ids with None -> p | Some ids -> ids.(p));
+        b.dag.(sp) <- Rng.int rng gamma;
+        b.dens_l.(sp) <- -1;
+        b.dens_n.(sp) <- 0;
+        b.parent.(sp) <- -1;
+        b.head.(sp) <- -1;
+        b.cache_used.(sp) <- 0;
+        b.cache_cnt.(sp) <- 0;
+        b.far_len.(sp) <- 0;
+        b.em.((6 * sp) + 5) <- -1;
+        b.em_ver.(sp) <- 0;
+        b.synced.(sp) <- -1;
+        b.minh.(sp) <- max_int
       done
 
     let put_density c i = function
@@ -811,26 +811,27 @@ struct
         end
 
     let pack b p (st : state) =
-      b.clock.(p) <- st.clock;
-      b.gamma.(p) <- st.gamma;
-      b.gid.(p) <- st.gid;
-      b.dag.(p) <- st.dag;
+      let sp = b.slot.(p) in
+      b.clock.(sp) <- st.clock;
+      b.gamma.(sp) <- st.gamma;
+      b.gid.(sp) <- st.gid;
+      b.dag.(sp) <- st.dag;
       (match st.density with
       | None ->
-          b.dens_l.(p) <- -1;
-          b.dens_n.(p) <- 0
+          b.dens_l.(sp) <- -1;
+          b.dens_n.(sp) <- 0
       | Some d ->
-          b.dens_l.(p) <- Density.links d;
-          b.dens_n.(p) <- Density.nodes d);
-      b.parent.(p) <- (match st.parent with None -> -1 | Some v -> v);
-      b.head.(p) <- (match st.head with None -> -1 | Some v -> v);
+          b.dens_l.(sp) <- Density.links d;
+          b.dens_n.(sp) <- Density.nodes d);
+      b.parent.(sp) <- (match st.parent with None -> -1 | Some v -> v);
+      b.head.(sp) <- (match st.head with None -> -1 | Some v -> v);
       let used =
         List.fold_left
           (fun acc (_, e) -> acc + 8 + Array.length e.e_nbrs)
           0 st.cache
       in
-      b.cache.(p) <- grow b.cache.(p) used;
-      let c = b.cache.(p) in
+      b.cache.(sp) <- grow b.cache.(sp) used;
+      let c = b.cache.(sp) in
       let pos = ref 0 and cnt = ref 0 in
       List.iter
         (fun (q, e) ->
@@ -847,11 +848,11 @@ struct
           pos := u + 8 + nlen;
           incr cnt)
         st.cache;
-      b.cache_used.(p) <- !pos;
-      b.cache_cnt.(p) <- !cnt;
+      b.cache_used.(sp) <- !pos;
+      b.cache_cnt.(sp) <- !cnt;
       let flen = List.length st.far in
-      b.far.(p) <- grow b.far.(p) (6 * flen);
-      let f = b.far.(p) in
+      b.far.(sp) <- grow b.far.(sp) (6 * flen);
+      let f = b.far.(sp) in
       List.iteri
         (fun i (q, fe) ->
           let o = 6 * i in
@@ -861,16 +862,14 @@ struct
           f.(o + 4) <- fe.f_eff;
           f.(o + 5) <- (if fe.f_is_head then 1 else 0))
         st.far;
-      b.far_len.(p) <- flen;
-      b.synced.(p) <- -1;
-      Bytes.unsafe_set b.calm p '\000';
-      Bytes.unsafe_set b.quiet_emit p '\000';
+      b.far_len.(sp) <- flen;
+      b.synced.(sp) <- -1;
       let mh = ref max_int in
       List.iter
         (fun (_, e) -> if e.e_heard < !mh then mh := e.e_heard)
         st.cache;
       List.iter (fun (_, fe) -> if fe.f_heard < !mh then mh := fe.f_heard) st.far;
-      b.minh.(p) <- !mh
+      b.minh.(sp) <- !mh
 
     (* Whole entries are interned too, per key: holders that last
        refreshed q at the same clock hold equal copies of q's entry. A
@@ -964,30 +963,25 @@ struct
       end
 
     let unpack b p : state =
+      let sp = b.slot.(p) in
       {
-        clock = b.clock.(p);
-        gamma = b.gamma.(p);
-        gid = b.gid.(p);
-        dag = b.dag.(p);
-        density = intern_density b p b.dens_l.(p) b.dens_n.(p);
-        parent = intern_some b b.parent.(p);
-        head = intern_some b b.head.(p);
-        cache = cache_from b b.cache.(p) b.cache_used.(p) 0;
-        far = far_below b b.far.(p) b.far_len.(p) [];
+        clock = b.clock.(sp);
+        gamma = b.gamma.(sp);
+        gid = b.gid.(sp);
+        dag = b.dag.(sp);
+        density = intern_density b p b.dens_l.(sp) b.dens_n.(sp);
+        parent = intern_some b b.parent.(sp);
+        head = intern_some b b.head.(sp);
+        cache = cache_from b b.cache.(sp) b.cache_used.(sp) 0;
+        far = far_below b b.far.(sp) b.far_len.(sp) [];
       }
 
     let refresh_emit b s p =
-      if Bytes.unsafe_get b.quiet_emit p = '\001' then begin
-        (* The paired calm step just proved the emission unchanged; the
-           flag is one-shot so any other caller rebuilds as usual. *)
-        Bytes.unsafe_set b.quiet_emit p '\000';
-        false
-      end
-      else begin
-      let cnt = b.cache_cnt.(p) in
+      let sp = b.slot.(p) in
+      let cnt = b.cache_cnt.(sp) in
       s.ebuf <- grow s.ebuf (5 * cnt);
       let eb = s.ebuf in
-      let c = b.cache.(p) in
+      let c = b.cache.(sp) in
       let pos = ref 0 in
       for i = 0 to cnt - 1 do
         let q = c.(!pos) in
@@ -1000,16 +994,16 @@ struct
         eb.(o + 4) <- (if c.(!pos + 6) = q then 1 else 0);
         pos := !pos + 8 + c.(!pos + 7)
       done;
-      let e = 6 * p in
+      let e = 6 * sp in
       let changed =
         b.em.(e + 5) <> cnt
-        || b.em.(e) <> b.gid.(p)
-        || b.em.(e + 1) <> b.dag.(p)
-        || b.em.(e + 2) <> b.dens_l.(p)
-        || b.em.(e + 3) <> b.dens_n.(p)
-        || b.em.(e + 4) <> b.head.(p)
+        || b.em.(e) <> b.gid.(sp)
+        || b.em.(e + 1) <> b.dag.(sp)
+        || b.em.(e + 2) <> b.dens_l.(sp)
+        || b.em.(e + 3) <> b.dens_n.(sp)
+        || b.em.(e + 4) <> b.head.(sp)
         ||
-        let en = b.em_nbrs.(p) in
+        let en = b.em_nbrs.(sp) in
         let diff = ref false in
         for i = 0 to (5 * cnt) - 1 do
           if en.(i) <> eb.(i) then diff := true
@@ -1017,30 +1011,30 @@ struct
         !diff
       in
       if changed then begin
-        b.em.(e) <- b.gid.(p);
-        b.em.(e + 1) <- b.dag.(p);
-        b.em.(e + 2) <- b.dens_l.(p);
-        b.em.(e + 3) <- b.dens_n.(p);
-        b.em.(e + 4) <- b.head.(p);
-        let en = grow b.em_nbrs.(p) (5 * cnt) in
-        if en != b.em_nbrs.(p) then b.em_nbrs.(p) <- en;
+        b.em.(e) <- b.gid.(sp);
+        b.em.(e + 1) <- b.dag.(sp);
+        b.em.(e + 2) <- b.dens_l.(sp);
+        b.em.(e + 3) <- b.dens_n.(sp);
+        b.em.(e + 4) <- b.head.(sp);
+        let en = grow b.em_nbrs.(sp) (5 * cnt) in
+        if en != b.em_nbrs.(sp) then b.em_nbrs.(sp) <- en;
         for i = 0 to (5 * cnt) - 1 do
           en.(i) <- eb.(i)
         done;
         b.em.(e + 5) <- cnt;
-        b.em_ver.(p) <- b.now
+        b.em_ver.(sp) <- b.now
       end;
       changed
-      end
 
     (* The fresh entries a step writes, shared by both of its write
        targets: the node's own rows on a steady layout, the scratch
        images otherwise. [put_entry] writes sender q's cache entry at
        [dst.(u)] from q's emission planes and returns the offset after
        it; [put_far] writes key v's far entry at [dst.(o)] from the
-       summary at offset [off] of sender q's emission. *)
+       summary at offset [off] of the emission at slot [sq]. *)
     let put_entry b dst u q clock' =
-      let e = 6 * q in
+      let sq = b.slot.(q) in
+      let e = 6 * sq in
       let nlen = b.em.(e + 5) in
       dst.(u) <- q;
       dst.(u + 1) <- clock';
@@ -1050,14 +1044,14 @@ struct
       dst.(u + 5) <- b.em.(e + 3);
       dst.(u + 6) <- b.em.(e + 4);
       dst.(u + 7) <- nlen;
-      let en = b.em_nbrs.(q) in
+      let en = b.em_nbrs.(sq) in
       for i = 0 to nlen - 1 do
         dst.(u + 8 + i) <- en.(5 * i)
       done;
       u + 8 + nlen
 
-    let put_far b dst o v clock' q off =
-      let en = b.em_nbrs.(q) in
+    let put_far b dst o v clock' sq off =
+      let en = b.em_nbrs.(sq) in
       dst.(o) <- v;
       dst.(o + 1) <- clock';
       dst.(o + 2) <- en.(off + 1);
@@ -1068,27 +1062,31 @@ struct
     (* An entry not refreshed at the node's last executed step is aging
        toward its TTL — [step] maintains the plane-wide minimum heard
        stamp, so the pending-expiry test is one compare. *)
-    let warm b p = b.minh.(p) < b.clock.(p)
+    let warm b p =
+      let sp = b.slot.(p) in
+      b.minh.(sp) < b.clock.(sp)
 
     let step b s hkey p ~senders ~count =
+      let sp = b.slot.(p) in
       let ttl = params.cache_ttl in
-      let clock' = b.clock.(p) + 1 in
-      let old = b.cache.(p) in
-      let old_used = b.cache_used.(p) in
+      let clock' = b.clock.(sp) + 1 in
+      let old = b.cache.(sp) in
+      let old_used = b.cache_used.(sp) in
       (* --- steady-state fast path: when the senders are exactly the
          cached entries' keys and no sender's emission changed since both
          planes were last built all-fresh from these same senders, the
          merges below would reproduce both planes verbatim with every
          heard stamp at clock'. Restamp in place, skip the rebuilds. *)
-      let synced = b.synced.(p) in
+      let synced = b.synced.(sp) in
       let fast =
         synced >= 0
-        && count = b.cache_cnt.(p)
+        && count = b.cache_cnt.(sp)
         &&
         let ok = ref true and pos = ref 0 and i = ref 0 in
         while !ok && !i < count do
           let q = senders.(!i) in
-          if old.(!pos) <> q || b.em_ver.(q) > synced then ok := false
+          if old.(!pos) <> q || b.em_ver.(b.slot.(q)) > synced then
+            ok := false
           else begin
             pos := !pos + 8 + old.(!pos + 7);
             incr i
@@ -1104,34 +1102,22 @@ struct
           old.(!pos + 1) <- clock';
           pos := !pos + 8 + old.(!pos + 7)
         done;
-        let f = b.far.(p) in
-        for i = 0 to b.far_len.(p) - 1 do
+        let f = b.far.(sp) in
+        for i = 0 to b.far_len.(sp) - 1 do
           f.((6 * i) + 1) <- clock'
         done;
-        b.minh.(p) <-
-          (if count = 0 && b.far_len.(p) = 0 then max_int else clock');
-        b.synced.(p) <- b.now - 1
+        b.minh.(sp) <-
+          (if count = 0 && b.far_len.(sp) = 0 then max_int else clock');
+        b.synced.(sp) <- b.now - 1
       end;
-      if fast && Bytes.unsafe_get b.calm p = '\001' then begin
-        (* --- calm tier: the last step changed no state and drew no
-           randomness, and the inputs are bit-identical again — the
-           name/density/election recomputation below would reproduce
-           every current value and the emission is provably unchanged.
-           Stop after the restamp; [refresh_emit] consumes the quiet
-           flag to skip its rebuild too. *)
-        b.clock.(p) <- clock';
-        Bytes.unsafe_set b.quiet_emit p '\001';
-        false
-      end
-      else begin
       let new_used = ref old_used
-      and new_cnt = ref b.cache_cnt.(p)
-      and new_far_cnt = ref b.far_len.(p) in
+      and new_cnt = ref b.cache_cnt.(sp)
+      and new_far_cnt = ref b.far_len.(sp) in
       if not fast then begin
-        let ofar = b.far.(p) and ocnt = b.far_len.(p) in
+        let ofar = b.far.(sp) and ocnt = b.far_len.(sp) in
         let sn_total = ref 0 in
         for i = 0 to count - 1 do
-          sn_total := !sn_total + b.em.((6 * senders.(i)) + 5)
+          sn_total := !sn_total + b.em.((6 * b.slot.(senders.(i))) + 5)
         done;
         let fkeys =
           let a = grow s.fkeys !sn_total in
@@ -1176,7 +1162,7 @@ struct
             if
               !opos < old_used
               && old.(!opos) = q
-              && old.(!opos + 7) = b.em.((6 * q) + 5)
+              && old.(!opos + 7) = b.em.((6 * b.slot.(q)) + 5)
             then begin
               opos := !opos + 8 + old.(!opos + 7);
               incr si
@@ -1217,8 +1203,9 @@ struct
         let nk = ref 0 in
         for i = 0 to count - 1 do
           let q = senders.(i) in
-          let en = b.em_nbrs.(q) in
-          for j = 0 to b.em.((6 * q) + 5) - 1 do
+          let sq = b.slot.(q) in
+          let en = b.em_nbrs.(sq) in
+          for j = 0 to b.em.((6 * sq) + 5) - 1 do
             let v = en.(5 * j) in
             if v <> p then begin
               let slot =
@@ -1246,11 +1233,11 @@ struct
                 end
               in
               if slot < ocnt then begin
-                owin.(slot) <- q;
+                owin.(slot) <- sq;
                 ooff.(slot) <- 5 * j
               end
               else begin
-                fsrc.(slot - ocnt) <- q;
+                fsrc.(slot - ocnt) <- sq;
                 foff.(slot - ocnt) <- 5 * j
               end
             end
@@ -1402,24 +1389,24 @@ struct
           (* commit the new cache and far planes *)
           let nu = !used and nc = !cnt and nfar = !fout in
           let cdst =
-            let a = grow b.cache.(p) nu in
-            if a != b.cache.(p) then b.cache.(p) <- a;
+            let a = grow b.cache.(sp) nu in
+            if a != b.cache.(sp) then b.cache.(sp) <- a;
             a
           in
           for i = 0 to nu - 1 do
             cdst.(i) <- cbuf.(i)
           done;
-          b.cache_used.(p) <- nu;
-          b.cache_cnt.(p) <- nc;
+          b.cache_used.(sp) <- nu;
+          b.cache_cnt.(sp) <- nc;
           let fcom =
-            let a = grow b.far.(p) (6 * nfar) in
-            if a != b.far.(p) then b.far.(p) <- a;
+            let a = grow b.far.(sp) (6 * nfar) in
+            if a != b.far.(sp) then b.far.(sp) <- a;
             a
           in
           for i = 0 to (6 * nfar) - 1 do
             fcom.(i) <- fdst.(i)
           done;
-          b.far_len.(p) <- nfar;
+          b.far_len.(sp) <- nfar;
           new_used := nu;
           new_cnt := nc;
           new_far_cnt := nfar
@@ -1427,8 +1414,8 @@ struct
         (* every sighting comes from a sender, so any fresh entry means
            count > 0 *)
         if count > 0 && clock' < !minh then minh := clock';
-        b.minh.(p) <- !minh;
-        b.synced.(p) <- (if !all_fresh then b.now - 1 else -1)
+        b.minh.(sp) <- !minh;
+        b.synced.(sp) <- (if !all_fresh then b.now - 1 else -1)
       end;
       let new_used = !new_used
       and new_cnt = !new_cnt
@@ -1437,9 +1424,8 @@ struct
          one Rng.int when the node loses its name, none otherwise. The
          typed free list is built descending, so a draw k there selects
          the (k+1)-th largest free name. *)
-      let gamma = b.gamma.(p) and gid = b.gid.(p) and old_dag = b.dag.(p) in
-      let c = b.cache.(p) in
-      let drew = ref false in
+      let gamma = b.gamma.(sp) and gid = b.gid.(sp) and old_dag = b.dag.(sp) in
+      let c = b.cache.(sp) in
       let dag' =
         if not algo.Config.use_dag_names then old_dag
         else begin
@@ -1475,7 +1461,6 @@ struct
             done;
             (* The only draw in a step; derive the node generator here so
                the overwhelmingly common drawless step allocates none. *)
-            drew := true;
             let rng = Rng.of_key (Rng.subkey hkey p) in
             if !nf = 0 then Rng.int rng gamma
             else s.free_names.(!nf - 1 - Rng.int rng !nf)
@@ -1522,7 +1507,7 @@ struct
       let dl' = deg + !among and dn' = deg in
       (* --- election, mirroring elect over the new planes. parent'/head'
          start at the old values; every "None" outcome leaves them. *)
-      let old_parent = b.parent.(p) and old_head = b.head.(p) in
+      let old_parent = b.parent.(sp) and old_head = b.head.(sp) in
       let tie = algo.Config.tie in
       let use_dag = algo.Config.use_dag_names in
       let parent' = ref old_parent and head' = ref old_head in
@@ -1575,7 +1560,7 @@ struct
           end
           else begin
             (* strongest dominating 2-hop head from the far plane *)
-            let f = b.far.(p) in
+            let f = b.far.(sp) in
             let dv = ref (-1) in
             (* far offset of the dominating head, -1 = none *)
             let kl = ref 0 and kn = ref 0 and kid = ref 0 in
@@ -1649,25 +1634,18 @@ struct
       end;
       let changed =
         old_dag <> dag'
-        || b.dens_l.(p) <> dl'
-        || b.dens_n.(p) <> dn'
+        || b.dens_l.(sp) <> dl'
+        || b.dens_n.(sp) <> dn'
         || old_parent <> !parent'
         || old_head <> !head'
       in
-      b.clock.(p) <- clock';
-      b.dag.(p) <- dag';
-      b.dens_l.(p) <- dl';
-      b.dens_n.(p) <- dn';
-      b.parent.(p) <- !parent';
-      b.head.(p) <- !head';
-      (* Calm iff this step changed nothing and consumed no randomness:
-         a later step with bit-identical inputs may then skip the whole
-         recomputation above (a re-draw alone would break draw-for-draw
-         parity with the typed executor, hence the [drew] condition). *)
-      Bytes.unsafe_set b.calm p (if changed || !drew then '\000' else '\001');
-      Bytes.unsafe_set b.quiet_emit p '\000';
+      b.clock.(sp) <- clock';
+      b.dag.(sp) <- dag';
+      b.dens_l.(sp) <- dl';
+      b.dens_n.(sp) <- dn';
+      b.parent.(sp) <- !parent';
+      b.head.(sp) <- !head';
       changed
-      end
   end
 end
 

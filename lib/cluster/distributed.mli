@@ -83,7 +83,11 @@ end) :
     the {!Ss_engine.Flat} executor: scalars (clock, gamma, gid, dag,
     density numerator/denominator, parent, head) one array slot per node,
     the 1-hop cache, 2-hop far cache and emitted frame as per-node
-    strided int arrays grown in place. Options are sentinel-encoded
+    strided int arrays grown in place. Every per-node plane holds node
+    [p] at its slot, [p]'s rank in {!Ss_topology.Traversal.bfs_order} of
+    the graph given to [Flat.alloc] (the order {!Ss_engine.Flat_core}
+    walks), so a step's own planes and its senders' frames lie close
+    together; node ids stay the keys inside rows. Options are sentinel-encoded
     (density [None] as [(-1, 0)], parent/head [None] as [-1]) — injective
     for every reachable and every {!corrupt}-produced state, so plane
     equality coincides with structural equality on the typed fields.

@@ -520,8 +520,22 @@ module Make (P : Protocol.S) = struct
       else incr quiet
     done;
     let converged = !quiet >= quiet_rounds in
+    (* Unpack in the core's locality order: a flat protocol's planes and
+       rows lie in that order, so the final read walks memory forward. *)
+    let states =
+      match core with
+      | Some (_, c) when n > 0 ->
+          let order = Flat_core.order c in
+          let states = Array.make n (get order.(0)) in
+          for r = 1 to n - 1 do
+            let p = order.(r) in
+            states.(p) <- get p
+          done;
+          states
+      | Some _ | None -> Array.init n get
+    in
     {
-      states = Array.init n get;
+      states;
       rounds = !round;
       converged;
       last_change_round = !last_change;

@@ -12,10 +12,17 @@
    changes and grows the next frontier in frontier order — no step ever
    observes another step's in-round output, so the shard partition is
    invisible. Sequential and random-order daemons are inherently serial
-   walks and run on the submitting domain. *)
+   walks and run on the submitting domain.
+
+   The synchronous worklist is walked in a BFS order of the initial graph
+   (the order the protocol's buffers lay their planes out in), so
+   consecutive steps read neighbouring memory. The same argument makes
+   the order invisible: no phase observes another node's in-round
+   output, and the mark pass only orders the next worklist. *)
 
 module Rng = Ss_prng.Rng
 module Csr = Ss_topology.Csr
+module Traversal = Ss_topology.Traversal
 module Pool = Ss_stats.Pool
 
 type 's ops = {
@@ -30,6 +37,8 @@ type 's ops = {
 type 's t = {
   csr : Csr.t; (* base adjacency at creation time *)
   n : int;
+  order : int array; (* rank -> node: BFS order of the creation graph *)
+  rank : int array; (* node -> rank, the inverse *)
   sentinel : int array; (* physical marker: overlay slot unused *)
   overlay : int array array; (* rebased base rows, by endpoint *)
   live : bool array; (* shared with the orchestrator *)
@@ -61,9 +70,16 @@ let create ?pool ~ops ~scratches ~live ~changed_at ~written_at graph =
   if Array.length scratches < 1 then
     invalid_arg "Flat_core.create: need at least one scratch";
   let sentinel = Array.make 1 (-1) in
+  let order = Traversal.bfs_order graph in
+  let rank = Array.make n 0 in
+  for r = 0 to n - 1 do
+    rank.(order.(r)) <- r
+  done;
   {
     csr;
     n;
+    order;
+    rank;
     sentinel;
     overlay = Array.make n sentinel;
     live;
@@ -103,6 +119,8 @@ let mark_all t =
   done
 
 let frontier_len t = t.cur_len
+
+let order t = t.order
 
 let set_row t p row = t.overlay.(p) <- row
 
@@ -181,7 +199,58 @@ let mark_audience t ~also_now ~has_down ~edge_down p =
     end
   done
 
+(* Heap sort of [a.(0 .. len-1)], ascending, in place: no closure, no
+   allocation. *)
+let rec sift (a : int array) i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    let x = a.(i) in
+    if a.(c) > x then begin
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift a c len
+    end
+  end
+
+let heap_sort (a : int array) len =
+  for i = (len / 2) - 1 downto 0 do
+    sift a i len
+  done;
+  for last = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift a 0 last
+  done
+
+(* Put the worklist in rank order. A dense frontier is rebuilt by one
+   scan of the order against the membership bits; a sparse one is mapped
+   to ranks, heap-sorted and mapped back. *)
+let order_frontier t =
+  let k = t.cur_len and cur = t.cur in
+  if 16 * k >= t.n then begin
+    let j = ref 0 in
+    for r = 0 to t.n - 1 do
+      let p = Array.unsafe_get t.order r in
+      if Bytes.unsafe_get t.cur_bit p = '\001' then begin
+        cur.(!j) <- p;
+        incr j
+      end
+    done
+  end
+  else begin
+    for i = 0 to k - 1 do
+      cur.(i) <- t.rank.(cur.(i))
+    done;
+    heap_sort cur k;
+    for i = 0 to k - 1 do
+      cur.(i) <- t.order.(cur.(i))
+    done
+  end
+
 let step_sync t ~round ~deliver ~hkey ~has_down ~edge_down =
+  order_frontier t;
   let shards = Array.length t.scratches in
   let run_phase f =
     match t.pool with

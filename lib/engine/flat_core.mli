@@ -22,7 +22,20 @@
     pass is serial, the shard partition is unobservable: any [domains]
     value yields bit-identical runs. Sequential and random-order daemons
     are order-dependent by definition and run serially on the submitting
-    domain. *)
+    domain.
+
+    {2 Walk order}
+
+    {!create} fixes a locality order, {!Ss_topology.Traversal.bfs_order}
+    of its graph ({!order}). The synchronous phases and the mark pass
+    walk the frontier in that order: a protocol whose buffers lay their
+    per-node planes out in the same order (as [Distributed.Flat] does)
+    then steps nodes whose planes sit next to each other. The order is
+    unobservable for the reason the shard partition is: no step sees
+    another's in-round output, and the mark pass only orders the next
+    worklist. The Sequential walk keeps ascending node order and the
+    Random_order walk its permutation, since their schedules are part of
+    the result. *)
 
 type 's ops = {
   step : 's -> Ss_prng.Rng.key -> int -> int array -> int -> bool;
@@ -71,6 +84,10 @@ val mark_nxt : 's t -> int -> unit
 val mark_all : 's t -> unit
 
 val frontier_len : 's t -> int
+
+val order : 's t -> int array
+(** The locality order (rank → node) the synchronous walk follows. The
+    array is shared: callers must not mutate it. *)
 
 val set_row : 's t -> int -> int array -> unit
 (** Replace node [p]'s potential-neighbor row after a motion rebase.

@@ -33,6 +33,33 @@ let eccentricity ?filter graph source =
     (fun acc d -> if d = unreachable then acc else max acc d)
     0 dist
 
+let bfs_order graph =
+  let n = Graph.node_count graph in
+  let order = Array.make n 0 in
+  let seen = Bytes.make n '\000' in
+  (* [order] doubles as the queue: [head] chases [tail] through it. *)
+  let head = ref 0 and tail = ref 0 in
+  for s = 0 to n - 1 do
+    if Bytes.get seen s = '\000' then begin
+      Bytes.set seen s '\001';
+      order.(!tail) <- s;
+      incr tail;
+      while !head < !tail do
+        let nb = Graph.neighbors graph order.(!head) in
+        incr head;
+        for i = 0 to Array.length nb - 1 do
+          let q = nb.(i) in
+          if Bytes.get seen q = '\000' then begin
+            Bytes.set seen q '\001';
+            order.(!tail) <- q;
+            incr tail
+          end
+        done
+      done
+    end
+  done;
+  order
+
 let components graph =
   let n = Graph.node_count graph in
   let comp = Array.make n (-1) in

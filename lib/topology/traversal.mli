@@ -15,6 +15,14 @@ val eccentricity : ?filter:(int -> bool) -> Graph.t -> int -> int
 (** Greatest finite hop distance from the source (within [filter] if given).
     This is the paper's e(H(u)/C) when filtered to the cluster members. *)
 
+val bfs_order : Graph.t -> int array
+(** A locality order of the nodes: position [r] holds the [r]-th node a
+    breadth-first walk reaches. Each walk starts at the lowest-index
+    unvisited node and visits neighbors in ascending index order, so
+    every connected component is one contiguous run, in BFS layer order,
+    and isolated nodes sit alone. The result is a permutation of
+    [0, n); O(n + m), no closures. *)
+
 val components : Graph.t -> int array * int
 (** Connected-component label per node, and component count. *)
 

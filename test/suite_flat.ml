@@ -17,11 +17,22 @@
        run-evolved and every [corrupt]-produced state, for every shipped
        algorithm config — the sentinel encodings lose nothing.
    (e) The hot-path allocation fixes hold: a quiet sparse round and a
-       reuse-mode rebase both allocate O(frontier)/O(diff), not O(n). *)
+       reuse-mode rebase both allocate O(frontier)/O(diff), not O(n).
+   (f) Locality layout: the flat planes hold node p at its BFS slot, and
+       on a deployment whose labels are scrambled (slot <> id almost
+       everywhere) pack/unpack, step = handle, flat = dense and 4 = 1
+       domains all still hold, through a motion rebase. *)
 
 module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
 module Dynamic = Ss_topology.Dynamic
+module Motion = Ss_topology.Motion
+module Traversal = Ss_topology.Traversal
+module Vec2 = Ss_geom.Vec2
+module Bbox = Ss_geom.Bbox
+module Channel = Ss_radio.Channel
+module Model = Ss_mobility.Model
+module Fleet = Ss_mobility.Fleet
 module Scheduler = Ss_engine.Scheduler
 module Churn = Ss_engine.Churn
 module Engine = Ss_engine.Engine
@@ -1244,6 +1255,173 @@ let test_steady_layout ~domains () =
         (lattice_cases graph settled.F.states))
     [ ("basic", Config.basic); ("improved_with_dag", Config.improved_with_dag) ]
 
+(* ------------------------------------------- (f): scrambled labels *)
+
+(* A 12x10 jittered grid whose labels are a random permutation of the
+   row-major ones: neighbours in space get unrelated ids, so the BFS
+   slots the flat planes use differ from the ids almost everywhere. *)
+let scrambled_start () =
+  let rng = Rng.create ~seed:70 in
+  let cols = 12 and rows = 10 in
+  let perm = Rng.permutation rng (cols * rows) in
+  let start = Array.make (cols * rows) Vec2.zero in
+  for i = 0 to (cols * rows) - 1 do
+    let jitter () = 0.3 *. (Rng.float rng 1.0 -. 0.5) in
+    let x = (float_of_int (i mod cols) +. 0.5 +. jitter ()) /. float_of_int cols in
+    let y = (float_of_int (i / cols) +. 0.5 +. jitter ()) /. float_of_int rows in
+    start.(perm.(i)) <- Vec2.v x y
+  done;
+  start
+
+(* The run world on that deployment: a crash, a rejoin and two
+   corruptions, on a lossy channel unless [channel] says otherwise, and
+   with [flips] a slow random walk whose rebases add up the flipped edges
+   there. *)
+let scrambled_world ?(channel = Channel.bernoulli 0.8) ?flips () =
+  let setup () =
+    let rng = Rng.create ~seed:71 in
+    let start = scrambled_start () in
+    let motion = Motion.create ~radius:0.15 start in
+    let hook =
+      Option.map
+        (fun flips ->
+          let model = Model.random_walk ~speed_min:0.002 ~speed_max:0.01 () in
+          let fleet = Fleet.create rng ~model ~box:Bbox.unit_square start in
+          fun ~round:_ ->
+            let moved =
+              Fleet.step_moved fleet 2.0 (fun i p -> Motion.move motion i p)
+            in
+            if moved = 0 then None
+            else begin
+              let diff = Motion.flush motion in
+              flips := !flips + diff.Motion.n_added + diff.Motion.n_removed;
+              Some (Motion.graph motion, diff)
+            end)
+        flips
+    in
+    (rng, Motion.graph motion, hook)
+  in
+  {
+    D.setup;
+    channel;
+    scheduler = Scheduler.Synchronous;
+    churn =
+      Churn.schedule
+        [
+          (3, [ Churn.Crash 5 ]);
+          (4, [ Churn.Corrupt 17 ]);
+          (6, [ Churn.Join 5; Churn.Corrupt 90 ]);
+        ];
+    max_rounds = 30;
+    quiet_rounds = 3;
+    warm_seed = None;
+  }
+
+let test_scrambled_labels () =
+  let module P = Distributed.Make (struct
+    let params =
+      {
+        Distributed.default_params with
+        algo = Config.improved_with_dag;
+        cache_ttl = 2;
+      }
+  end) in
+  let module R = D.Run_flat (P) (D.Distributed_hooks) in
+  let module E = R.E in
+  let _, graph, _ = (scrambled_world ()).D.setup () in
+  let n = Graph.node_count graph in
+  let order = Traversal.bfs_order graph in
+  let moved = ref 0 in
+  Array.iteri (fun r p -> if r <> p then incr moved) order;
+  Alcotest.(check bool) "slot <> id for at least 90% of the nodes" true
+    (10 * !moved >= 9 * n);
+  let b = P.Flat.alloc graph in
+  let s = P.Flat.scratch b in
+  (* pack -> unpack on mid-run, converged and corrupted states *)
+  let snapshot rounds =
+    (E.run ~mode:E.Dense ~max_rounds:rounds ~quiet_rounds:3
+       (Rng.create ~seed:72) graph)
+      .E.states
+  in
+  let scramble = Rng.create ~seed:73 in
+  let sets =
+    [ ("round 2", snapshot 2); ("round 5", snapshot 5); ("settled", snapshot 60) ]
+  in
+  let sets =
+    sets
+    @ List.map
+        (fun (tag, st) ->
+          (tag ^ ", corrupted", Array.mapi (Distributed.corrupt scramble) st))
+        sets
+  in
+  List.iter
+    (fun (tag, states) ->
+      Array.iteri (P.Flat.pack b) states;
+      Alcotest.(check bool) (tag ^ ": unpack (pack st) = st") true
+        (Array.for_all Fun.id
+           (Array.mapi (fun p st -> P.Flat.unpack b p = st) states)))
+    sets;
+  (* step = handle over two rounds: every node steps hearing all its
+     neighbours but one, then the emission planes are re-derived, so the
+     second round reads frames the first round's steps wrote at their
+     slots *)
+  List.iter
+    (fun (tag, states) ->
+      Array.iteri (P.Flat.pack b) states;
+      Array.iteri (fun p _ -> ignore (P.Flat.refresh_emit b s p)) states;
+      let typed = Array.copy states in
+      for r = 0 to 1 do
+        P.Flat.tick b;
+        let hkey = Rng.key ~seed:(300 + r) in
+        let next =
+          Array.init n (fun p ->
+              let nb = Graph.neighbors graph p in
+              let drop = (p + r) mod (Array.length nb + 1) in
+              let senders =
+                Array.of_list
+                  (List.filteri (fun i _ -> i <> drop) (Array.to_list nb))
+              in
+              let msgs =
+                Array.to_list
+                  (Array.map (fun q -> (q, P.emit graph q typed.(q))) senders)
+              in
+              ignore
+                (P.Flat.step b s hkey p ~senders ~count:(Array.length senders));
+              P.handle (Rng.of_key (Rng.subkey hkey p)) graph p typed.(p) msgs)
+        in
+        Array.iteri
+          (fun p st ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, round %d, node %d: unpack (step) = handle"
+                 tag r p)
+              true
+              (P.Flat.unpack b p = st);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, round %d, node %d: warm" tag r p)
+              (Distributed.pending_expiry st) (P.Flat.warm b p))
+          next;
+        Array.iteri (fun p _ -> ignore (P.Flat.refresh_emit b s p)) next;
+        Array.blit next 0 typed 0 n
+      done)
+    sets;
+  (* whole runs: flat = dense, 4 domains = 1, static and moving; the
+     perfect channel lets the synced fast path fire *)
+  let flips = ref 0 in
+  List.iter
+    (fun (tag, w) ->
+      let f1 = R.flat ~domains:1 w in
+      Alcotest.(check (option string)) (tag ^ ": flat = dense") None
+        (R.diff ~left:"dense" ~right:"flat" (R.dense w) f1);
+      Alcotest.(check (option string)) (tag ^ ": 4 domains = 1") None
+        (R.diff ~exact:true ~left:"flat/1" ~right:"flat/4" f1
+           (R.flat ~domains:4 w)))
+    [
+      ("static", scrambled_world ());
+      ("static, perfect channel", scrambled_world ~channel:Channel.perfect ());
+      ("moving", scrambled_world ~flips ());
+    ];
+  Alcotest.(check bool) "the walk flipped edges" true (!flips > 0)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1296,4 +1474,6 @@ let suite =
         (test_steady_layout ~domains:1);
       Alcotest.test_case "steady-layout step = handle (4 domains)" `Quick
         (test_steady_layout ~domains:4);
+      Alcotest.test_case "scrambled labels: slot-indexed planes" `Quick
+        test_scrambled_labels;
     ]

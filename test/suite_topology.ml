@@ -171,6 +171,53 @@ let test_components () =
   Alcotest.(check bool) "path connected" true
     (Traversal.is_connected (Builders.path 4))
 
+let test_bfs_order_fixed () =
+  Alcotest.(check (array int)) "empty graph" [||]
+    (Traversal.bfs_order (Graph.of_edges ~n:0 []));
+  (* Components {0, 6} and {1, 3, 5, 7}, isolated 2 and 4: each walk
+     starts at the lowest unvisited node and takes neighbors ascending. *)
+  let g = Graph.of_edges ~n:8 [ (1, 5); (3, 5); (3, 7); (5, 7); (0, 6) ] in
+  Alcotest.(check (array int)) "walks in index order" [| 0; 6; 1; 5; 3; 7; 2; 4 |]
+    (Traversal.bfs_order g);
+  Alcotest.(check (array int)) "isolated nodes keep index order" [| 0; 1; 2 |]
+    (Traversal.bfs_order (Graph.of_edges ~n:3 []))
+
+(* On random geometric deployments (several components each): the order
+   is a permutation of [0, n), every component is one contiguous run
+   opening at its lowest node, and hop distances from that node never
+   decrease along the run. *)
+let test_bfs_order_layers () =
+  List.iter
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let g = Builders.random_geometric_count rng ~count:300 ~radius:0.06 in
+      let n = Graph.node_count g in
+      let order = Traversal.bfs_order g in
+      Alcotest.(check int) "length" n (Array.length order);
+      let hit = Array.make n 0 in
+      Array.iter (fun p -> hit.(p) <- hit.(p) + 1) order;
+      Alcotest.(check bool) "permutation" true (Array.for_all (( = ) 1) hit);
+      let comp, count = Traversal.components g in
+      Alcotest.(check bool) "several components" true (count > 1);
+      let closed = Array.make count false in
+      let r = ref 0 in
+      while !r < n do
+        let root = order.(!r) in
+        let c = comp.(root) in
+        Alcotest.(check bool) "component seen once" false closed.(c);
+        closed.(c) <- true;
+        let dist = Traversal.bfs_from g root in
+        let last = ref 0 in
+        while !r < n && comp.(order.(!r)) = c do
+          let p = order.(!r) in
+          Alcotest.(check bool) "root is the lowest member" true (root <= p);
+          Alcotest.(check bool) "layer order" true (dist.(p) >= !last);
+          last := dist.(p);
+          incr r
+        done
+      done)
+    [ 1; 2; 3 ]
+
 let test_shortest_path () =
   let g = Builders.cycle 6 in
   (match Traversal.shortest_path g ~src:0 ~dst:2 with
@@ -382,6 +429,9 @@ let suite =
     Alcotest.test_case "eccentricity and diameter" `Quick
       test_eccentricity_and_diameter;
     Alcotest.test_case "connected components" `Quick test_components;
+    Alcotest.test_case "bfs order, fixed cases" `Quick test_bfs_order_fixed;
+    Alcotest.test_case "bfs order: permutation, components, layers" `Quick
+      test_bfs_order_layers;
     Alcotest.test_case "shortest path" `Quick test_shortest_path;
     Alcotest.test_case "k-hop neighborhoods" `Quick test_k_hop;
     Alcotest.test_case "closed neighborhood" `Quick test_closed_neighborhood;
