@@ -6,7 +6,10 @@
 
    Timing methodology: every timed run happens in its own fresh process
    (the bench re-execs itself with [--one]) and reports CPU seconds
-   (Sys.time).  In-process back-to-back timing is unusable at this
+   (Sys.time), together with the seconds of the benchmark's
+   machine-speed probe ([Ssbench.Probe]), timed in the same process
+   before it builds anything, and the CPU time scaled to the probe's
+   reference speed.  In-process back-to-back timing is unusable at this
    scale: whichever executor runs second pays major-GC costs
    proportional to the first's live result, and OCaml 5.1's
    Gc.compact does not return freed pages, so the pollution is
@@ -18,10 +21,11 @@
    attribution, same final states modulo [equal_state], and the flat run
    must be bit-identical at 1 and 2 domains. A divergence exits non-zero.
 
-   One rep is one process; a point takes the minimum over its reps —
-   on a busy shared box CPU-time noise is strictly additive (cache and
-   bandwidth interference only ever slow a run down), so the minimum is
-   the estimator of the uncontended cost.
+   One rep is one process; a point takes the rep with the least scaled
+   time — on a busy shared box CPU-time noise is strictly additive (cache
+   and bandwidth interference only ever slow a run down), so the minimum
+   is the estimator of the uncontended cost, and scaling by the probe
+   removes the part of a host slowdown that lasts through the child.
 
    A point (or the million run) whose estimated memory need exceeds the
    host's MemAvailable is not started: the sweep keeps that point's row
@@ -204,12 +208,18 @@ let peak_mb () =
   | Some kb -> float_of_int kb /. 1024.0
   | None -> 0.0
 
+(* The probe's CPU seconds on the reference machine, as in
+   benchmark/run.ml: a child's scaled time is its CPU time x this / its
+   own probe time. *)
+let probe_reference_s = 0.4
+
 (* Runs a single executor once and prints one machine-readable line;
    the parent spawns one child per measurement so every number comes
    from a pristine heap. [flat-1m] runs cold (no warm array): holding
    n typed records live through a flat run just to warm-start it
    charges the flat executor for the typed representation's heap. *)
 let one exec ~count ~bursts =
+  let probe = Ssbench.Probe.seconds () in
   let graph, _, churn = workload ~count ~bursts in
   let states =
     match exec with
@@ -231,8 +241,16 @@ let one exec ~count ~bursts =
     | _ -> invalid_arg ("flat bench: unknown executor " ^ exec)
   in
   let cpu = Sys.time () -. t0 in
-  Printf.printf "RESULT %s cpu=%.4f rounds=%d converged=%b peak_mb=%.0f\n%!"
-    exec cpu rounds converged (peak_mb ())
+  Printf.printf
+    "RESULT %s cpu=%.4f probe=%.4f scaled=%.4f rounds=%d converged=%b \
+     peak_mb=%.0f\n%!"
+    exec cpu probe
+    (cpu *. probe_reference_s /. probe)
+    rounds converged (peak_mb ())
+
+(* One child's times: raw CPU seconds, the probe's seconds, and the CPU
+   time at the probe's reference speed. *)
+type times = { cpu : float; probe : float; scaled : float }
 
 (* Spawn [--one] in a fresh process, parse its RESULT line. *)
 let child exec ~count ~bursts =
@@ -248,9 +266,10 @@ let child exec ~count ~bursts =
        let line = input_line ic in
        print_endline line;
        try
-         Scanf.sscanf line "RESULT %s cpu=%f rounds=%d converged=%B"
-           (fun _ cpu rounds converged ->
-             result := Some (cpu, rounds, converged))
+         Scanf.sscanf line
+           "RESULT %s cpu=%f probe=%f scaled=%f rounds=%d converged=%B"
+           (fun _ cpu probe scaled rounds converged ->
+             result := Some ({ cpu; probe; scaled }, rounds, converged))
        with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
      done
    with End_of_file -> ());
@@ -267,15 +286,18 @@ let child exec ~count ~bursts =
 
 (* -------------------------------------------------------------- full *)
 
-(* Minimum CPU time over [reps] fresh-process runs (see the header). *)
+(* The times of the rep with the least scaled time over [reps]
+   fresh-process runs (see the header). *)
 let child_min exec ~count ~bursts ~reps =
-  let best = ref infinity and rounds = ref 0 in
+  let best = ref None and rounds = ref 0 in
   for _ = 1 to reps do
     let t, r, _ = child exec ~count ~bursts in
-    if t < !best then best := t;
+    (match !best with
+    | Some b when b.scaled <= t.scaled -> ()
+    | Some _ | None -> best := Some t);
     rounds := r
   done;
-  (!best, !rounds)
+  (Option.get !best, !rounds)
 
 (* --------------------------------------------------- memory gate *)
 
@@ -351,9 +373,9 @@ type point = {
   radius : float;
   bursts : int;
   rounds : int;
-  sparse_seconds : float;
-  flat_seconds : float;
-  speedup : float;
+  sparse : times;
+  flat : times;
+  speedup : float; (* of the scaled times *)
   identical : bool option; (* None = identity checked at another scale *)
 }
 
@@ -375,9 +397,11 @@ let scale_point ~count ~bursts ~reps ~identity =
         (typed_vs_flat (Printf.sprintf "%d sparse/flat" count) sparse flat)
     end
   in
-  let speedup = sparse_t /. flat_t in
-  Fmt.pr "  sparse: %.3fs  flat: %.3fs  speedup: %.2fx  rounds: %d%s@."
-    sparse_t flat_t speedup rounds
+  let speedup = sparse_t.scaled /. flat_t.scaled in
+  Fmt.pr
+    "  sparse: %.3fs (scaled %.3fs)  flat: %.3fs (scaled %.3fs)  speedup: \
+     %.2fx  rounds: %d%s@."
+    sparse_t.cpu sparse_t.scaled flat_t.cpu flat_t.scaled speedup rounds
     (match identical with
     | None -> ""
     | Some ok -> Printf.sprintf "  identical: %b" ok);
@@ -386,8 +410,8 @@ let scale_point ~count ~bursts ~reps ~identity =
     radius;
     bursts;
     rounds;
-    sparse_seconds = sparse_t;
-    flat_seconds = flat_t;
+    sparse = sparse_t;
+    flat = flat_t;
     speedup;
     identical;
   }
@@ -396,16 +420,18 @@ let million () =
   let count = 1_000_000 in
   let bursts = 4 in
   let radius = radius_for count in
-  let run_t, rounds, converged = child "flat-1m" ~count ~bursts in
+  let t, rounds, converged = child "flat-1m" ~count ~bursts in
   let n, edges =
     let graph, _, _ = workload ~count ~bursts in
     (Graph.node_count graph, Graph.edge_count graph)
   in
   Fmt.pr "1M: %d nodes, %d edges@." n edges;
-  Fmt.pr "  flat: %.3fs  rounds: %d  converged: %b  (%.0f node-rounds/s)@."
-    run_t rounds converged
-    (float_of_int n *. float_of_int rounds /. run_t);
-  (n, edges, radius, run_t, rounds, converged)
+  Fmt.pr
+    "  flat: %.3fs (scaled %.3fs)  rounds: %d  converged: %b  (%.0f \
+     node-rounds/s)@."
+    t.cpu t.scaled rounds converged
+    (float_of_int n *. float_of_int rounds /. t.cpu);
+  (n, edges, radius, t, rounds, converged)
 
 let json ~note points million =
   let point p =
@@ -416,11 +442,15 @@ let json ~note points million =
       \      \"bursts\": %d,\n\
       \      \"rounds\": %d,\n\
       \      \"sparse_seconds\": %.4f,\n\
+      \      \"sparse_probe_seconds\": %.4f,\n\
+      \      \"sparse_scaled_seconds\": %.4f,\n\
       \      \"flat_seconds\": %.4f,\n\
+      \      \"flat_probe_seconds\": %.4f,\n\
+      \      \"flat_scaled_seconds\": %.4f,\n\
       \      \"speedup\": %.2f%s\n\
       \    }"
-      p.nodes p.radius p.bursts p.rounds p.sparse_seconds p.flat_seconds
-      p.speedup
+      p.nodes p.radius p.bursts p.rounds p.sparse.cpu p.sparse.probe
+      p.sparse.scaled p.flat.cpu p.flat.probe p.flat.scaled p.speedup
       (match p.identical with
       | None -> ""
       | Some ok -> Printf.sprintf ",\n      \"identical\": %b" ok)
@@ -428,7 +458,7 @@ let json ~note points million =
   let row = function Measured p -> point p | Kept text -> "    " ^ text in
   let million =
     match million with
-    | Measured (mn, medges, mradius, mrun_t, mrounds, mconverged) ->
+    | Measured (mn, medges, mradius, mt, mrounds, mconverged) ->
         Printf.sprintf
           "{\n\
           \    \"nodes\": %d,\n\
@@ -436,9 +466,11 @@ let json ~note points million =
           \    \"radius\": %.5f,\n\
           \    \"rounds\": %d,\n\
           \    \"flat_seconds\": %.4f,\n\
+          \    \"flat_probe_seconds\": %.4f,\n\
+          \    \"flat_scaled_seconds\": %.4f,\n\
           \    \"converged\": %b\n\
           \  }"
-          mn medges mradius mrounds mrun_t mconverged
+          mn medges mradius mrounds mt.cpu mt.probe mt.scaled mconverged
     | Kept text -> text
   in
   Printf.sprintf

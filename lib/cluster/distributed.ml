@@ -518,14 +518,15 @@ struct
   (* ------------------------------------------------------- flat plane *)
 
   (* Struct-of-arrays mirror of [state] for the Ss_engine.Flat executor.
-     Per-node strided int layouts:
+     Per-node strided int rows, each a slice of its plane's arena (see
+     [alloc]) starting at the row's offset:
 
-       cache.(p)   entries ascending by neighbor index, variable stride:
+       cache row   entries ascending by neighbor index, variable stride:
                    [q; heard; gid; dag; dens_links; dens_nodes; head;
                     nlen; nbr_0 .. nbr_{nlen-1}]
-       far.(p)     entries ascending, stride 6:
+       far row     entries ascending, stride 6:
                    [q; heard; dens_links; dens_nodes; eff; is_head]
-       em_nbrs.(p) emitted relay summaries ascending, stride 5:
+       em_nbrs row emitted relay summaries ascending, stride 5:
                    [s_node; dens_links; dens_nodes; eff; is_head]
        em          emitted frame scalars, stride 6 per node:
                    [gid; dag; dens_links; dens_nodes; head; len] — one
@@ -555,12 +556,20 @@ struct
       parent : int array; (* -1 = None *)
       head : int array; (* -1 = None *)
       cache : int array array;
-      cache_used : int array; (* ints used in cache.(p) *)
-      cache_cnt : int array; (* entries in cache.(p) *)
+          (* per slot: the array holding its row, the plane's arena or,
+             once the row outgrew its slice, one of its own (see [room]) *)
+      cache_off : int array; (* where the row starts in cache.(sp) *)
+      cache_cap : int array; (* ints the row may use from its offset *)
+      cache_used : int array; (* ints used in the cache row *)
+      cache_cnt : int array; (* entries in the cache row *)
       far : int array array;
-      far_len : int array; (* entries in far.(p) *)
+      far_off : int array;
+      far_cap : int array;
+      far_len : int array; (* entries in the far row *)
       em : int array; (* interleaved frame scalars, stride 6 *)
       em_nbrs : int array array;
+      em_off : int array;
+      em_cap : int array;
       mutable now : int; (* executor round counter, see [tick] *)
       em_ver : int array; (* round of last emission change, per node *)
       synced : int array;
@@ -621,23 +630,25 @@ struct
     let no_far =
       (-1, { f_heard = 0; f_density = None; f_eff = 0; f_is_head = false })
 
-    (* Rows start at the size a converged node needs on [graph]: one
-       cache entry per neighbor q carrying q's whole neighbor list, one
-       far entry per distinct key within two hops, one summary per
-       neighbor. Grown from [||] instead, every row would reallocate
-       through [grow]'s doubling during a cold start's first rounds,
-       charging that allocation to the steps, and end with up to twice
-       the capacity it uses. Rows still grow when churn or motion
-       outgrows them. They are allocated in slot order, so neighbouring
-       slots' rows sit next to each other in the heap too. *)
+    (* Each row starts at the size a converged node needs on [graph]:
+       one cache entry per neighbor q carrying q's whole neighbor list,
+       one far entry per distinct key within two hops, one summary per
+       neighbor. The rows of a plane are slices of one arena, laid out in
+       slot order, so neighbouring slots' rows are adjacent and a cold
+       start allocates three arrays instead of three per node. Sized
+       from [||] instead, every row would reallocate through the
+       doubling in [room] during a cold start's first rounds, charging
+       that allocation to the steps. *)
     let alloc graph =
       let n = Graph.node_count graph in
       let ia () = Array.make n 0 in
-      let aa () = Array.make n [||] in
-      let cache = aa () and far = aa () and em_nbrs = aa () in
       let order = Ss_topology.Traversal.bfs_order graph in
       let slot = ia () in
+      let cache_off = ia () and cache_cap = ia () in
+      let far_off = ia () and far_cap = ia () in
+      let em_off = ia () and em_cap = ia () in
       let seen = Array.make n (-1) in
+      let ctot = ref 0 and ftot = ref 0 and etot = ref 0 in
       for sp = 0 to n - 1 do
         let p = order.(sp) in
         slot.(p) <- sp;
@@ -654,9 +665,15 @@ struct
             end
           done
         done;
-        cache.(sp) <- Array.make !used 0;
-        far.(sp) <- Array.make (6 * !fcnt) 0;
-        em_nbrs.(sp) <- Array.make (5 * Array.length nb) 0
+        cache_off.(sp) <- !ctot;
+        cache_cap.(sp) <- !used;
+        ctot := !ctot + !used;
+        far_off.(sp) <- !ftot;
+        far_cap.(sp) <- 6 * !fcnt;
+        ftot := !ftot + (6 * !fcnt);
+        em_off.(sp) <- !etot;
+        em_cap.(sp) <- 5 * Array.length nb;
+        etot := !etot + (5 * Array.length nb)
       done;
       {
         n;
@@ -669,18 +686,24 @@ struct
         dens_n = ia ();
         parent = Array.make n (-1);
         head = Array.make n (-1);
-        cache;
+        cache = Array.make n (Array.make !ctot 0);
+        cache_off;
+        cache_cap;
         cache_used = ia ();
         cache_cnt = ia ();
-        far;
+        far = Array.make n (Array.make !ftot 0);
+        far_off;
+        far_cap;
         far_len = ia ();
         em = Array.init (6 * n) (fun i -> if i mod 6 = 5 then -1 else 0);
-        em_nbrs;
+        em_nbrs = Array.make n (Array.make !etot 0);
+        em_off;
+        em_cap;
         now = 0;
         em_ver = ia ();
         synced = Array.make n (-1);
         minh = Array.make n max_int;
-        claims_memo = aa ();
+        claims_memo = Array.make n [||];
         dens_memo = Array.make n None;
         some_memo = Array.make n None;
         entry_memo = Array.make (ways * n) no_entry;
@@ -708,6 +731,25 @@ struct
     let grow a needed =
       if Array.length a >= needed then a
       else Array.make (max needed ((2 * Array.length a) + 8)) 0
+
+    (* Room for [needed] ints in row [sp] of a plane given by its
+       backing, offset and capacity arrays: the row's own slice when it
+       fits, or else a private array the row moves to for good, at offset
+       0 and the doubled size [grow] would give. Nothing is copied — every
+       caller rewrites the row whole — and the slice left behind stays
+       unused (DESIGN §12, Row arenas). Only the slot's own fields change,
+       so steps on other domains are unaffected. Callers read the offset
+       after the call. *)
+    let room rows off cap sp needed =
+      let c = cap.(sp) in
+      if c >= needed then rows.(sp)
+      else begin
+        let a = Array.make (max needed ((2 * c) + 8)) 0 in
+        rows.(sp) <- a;
+        off.(sp) <- 0;
+        cap.(sp) <- Array.length a;
+        a
+      end
 
     (* A stamp word packs the use's token above [slot_bits] bits of slot.
        Slots count distinct far keys in one step, far below 2^30; tokens
@@ -810,6 +852,50 @@ struct
           a
         end
 
+    (* [pack]'s walks over a typed state, written as plain recursion so
+       that packing allocates nothing: the ints a cache list takes, its
+       entries written from offset [u], the far entries from offset [o],
+       and the least heard stamp. *)
+    let rec cache_ints acc = function
+      | [] -> acc
+      | (_, e) :: rest -> cache_ints (acc + 8 + Array.length e.e_nbrs) rest
+
+    let rec pack_cache c u = function
+      | [] -> ()
+      | (q, e) :: rest ->
+          c.(u) <- q;
+          c.(u + 1) <- e.e_heard;
+          c.(u + 2) <- e.e_gid;
+          c.(u + 3) <- e.e_dag;
+          put_density c (u + 4) e.e_density;
+          c.(u + 6) <- (match e.e_head with None -> -1 | Some v -> v);
+          let nbrs = e.e_nbrs in
+          let nlen = Array.length nbrs in
+          c.(u + 7) <- nlen;
+          (* a loop, not [Array.blit]: see DESIGN §12, Hot-path economics *)
+          for i = 0 to nlen - 1 do
+            c.(u + 8 + i) <- nbrs.(i)
+          done;
+          pack_cache c (u + 8 + nlen) rest
+
+    let rec pack_far f o = function
+      | [] -> ()
+      | (q, fe) :: rest ->
+          f.(o) <- q;
+          f.(o + 1) <- fe.f_heard;
+          put_density f (o + 2) fe.f_density;
+          f.(o + 4) <- fe.f_eff;
+          f.(o + 5) <- (if fe.f_is_head then 1 else 0);
+          pack_far f (o + 6) rest
+
+    let rec cache_min_heard mh = function
+      | [] -> mh
+      | (_, e) :: rest -> cache_min_heard (Int.min mh e.e_heard) rest
+
+    let rec far_min_heard mh = function
+      | [] -> mh
+      | (_, fe) :: rest -> far_min_heard (Int.min mh fe.f_heard) rest
+
     let pack b p (st : state) =
       let sp = b.slot.(p) in
       b.clock.(sp) <- st.clock;
@@ -825,51 +911,17 @@ struct
           b.dens_n.(sp) <- Density.nodes d);
       b.parent.(sp) <- (match st.parent with None -> -1 | Some v -> v);
       b.head.(sp) <- (match st.head with None -> -1 | Some v -> v);
-      let used =
-        List.fold_left
-          (fun acc (_, e) -> acc + 8 + Array.length e.e_nbrs)
-          0 st.cache
-      in
-      b.cache.(sp) <- grow b.cache.(sp) used;
-      let c = b.cache.(sp) in
-      let pos = ref 0 and cnt = ref 0 in
-      List.iter
-        (fun (q, e) ->
-          let u = !pos in
-          c.(u) <- q;
-          c.(u + 1) <- e.e_heard;
-          c.(u + 2) <- e.e_gid;
-          c.(u + 3) <- e.e_dag;
-          put_density c (u + 4) e.e_density;
-          c.(u + 6) <- (match e.e_head with None -> -1 | Some v -> v);
-          let nlen = Array.length e.e_nbrs in
-          c.(u + 7) <- nlen;
-          Array.blit e.e_nbrs 0 c (u + 8) nlen;
-          pos := u + 8 + nlen;
-          incr cnt)
-        st.cache;
-      b.cache_used.(sp) <- !pos;
-      b.cache_cnt.(sp) <- !cnt;
+      let used = cache_ints 0 st.cache in
+      let c = room b.cache b.cache_off b.cache_cap sp used in
+      pack_cache c b.cache_off.(sp) st.cache;
+      b.cache_used.(sp) <- used;
+      b.cache_cnt.(sp) <- List.length st.cache;
       let flen = List.length st.far in
-      b.far.(sp) <- grow b.far.(sp) (6 * flen);
-      let f = b.far.(sp) in
-      List.iteri
-        (fun i (q, fe) ->
-          let o = 6 * i in
-          f.(o) <- q;
-          f.(o + 1) <- fe.f_heard;
-          put_density f (o + 2) fe.f_density;
-          f.(o + 4) <- fe.f_eff;
-          f.(o + 5) <- (if fe.f_is_head then 1 else 0))
-        st.far;
+      let f = room b.far b.far_off b.far_cap sp (6 * flen) in
+      pack_far f b.far_off.(sp) st.far;
       b.far_len.(sp) <- flen;
       b.synced.(sp) <- -1;
-      let mh = ref max_int in
-      List.iter
-        (fun (_, e) -> if e.e_heard < !mh then mh := e.e_heard)
-        st.cache;
-      List.iter (fun (_, fe) -> if fe.f_heard < !mh then mh := fe.f_heard) st.far;
-      b.minh.(sp) <- !mh
+      b.minh.(sp) <- far_min_heard (cache_min_heard max_int st.cache) st.far
 
     (* Whole entries are interned too, per key: holders that last
        refreshed q at the same clock hold equal copies of q's entry. A
@@ -939,31 +991,33 @@ struct
         pr
       end
 
-    (* The entries of a cache row from offset [pos], and of a far row
-       below index [i] consed onto [acc]. Neither closes over anything,
-       so an unpack allocates only the state it returns. *)
-    let rec cache_from b c used pos =
-      if pos >= used then []
+    (* The entries of a cache row from offset [pos] up to [stop], and of
+       a far row starting at [fo] below index [i], consed onto [acc].
+       Neither closes over anything, so an unpack allocates only the
+       state it returns. *)
+    let rec cache_from b c stop pos =
+      if pos >= stop then []
       else begin
         let q = c.(pos) and nlen = c.(pos + 7) in
         let dens = intern_density b q c.(pos + 4) c.(pos + 5) in
         let head = intern_some b c.(pos + 6) in
         let nbrs = intern_claims b q c (pos + 8) nlen in
         intern_entry b q c.(pos + 1) c.(pos + 2) c.(pos + 3) dens head nbrs
-        :: cache_from b c used (pos + 8 + nlen)
+        :: cache_from b c stop (pos + 8 + nlen)
       end
 
-    let rec far_below b f i acc =
+    let rec far_below b f fo i acc =
       if i <= 0 then acc
       else begin
-        let o = 6 * (i - 1) in
+        let o = fo + (6 * (i - 1)) in
         let dens = intern_density b f.(o) f.(o + 2) f.(o + 3) in
-        far_below b f (i - 1)
+        far_below b f fo (i - 1)
           (intern_far b f.(o) f.(o + 1) dens f.(o + 4) (f.(o + 5) <> 0) :: acc)
       end
 
     let unpack b p : state =
       let sp = b.slot.(p) in
+      let co = b.cache_off.(sp) in
       {
         clock = b.clock.(sp);
         gamma = b.gamma.(sp);
@@ -972,8 +1026,8 @@ struct
         density = intern_density b p b.dens_l.(sp) b.dens_n.(sp);
         parent = intern_some b b.parent.(sp);
         head = intern_some b b.head.(sp);
-        cache = cache_from b b.cache.(sp) b.cache_used.(sp) 0;
-        far = far_below b b.far.(sp) b.far_len.(sp) [];
+        cache = cache_from b b.cache.(sp) (co + b.cache_used.(sp)) co;
+        far = far_below b b.far.(sp) b.far_off.(sp) b.far_len.(sp) [];
       }
 
     let refresh_emit b s p =
@@ -982,7 +1036,7 @@ struct
       s.ebuf <- grow s.ebuf (5 * cnt);
       let eb = s.ebuf in
       let c = b.cache.(sp) in
-      let pos = ref 0 in
+      let pos = ref b.cache_off.(sp) in
       for i = 0 to cnt - 1 do
         let q = c.(!pos) in
         let o = 5 * i in
@@ -1003,10 +1057,10 @@ struct
         || b.em.(e + 3) <> b.dens_n.(sp)
         || b.em.(e + 4) <> b.head.(sp)
         ||
-        let en = b.em_nbrs.(sp) in
+        let en = b.em_nbrs.(sp) and eo = b.em_off.(sp) in
         let diff = ref false in
         for i = 0 to (5 * cnt) - 1 do
-          if en.(i) <> eb.(i) then diff := true
+          if en.(eo + i) <> eb.(i) then diff := true
         done;
         !diff
       in
@@ -1016,10 +1070,10 @@ struct
         b.em.(e + 2) <- b.dens_l.(sp);
         b.em.(e + 3) <- b.dens_n.(sp);
         b.em.(e + 4) <- b.head.(sp);
-        let en = grow b.em_nbrs.(sp) (5 * cnt) in
-        if en != b.em_nbrs.(sp) then b.em_nbrs.(sp) <- en;
+        let en = room b.em_nbrs b.em_off b.em_cap sp (5 * cnt) in
+        let eo = b.em_off.(sp) in
         for i = 0 to (5 * cnt) - 1 do
-          en.(i) <- eb.(i)
+          en.(eo + i) <- eb.(i)
         done;
         b.em.(e + 5) <- cnt;
         b.em_ver.(sp) <- b.now
@@ -1031,7 +1085,7 @@ struct
        images otherwise. [put_entry] writes sender q's cache entry at
        [dst.(u)] from q's emission planes and returns the offset after
        it; [put_far] writes key v's far entry at [dst.(o)] from the
-       summary at offset [off] of the emission at slot [sq]. *)
+       summary at offset [off] of the em_nbrs backing of slot [sq]. *)
     let put_entry b dst u q clock' =
       let sq = b.slot.(q) in
       let e = 6 * sq in
@@ -1044,9 +1098,9 @@ struct
       dst.(u + 5) <- b.em.(e + 3);
       dst.(u + 6) <- b.em.(e + 4);
       dst.(u + 7) <- nlen;
-      let en = b.em_nbrs.(sq) in
+      let en = b.em_nbrs.(sq) and eo = b.em_off.(sq) in
       for i = 0 to nlen - 1 do
-        dst.(u + 8 + i) <- en.(5 * i)
+        dst.(u + 8 + i) <- en.(eo + (5 * i))
       done;
       u + 8 + nlen
 
@@ -1070,8 +1124,12 @@ struct
       let sp = b.slot.(p) in
       let ttl = params.cache_ttl in
       let clock' = b.clock.(sp) + 1 in
+      (* Positions in the node's rows are offsets into their backing
+         arrays: the cache row spans [co, oend) of [old], and a far row
+         starts at the slot's [far_off]. *)
       let old = b.cache.(sp) in
-      let old_used = b.cache_used.(sp) in
+      let co = b.cache_off.(sp) in
+      let oend = co + b.cache_used.(sp) in
       (* --- steady-state fast path: when the senders are exactly the
          cached entries' keys and no sender's emission changed since both
          planes were last built all-fresh from these same senders, the
@@ -1082,7 +1140,7 @@ struct
         synced >= 0
         && count = b.cache_cnt.(sp)
         &&
-        let ok = ref true and pos = ref 0 and i = ref 0 in
+        let ok = ref true and pos = ref co and i = ref 0 in
         while !ok && !i < count do
           let q = senders.(!i) in
           if old.(!pos) <> q || b.em_ver.(b.slot.(q)) > synced then
@@ -1097,24 +1155,25 @@ struct
       if fast then begin
         (* Restamp the heard fields in place: both planes are already
            what the merges below would rebuild. *)
-        let pos = ref 0 in
+        let pos = ref co in
         for _ = 1 to count do
           old.(!pos + 1) <- clock';
           pos := !pos + 8 + old.(!pos + 7)
         done;
-        let f = b.far.(sp) in
+        let f = b.far.(sp) and fo = b.far_off.(sp) in
         for i = 0 to b.far_len.(sp) - 1 do
-          f.((6 * i) + 1) <- clock'
+          f.(fo + (6 * i) + 1) <- clock'
         done;
         b.minh.(sp) <-
           (if count = 0 && b.far_len.(sp) = 0 then max_int else clock');
         b.synced.(sp) <- b.now - 1
       end;
-      let new_used = ref old_used
+      let new_used = ref b.cache_used.(sp)
       and new_cnt = ref b.cache_cnt.(sp)
       and new_far_cnt = ref b.far_len.(sp) in
       if not fast then begin
-        let ofar = b.far.(sp) and ocnt = b.far_len.(sp) in
+        let ofar = b.far.(sp) and ofo = b.far_off.(sp) in
+        let ocnt = b.far_len.(sp) in
         let sn_total = ref 0 in
         for i = 0 to count - 1 do
           sn_total := !sn_total + b.em.((6 * b.slot.(senders.(i))) + 5)
@@ -1150,9 +1209,9 @@ struct
            entry survives the TTL at clock': the merge would then rebuild
            the row entry for entry at the same offsets. *)
         let steady = ref true in
-        let opos = ref 0 and si = ref 0 in
-        while !steady && (!opos < old_used || !si < count) do
-          if !si >= count || (!opos < old_used && old.(!opos) < senders.(!si))
+        let opos = ref co and si = ref 0 in
+        while !steady && (!opos < oend || !si < count) do
+          if !si >= count || (!opos < oend && old.(!opos) < senders.(!si))
           then begin
             if clock' - old.(!opos + 1) > ttl then steady := false
             else opos := !opos + 8 + old.(!opos + 7)
@@ -1160,7 +1219,7 @@ struct
           else begin
             let q = senders.(!si) in
             if
-              !opos < old_used
+              !opos < oend
               && old.(!opos) = q
               && old.(!opos + 7) = b.em.((6 * b.slot.(q)) + 5)
             then begin
@@ -1190,7 +1249,7 @@ struct
         let ordered = ref true and last = ref (-1) in
         for i = 0 to ocnt - 1 do
           owin.(i) <- -1;
-          let v = ofar.(6 * i) in
+          let v = ofar.(ofo + (6 * i)) in
           if !ordered then
             if v > !last && v < plane then begin
               marks.(v) <- (tok lsl slot_bits) lor i;
@@ -1204,9 +1263,9 @@ struct
         for i = 0 to count - 1 do
           let q = senders.(i) in
           let sq = b.slot.(q) in
-          let en = b.em_nbrs.(sq) in
+          let en = b.em_nbrs.(sq) and eo = b.em_off.(sq) in
           for j = 0 to b.em.((6 * sq) + 5) - 1 do
-            let v = en.(5 * j) in
+            let v = en.(eo + (5 * j)) in
             if v <> p then begin
               let slot =
                 if v >= 0 && v < plane then begin
@@ -1234,11 +1293,11 @@ struct
               in
               if slot < ocnt then begin
                 owin.(slot) <- sq;
-                ooff.(slot) <- 5 * j
+                ooff.(slot) <- eo + (5 * j)
               end
               else begin
                 fsrc.(slot - ocnt) <- sq;
-                foff.(slot - ocnt) <- 5 * j
+                foff.(slot - ocnt) <- eo + (5 * j)
               end
             end
           done
@@ -1247,7 +1306,7 @@ struct
         if !steady && fn = 0 then begin
           let i = ref 0 in
           while !steady && !i < ocnt do
-            if owin.(!i) < 0 && clock' - ofar.((6 * !i) + 1) > ttl then
+            if owin.(!i) < 0 && clock' - ofar.(ofo + (6 * !i) + 1) > ttl then
               steady := false;
             incr i
           done
@@ -1261,8 +1320,8 @@ struct
              no frame refreshed (a dropped frame, a far key no sender
              relayed this round) is already where the merge would put it
              and stays as it is; it only enters [minh]. *)
-          let opos = ref 0 and si = ref 0 in
-          while !opos < old_used do
+          let opos = ref co and si = ref 0 in
+          while !opos < oend do
             if !si < count && old.(!opos) = senders.(!si) then begin
               opos := put_entry b old !opos senders.(!si) clock';
               incr si
@@ -1275,7 +1334,7 @@ struct
             end
           done;
           for i = 0 to ocnt - 1 do
-            let o = 6 * i in
+            let o = ofo + (6 * i) in
             if owin.(i) >= 0 then
               put_far b ofar o ofar.(o) clock' owin.(i) ooff.(i)
             else begin
@@ -1294,7 +1353,7 @@ struct
              so the merge loops are plain int stores: no growth checks,
              no write barriers, no C-call blits. *)
           let cbuf =
-            let a = grow s.cbuf (old_used + (8 * count) + !sn_total) in
+            let a = grow s.cbuf (oend - co + (8 * count) + !sn_total) in
             if a != s.cbuf then s.cbuf <- a;
             a
           in
@@ -1304,10 +1363,9 @@ struct
             a
           in
           let used = ref 0 and cnt = ref 0 in
-          let opos = ref 0 and si = ref 0 in
-          while !opos < old_used || !si < count do
-            if
-              !si >= count || (!opos < old_used && old.(!opos) < senders.(!si))
+          let opos = ref co and si = ref 0 in
+          while !opos < oend || !si < count do
+            if !si >= count || (!opos < oend && old.(!opos) < senders.(!si))
             then begin
               let pos = !opos in
               let sz = 8 + old.(pos + 7) in
@@ -1329,7 +1387,7 @@ struct
               used := put_entry b cbuf !used q clock';
               incr cnt;
               incr si;
-              if !opos < old_used && old.(!opos) = q then
+              if !opos < oend && old.(!opos) = q then
                 opos := !opos + 8 + old.(!opos + 7)
             end
           done;
@@ -1353,9 +1411,10 @@ struct
              equal to an old one replaces it, as in the typed merge. *)
           let fout = ref 0 and oi = ref 0 and fi = ref 0 in
           while !oi < ocnt || !fi < fn do
-            if !fi >= fn || (!oi < ocnt && ofar.(6 * !oi) < fkeys.(!fi))
+            if
+              !fi >= fn || (!oi < ocnt && ofar.(ofo + (6 * !oi)) < fkeys.(!fi))
             then begin
-              let so = 6 * !oi in
+              let so = ofo + (6 * !oi) in
               if owin.(!oi) >= 0 then begin
                 put_far b fdst (6 * !fout) ofar.(so) clock' owin.(!oi)
                   ooff.(!oi);
@@ -1383,28 +1442,23 @@ struct
               put_far b fdst (6 * !fout) k clock' fsrc.(!fi) foff.(!fi);
               incr fi;
               incr fout;
-              if !oi < ocnt && ofar.(6 * !oi) = k then incr oi
+              if !oi < ocnt && ofar.(ofo + (6 * !oi)) = k then incr oi
             end
           done;
-          (* commit the new cache and far planes *)
+          (* commit the new cache and far rows, each into its slice when
+             it fits and into a row of its own when it does not *)
           let nu = !used and nc = !cnt and nfar = !fout in
-          let cdst =
-            let a = grow b.cache.(sp) nu in
-            if a != b.cache.(sp) then b.cache.(sp) <- a;
-            a
-          in
+          let cdst = room b.cache b.cache_off b.cache_cap sp nu in
+          let cdo = b.cache_off.(sp) in
           for i = 0 to nu - 1 do
-            cdst.(i) <- cbuf.(i)
+            cdst.(cdo + i) <- cbuf.(i)
           done;
           b.cache_used.(sp) <- nu;
           b.cache_cnt.(sp) <- nc;
-          let fcom =
-            let a = grow b.far.(sp) (6 * nfar) in
-            if a != b.far.(sp) then b.far.(sp) <- a;
-            a
-          in
+          let fcom = room b.far b.far_off b.far_cap sp (6 * nfar) in
+          let fco = b.far_off.(sp) in
           for i = 0 to (6 * nfar) - 1 do
-            fcom.(i) <- fdst.(i)
+            fcom.(fco + i) <- fdst.(i)
           done;
           b.far_len.(sp) <- nfar;
           new_used := nu;
@@ -1425,13 +1479,16 @@ struct
          typed free list is built descending, so a draw k there selects
          the (k+1)-th largest free name. *)
       let gamma = b.gamma.(sp) and gid = b.gid.(sp) and old_dag = b.dag.(sp) in
+      (* the new cache row spans [cb, cend) of [c] *)
       let c = b.cache.(sp) in
+      let cb = b.cache_off.(sp) in
+      let cend = cb + new_used in
       let dag' =
         if not algo.Config.use_dag_names then old_dag
         else begin
           let loses = ref false in
-          let pos = ref 0 in
-          while (not !loses) && !pos < new_used do
+          let pos = ref cb in
+          while (not !loses) && !pos < cend do
             let q = c.(!pos) in
             if
               c.(!pos + 3) = old_dag
@@ -1445,8 +1502,8 @@ struct
               s.excl <-
                 Array.make (max gamma ((2 * Array.length s.excl) + 8)) false;
             Array.fill s.excl 0 gamma false;
-            let pos = ref 0 in
-            while !pos < new_used do
+            let pos = ref cb in
+            while !pos < cend do
               let d = c.(!pos + 3) in
               if d >= 0 && d < gamma then s.excl.(d) <- true;
               pos := !pos + 8 + c.(!pos + 7)
@@ -1476,15 +1533,15 @@ struct
       let plane = Array.length marks in
       let tag = next_token s lsl slot_bits in
       let outside = ref false in
-      let pos = ref 0 in
-      while !pos < new_used do
+      let pos = ref cb in
+      while !pos < cend do
         let q = c.(!pos) in
         if q >= 0 && q < plane then marks.(q) <- tag else outside := true;
         pos := !pos + 8 + c.(!pos + 7)
       done;
       let among = ref 0 in
-      pos := 0;
-      while !pos < new_used do
+      pos := cb;
+      while !pos < cend do
         let q = c.(!pos) in
         let nlen = c.(!pos + 7) in
         for i = 0 to nlen - 1 do
@@ -1494,8 +1551,8 @@ struct
               if marks.(r) = tag then incr among
             end
             else if !outside then begin
-              let k = ref 0 and found = ref false in
-              while (not !found) && !k < new_used do
+              let k = ref cb and found = ref false in
+              while (not !found) && !k < cend do
                 if c.(!k) = r then found := true
                 else k := !k + 8 + c.(!k + 7)
               done;
@@ -1515,8 +1572,8 @@ struct
       (* the entry to join, if the election picks one: the node takes its
          key as parent and its head as head, unless that head is None *)
       let join_off = ref (-1) in
-      let pos = ref 0 in
-      while !have_all && !pos < new_used do
+      let pos = ref cb in
+      while !have_all && !pos < cend do
         if c.(!pos + 4) < 0 then have_all := false
         else pos := !pos + 8 + c.(!pos + 7)
       done;
@@ -1532,8 +1589,8 @@ struct
              are tracked by offset, as a packed key may be negative. *)
           let best_off = ref (-1) in
           let bl = ref 0 and bn = ref 0 and bid = ref 0 and binc = ref false in
-          let pos = ref 0 in
-          while !pos < new_used do
+          let pos = ref cb in
+          while !pos < cend do
             let q = c.(!pos) in
             let el = c.(!pos + 4) and en_ = c.(!pos + 5) in
             let eid = if use_dag then c.(!pos + 3) else c.(!pos + 2) in
@@ -1560,12 +1617,12 @@ struct
           end
           else begin
             (* strongest dominating 2-hop head from the far plane *)
-            let f = b.far.(sp) in
+            let f = b.far.(sp) and fb = b.far_off.(sp) in
             let dv = ref (-1) in
             (* far offset of the dominating head, -1 = none *)
             let kl = ref 0 and kn = ref 0 and kid = ref 0 in
             for i = 0 to new_far_cnt - 1 do
-              let o = 6 * i in
+              let o = fb + (6 * i) in
               if f.(o + 2) >= 0 && f.(o + 5) <> 0 then begin
                 let l = f.(o + 2) and nn = f.(o + 3) and id = f.(o + 4) in
                 if Order.compare_raw ~tie dl' dn' my_eff my_inc l nn id true < 0
@@ -1594,8 +1651,8 @@ struct
               and n2 = ref 0
               and id2 = ref 0
               and inc2 = ref false in
-              let pos = ref 0 in
-              while !pos < new_used do
+              let pos = ref cb in
+              while !pos < cend do
                 let q = c.(!pos) in
                 let nlen = c.(!pos + 7) in
                 let claims = ref false in

@@ -83,7 +83,10 @@ end) :
     the {!Ss_engine.Flat} executor: scalars (clock, gamma, gid, dag,
     density numerator/denominator, parent, head) one array slot per node,
     the 1-hop cache, 2-hop far cache and emitted frame as per-node
-    strided int arrays grown in place. Every per-node plane holds node
+    strided int rows. The rows of each of these three planes are slices
+    of one arena, sized by [Flat.alloc] for a converged node on its graph
+    and laid out in slot order; a row that outgrows its slice moves to an
+    array of its own for good. Every per-node plane holds node
     [p] at its slot, [p]'s rank in {!Ss_topology.Traversal.bfs_order} of
     the graph given to [Flat.alloc] (the order {!Ss_engine.Flat_core}
     walks), so a step's own planes and its senders' frames lie close

@@ -21,7 +21,10 @@
    (f) Locality layout: the flat planes hold node p at its BFS slot, and
        on a deployment whose labels are scrambled (slot <> id almost
        everywhere) pack/unpack, step = handle, flat = dense and 4 = 1
-       domains all still hold, through a motion rebase. *)
+       domains all still hold, through a motion rebase.
+   (g) Row arenas: [alloc] and [pack] allocate nothing per node, and rows
+       that outgrow their arena slice, in [pack] or in a step's commit,
+       move out without touching their neighbours' slices. *)
 
 module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
@@ -1422,6 +1425,228 @@ let test_scrambled_labels () =
     ];
   Alcotest.(check bool) "the walk flipped edges" true (!flips > 0)
 
+(* ------------------------------------------------- (g): row arenas *)
+
+(* [alloc] lays every row out in one arena per plane, so its minor-heap
+   words are a small constant: the buffers record and, below 2,048
+   nodes, the BFS's seen bytes. Rows allocated one by one cost about
+   320 words per node. *)
+let test_alloc_words () =
+  List.iter
+    (fun count ->
+      let radius = sqrt (9.0 /. (Float.pi *. float_of_int count)) in
+      let graph =
+        Builders.random_geometric_count (Rng.create ~seed:81) ~count ~radius
+      in
+      let b = ref None in
+      let w = words_of (fun () -> b := Some (Pd.Flat.alloc graph)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d nodes: alloc takes %.0f minor words" count w)
+        true (w <= 512.0))
+    [ 1_500; 6_000 ]
+
+(* [pack] writes a typed state straight into its slot's slices: packing
+   a converged deployment's states, first into fresh buffers and then
+   back into their own slots, allocates nothing. *)
+let test_pack_words () =
+  let graph, states = converged_world ~count:400 ~degree:10.0 in
+  let b = Pd.Flat.alloc graph in
+  let pack_all () =
+    for p = 0 to Array.length states - 1 do
+      Pd.Flat.pack b p states.(p)
+    done
+  in
+  let cold = words_of pack_all in
+  let again = words_of pack_all in
+  Alcotest.(check bool)
+    (Printf.sprintf "pack allocates nothing (cold %.0f, again %.0f words)" cold
+       again)
+    true
+    (cold = 0.0 && again = 0.0);
+  Alcotest.(check bool) "packed states read back" true
+    (Array.for_all Fun.id
+       (Array.mapi (fun p st -> Pd.Flat.unpack b p = st) states))
+
+module Pi = Distributed.Make (struct
+  let params =
+    { Distributed.default_params with algo = Config.improved_with_dag }
+end)
+
+module Fi = Flat.Make (Pi)
+
+(* The ints [alloc] sets aside for p's cache row and its far entries:
+   one entry per neighbour carrying that neighbour's neighbour list, and
+   one far entry per distinct node within two hops. *)
+let cache_estimate graph p =
+  Array.fold_left
+    (fun acc q -> acc + 8 + Array.length (Graph.neighbors graph q))
+    0 (Graph.neighbors graph p)
+
+let far_estimate graph p =
+  let seen = Hashtbl.create 64 in
+  Array.iter
+    (fun q ->
+      Array.iter
+        (fun r -> if r <> p then Hashtbl.replace seen r ())
+        (Graph.neighbors graph q))
+    (Graph.neighbors graph p);
+  Hashtbl.length seen
+
+let cache_ints (st : Distributed.state) =
+  List.fold_left
+    (fun acc (_, (e : Distributed.entry)) -> acc + 8 + Array.length e.e_nbrs)
+    0 st.Distributed.cache
+
+(* A converged state with [extra] more cache entries and [extra] more
+   far entries, all fresh, keyed by nodes that are not p's neighbours:
+   they outlive two steps under the TTL, and p relays them in its frame,
+   so its neighbours' rows grow too. *)
+let oversized graph ~extra p (st : Distributed.state) =
+  let n = Graph.node_count graph in
+  let nb = Graph.neighbors graph p in
+  let by_key (a, _) (b, _) = Int.compare a b in
+  let keys pick taken =
+    List.filteri
+      (fun i _ -> i < extra)
+      (List.filter
+         (fun v -> v <> p && pick v && not (List.mem v taken))
+         (List.init n Fun.id))
+  in
+  let dens v = Some (Ss_cluster.Density.make ~links:(v mod 5) ~nodes:1) in
+  let cache =
+    List.map
+      (fun v ->
+        ( v,
+          {
+            Distributed.e_heard = st.clock;
+            e_gid = v;
+            e_dag = v mod st.gamma;
+            e_density = dens v;
+            e_head = Some v;
+            e_nbrs = [| v; (v + 1) mod n |];
+          } ))
+      (keys (fun v -> (v + p) mod 7 = 0) (Array.to_list nb))
+  and far =
+    List.map
+      (fun v ->
+        ( v,
+          {
+            Distributed.f_heard = st.clock;
+            f_density = dens v;
+            f_eff = v;
+            f_is_head = v mod 3 = 0;
+          } ))
+      (keys (fun v -> (v + p) mod 5 = 1) (List.map fst st.Distributed.far))
+  in
+  {
+    st with
+    cache = List.merge by_key st.Distributed.cache cache;
+    far = List.merge by_key st.Distributed.far far;
+  }
+
+(* Every node steps hearing all its neighbours, on [domains] domains,
+   each taking a contiguous range of slots, so adjacent slices are
+   written from different domains. *)
+let step_all b scratches hkey graph order ~domains =
+  let n = Graph.node_count graph in
+  let work d () =
+    for sp = d * n / domains to ((d + 1) * n / domains) - 1 do
+      let p = order.(sp) in
+      let senders = Graph.neighbors graph p in
+      ignore
+        (Pi.Flat.step b scratches.(d) hkey p ~senders
+           ~count:(Array.length senders))
+    done
+  in
+  if domains = 1 then work 0 ()
+  else Array.iter Domain.join (Array.init domains (fun d -> Domain.spawn (work d)))
+
+(* Rows that outgrow their slice move out. Every other slot of a
+   converged deployment is packed with an oversized state, so [pack]
+   moves those rows out; their frames then carry the extra entries, so
+   the other slots' steps commit rows larger than their slices and move
+   out too. Two synchronous steps of every node, at 1 and at 4 domains,
+   must each read back as the typed [handle]. A row written past its
+   slice would land in the slice of the next slot but one, still in
+   use, and show up there as a mismatch. *)
+let test_rows_outgrow ~domains () =
+  let radius = sqrt (9.0 /. (Float.pi *. 400.0)) in
+  let graph =
+    Builders.random_geometric_count (Rng.create ~seed:83) ~count:400 ~radius
+  in
+  let n = Graph.node_count graph in
+  let settled =
+    Fi.run ~max_rounds:300 ~quiet_rounds:5 (Rng.create ~seed:84) graph
+  in
+  Alcotest.(check bool) "run converged" true settled.Fi.converged;
+  let order = Traversal.bfs_order graph in
+  let states = Array.copy settled.Fi.states in
+  Array.iteri
+    (fun sp p ->
+      if sp mod 2 = 0 then states.(p) <- oversized graph ~extra:40 p states.(p))
+    order;
+  Array.iteri
+    (fun sp p ->
+      if sp mod 2 = 0 && Graph.degree graph p > 0 then begin
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d: cache exceeds its slice" p)
+          true
+          (cache_ints states.(p) > cache_estimate graph p);
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d: far exceeds its slice" p)
+          true
+          (List.length states.(p).Distributed.far > far_estimate graph p)
+      end)
+    order;
+  let b = Pi.Flat.alloc graph in
+  let scratches = Array.init domains (fun _ -> Pi.Flat.scratch b) in
+  Array.iteri (Pi.Flat.pack b) states;
+  Array.iteri
+    (fun p st ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d: unpack (pack st) = st" p)
+        true
+        (Pi.Flat.unpack b p = st))
+    states;
+  Array.iteri (fun p _ -> ignore (Pi.Flat.refresh_emit b scratches.(0) p)) states;
+  let typed = Array.copy states in
+  for r = 0 to 1 do
+    Pi.Flat.tick b;
+    let hkey = Rng.key ~seed:(400 + r) in
+    step_all b scratches hkey graph order ~domains;
+    let next =
+      Array.init n (fun p ->
+          let msgs =
+            Array.to_list
+              (Array.map
+                 (fun q -> (q, Pi.emit graph q typed.(q)))
+                 (Graph.neighbors graph p))
+          in
+          Pi.handle (Rng.of_key (Rng.subkey hkey p)) graph p typed.(p) msgs)
+    in
+    Array.iteri
+      (fun p st ->
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d, node %d: unpack (step) = handle" r p)
+          true
+          (Pi.Flat.unpack b p = st))
+      next;
+    if r = 0 then begin
+      let grown = ref 0 in
+      Array.iteri
+        (fun sp p ->
+          if sp mod 2 = 1 && cache_ints next.(p) > cache_estimate graph p then
+            incr grown)
+        order;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d plain rows outgrew their slices in a step" !grown)
+        true
+        (10 * !grown >= n / 2)
+    end;
+    Array.iteri (fun p _ -> ignore (Pi.Flat.refresh_emit b scratches.(0) p)) next;
+    Array.blit next 0 typed 0 n
+  done
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1476,4 +1701,12 @@ let suite =
         (test_steady_layout ~domains:4);
       Alcotest.test_case "scrambled labels: slot-indexed planes" `Quick
         test_scrambled_labels;
+      Alcotest.test_case "alloc: minor words constant in n" `Quick
+        test_alloc_words;
+      Alcotest.test_case "pack into its own slot allocates nothing" `Quick
+        test_pack_words;
+      Alcotest.test_case "rows outgrow their slice (1 domain)" `Quick
+        (test_rows_outgrow ~domains:1);
+      Alcotest.test_case "rows outgrow their slice (4 domains)" `Quick
+        (test_rows_outgrow ~domains:4);
     ]
