@@ -56,6 +56,20 @@ let two_hop_rows t =
 
 let two_hop t p = (two_hop_rows t).(p)
 
+(* p's cache rows for {!Elect}: per neighbor q, its effective id in the
+   gid column, its density and its head; nlen stays 0 as allocated. Run
+   per node per round, so without bounds checks: q is a node, every
+   node-indexed array holds n entries (checked), [c] 8 per neighbor. *)
+let fill c nbrs (eff : int array) (dl : int array) (dn : int array) heads =
+  for i = 0 to Array.length nbrs - 1 do
+    let q = Array.unsafe_get nbrs i and o = 8 * i in
+    Array.unsafe_set c o q;
+    Array.unsafe_set c (o + 2) (Array.unsafe_get eff q);
+    Array.unsafe_set c (o + 4) (Array.unsafe_get dl q);
+    Array.unsafe_set c (o + 5) (Array.unsafe_get dn q);
+    Array.unsafe_set c (o + 6) (Array.unsafe_get heads q)
+  done
+
 let run ?(scheduler = Synchronous) ?init_heads ?max_rounds ?dag_names
     ?topology:tables rng (config : Config.t) graph ~ids =
   let n = Graph.node_count graph in
@@ -76,6 +90,8 @@ let run ?(scheduler = Synchronous) ?init_heads ?max_rounds ?dag_names
     if config.use_dag_names then
       match dag_names with
       | Some names ->
+          if Array.length names <> n then
+            invalid_arg "Algorithm.run: dag_names length mismatch";
           Some { Dag_id.names; steps = 0; gamma_size = 0; converged = true }
       | None ->
           Some (Dag_id.build_spec rng graph ~ids ~gamma_spec:config.gamma)
@@ -90,74 +106,67 @@ let run ?(scheduler = Synchronous) ?init_heads ?max_rounds ?dag_names
     | Some h ->
         if Array.length h <> n then
           invalid_arg "Algorithm.run: init_heads length mismatch";
+        for p = 0 to n - 1 do
+          if h.(p) < 0 then
+            invalid_arg
+              (Printf.sprintf "Algorithm.run: init_heads.(%d) = %d is negative"
+                 p h.(p))
+        done;
         Array.copy h
     | None -> Array.init n Fun.id
   in
   let parent = Array.init n Fun.id in
-  let tie = config.tie in
-  (* The order's inputs as raw planes, so every comparison below is one
-     [Order.compare_raw] call on ints: no key record, no tuple, no
-     option and no closure per comparison. *)
+  let tie = config.tie and fusion = config.fusion in
   let dl = Array.map Density.links values
   and dn = Array.map Density.nodes values in
   let snapshot_head =
     match scheduler with Synchronous -> Array.copy head | Sequential -> head
   in
-  (* [above a b]: a's standing under the snapshot beats b's. *)
-  let above a b =
-    Order.compare_raw ~tie dl.(a) dn.(a) effective_ids.(a)
-      (snapshot_head.(a) = a) dl.(b) dn.(b) effective_ids.(b)
-      (snapshot_head.(b) = b)
-    > 0
-  in
-  (* [update p] leaves p's next parent and head in [new_f] and [new_h]. *)
-  let new_f = ref 0 and new_h = ref 0 in
+  (* The kernel's tables, filled per node from the snapshot: cache rows
+     ([fill]), far rows of the 2-hop heads, and the bridge flags. *)
+  let deg_max = Graph.max_degree graph in
+  let c = Array.make (8 * deg_max) 0 and flags = Array.make deg_max 0 in
+  let widest = Array.fold_left (fun m r -> Int.max m (Array.length r)) 0 in
+  let f = Array.make (6 * widest two_hop) 0 in
+  (* [update p] writes p's next parent and head; a hold leaves them. *)
   let update p =
     let nbrs = Graph.neighbors graph p in
-    new_f := p;
-    new_h := p;
-    if Array.length nbrs > 0 then begin
-      (* max≺ over the 1-neighborhood. *)
-      let best = ref nbrs.(0) in
-      for i = 1 to Array.length nbrs - 1 do
-        if above nbrs.(i) !best then best := nbrs.(i)
-      done;
-      if not (above p !best) then begin
-        new_f := !best;
-        new_h := snapshot_head.(!best)
-      end
-      else if config.fusion then begin
-        (* The strongest 2-hop cluster-head dominating p, if any (the
-           fusion test of Section 4.3). Only relevant for locally-maximal
-           nodes: a 1-hop dominator would already make p non-maximal. *)
-        let row = two_hop.(p) and v = ref (-1) in
+    let deg = Array.length nbrs in
+    fill c nbrs effective_ids dl dn snapshot_head;
+    let links = dl.(p) and nodes = dn.(p) and eff = effective_ids.(p) in
+    let inc = snapshot_head.(p) = p in
+    let r =
+      Elect.first ~tie ~dag:false ~fusion ~links ~nodes ~eff ~inc c 0 (8 * deg)
+    in
+    let r =
+      if r <> Elect.fuse then r
+      else begin
+        (* the 2-hop heads only: the kernel skips the other rows *)
+        let row = two_hop.(p) and len = ref 0 in
         for i = 0 to Array.length row - 1 do
-          let q = row.(i) in
-          if snapshot_head.(q) = q && above q p && (!v < 0 || above q !v) then
-            v := q
-        done;
-        (* A fusion-demoted head merges into the dominating head v's
-           cluster by re-parenting onto its best bridge neighbor (a
-           neighbor adjacent to v). The paper specifies the demotion but
-           not the adoption; copying H(max≺ N_p) literally lets the
-           demoted head's own subtree echo its old H value back forever (a
-           parent cycle), so we follow the paper's stated intent — "p
-           initiates a fusion between u and v's clusters ... v will remain
-           a cluster-head unlike u" — and route the demoted head toward v.
-           A v with no bridge is unreachable for v in N²_p \ N_p; p then
-           stays its own head, for safety. *)
-        if !v >= 0 then begin
-          let b = ref (-1) in
-          for i = 0 to Array.length nbrs - 1 do
-            let c = nbrs.(i) in
-            if Graph.mem_edge graph c !v && (!b < 0 || above c !b) then b := c
-          done;
-          if !b >= 0 then begin
-            new_f := !b;
-            new_h := snapshot_head.(!b)
+          let q = row.(i) and o = 6 * !len in
+          if snapshot_head.(q) = q then begin
+            f.(o) <- q;
+            f.(o + 2) <- dl.(q);
+            f.(o + 3) <- dn.(q);
+            f.(o + 4) <- effective_ids.(q);
+            f.(o + 5) <- 1;
+            incr len
           end
+        done;
+        let v = Elect.dominating ~tie ~links ~nodes ~eff ~inc f 0 !len in
+        if v < 0 then v
+        else begin
+          for i = 0 to deg - 1 do
+            flags.(i) <- (if Graph.mem_edge graph nbrs.(i) f.(v) then 1 else 0)
+          done;
+          Elect.bridge ~tie ~dag:false c 0 (8 * deg) flags
         end
       end
+    in
+    if r <> Elect.hold then begin
+      parent.(p) <- (if r = Elect.own then p else c.(r));
+      head.(p) <- (if r = Elect.own then p else c.(r + 6))
     end
   in
   let round () =
@@ -166,10 +175,9 @@ let run ?(scheduler = Synchronous) ?init_heads ?max_rounds ?dag_names
     | Sequential -> ());
     let changed = ref false in
     for p = 0 to n - 1 do
+      let f0 = parent.(p) and h0 = head.(p) in
       update p;
-      if parent.(p) <> !new_f || head.(p) <> !new_h then changed := true;
-      parent.(p) <- !new_f;
-      head.(p) <- !new_h
+      if parent.(p) <> f0 || head.(p) <> h0 then changed := true
     done;
     !changed
   in

@@ -52,8 +52,10 @@ val run :
   ids:int array ->
   outcome
 (** [init_heads] warm-starts the H variables (mobility epochs, incumbent
-    tie-break); default is every node its own head. [dag_names] supplies
-    pre-built names instead of running N1. [topology] supplies the graph's
+    tie-break); default is every node its own head; a negative head
+    raises [Invalid_argument] naming the node and the value. [dag_names]
+    supplies pre-built names instead of running N1; it must hold one
+    name per node. [topology] supplies the graph's
     tables (default: [topology config graph]); it must have been built for
     this very graph and for a configuration with the same metric and
     fusion flag — a table of the wrong size, or fusion rows missing,

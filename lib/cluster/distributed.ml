@@ -299,32 +299,6 @@ struct
     fill_frames mg 0 msgs;
     far_go self clock mg far
 
-  (* N1: re-pick my name if it collides with a cached neighbor name and I
-     hold the smaller global id (ties on gid broken by node index for
-     progress under corrupted duplicate ids). *)
-  let resolve_dag rng ~(node : int) st cache =
-    if not algo.Config.use_dag_names then st.dag
-    else begin
-      let loses (q, e) =
-        e.e_dag = st.dag
-        && (st.gid < e.e_gid || (st.gid = e.e_gid && node < q))
-      in
-      if not (List.exists loses cache) then st.dag
-      else begin
-        let excluded = Array.make st.gamma false in
-        List.iter
-          (fun (_, e) ->
-            if e.e_dag >= 0 && e.e_dag < st.gamma then excluded.(e.e_dag) <- true)
-          cache;
-        let free = ref [] in
-        Array.iteri (fun name used -> if not used then free := name :: !free)
-          excluded;
-        match !free with
-        | [] -> Rng.int rng st.gamma
-        | names -> List.nth names (Rng.int rng (List.length names))
-      end
-    end
-
   (* --- R1: entry q's claims r > q that are cache keys. When the keys
      and every entry's claims are ascending, which every emission gives,
      the keys above q are among the entries after q and the claims meet
@@ -371,112 +345,127 @@ struct
     | Some d when Density.links d = links && Density.nodes d = nodes -> prev
     | Some _ | None -> Some (Density.make ~links ~nodes)
 
-  (* --- R2 from cached values, comparing raw keys (Order.compare_raw):
-     a density [None] reads as Density.zero. *)
-  let links_of = function Some d -> Density.links d | None -> 0
-  let nodes_of = function Some d -> Density.nodes d | None -> 0
-  let eff_of e = if algo.Config.use_dag_names then e.e_dag else e.e_gid
+  let put_density c i = function
+    | None ->
+        c.(i) <- -1;
+        c.(i + 1) <- 0
+    | Some d ->
+        c.(i) <- Density.links d;
+        c.(i + 1) <- Density.nodes d
 
-  let cmp_entries tie (q1, e1) (q2, e2) =
-    Order.compare_raw ~tie (links_of e1.e_density) (nodes_of e1.e_density)
-      (eff_of e1) (self_head q1 e1) (links_of e2.e_density)
-      (nodes_of e2.e_density) (eff_of e2) (self_head q2 e2)
+  (* The flat rows of a typed state, written as plain recursion so that
+     packing allocates nothing: the ints a cache list takes, its entries
+     written from offset [u], the far entries from offset [o]. [pack]
+     writes a node's rows with them, and [handle] the kernel's tables. *)
+  let rec cache_ints acc = function
+    | [] -> acc
+    | (_, e) :: rest -> cache_ints (acc + 8 + Array.length e.e_nbrs) rest
 
-  let rec claims_node v (a : int array) i =
-    i < Array.length a && (a.(i) = v || claims_node v a (i + 1))
+  let rec pack_cache c u = function
+    | [] -> ()
+    | (q, e) :: rest ->
+        c.(u) <- q;
+        c.(u + 1) <- e.e_heard;
+        c.(u + 2) <- e.e_gid;
+        c.(u + 3) <- e.e_dag;
+        put_density c (u + 4) e.e_density;
+        c.(u + 6) <- (match e.e_head with None -> -1 | Some v -> v);
+        let nbrs = e.e_nbrs in
+        let nlen = Array.length nbrs in
+        c.(u + 7) <- nlen;
+        (* a loop, not [Array.blit]: see DESIGN §12, Hot-path economics *)
+        for i = 0 to nlen - 1 do
+          c.(u + 8 + i) <- nbrs.(i)
+        done;
+        pack_cache c (u + 8 + nlen) rest
 
-  (* Joining neighbor q: its first entry's head, if it has one. *)
-  let rec join (q : int) = function
-    | [] -> None
-    | (k, e) :: rest ->
-        if k <> q then join q rest
-        else match e.e_head with Some h -> Some (q, h) | None -> None
+  let rec pack_far f o = function
+    | [] -> ()
+    | (q, fe) :: rest ->
+        f.(o) <- q;
+        f.(o + 1) <- fe.f_heard;
+        put_density f (o + 2) fe.f_density;
+        f.(o + 4) <- fe.f_eff;
+        f.(o + 5) <- (if fe.f_is_head then 1 else 0);
+        pack_far f (o + 6) rest
 
-  (* R2: [Some (parent, head)], or None when some needed cache field is
-     missing (the guard stays disabled until the information arrives). *)
-  let elect ~node ~dag ~density st cache far =
-    match density with
-    | None -> None
-    | Some my_density ->
-        if not (List.for_all (fun (_, e) -> Option.is_some e.e_density) cache)
-        then None
-        else begin
-          match cache with
-          | [] -> Some (node, node) (* isolated: own head *)
-          | first :: rest ->
-              let tie = algo.Config.tie in
-              let ml = Density.links my_density
-              and mn = Density.nodes my_density
-              and mid = if algo.Config.use_dag_names then dag else st.gid
-              and minc =
-                match st.head with Some h -> h = node | None -> false
-              in
-              (* the strongest neighbor; ties keep the earliest *)
-              let bq, be =
-                List.fold_left
-                  (fun best c -> if cmp_entries tie c best > 0 then c else best)
-                  first rest
-              in
-              let locally_maximal =
-                Order.compare_raw ~tie (links_of be.e_density)
-                  (nodes_of be.e_density) (eff_of be) (self_head bq be) ml mn
-                  mid minc
-                < 0
-              in
-              if not locally_maximal then join bq cache
-              else if not algo.Config.fusion then Some (node, node)
-              else begin
-                (* The strongest dominating 2-hop head, from the relayed
-                   summaries. A locally-maximal node cannot be dominated by
-                   a 1-hop head, so only the far cache matters. *)
-                let dominating =
-                  List.fold_left
-                    (fun best ((_, f) as c) ->
-                      match f.f_density with
-                      | Some d when f.f_is_head ->
-                          let l = Density.links d and n = Density.nodes d in
-                          if
-                            Order.compare_raw ~tie ml mn mid minc l n f.f_eff
-                              true
-                            >= 0
-                          then best
-                          else begin
-                            match best with
-                            | Some (_, b)
-                              when Order.compare_raw ~tie l n f.f_eff true
-                                     (links_of b.f_density)
-                                     (nodes_of b.f_density) b.f_eff true
-                                   <= 0 ->
-                                best
-                            | Some _ | None -> Some c
-                          end
-                      | Some _ | None -> best)
-                    None far
-                in
-                match dominating with
-                | None -> Some (node, node)
-                | Some (v, _) -> (
-                    (* Merge into v's cluster through the best bridge
-                       neighbor (one that claims v in its table); see
-                       Algorithm.bridge_towards for the rationale. *)
-                    let bridge =
-                      List.fold_left
-                        (fun best ((_, e) as c) ->
-                          if not (claims_node v e.e_nbrs 0) then best
-                          else
-                            match best with
-                            | Some b when cmp_entries tie c b <= 0 -> best
-                            | Some _ | None -> Some c)
-                        None cache
-                    in
-                    match bridge with
-                    | Some (b, _) -> join b cache
-                    | None ->
-                        (* Stale far entry with no live bridge: hold state
-                           until the cache refreshes or the entry expires. *)
-                        None)
-              end
-        end
+  let rec claims v (a : int array) i stop =
+    i < stop && (a.(i) = v || claims v a (i + 1) stop)
+
+  (* --- N1 over the cache row [c.(pos .. cend)]: the node re-picks its
+     name [dag] when a neighbor holds it with a larger global id (ties
+     on gid broken by node index, for progress under corrupted duplicate
+     ids), excluding every name in [0, gamma) the row holds; the pick
+     is Elect's. The typed handle and the flat step share both. *)
+  let rec loses ~node ~gid ~dag c pos cend =
+    pos < cend
+    && ((c.(pos + 3) = dag
+        && (gid < c.(pos + 2) || (gid = c.(pos + 2) && node < c.(pos))))
+       || loses ~node ~gid ~dag c (pos + 8 + c.(pos + 7)) cend)
+
+  let exclude names gamma c cb cend =
+    Array.fill names 0 gamma 0;
+    let pos = ref cb in
+    while !pos < cend do
+      let d = c.(!pos + 3) in
+      if d >= 0 && d < gamma then names.(d) <- 1;
+      pos := !pos + 8 + c.(!pos + 7)
+    done
+
+  let resolve_dag rng ~node st c =
+    let stop = Array.length c in
+    if
+      not
+        (algo.Config.use_dag_names
+        && loses ~node ~gid:st.gid ~dag:st.dag c 0 stop)
+    then st.dag
+    else begin
+      let names = Array.make st.gamma 0 in
+      exclude names st.gamma c 0 stop;
+      Elect.free_name rng ~gamma:st.gamma names
+    end
+
+  (* --- R2 through the kernel (Elect). Past [Elect.first], both paths
+     run the fusion stages over a cache row [c.(cb .. cend)] and a far
+     table: a bridge is an entry whose claims hold the dominating head. *)
+  let fuse_stages ~links ~nodes ~eff ~inc c cb cend f fo flen bridges =
+    let tie = algo.Config.tie in
+    let v = Elect.dominating ~tie ~links ~nodes ~eff ~inc f fo flen in
+    if v < 0 then v
+    else begin
+      let pos = ref cb and i = ref 0 in
+      while !pos < cend do
+        let next = !pos + 8 + c.(!pos + 7) in
+        bridges.(!i) <- (if claims f.(v) c (!pos + 8) next then 1 else 0);
+        pos := next;
+        incr i
+      done;
+      Elect.bridge ~tie ~dag:algo.Config.use_dag_names c cb cend bridges
+    end
+
+  (* R2 over [rows], the cache packed by [handle]; the far table and
+     the flags are built only when the kernel reaches the stages that
+     read them. [Elect.hold], [Elect.own], or the offset in [rows] of
+     the entry to join. *)
+  let elect rows ~node ~dag ~density st cache far =
+    let use_dag = algo.Config.use_dag_names in
+    let links = match density with Some d -> Density.links d | None -> -1
+    and nodes = match density with Some d -> Density.nodes d | None -> 0 in
+    let eff = if use_dag then dag else st.gid in
+    let inc = match st.head with Some h -> h = node | None -> false in
+    let stop = Array.length rows in
+    let r =
+      Elect.first ~tie:algo.Config.tie ~dag:use_dag ~fusion:algo.Config.fusion
+        ~links ~nodes ~eff ~inc rows 0 stop
+    in
+    if r <> Elect.fuse then r
+    else begin
+      let len = List.length far in
+      let f = Array.make (6 * len) 0 in
+      pack_far f 0 far;
+      fuse_stages ~links ~nodes ~eff ~inc rows 0 stop f 0 len
+        (Array.make (List.length cache) 0)
+    end
 
   (* [prev] itself when it already holds [v]. *)
   let keep_some prev (v : int) =
@@ -486,21 +475,20 @@ struct
     let clock = st.clock + 1 in
     let cache = refresh_cache clock st.cache msgs in
     let far = refresh_far ~self:node clock st.far msgs in
-    let dag = resolve_dag rng ~node st cache in
+    (* the cache as flat rows, for N1 and the election *)
+    let rows = Array.make (cache_ints 0 cache) 0 in
+    pack_cache rows 0 cache;
+    let dag = resolve_dag rng ~node st rows in
     let density = density_of st.density cache in
-    match elect ~node ~dag ~density st cache far with
-    | Some (parent, head) ->
-        {
-          st with
-          clock;
-          cache;
-          far;
-          dag;
-          density;
-          parent = keep_some st.parent parent;
-          head = keep_some st.head head;
-        }
-    | None -> { st with clock; cache; far; dag; density }
+    let r = elect rows ~node ~dag ~density st cache far in
+    let parent =
+      if r = Elect.hold then st.parent
+      else keep_some st.parent (if r = Elect.own then node else rows.(r))
+    and head =
+      if r = Elect.hold then st.head
+      else keep_some st.head (if r = Elect.own then node else rows.(r + 6))
+    in
+    { st with clock; cache; far; dag; density; parent; head }
 
   let equal_state (a : state) (b : state) =
     (* Quiescence is judged on the protocol's outputs — the shared variables
@@ -607,8 +595,8 @@ struct
              "seen in the current use", so the plane is never cleared *)
       mutable tok : int; (* token of the current use, bumped per use *)
       mutable ebuf : int array; (* next emission image *)
-      mutable excl : bool array; (* N1 name exclusion, gamma-sized *)
-      mutable free_names : int array;
+      mutable names : int array; (* N1's exclusion plane, gamma-sized *)
+      mutable bridges : int array; (* per cache entry: claims the head *)
     }
 
     (* Slots per key of [entry_memo] and [far_memo]; DESIGN §12 gives
@@ -724,8 +712,8 @@ struct
         marks = Array.make b.n 0;
         tok = 0;
         ebuf = Array.make 80 0;
-        excl = Array.make 16 false;
-        free_names = Array.make 16 0;
+        names = Array.make 16 0;
+        bridges = Array.make 16 0;
       }
 
     let grow a needed =
@@ -799,14 +787,6 @@ struct
         b.minh.(sp) <- max_int
       done
 
-    let put_density c i = function
-      | None ->
-          c.(i) <- -1;
-          c.(i + 1) <- 0
-      | Some d ->
-          c.(i) <- Density.links d;
-          c.(i + 1) <- Density.nodes d
-
     (* [unpack]'s immutable sub-values are interned: a claimed
        neighborhood per emitter, a [Some density] per node, a [Some h]
        per index. In the paper's model every neighbor of q caches q's
@@ -852,42 +832,8 @@ struct
           a
         end
 
-    (* [pack]'s walks over a typed state, written as plain recursion so
-       that packing allocates nothing: the ints a cache list takes, its
-       entries written from offset [u], the far entries from offset [o],
-       and the least heard stamp. *)
-    let rec cache_ints acc = function
-      | [] -> acc
-      | (_, e) :: rest -> cache_ints (acc + 8 + Array.length e.e_nbrs) rest
-
-    let rec pack_cache c u = function
-      | [] -> ()
-      | (q, e) :: rest ->
-          c.(u) <- q;
-          c.(u + 1) <- e.e_heard;
-          c.(u + 2) <- e.e_gid;
-          c.(u + 3) <- e.e_dag;
-          put_density c (u + 4) e.e_density;
-          c.(u + 6) <- (match e.e_head with None -> -1 | Some v -> v);
-          let nbrs = e.e_nbrs in
-          let nlen = Array.length nbrs in
-          c.(u + 7) <- nlen;
-          (* a loop, not [Array.blit]: see DESIGN §12, Hot-path economics *)
-          for i = 0 to nlen - 1 do
-            c.(u + 8 + i) <- nbrs.(i)
-          done;
-          pack_cache c (u + 8 + nlen) rest
-
-    let rec pack_far f o = function
-      | [] -> ()
-      | (q, fe) :: rest ->
-          f.(o) <- q;
-          f.(o + 1) <- fe.f_heard;
-          put_density f (o + 2) fe.f_density;
-          f.(o + 4) <- fe.f_eff;
-          f.(o + 5) <- (if fe.f_is_head then 1 else 0);
-          pack_far f (o + 6) rest
-
+    (* [pack]'s walks for the least heard stamp; the rows are written by
+       [pack_cache] and [pack_far]. *)
     let rec cache_min_heard mh = function
       | [] -> mh
       | (_, e) :: rest -> cache_min_heard (Int.min mh e.e_heard) rest
@@ -1475,53 +1421,26 @@ struct
       and new_cnt = !new_cnt
       and new_far_cnt = !new_far_cnt in
       (* --- N1 name resolution, draw-for-draw with resolve_dag: exactly
-         one Rng.int when the node loses its name, none otherwise. The
-         typed free list is built descending, so a draw k there selects
-         the (k+1)-th largest free name. *)
+         one Rng.int when the node loses its name, none otherwise. *)
       let gamma = b.gamma.(sp) and gid = b.gid.(sp) and old_dag = b.dag.(sp) in
       (* the new cache row spans [cb, cend) of [c] *)
       let c = b.cache.(sp) in
       let cb = b.cache_off.(sp) in
       let cend = cb + new_used in
       let dag' =
-        if not algo.Config.use_dag_names then old_dag
+        if
+          not
+            (algo.Config.use_dag_names
+            && loses ~node:p ~gid ~dag:old_dag c cb cend)
+        then old_dag
         else begin
-          let loses = ref false in
-          let pos = ref cb in
-          while (not !loses) && !pos < cend do
-            let q = c.(!pos) in
-            if
-              c.(!pos + 3) = old_dag
-              && (gid < c.(!pos + 2) || (gid = c.(!pos + 2) && p < q))
-            then loses := true
-            else pos := !pos + 8 + c.(!pos + 7)
-          done;
-          if not !loses then old_dag
-          else begin
-            if Array.length s.excl < gamma then
-              s.excl <-
-                Array.make (max gamma ((2 * Array.length s.excl) + 8)) false;
-            Array.fill s.excl 0 gamma false;
-            let pos = ref cb in
-            while !pos < cend do
-              let d = c.(!pos + 3) in
-              if d >= 0 && d < gamma then s.excl.(d) <- true;
-              pos := !pos + 8 + c.(!pos + 7)
-            done;
-            s.free_names <- grow s.free_names gamma;
-            let nf = ref 0 in
-            for name = 0 to gamma - 1 do
-              if not s.excl.(name) then begin
-                s.free_names.(!nf) <- name;
-                incr nf
-              end
-            done;
-            (* The only draw in a step; derive the node generator here so
-               the overwhelmingly common drawless step allocates none. *)
-            let rng = Rng.of_key (Rng.subkey hkey p) in
-            if !nf = 0 then Rng.int rng gamma
-            else s.free_names.(!nf - 1 - Rng.int rng !nf)
-          end
+          s.names <- grow s.names gamma;
+          exclude s.names gamma c cb cend;
+          (* The only draw in a step; derive the node generator here so
+             the overwhelmingly common drawless step allocates none. *)
+          Elect.free_name
+            (Rng.of_key (Rng.subkey hkey p))
+            ~gamma s.names
         end
       in
       (* --- density from the new cache (Density.of_local_view): stamp
@@ -1562,146 +1481,43 @@ struct
         pos := !pos + 8 + nlen
       done;
       let dl' = deg + !among and dn' = deg in
-      (* --- election, mirroring elect over the new planes. parent'/head'
-         start at the old values; every "None" outcome leaves them. *)
+      (* --- election: the kernel reads the new cache row in place.
+         parent'/head' start at the old values; a hold leaves them. *)
       let old_parent = b.parent.(sp) and old_head = b.head.(sp) in
-      let tie = algo.Config.tie in
-      let use_dag = algo.Config.use_dag_names in
-      let parent' = ref old_parent and head' = ref old_head in
-      let have_all = ref true in
-      (* the entry to join, if the election picks one: the node takes its
-         key as parent and its head as head, unless that head is None *)
-      let join_off = ref (-1) in
-      let pos = ref cb in
-      while !have_all && !pos < cend do
-        if c.(!pos + 4) < 0 then have_all := false
-        else pos := !pos + 8 + c.(!pos + 7)
-      done;
-      if !have_all then begin
-        if new_cnt = 0 then begin
-          parent' := p;
-          head' := p
-        end
+      let tie = algo.Config.tie and use_dag = algo.Config.use_dag_names in
+      let eff = if use_dag then dag' else gid and inc = old_head = p in
+      let r =
+        Elect.first ~tie ~dag:use_dag ~fusion:algo.Config.fusion ~links:dl'
+          ~nodes:dn' ~eff ~inc c cb cend
+      in
+      let r =
+        if r <> Elect.fuse then r
         else begin
-          let my_eff = if use_dag then dag' else gid in
-          let my_inc = old_head = p in
-          (* strongest 1-hop key; ties keep the lowest neighbor. Entries
-             are tracked by offset, as a packed key may be negative. *)
-          let best_off = ref (-1) in
-          let bl = ref 0 and bn = ref 0 and bid = ref 0 and binc = ref false in
-          let pos = ref cb in
-          while !pos < cend do
-            let q = c.(!pos) in
-            let el = c.(!pos + 4) and en_ = c.(!pos + 5) in
-            let eid = if use_dag then c.(!pos + 3) else c.(!pos + 2) in
-            let einc = c.(!pos + 6) = q in
-            if
-              !best_off < 0
-              || Order.compare_raw ~tie el en_ eid einc !bl !bn !bid !binc > 0
-            then begin
-              best_off := !pos;
-              bl := el;
-              bn := en_;
-              bid := eid;
-              binc := einc
-            end;
-            pos := !pos + 8 + c.(!pos + 7)
-          done;
-          let locally_maximal =
-            Order.compare_raw ~tie !bl !bn !bid !binc dl' dn' my_eff my_inc < 0
-          in
-          if not locally_maximal then join_off := !best_off
-          else if not algo.Config.fusion then begin
-            parent' := p;
-            head' := p
-          end
-          else begin
-            (* strongest dominating 2-hop head from the far plane *)
-            let f = b.far.(sp) and fb = b.far_off.(sp) in
-            let dv = ref (-1) in
-            (* far offset of the dominating head, -1 = none *)
-            let kl = ref 0 and kn = ref 0 and kid = ref 0 in
-            for i = 0 to new_far_cnt - 1 do
-              let o = fb + (6 * i) in
-              if f.(o + 2) >= 0 && f.(o + 5) <> 0 then begin
-                let l = f.(o + 2) and nn = f.(o + 3) and id = f.(o + 4) in
-                if Order.compare_raw ~tie dl' dn' my_eff my_inc l nn id true < 0
-                then
-                  if
-                    !dv < 0
-                    || Order.compare_raw ~tie l nn id true !kl !kn !kid true > 0
-                  then begin
-                    dv := o;
-                    kl := l;
-                    kn := nn;
-                    kid := id
-                  end
-              end
-            done;
-            if !dv < 0 then begin
-              parent' := p;
-              head' := p
-            end
-            else begin
-              (* best bridge neighbor claiming the dominating head; a
-                 stale far entry with no live bridge holds state *)
-              let v = f.(!dv) in
-              let boff = ref (-1) in
-              let l2 = ref 0
-              and n2 = ref 0
-              and id2 = ref 0
-              and inc2 = ref false in
-              let pos = ref cb in
-              while !pos < cend do
-                let q = c.(!pos) in
-                let nlen = c.(!pos + 7) in
-                let claims = ref false in
-                for i = 0 to nlen - 1 do
-                  if c.(!pos + 8 + i) = v then claims := true
-                done;
-                if !claims then begin
-                  let el = c.(!pos + 4) and en_ = c.(!pos + 5) in
-                  let eid = if use_dag then c.(!pos + 3) else c.(!pos + 2) in
-                  let einc = c.(!pos + 6) = q in
-                  if
-                    !boff < 0
-                    || Order.compare_raw ~tie el en_ eid einc !l2 !n2 !id2 !inc2
-                       > 0
-                  then begin
-                    boff := !pos;
-                    l2 := el;
-                    n2 := en_;
-                    id2 := eid;
-                    inc2 := einc
-                  end
-                end;
-                pos := !pos + 8 + nlen
-              done;
-              if !boff >= 0 then join_off := !boff
-            end
-          end
+          s.bridges <- grow s.bridges new_cnt;
+          fuse_stages ~links:dl' ~nodes:dn' ~eff ~inc c cb cend b.far.(sp)
+            b.far_off.(sp) new_far_cnt s.bridges
         end
-      end;
-      if !join_off >= 0 then begin
-        let h = c.(!join_off + 6) in
-        if h >= 0 then begin
-          parent' := c.(!join_off);
-          head' := h
-        end
-      end;
+      in
+      let parent' =
+        if r = Elect.hold then old_parent else if r = Elect.own then p else c.(r)
+      and head' =
+        if r = Elect.hold then old_head
+        else if r = Elect.own then p
+        else c.(r + 6)
+      in
       let changed =
         old_dag <> dag'
         || b.dens_l.(sp) <> dl'
         || b.dens_n.(sp) <> dn'
-        || old_parent <> !parent'
-        || old_head <> !head'
+        || old_parent <> parent'
+        || old_head <> head'
       in
       b.clock.(sp) <- clock';
       b.dag.(sp) <- dag';
       b.dens_l.(sp) <- dl';
       b.dens_n.(sp) <- dn';
-      b.parent.(sp) <- !parent';
-      b.head.(sp) <- !head';
+      b.parent.(sp) <- parent';
+      b.head.(sp) <- head';
       changed
   end
 end

@@ -19,8 +19,8 @@ type key = { value : Density.t; id : int; incumbent : bool }
 let key ~value ~id ~incumbent = { value; id; incumbent }
 
 (* The order on raw ints: densities as (links, nodes) with a zero node
-   count reading as value 0 (as in Density.compare), so the flat planes'
-   sentinel encodings and the typed hot loops compare without building
+   count reading as value 0 (as in Density.compare), so the election
+   kernel compares its tables' sentinel encodings without building
    keys. *)
 let compare_raw ~tie l1 n1 id1 inc1 l2 n2 id2 inc2 =
   let an = if n1 = 0 then 0 else l1

@@ -24,8 +24,8 @@ val compare_raw :
 (** [compare_raw ~tie l1 n1 id1 inc1 l2 n2 id2 inc2] is {!compare} on the
     keys with density [links/nodes], id and incumbency given as raw
     values; a zero node count reads as density 0, as in
-    {!Density.compare}. The hot loops use it to compare without
-    building keys. *)
+    {!Density.compare}. The election kernel ({!Elect}) compares with it
+    and nothing else in the library does. *)
 
 val precedes : tie:tie -> key -> key -> bool
 

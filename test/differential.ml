@@ -64,10 +64,27 @@ let build_scheduler kind =
 
 let cache_ttl ttl = 1 + (ttl mod 4)
 
-(* The full protocol stack at a case's cache TTL. *)
-let protocol ttl =
+(* 0 basic / 1 with DAG names / 2 improved (incumbent tie-break and
+   fusion) / 3 improved with DAG names: the four rule sets of [Config]. *)
+let configs =
+  [|
+    ("basic", Ss_cluster.Config.basic);
+    ("with_dag", Ss_cluster.Config.with_dag);
+    ("improved", Ss_cluster.Config.improved);
+    ("improved_with_dag", Ss_cluster.Config.improved_with_dag);
+  |]
+
+let config_name algo = fst configs.(algo mod Array.length configs)
+
+(* The full protocol stack at a case's rule set and cache TTL. *)
+let protocol ~algo ttl =
   (module Distributed.Make (struct
-    let params = { Distributed.default_params with cache_ttl = cache_ttl ttl }
+    let params =
+      {
+        Distributed.default_params with
+        algo = snd configs.(algo mod Array.length configs);
+        cache_ttl = cache_ttl ttl;
+      }
   end) : Protocol.FLAT
     with type state = Distributed.state
      and type message = Distributed.message)
@@ -81,6 +98,7 @@ type case = {
   channel_kind : int; (* [build_channel] *)
   sched_kind : int; (* 0 synchronous / 1 sequential / 2 random order *)
   ttl : int; (* cache TTL 1 + ttl mod 4 *)
+  algo : int; (* the rule set [configs.(algo mod 4)] *)
   fault : int * int; (* (round, count): a corruption burst; count 0: none *)
   plan : (int * int * int) list; (* (round, event kind, victim) *)
   warm : bool; (* warm-start every executor from one shared array *)
@@ -96,6 +114,7 @@ let case0 =
     channel_kind = 0;
     sched_kind = 0;
     ttl = 0;
+    algo = 0;
     fault = (1, 0);
     plan = [];
     warm = false;
@@ -186,11 +205,12 @@ let print_triples l =
 
 let print_case c =
   Printf.sprintf
-    "seed=%d graph=%d size=%d channel=%d sched=%d ttl=%d fault=(%d,%d) \
-     warm=%b plan=[%s]%s"
+    "seed=%d graph=%d size=%d channel=%d sched=%d ttl=%d algo=%s \
+     fault=(%d,%d) warm=%b plan=[%s]%s"
     c.seed c.graph_kind (max 4 c.size)
     (c.channel_kind mod channel_count)
-    (c.sched_kind mod 3) (cache_ttl c.ttl) (fst c.fault) (snd c.fault) c.warm
+    (c.sched_kind mod 3) (cache_ttl c.ttl) (config_name c.algo) (fst c.fault)
+    (snd c.fault) c.warm
     (print_triples c.plan)
     (if c.byz = [] then ""
      else
@@ -205,7 +225,7 @@ let gen_case ?(byz = false) () =
     map
       (fun ( ((seed, graph_kind, size), (channel_kind, sched_kind, ttl)),
              (fault, plan, warm),
-             (byz, from_round) ) ->
+             (byz, from_round, algo) ) ->
         {
           seed;
           graph_kind;
@@ -213,6 +233,7 @@ let gen_case ?(byz = false) () =
           channel_kind;
           sched_kind;
           ttl;
+          algo;
           fault;
           plan;
           warm;
@@ -230,17 +251,18 @@ let gen_case ?(byz = false) () =
             (list_size (int_range 0 10)
                (triple (int_range 0 11) (int_range 0 6) (int_range 0 999)))
             bool)
-         (pair
+         (triple
             (if byz then
                list_size (int_range 1 4)
                  (pair (int_range 0 999) (int_range 0 3))
              else return [])
-            (int_range 0 11))))
+            (int_range 0 11)
+            (int_range 0 (Array.length configs - 1)))))
 
 (* Shrink the plan first (most failures are event interactions), then
    the roster, the fault burst and the warm start, then the size; the
-   channel and scheduler selectors stay fixed so the shrunk case keeps
-   the failing regime. *)
+   channel, scheduler and rule-set selectors stay fixed so the shrunk
+   case keeps the failing regime. *)
 let shrink_case c yield =
   QCheck.Shrink.list c.plan (fun plan -> yield { c with plan });
   QCheck.Shrink.list c.byz (fun byz -> if byz <> [] then yield { c with byz });
@@ -261,6 +283,7 @@ type sim = {
   s_channel : int; (* [build_channel] *)
   s_sched : int;
   s_ttl : int;
+  s_algo : int; (* the rule set [configs.(s_algo mod 4)] *)
   s_dt : int; (* index into [dts] *)
   s_plan : (int * int * int) list; (* (round, event kind, victim) *)
 }
@@ -329,24 +352,29 @@ let motion_world c =
 
 let print_sim c =
   Printf.sprintf
-    "seed=%d n=%d model=%d channel=%d sched=%d ttl=%d dt=%.2f plan=[%s]"
+    "seed=%d n=%d model=%d channel=%d sched=%d ttl=%d algo=%s dt=%.2f \
+     plan=[%s]"
     c.s_seed (max 4 c.s_n) (c.s_model mod 5)
     (c.s_channel mod channel_count)
-    (c.s_sched mod 3) (cache_ttl c.s_ttl)
+    (c.s_sched mod 3) (cache_ttl c.s_ttl) (config_name c.s_algo)
     dts.(c.s_dt mod Array.length dts)
     (print_triples c.s_plan)
 
 let gen_sim =
   QCheck.Gen.(
     map
-      (fun ((s_seed, s_n, s_model), (s_channel, s_sched, s_ttl), (s_dt, s_plan))
-         -> { s_seed; s_n; s_model; s_channel; s_sched; s_ttl; s_dt; s_plan })
+      (fun ( (s_seed, s_n, s_model),
+             (s_channel, s_sched, s_ttl),
+             (s_algo, s_dt, s_plan) ) ->
+        { s_seed; s_n; s_model; s_channel; s_sched; s_ttl; s_algo; s_dt; s_plan })
       (triple
          (triple (int_range 0 999_999) (int_range 4 30) (int_range 0 4))
          (triple
             (int_range 0 (channel_count - 1))
             (int_range 0 2) (int_range 0 3))
-         (pair (int_range 0 3)
+         (triple
+            (int_range 0 (Array.length configs - 1))
+            (int_range 0 3)
             (list_size (int_range 0 8)
                (triple (int_range 0 9) (int_range 0 4) (int_range 0 999))))))
 

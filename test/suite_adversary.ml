@@ -37,7 +37,7 @@ end)
 (* ------------------------------------------------ differential battery *)
 
 let run_case c =
-  let module P = (val D.protocol c.D.ttl) in
+  let module P = (val D.protocol ~algo:c.D.algo c.D.ttl) in
   let w = D.static_world c in
   let module Q =
     Adversary.Wrap

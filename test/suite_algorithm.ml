@@ -191,6 +191,29 @@ let test_incumbent_sticky () =
   Alcotest.(check bool) "basic rule lets 0 win" true
     (Assignment.is_head plain.Algorithm.assignment 0)
 
+(* A negative head is the one [init_heads] value on which the kernel's
+   "join a head-less target: hold" would show; no caller produces one
+   ([Distributed.to_assignment] and [corrupt] give heads >= 0), so the
+   run rejects it, naming the node and the value. *)
+let test_negative_init_head_rejected () =
+  let graph = Builders.cycle 4 in
+  match run ~init_heads:[| 0; 0; -7; 0 |] graph [| 0; 1; 2; 3 |] with
+  | _ -> Alcotest.fail "init_heads.(2) = -7 accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message" "Algorithm.run: init_heads.(2) = -7 is negative" msg
+
+(* The election reads names per neighbor without bounds checks, so a
+   [dag_names] array of the wrong length is rejected up front. *)
+let test_short_dag_names_rejected () =
+  let graph = Builders.cycle 4 and ids = [| 0; 1; 2; 3 |] in
+  match
+    Algorithm.run ~dag_names:[| 0; 1; 2 |] (Rng.create ~seed:1)
+      Config.with_dag graph ~ids
+  with
+  | _ -> Alcotest.fail "3 names for 4 nodes accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message" "Algorithm.run: dag_names length mismatch" msg
+
 let test_fusion_enforces_separation () =
   (* With the fusion rule, converged heads are at least 3 hops apart. *)
   let rng = Rng.create ~seed:69 in
@@ -383,6 +406,10 @@ let suite =
       test_rounds_bounded_by_depth;
     Alcotest.test_case "incumbent tie-break is sticky" `Quick
       test_incumbent_sticky;
+    Alcotest.test_case "a negative initial head is rejected" `Quick
+      test_negative_init_head_rejected;
+    Alcotest.test_case "DAG names of the wrong length are rejected" `Quick
+      test_short_dag_names_rejected;
     Alcotest.test_case "fusion enforces 3-hop separation" `Quick
       test_fusion_enforces_separation;
     Alcotest.test_case "fusion demotes one of two close hubs" `Quick

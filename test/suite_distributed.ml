@@ -773,6 +773,46 @@ let test_handle_alloc_pinned () =
     true
     (words <= handle_words_bound)
 
+(* Under every rule set, a [Distributed] fixpoint reached on a perfect
+   channel under a randomised daemon is a fixpoint of [Algorithm]'s
+   rules, judged with the names the states settled on. A run that never
+   goes quiet fails. *)
+let test_fixpoint_is_algorithm_fixpoint () =
+  Array.iter
+    (fun (name, algo) ->
+      let module P = Distributed.Make (struct
+        let params = { Distributed.default_params with algo }
+      end) in
+      let module E = Engine.Make (P) in
+      for seed = 0 to 4 do
+        let rng = Rng.create ~seed:(300 + seed) in
+        let graph =
+          Builders.random_geometric rng ~intensity:100.0 ~radius:0.15
+        in
+        let n = Graph.node_count graph in
+        let result =
+          E.run ~scheduler:Ss_engine.Scheduler.Random_order
+            ~channel:Channel.perfect ~quiet_rounds:quiet ~max_rounds:2000 rng
+            graph
+        in
+        if not result.E.converged then
+          Alcotest.failf "%s, seed %d: not quiet after %d rounds" name seed
+            result.E.rounds;
+        let states = result.E.states in
+        match
+          Cluster.Legitimacy.check
+            ~dag_names:(Array.map (fun (st : Distributed.state) -> st.dag) states)
+            algo graph ~ids:(Array.init n Fun.id)
+            (Distributed.to_assignment states)
+        with
+        | Ok () -> ()
+        | Error vs ->
+            Alcotest.failf "%s, seed %d (%d nodes): %a" name seed n
+              Fmt.(list ~sep:comma Cluster.Legitimacy.pp_violation)
+              vs
+      done)
+    Differential.configs
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_recovery_legitimate; prop_refresh_matches_fold ]
@@ -817,6 +857,8 @@ let suite =
         test_claims_reused;
       Alcotest.test_case "a negative cache TTL is rejected" `Quick
         test_negative_ttl_rejected;
+      Alcotest.test_case "a fixpoint is an Algorithm fixpoint (every preset)"
+        `Quick test_fixpoint_is_algorithm_fixpoint;
       Alcotest.test_case "typed handle allocation pinned" `Quick
         test_handle_alloc_pinned;
     ]

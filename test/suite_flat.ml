@@ -53,7 +53,7 @@ module D = Differential
    histories would trivially "agree" at zero) nor diverge on the warm
    path itself. *)
 let run_case c =
-  let module P = (val D.protocol c.D.ttl) in
+  let module P = (val D.protocol ~algo:c.D.algo c.D.ttl) in
   let module R = D.Run_flat (P) (D.Distributed_hooks) in
   let w = D.static_world c in
   let states = R.initial w in
@@ -91,7 +91,7 @@ let prop_flat_stamps_track_changes =
   QCheck.Test.make
     ~name:"flat stamps: per-round stamp count = changed (churn-free)"
     ~count:150 (D.arb_case ()) (fun c ->
-      let module P = (val D.protocol c.D.ttl) in
+      let module P = (val D.protocol ~algo:c.D.algo c.D.ttl) in
       let module R = D.Run_flat (P) (D.Distributed_hooks) in
       let w = { (D.static_world c) with churn = Churn.nothing } in
       let exec domains ~on_round ~workload =
@@ -140,7 +140,7 @@ let test_rewrite_stamps () =
 (* ------------------------------------------------- (c): motion battery *)
 
 let run_sim_case c =
-  let module P = (val D.protocol c.D.s_ttl) in
+  let module P = (val D.protocol ~algo:c.D.s_algo c.D.s_ttl) in
   let module R = D.Run_flat (P) (D.Distributed_hooks) in
   let w = D.motion_world c in
   R.diff ~left:"dense" ~right:"flat" (R.dense w) (R.flat ~domains:1 w)
@@ -625,7 +625,7 @@ let stamp_case (c : D.sim) =
   }
 
 let run_stamp_case (c : D.sim) =
-  let module P = (val D.protocol c.s_ttl) in
+  let module P = (val D.protocol ~algo:c.s_algo c.s_ttl) in
   let module R = D.Run_flat (P) (D.Distributed_hooks) in
   let w = D.motion_world c in
   let typed mode ~workload = ignore (R.typed mode ~workload w) in
@@ -654,6 +654,7 @@ let test_written_at_hits () =
         s_channel = 0;
         s_sched = 0;
         s_ttl = 2;
+        s_algo = 0;
         s_dt = 0;
         s_plan = [];
       }

@@ -156,7 +156,7 @@ let prop_diff_soundness =
 (* ------------------------------------------- (b): sparse = dense + motion *)
 
 let run_sim_case c =
-  let module P = (val D.protocol c.D.s_ttl) in
+  let module P = (val D.protocol ~algo:c.D.s_algo c.D.s_ttl) in
   let module R = D.Run (P) (D.Distributed_hooks) in
   let w = D.motion_world c in
   R.diff ~left:"dense" ~right:"sparse" (R.dense w) (R.sparse w)
@@ -182,6 +182,7 @@ let test_jammed_motion_equivalence () =
           s_channel = 2;
           s_sched = 0;
           s_ttl = 1;
+          s_algo = 0;
           s_dt = 3;
           s_plan = [];
         }

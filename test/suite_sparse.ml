@@ -23,7 +23,7 @@ module D = Differential
    (a probe also makes the run keep immutable snapshots); each mode's
    trace digests every round's (round, liveness, outputs). *)
 let run_case c =
-  let module P = (val D.protocol c.D.ttl) in
+  let module P = (val D.protocol ~algo:c.D.algo c.D.ttl) in
   let module R = D.Run (P) (D.Distributed_hooks) in
   let w = D.static_world c in
   let states = R.initial w in
@@ -98,7 +98,7 @@ end
 
 (* Every case carries a two-node corruption burst at round 3. *)
 let emit_counts c =
-  let module P = Counting ((val D.protocol c.D.ttl)) in
+  let module P = Counting ((val D.protocol ~algo:c.D.algo c.D.ttl)) in
   let module R = D.Run (P) (D.Distributed_hooks) in
   let c = { c with D.fault = (3, 2); warm = false } in
   let w = D.static_world c in
@@ -168,7 +168,7 @@ let stamps_track_changes run =
 let prop_sparse_stamps_track_changes =
   QCheck.Test.make ~name:"stamps: per-round stamp count = changed (churn-free)"
     ~count:150 (D.arb_case ()) (fun c ->
-      let module P = (val D.protocol c.D.ttl) in
+      let module P = (val D.protocol ~algo:c.D.algo c.D.ttl) in
       let module R = D.Run (P) (D.Distributed_hooks) in
       let w = { (D.static_world c) with churn = Churn.nothing } in
       let exec mode ~on_round ~workload =

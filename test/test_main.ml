@@ -7,6 +7,7 @@ let () =
       ("topology", Suite_topology.suite);
       ("density", Suite_density.suite);
       ("order", Suite_order.suite);
+      ("elect", Suite_elect.suite);
       ("dag-id", Suite_dag_id.suite);
       ("assignment", Suite_assignment.suite);
       ("algorithm", Suite_algorithm.suite);
