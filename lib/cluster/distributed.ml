@@ -119,6 +119,20 @@ struct
       s_is_head = self_head q e;
     }
 
+  let rec fill_summaries a i = function
+    | [] -> ()
+    | pair :: rest ->
+        a.(i) <- summary pair;
+        fill_summaries a (i + 1) rest
+
+  (* The relayed summaries, written straight into their array. *)
+  let summaries = function
+    | [] -> [||]
+    | pair :: rest as cache ->
+        let a = Array.make (List.length cache) (summary pair) in
+        fill_summaries a 1 rest;
+        a
+
   let emit _graph p st =
     {
       m_node = p;
@@ -126,7 +140,7 @@ struct
       m_dag = st.dag;
       m_density = st.density;
       m_head = st.head;
-      m_nbrs = Array.of_list (List.map summary st.cache);
+      m_nbrs = summaries st.cache;
     }
 
   (* --- cache refresh. Both caches are rebuilt from the frames heard
@@ -213,16 +227,23 @@ struct
 
   (* The relayed summaries of every frame, merged k-way. [frames] are in
      reception order, each ascending by key; frame i's cursor is pos.(i)
-     and the key under it heads.(i). The next fresh key is the smallest
-     under any cursor, and the latest frame holding it wins with the last
-     summary of its run there: [next_fresh] moves every cursor past that
-     key and returns the winning frame, whose summary is then at its
+     and the key under it heads.(i), or [exhausted] once the cursor is
+     past the end. The next fresh key is the smallest under any cursor,
+     and the latest frame holding it wins with the last summary of its run
+     there: [next_fresh] finds that key and the frames holding it, in
+     [hits], in one pass over [heads]; it moves only those cursors past
+     the key and returns the winning frame, whose summary is then at its
      pos - 1; -1 once every frame is exhausted. *)
   type merge = {
     frames : summary array array;
     pos : int array;
     heads : int array;
+    hits : int array;
   }
+
+  (* A key may equal the mark: only a minimum equal to it needs the
+     frames' lengths to tell a real key from an exhausted cursor. *)
+  let exhausted = max_int
 
   let advance mg i v =
     let f = mg.frames.(i) in
@@ -231,24 +252,40 @@ struct
       incr j
     done;
     mg.pos.(i) <- !j;
-    if !j < Array.length f then mg.heads.(i) <- f.(!j).s_node
+    mg.heads.(i) <- (if !j < Array.length f then f.(!j).s_node else exhausted)
+
+  (* The hits, among the first [n], whose cursor is in its frame, moved to
+     the front; their count. *)
+  let rec live_hits mg n i kept =
+    if i >= n then kept
+    else
+      let h = mg.hits.(i) in
+      if mg.pos.(h) < Array.length mg.frames.(h) then begin
+        mg.hits.(kept) <- h;
+        live_hits mg n (i + 1) (kept + 1)
+      end
+      else live_hits mg n (i + 1) kept
 
   let next_fresh mg =
-    let frames = mg.frames and pos = mg.pos and heads = mg.heads in
-    let w = ref (-1) and v = ref 0 in
-    for i = 0 to Array.length frames - 1 do
-      if pos.(i) < Array.length frames.(i) && (!w < 0 || heads.(i) <= !v)
-      then begin
-        w := i;
-        v := heads.(i)
+    let heads = mg.heads and hits = mg.hits in
+    let v = ref exhausted and n = ref 0 in
+    for i = 0 to Array.length heads - 1 do
+      let h = heads.(i) in
+      if h < !v then begin
+        v := h;
+        hits.(0) <- i;
+        n := 1
+      end
+      else if h = !v then begin
+        hits.(!n) <- i;
+        incr n
       end
     done;
-    if !w >= 0 then
-      for i = 0 to Array.length frames - 1 do
-        if pos.(i) < Array.length frames.(i) && heads.(i) = !v then
-          advance mg i !v
-      done;
-    !w
+    let n = if !v = exhausted then live_hits mg !n 0 0 else !n in
+    for t = 0 to n - 1 do
+      advance mg hits.(t) !v
+    done;
+    if n = 0 then -1 else hits.(n - 1)
 
   let far_entry clock s =
     {
@@ -258,9 +295,11 @@ struct
       f_is_head = s.s_is_head;
     }
 
+  let far_heard f = f.f_heard
+
   let rec far_go self clock mg old =
     let w = next_fresh mg in
-    if w < 0 then live (fun f -> f.f_heard) clock old
+    if w < 0 then live far_heard clock old
     else
       let s = mg.frames.(w).(mg.pos.(w) - 1) in
       if s.s_node = self then far_go self clock mg old
@@ -275,25 +314,31 @@ struct
         (k, far_entry clock s) :: far_go self clock mg tail
     | _ -> (s.s_node, far_entry clock s) :: far_go self clock mg old
 
+  let summary_node s = s.s_node
+
   let rec fill_frames mg i = function
     | [] -> ()
     | (_, m) :: rest ->
         let a = m.m_nbrs in
         let a =
-          if summaries_ascending a 1 then a
-          else sorted_copy (fun s -> s.s_node) a
+          if summaries_ascending a 1 then a else sorted_copy summary_node a
         in
         mg.frames.(i) <- a;
         if Array.length a > 0 then mg.heads.(i) <- a.(0).s_node;
         fill_frames mg (i + 1) rest
 
+  let rec frame_count k = function
+    | [] -> k
+    | _ :: rest -> frame_count (k + 1) rest
+
   let refresh_far ~self clock far msgs =
-    let k = List.length msgs in
+    let k = frame_count 0 msgs in
     let mg =
       {
         frames = Array.make k [||];
         pos = Array.make k 0;
-        heads = Array.make k 0;
+        heads = Array.make k exhausted;
+        hits = Array.make k 0;
       }
     in
     fill_frames mg 0 msgs;
@@ -1530,9 +1575,16 @@ end
    ticks its clock every round); once every entry is stamped at the
    current clock, expiry can only be triggered by an input change, and the
    node is safe to freeze. *)
+let rec cache_aging clock = function
+  | [] -> false
+  | (_, e) :: rest -> e.e_heard < clock || cache_aging clock rest
+
+let rec far_aging clock = function
+  | [] -> false
+  | (_, f) :: rest -> f.f_heard < clock || far_aging clock rest
+
 let pending_expiry st =
-  List.exists (fun (_, e) -> e.e_heard < st.clock) st.cache
-  || List.exists (fun (_, f) -> f.f_heard < st.clock) st.far
+  cache_aging st.clock st.cache || far_aging st.clock st.far
 
 (* Random state corruption for fault-injection experiments: scrambles every
    field a transient fault could damage, within type-correct bounds. *)

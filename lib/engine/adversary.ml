@@ -191,17 +191,17 @@ struct
             in
             Some (A.forge (Rng.subkey ok which) p base))
 
+  (* The frames actually sent, in delivery order: a mute neighbor's
+     [None] is dropped before the wrapped protocol sees it, so to P a
+     silenced node is indistinguishable from one whose frames the channel
+     lost. Plain recursion: one pair and one cell per frame. *)
+  let rec heard = function
+    | [] -> []
+    | (q, Some m) :: rest -> (q, m) :: heard rest
+    | (_, None) :: rest -> heard rest
+
   let handle rng graph p st msgs =
-    (* A mute neighbor's [None] frame is dropped before the wrapped
-       protocol sees it: to P, a silenced node is indistinguishable from
-       one whose frames the channel lost. *)
-    let inner_msgs =
-      List.filter_map
-        (fun (q, m) ->
-          match m with Some m -> Some (q, m) | None -> None)
-        msgs
-    in
-    let inner = P.handle rng graph p st.inner inner_msgs in
+    let inner = P.handle rng graph p st.inner (heard msgs) in
     let steps = st.steps + 1 in
     let base =
       match st.role with

@@ -388,9 +388,22 @@ type refresh_case = {
   r_msgs : (int * Distributed.message) list;
 }
 
+(* Keys are drawn from [0, 11], and in a quarter of the cases also from
+   the ends of the int range, with more empty frames: a key equal to a
+   sentinel the merge might use for an exhausted frame must still be read
+   as a key. *)
 let gen_refresh_case =
   let open QCheck.Gen in
-  let key = int_range 0 11 in
+  let* wide = frequencyl [ (3, false); (1, true) ] in
+  let key =
+    if wide then
+      frequency
+        [
+          (2, int_range 0 11);
+          (1, oneofl [ min_int; -1; max_int - 1; max_int ]);
+        ]
+    else int_range 0 11
+  in
   let density =
     opt
       (map2
@@ -439,7 +452,12 @@ let gen_refresh_case =
        and+ m_dag = int_range 0 7
        and+ m_density = density
        and+ m_head = opt key
-       and+ m_nbrs = array_size (int_range 0 6) summary in
+       and+ m_nbrs =
+         if wide then
+           frequency
+             [ (2, array_size (int_range 0 6) summary); (1, return [||]) ]
+         else array_size (int_range 0 6) summary
+       in
        (q, { Distributed.m_node = q; m_gid; m_dag; m_density; m_head; m_nbrs }))
   in
   let r_state =
@@ -761,9 +779,10 @@ let handle_words_per_call () =
   done;
   (Gc.minor_words () -. before) /. float_of_int (reps * n)
 
-(* 60 % of the 1,171 words per call the concat + sort refresh allocated
-   on this deployment. *)
-let handle_words_bound = 0.6 *. 1171.0
+(* A call reads 444 words on this deployment (the concat + sort refresh
+   allocated 1,171); the pin allows 5 % (22 words) over that, so a
+   regression the size of the last one, 344 to 436 words, fails. *)
+let handle_words_bound = 1.05 *. 444.0
 
 let test_handle_alloc_pinned () =
   let words = handle_words_per_call () in
