@@ -603,13 +603,6 @@ struct
       em_nbrs : int array array;
       em_off : int array;
       em_cap : int array;
-      mutable now : int; (* executor round counter, see [tick] *)
-      em_ver : int array; (* round of last emission change, per node *)
-      synced : int array;
-          (* fast-path stamp: round as of which every cache entry equals
-             its emitter's current emission and every far entry comes
-             from the same senders' current summaries; -1 = unsyncable
-             (some entry was carried over, or the planes were packed) *)
       minh : int array; (* min heard stamp across cache+far; max_int = none *)
       claims_memo : int array array;
           (* per emitter q: the claimed neighborhood [unpack] last built
@@ -732,9 +725,6 @@ struct
         em_nbrs = Array.make n (Array.make !etot 0);
         em_off;
         em_cap;
-        now = 0;
-        em_ver = ia ();
-        synced = Array.make n (-1);
         minh = Array.make n max_int;
         claims_memo = Array.make n [||];
         dens_memo = Array.make n None;
@@ -743,7 +733,7 @@ struct
         far_memo = Array.make (ways * n) no_far;
       }
 
-    let tick b = b.now <- b.now + 1
+    let tick _ = ()
 
     let scratch b =
       {
@@ -812,7 +802,6 @@ struct
       | Some ids when Array.length ids <> b.n ->
           invalid_arg "Distributed: ids length mismatch"
       | Some _ | None -> ());
-      b.now <- 0;
       for p = 0 to b.n - 1 do
         let sp = b.slot.(p) in
         b.clock.(sp) <- 0;
@@ -827,8 +816,6 @@ struct
         b.cache_cnt.(sp) <- 0;
         b.far_len.(sp) <- 0;
         b.em.((6 * sp) + 5) <- -1;
-        b.em_ver.(sp) <- 0;
-        b.synced.(sp) <- -1;
         b.minh.(sp) <- max_int
       done
 
@@ -911,7 +898,6 @@ struct
       let f = room b.far b.far_off b.far_cap sp (6 * flen) in
       pack_far f b.far_off.(sp) st.far;
       b.far_len.(sp) <- flen;
-      b.synced.(sp) <- -1;
       b.minh.(sp) <- far_min_heard (cache_min_heard max_int st.cache) st.far
 
     (* Whole entries are interned too, per key: holders that last
@@ -1066,8 +1052,7 @@ struct
         for i = 0 to (5 * cnt) - 1 do
           en.(eo + i) <- eb.(i)
         done;
-        b.em.(e + 5) <- cnt;
-        b.em_ver.(sp) <- b.now
+        b.em.(e + 5) <- cnt
       end;
       changed
 
@@ -1121,350 +1106,299 @@ struct
       let old = b.cache.(sp) in
       let co = b.cache_off.(sp) in
       let oend = co + b.cache_used.(sp) in
-      (* --- steady-state fast path: when the senders are exactly the
-         cached entries' keys and no sender's emission changed since both
-         planes were last built all-fresh from these same senders, the
-         merges below would reproduce both planes verbatim with every
-         heard stamp at clock'. Restamp in place, skip the rebuilds. *)
-      let synced = b.synced.(sp) in
-      let fast =
-        synced >= 0
-        && count = b.cache_cnt.(sp)
-        &&
-        let ok = ref true and pos = ref co and i = ref 0 in
-        while !ok && !i < count do
-          let q = senders.(!i) in
-          if old.(!pos) <> q || b.em_ver.(b.slot.(q)) > synced then
-            ok := false
+      let ofar = b.far.(sp) and ofo = b.far_off.(sp) in
+      let ocnt = b.far_len.(sp) in
+      let sn_total = ref 0 in
+      for i = 0 to count - 1 do
+        sn_total := !sn_total + b.em.((6 * b.slot.(senders.(i))) + 5)
+      done;
+      let fkeys =
+        let a = grow s.fkeys !sn_total in
+        if a != s.fkeys then s.fkeys <- a;
+        a
+      in
+      let fsrc =
+        let a = grow s.fsrc !sn_total in
+        if a != s.fsrc then s.fsrc <- a;
+        a
+      in
+      let foff =
+        let a = grow s.foff !sn_total in
+        if a != s.foff then s.foff <- a;
+        a
+      in
+      let owin =
+        let a = grow s.owin ocnt in
+        if a != s.owin then s.owin <- a;
+        a
+      in
+      let ooff =
+        let a = grow s.ooff ocnt in
+        if a != s.ooff then s.ooff <- a;
+        a
+      in
+      (* --- cache layout check: walk the merge below without writing.
+         The layout is steady when every sender replaces the old entry
+         of its own key with the same claim count and every other old
+         entry survives the TTL at clock': the merge would then rebuild
+         the row entry for entry at the same offsets. *)
+      let steady = ref true in
+      let opos = ref co and si = ref 0 in
+      while !steady && (!opos < oend || !si < count) do
+        if !si >= count || (!opos < oend && old.(!opos) < senders.(!si))
+        then begin
+          if clock' - old.(!opos + 1) > ttl then steady := false
+          else opos := !opos + 8 + old.(!opos + 7)
+        end
+        else begin
+          let q = senders.(!si) in
+          if
+            !opos < oend
+            && old.(!opos) = q
+            && old.(!opos + 7) = b.em.((6 * b.slot.(q)) + 5)
+          then begin
+            opos := !opos + 8 + old.(!opos + 7);
+            incr si
+          end
+          else steady := false
+        end
+      done;
+      (* --- far refresh, sightings: one pass over every sender's
+         relayed summaries (senders ascending, self skipped). The old
+         far keys are stamped first as slots 0 .. ocnt-1 of the stamp
+         plane, so a sighting of an old key lands on the key's old slot
+         ([owin]/[ooff]); a key new to the plane is appended to [fkeys]
+         on its first sighting. Every sighting overwrites its slot's
+         winner, so the later claim wins — the last of each run of
+         equal keys after the typed refresh_far's stable sort. Only an
+         old plane strictly ascending inside [0, n) is stamped; any
+         other (only a packed arbitrary state carries one) stamps no
+         slot, and every key then counts as new, as does a key outside
+         the plane, which is found by a linear probe over the new keys.
+         The new keys, usually none, are then insertion-sorted with
+         their winners. *)
+      let marks = s.marks in
+      let plane = Array.length marks in
+      let tok = next_token s in
+      let ordered = ref true and last = ref (-1) in
+      for i = 0 to ocnt - 1 do
+        owin.(i) <- -1;
+        let v = ofar.(ofo + (6 * i)) in
+        if !ordered then
+          if v > !last && v < plane then begin
+            marks.(v) <- (tok lsl slot_bits) lor i;
+            last := v
+          end
+          else ordered := false
+      done;
+      let tok = if !ordered then tok else next_token s in
+      let tag = tok lsl slot_bits in
+      let nk = ref 0 in
+      for i = 0 to count - 1 do
+        let q = senders.(i) in
+        let sq = b.slot.(q) in
+        let en = b.em_nbrs.(sq) and eo = b.em_off.(sq) in
+        for j = 0 to b.em.((6 * sq) + 5) - 1 do
+          let v = en.(eo + (5 * j)) in
+          if v <> p then begin
+            let slot =
+              if v >= 0 && v < plane then begin
+                let w = marks.(v) in
+                if w lsr slot_bits = tok then w land slot_mask
+                else begin
+                  let k = !nk in
+                  marks.(v) <- tag lor (ocnt + k);
+                  fkeys.(k) <- v;
+                  nk := k + 1;
+                  ocnt + k
+                end
+              end
+              else begin
+                let k = ref 0 in
+                while !k < !nk && fkeys.(!k) <> v do
+                  incr k
+                done;
+                if !k = !nk then begin
+                  fkeys.(!k) <- v;
+                  incr nk
+                end;
+                ocnt + !k
+              end
+            in
+            if slot < ocnt then begin
+              owin.(slot) <- sq;
+              ooff.(slot) <- eo + (5 * j)
+            end
+            else begin
+              fsrc.(slot - ocnt) <- sq;
+              foff.(slot - ocnt) <- eo + (5 * j)
+            end
+          end
+        done
+      done;
+      let fn = !nk in
+      if !steady && fn = 0 then begin
+        let i = ref 0 in
+        while !steady && !i < ocnt do
+          if owin.(!i) < 0 && clock' - ofar.(ofo + (6 * !i) + 1) > ttl then
+            steady := false;
+          incr i
+        done
+      end
+      else steady := false;
+      let minh = ref max_int in
+      if !steady then begin
+        (* --- steady layout: write the fresh entries straight into the
+           node's own rows. Every key stays at its offset, so an entry
+           no frame refreshed (a dropped frame, a far key no sender
+           relayed this round) is already where the merge would put it
+           and stays as it is; it only enters [minh]. *)
+        let opos = ref co and si = ref 0 in
+        while !opos < oend do
+          if !si < count && old.(!opos) = senders.(!si) then begin
+            opos := put_entry b old !opos senders.(!si) clock';
+            incr si
+          end
           else begin
-            pos := !pos + 8 + old.(!pos + 7);
-            incr i
+            let h = old.(!opos + 1) in
+            if h < !minh then minh := h;
+            opos := !opos + 8 + old.(!opos + 7)
           end
         done;
-        !ok
-      in
-      if fast then begin
-        (* Restamp the heard fields in place: both planes are already
-           what the merges below would rebuild. *)
-        let pos = ref co in
-        for _ = 1 to count do
-          old.(!pos + 1) <- clock';
-          pos := !pos + 8 + old.(!pos + 7)
-        done;
-        let f = b.far.(sp) and fo = b.far_off.(sp) in
-        for i = 0 to b.far_len.(sp) - 1 do
-          f.(fo + (6 * i) + 1) <- clock'
-        done;
-        b.minh.(sp) <-
-          (if count = 0 && b.far_len.(sp) = 0 then max_int else clock');
-        b.synced.(sp) <- b.now - 1
-      end;
-      let new_used = ref b.cache_used.(sp)
-      and new_cnt = ref b.cache_cnt.(sp)
-      and new_far_cnt = ref b.far_len.(sp) in
-      if not fast then begin
-        let ofar = b.far.(sp) and ofo = b.far_off.(sp) in
-        let ocnt = b.far_len.(sp) in
-        let sn_total = ref 0 in
-        for i = 0 to count - 1 do
-          sn_total := !sn_total + b.em.((6 * b.slot.(senders.(i))) + 5)
-        done;
-        let fkeys =
-          let a = grow s.fkeys !sn_total in
-          if a != s.fkeys then s.fkeys <- a;
+        for i = 0 to ocnt - 1 do
+          let o = ofo + (6 * i) in
+          if owin.(i) >= 0 then
+            put_far b ofar o ofar.(o) clock' owin.(i) ooff.(i)
+          else begin
+            let h = ofar.(o + 1) in
+            if h < !minh then minh := h
+          end
+        done
+      end
+      else begin
+        (* --- cache refresh: sorted merge of the surviving old entries
+           and the fresh frames (senders ascending); a fresh frame
+           replaces the old entry for the same neighbor, everything
+           else is TTL-filtered at the new clock — exactly the typed
+           refresh_cache. Scratch is pre-sized from upper bounds once,
+           so the merge loops are plain int stores: no growth checks,
+           no write barriers, no C-call blits. *)
+        let cbuf =
+          let a = grow s.cbuf (oend - co + (8 * count) + !sn_total) in
+          if a != s.cbuf then s.cbuf <- a;
           a
         in
-        let fsrc =
-          let a = grow s.fsrc !sn_total in
-          if a != s.fsrc then s.fsrc <- a;
+        let fdst =
+          let a = grow s.fbuf (6 * (ocnt + fn)) in
+          if a != s.fbuf then s.fbuf <- a;
           a
         in
-        let foff =
-          let a = grow s.foff !sn_total in
-          if a != s.foff then s.foff <- a;
-          a
-        in
-        let owin =
-          let a = grow s.owin ocnt in
-          if a != s.owin then s.owin <- a;
-          a
-        in
-        let ooff =
-          let a = grow s.ooff ocnt in
-          if a != s.ooff then s.ooff <- a;
-          a
-        in
-        (* --- cache layout check: walk the merge below without writing.
-           The layout is steady when every sender replaces the old entry
-           of its own key with the same claim count and every other old
-           entry survives the TTL at clock': the merge would then rebuild
-           the row entry for entry at the same offsets. *)
-        let steady = ref true in
+        let used = ref 0 and cnt = ref 0 in
         let opos = ref co and si = ref 0 in
-        while !steady && (!opos < oend || !si < count) do
+        while !opos < oend || !si < count do
           if !si >= count || (!opos < oend && old.(!opos) < senders.(!si))
           then begin
-            if clock' - old.(!opos + 1) > ttl then steady := false
-            else opos := !opos + 8 + old.(!opos + 7)
+            let pos = !opos in
+            let sz = 8 + old.(pos + 7) in
+            let h = old.(pos + 1) in
+            if clock' - h <= ttl then begin
+              let u = !used in
+              for i = 0 to sz - 1 do
+                cbuf.(u + i) <- old.(pos + i)
+              done;
+              if h < !minh then minh := h;
+              incr cnt;
+              used := u + sz
+            end;
+            opos := pos + sz
           end
           else begin
             let q = senders.(!si) in
-            if
-              !opos < oend
-              && old.(!opos) = q
-              && old.(!opos + 7) = b.em.((6 * b.slot.(q)) + 5)
-            then begin
-              opos := !opos + 8 + old.(!opos + 7);
-              incr si
-            end
-            else steady := false
+            used := put_entry b cbuf !used q clock';
+            incr cnt;
+            incr si;
+            if !opos < oend && old.(!opos) = q then
+              opos := !opos + 8 + old.(!opos + 7)
           end
         done;
-        (* --- far refresh, sightings: one pass over every sender's
-           relayed summaries (senders ascending, self skipped). The old
-           far keys are stamped first as slots 0 .. ocnt-1 of the stamp
-           plane, so a sighting of an old key lands on the key's old slot
-           ([owin]/[ooff]); a key new to the plane is appended to [fkeys]
-           on its first sighting. Every sighting overwrites its slot's
-           winner, so the later claim wins — the last of each run of
-           equal keys after the typed refresh_far's stable sort. Only an
-           old plane strictly ascending inside [0, n) is stamped; any
-           other (only a packed arbitrary state carries one) stamps no
-           slot, and every key then counts as new, as does a key outside
-           the plane, which is found by a linear probe over the new keys.
-           The new keys, usually none, are then insertion-sorted with
-           their winners. *)
-        let marks = s.marks in
-        let plane = Array.length marks in
-        let tok = next_token s in
-        let ordered = ref true and last = ref (-1) in
-        for i = 0 to ocnt - 1 do
-          owin.(i) <- -1;
-          let v = ofar.(ofo + (6 * i)) in
-          if !ordered then
-            if v > !last && v < plane then begin
-              marks.(v) <- (tok lsl slot_bits) lor i;
-              last := v
-            end
-            else ordered := false
-        done;
-        let tok = if !ordered then tok else next_token s in
-        let tag = tok lsl slot_bits in
-        let nk = ref 0 in
-        for i = 0 to count - 1 do
-          let q = senders.(i) in
-          let sq = b.slot.(q) in
-          let en = b.em_nbrs.(sq) and eo = b.em_off.(sq) in
-          for j = 0 to b.em.((6 * sq) + 5) - 1 do
-            let v = en.(eo + (5 * j)) in
-            if v <> p then begin
-              let slot =
-                if v >= 0 && v < plane then begin
-                  let w = marks.(v) in
-                  if w lsr slot_bits = tok then w land slot_mask
-                  else begin
-                    let k = !nk in
-                    marks.(v) <- tag lor (ocnt + k);
-                    fkeys.(k) <- v;
-                    nk := k + 1;
-                    ocnt + k
-                  end
-                end
-                else begin
-                  let k = ref 0 in
-                  while !k < !nk && fkeys.(!k) <> v do
-                    incr k
-                  done;
-                  if !k = !nk then begin
-                    fkeys.(!k) <- v;
-                    incr nk
-                  end;
-                  ocnt + !k
-                end
-              in
-              if slot < ocnt then begin
-                owin.(slot) <- sq;
-                ooff.(slot) <- eo + (5 * j)
-              end
-              else begin
-                fsrc.(slot - ocnt) <- sq;
-                foff.(slot - ocnt) <- eo + (5 * j)
-              end
-            end
-          done
-        done;
-        let fn = !nk in
-        if !steady && fn = 0 then begin
-          let i = ref 0 in
-          while !steady && !i < ocnt do
-            if owin.(!i) < 0 && clock' - ofar.(ofo + (6 * !i) + 1) > ttl then
-              steady := false;
-            incr i
-          done
-        end
-        else steady := false;
-        let minh = ref max_int in
-        let all_fresh = ref true in
-        if !steady then begin
-          (* --- steady layout: write the fresh entries straight into the
-             node's own rows. Every key stays at its offset, so an entry
-             no frame refreshed (a dropped frame, a far key no sender
-             relayed this round) is already where the merge would put it
-             and stays as it is; it only enters [minh]. *)
-          let opos = ref co and si = ref 0 in
-          while !opos < oend do
-            if !si < count && old.(!opos) = senders.(!si) then begin
-              opos := put_entry b old !opos senders.(!si) clock';
-              incr si
-            end
-            else begin
-              let h = old.(!opos + 1) in
-              if h < !minh then minh := h;
-              all_fresh := false;
-              opos := !opos + 8 + old.(!opos + 7)
-            end
+        for i = 1 to fn - 1 do
+          let k = fkeys.(i) and src = fsrc.(i) and off = foff.(i) in
+          let j = ref (i - 1) in
+          while !j >= 0 && fkeys.(!j) > k do
+            fkeys.(!j + 1) <- fkeys.(!j);
+            fsrc.(!j + 1) <- fsrc.(!j);
+            foff.(!j + 1) <- foff.(!j);
+            decr j
           done;
-          for i = 0 to ocnt - 1 do
-            let o = ofo + (6 * i) in
-            if owin.(i) >= 0 then
-              put_far b ofar o ofar.(o) clock' owin.(i) ooff.(i)
-            else begin
-              let h = ofar.(o + 1) in
-              if h < !minh then minh := h;
-              all_fresh := false
+          fkeys.(!j + 1) <- k;
+          fsrc.(!j + 1) <- src;
+          foff.(!j + 1) <- off
+        done;
+        (* --- far refresh, merge: the sorted new keys over the old
+           slots; a sighted old slot takes its winner, an unsighted one
+           is TTL-filtered, and a fresh entry is read straight from its
+           winner's emission plane. On an unstamped old plane a new key
+           equal to an old one replaces it, as in the typed merge. *)
+        let fout = ref 0 and oi = ref 0 and fi = ref 0 in
+        while !oi < ocnt || !fi < fn do
+          if
+            !fi >= fn || (!oi < ocnt && ofar.(ofo + (6 * !oi)) < fkeys.(!fi))
+          then begin
+            let so = ofo + (6 * !oi) in
+            if owin.(!oi) >= 0 then begin
+              put_far b fdst (6 * !fout) ofar.(so) clock' owin.(!oi)
+                ooff.(!oi);
+              incr fout
             end
-          done
-        end
-        else begin
-          (* --- cache refresh: sorted merge of the surviving old entries
-             and the fresh frames (senders ascending); a fresh frame
-             replaces the old entry for the same neighbor, everything
-             else is TTL-filtered at the new clock — exactly the typed
-             refresh_cache. Scratch is pre-sized from upper bounds once,
-             so the merge loops are plain int stores: no growth checks,
-             no write barriers, no C-call blits. *)
-          let cbuf =
-            let a = grow s.cbuf (oend - co + (8 * count) + !sn_total) in
-            if a != s.cbuf then s.cbuf <- a;
-            a
-          in
-          let fdst =
-            let a = grow s.fbuf (6 * (ocnt + fn)) in
-            if a != s.fbuf then s.fbuf <- a;
-            a
-          in
-          let used = ref 0 and cnt = ref 0 in
-          let opos = ref co and si = ref 0 in
-          while !opos < oend || !si < count do
-            if !si >= count || (!opos < oend && old.(!opos) < senders.(!si))
-            then begin
-              let pos = !opos in
-              let sz = 8 + old.(pos + 7) in
-              let h = old.(pos + 1) in
+            else begin
+              let h = ofar.(so + 1) in
               if clock' - h <= ttl then begin
-                let u = !used in
-                for i = 0 to sz - 1 do
-                  cbuf.(u + i) <- old.(pos + i)
-                done;
+                let o = 6 * !fout in
+                fdst.(o) <- ofar.(so);
+                fdst.(o + 1) <- h;
+                fdst.(o + 2) <- ofar.(so + 2);
+                fdst.(o + 3) <- ofar.(so + 3);
+                fdst.(o + 4) <- ofar.(so + 4);
+                fdst.(o + 5) <- ofar.(so + 5);
                 if h < !minh then minh := h;
-                all_fresh := false;
-                incr cnt;
-                used := u + sz
-              end;
-              opos := pos + sz
-            end
-            else begin
-              let q = senders.(!si) in
-              used := put_entry b cbuf !used q clock';
-              incr cnt;
-              incr si;
-              if !opos < oend && old.(!opos) = q then
-                opos := !opos + 8 + old.(!opos + 7)
-            end
-          done;
-          for i = 1 to fn - 1 do
-            let k = fkeys.(i) and src = fsrc.(i) and off = foff.(i) in
-            let j = ref (i - 1) in
-            while !j >= 0 && fkeys.(!j) > k do
-              fkeys.(!j + 1) <- fkeys.(!j);
-              fsrc.(!j + 1) <- fsrc.(!j);
-              foff.(!j + 1) <- foff.(!j);
-              decr j
-            done;
-            fkeys.(!j + 1) <- k;
-            fsrc.(!j + 1) <- src;
-            foff.(!j + 1) <- off
-          done;
-          (* --- far refresh, merge: the sorted new keys over the old
-             slots; a sighted old slot takes its winner, an unsighted one
-             is TTL-filtered, and a fresh entry is read straight from its
-             winner's emission plane. On an unstamped old plane a new key
-             equal to an old one replaces it, as in the typed merge. *)
-          let fout = ref 0 and oi = ref 0 and fi = ref 0 in
-          while !oi < ocnt || !fi < fn do
-            if
-              !fi >= fn || (!oi < ocnt && ofar.(ofo + (6 * !oi)) < fkeys.(!fi))
-            then begin
-              let so = ofo + (6 * !oi) in
-              if owin.(!oi) >= 0 then begin
-                put_far b fdst (6 * !fout) ofar.(so) clock' owin.(!oi)
-                  ooff.(!oi);
                 incr fout
               end
-              else begin
-                let h = ofar.(so + 1) in
-                if clock' - h <= ttl then begin
-                  let o = 6 * !fout in
-                  fdst.(o) <- ofar.(so);
-                  fdst.(o + 1) <- h;
-                  fdst.(o + 2) <- ofar.(so + 2);
-                  fdst.(o + 3) <- ofar.(so + 3);
-                  fdst.(o + 4) <- ofar.(so + 4);
-                  fdst.(o + 5) <- ofar.(so + 5);
-                  if h < !minh then minh := h;
-                  all_fresh := false;
-                  incr fout
-                end
-              end;
-              incr oi
-            end
-            else begin
-              let k = fkeys.(!fi) in
-              put_far b fdst (6 * !fout) k clock' fsrc.(!fi) foff.(!fi);
-              incr fi;
-              incr fout;
-              if !oi < ocnt && ofar.(ofo + (6 * !oi)) = k then incr oi
-            end
-          done;
-          (* commit the new cache and far rows, each into its slice when
-             it fits and into a row of its own when it does not *)
-          let nu = !used and nc = !cnt and nfar = !fout in
-          let cdst = room b.cache b.cache_off b.cache_cap sp nu in
-          let cdo = b.cache_off.(sp) in
-          for i = 0 to nu - 1 do
-            cdst.(cdo + i) <- cbuf.(i)
-          done;
-          b.cache_used.(sp) <- nu;
-          b.cache_cnt.(sp) <- nc;
-          let fcom = room b.far b.far_off b.far_cap sp (6 * nfar) in
-          let fco = b.far_off.(sp) in
-          for i = 0 to (6 * nfar) - 1 do
-            fcom.(fco + i) <- fdst.(i)
-          done;
-          b.far_len.(sp) <- nfar;
-          new_used := nu;
-          new_cnt := nc;
-          new_far_cnt := nfar
-        end;
-        (* every sighting comes from a sender, so any fresh entry means
-           count > 0 *)
-        if count > 0 && clock' < !minh then minh := clock';
-        b.minh.(sp) <- !minh;
-        b.synced.(sp) <- (if !all_fresh then b.now - 1 else -1)
+            end;
+            incr oi
+          end
+          else begin
+            let k = fkeys.(!fi) in
+            put_far b fdst (6 * !fout) k clock' fsrc.(!fi) foff.(!fi);
+            incr fi;
+            incr fout;
+            if !oi < ocnt && ofar.(ofo + (6 * !oi)) = k then incr oi
+          end
+        done;
+        (* commit the new cache and far rows, each into its slice when
+           it fits and into a row of its own when it does not *)
+        let nu = !used and nc = !cnt and nfar = !fout in
+        let cdst = room b.cache b.cache_off b.cache_cap sp nu in
+        let cdo = b.cache_off.(sp) in
+        for i = 0 to nu - 1 do
+          cdst.(cdo + i) <- cbuf.(i)
+        done;
+        b.cache_used.(sp) <- nu;
+        b.cache_cnt.(sp) <- nc;
+        let fcom = room b.far b.far_off b.far_cap sp (6 * nfar) in
+        let fco = b.far_off.(sp) in
+        for i = 0 to (6 * nfar) - 1 do
+          fcom.(fco + i) <- fdst.(i)
+        done;
+        b.far_len.(sp) <- nfar
       end;
-      let new_used = !new_used
-      and new_cnt = !new_cnt
-      and new_far_cnt = !new_far_cnt in
+      (* every sighting comes from a sender, so any fresh entry means
+         count > 0 *)
+      if count > 0 && clock' < !minh then minh := clock';
+      b.minh.(sp) <- !minh;
+      (* both writes leave the row lengths in the planes *)
+      let new_used = b.cache_used.(sp)
+      and new_cnt = b.cache_cnt.(sp)
+      and new_far_cnt = b.far_len.(sp) in
       (* --- N1 name resolution, draw-for-draw with resolve_dag: exactly
          one Rng.int when the node loses its name, none otherwise. *)
       let gamma = b.gamma.(sp) and gid = b.gid.(sp) and old_dag = b.dag.(sp) in

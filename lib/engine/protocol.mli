@@ -152,12 +152,11 @@ module type FLAT = sig
         [true] iff the emitted frame changed. *)
 
     val tick : buffers -> unit
-    (** Advance the buffers' round counter. Executors call it exactly
-        once per round, before the state phase. Protocols may use it to
-        version internal memoization (e.g. detecting that a neighbor's
-        emission is unchanged since a cache was built); correctness must
-        not depend on it — a protocol that never ticks just runs without
-        the shortcuts. *)
+    (** Executors call it exactly once per round, before the state
+        phase. No protocol in [lib/] uses it: [Distributed.Flat.tick]
+        does nothing. It stays because [benchmark/timed.ml] implements
+        this signature member by member; correctness must never depend
+        on it. *)
 
     val step :
       buffers ->

@@ -290,6 +290,74 @@ let test_supplied_dag_names_used () =
   Alcotest.(check bool) "uses supplied names" true
     (outcome.Algorithm.effective_ids = names)
 
+(* ROADMAP item 1's fusion livelock, reduced to five nodes. Under
+   [Config.improved_with_dag] the lockstep rules cycle with period 2:
+   heads alternate between 3,3,3,3,0 and 0,3,3,3,3. The central daemon
+   converges, and so does lockstep execution once any one of fusion, the
+   incumbent tie-break or the DAG names is taken away (with the id
+   tie-break in place of the incumbent one). The cycle needs all three.
+   This pins today's rules; a fix to them flips the first check to
+   expecting convergence. [Suite_distributed] runs the protocol on the
+   same witness. *)
+let livelock_graph =
+  Graph.of_edges ~n:5 [ (0, 1); (0, 4); (1, 2); (1, 3); (1, 4); (2, 3) ]
+
+let livelock_names = [| 2; 1; 2; 0; 0 |]
+let livelock_heads = [| 1; 0; 2; 3; 0 |]
+
+let livelock_run ?scheduler ~max_rounds config =
+  Algorithm.run ?scheduler ~max_rounds ~dag_names:livelock_names
+    ~init_heads:livelock_heads (Rng.create ~seed:1) config livelock_graph
+    ~ids:(Array.init 5 Fun.id)
+
+let heads_of outcome =
+  Array.init 5 (Assignment.head outcome.Algorithm.assignment)
+
+let test_fusion_livelock_witness () =
+  let cfg = Config.improved_with_dag in
+  let a = [| 3; 3; 3; 3; 0 |] and b = [| 0; 3; 3; 3; 3 |] in
+  List.iter
+    (fun rounds ->
+      let o = livelock_run ~scheduler:Algorithm.Synchronous ~max_rounds:rounds cfg in
+      Alcotest.(check bool)
+        (Printf.sprintf "synchronous: not converged in %d rounds" rounds)
+        false o.Algorithm.converged;
+      let h = heads_of o in
+      Alcotest.(check bool)
+        (Printf.sprintf "synchronous: heads after %d rounds on the 2-cycle"
+           rounds)
+        true
+        (h = a || h = b);
+      let next =
+        heads_of
+          (livelock_run ~scheduler:Algorithm.Synchronous
+             ~max_rounds:(rounds + 1) cfg)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "synchronous: round %d flips the heads" (rounds + 1))
+        true
+        ((h = a && next = b) || (h = b && next = a)))
+    [ 300; 301 ];
+  let converges ?scheduler tag config bound =
+    let o = livelock_run ?scheduler ~max_rounds:50 config in
+    Alcotest.(check bool) (tag ^ ": converges") true o.Algorithm.converged;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: within %d rounds (took %d)" tag bound
+         o.Algorithm.rounds)
+      true
+      (o.Algorithm.rounds <= bound)
+  in
+  converges ~scheduler:Algorithm.Sequential "sequential" cfg 4;
+  let sync = Algorithm.Synchronous in
+  converges ~scheduler:sync "with_dag" Config.with_dag 5;
+  converges ~scheduler:sync "improved" Config.improved 5;
+  converges ~scheduler:sync "names + fusion, id tie-break"
+    { cfg with Config.tie = Order.Id_only }
+    5;
+  converges ~scheduler:sync "improved_with_dag without fusion"
+    { cfg with Config.fusion = false }
+    5
+
 let test_adversarial_grid_story () =
   (* The Table 5 behaviour on a small grid: row-major ids without the DAG
      give exactly one cluster; with the DAG, several. *)
@@ -418,6 +486,8 @@ let suite =
       test_dag_config_uses_names;
     Alcotest.test_case "supplied DAG names are used" `Quick
       test_supplied_dag_names_used;
+    Alcotest.test_case "fusion livelock witness (5 nodes)" `Quick
+      test_fusion_livelock_witness;
     Alcotest.test_case "adversarial grid story" `Quick
       test_adversarial_grid_story;
     Alcotest.test_case "metric baselines run" `Quick test_metric_baselines_run;

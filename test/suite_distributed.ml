@@ -832,6 +832,108 @@ let test_fixpoint_is_algorithm_fixpoint () =
       done)
     Differential.configs
 
+(* The 5-node fusion livelock of [Suite_algorithm], run as the protocol.
+   Caches are warmed on the graph first and then rewritten, with the
+   states, to the witness's names and heads, so the first election reads
+   the configuration [Algorithm] starts from. Lockstep rounds on a
+   perfect channel then cycle like the rules do, with the same two head
+   vectors, and the monitor says so; the central daemon converges. From
+   cold caches (heads and names set, caches empty) the same run converges
+   instead, so the cycle needs the caches to agree with the heads. *)
+let test_livelock_witness_oscillates () =
+  let module P = Distributed.Make (struct
+    let params =
+      {
+        Distributed.default_params with
+        Distributed.algo = Config.improved_with_dag;
+      }
+  end) in
+  let module E = Engine.Make (P) in
+  let graph = Suite_algorithm.livelock_graph in
+  let names = Suite_algorithm.livelock_names
+  and heads = Suite_algorithm.livelock_heads in
+  let init = Rng.create ~seed:1 in
+  let warmed =
+    E.run ~mode:E.Dense ~max_rounds:30 ~quiet_rounds:quiet
+      ~states:(Array.init 5 (fun p -> P.init init graph p))
+      (Rng.create ~seed:2) graph
+  in
+  let states =
+    Array.mapi
+      (fun p (st : Distributed.state) ->
+        {
+          st with
+          dag = names.(p);
+          head = Some heads.(p);
+          parent = Some heads.(p);
+          cache =
+            List.map
+              (fun (q, (e : Distributed.entry)) ->
+                (q, { e with e_dag = names.(q); e_head = Some heads.(q) }))
+              st.cache;
+          far =
+            List.map
+              (fun (v, (f : Distributed.far_entry)) ->
+                (v, { f with f_eff = names.(v); f_is_head = heads.(v) = v }))
+              st.far;
+        })
+      warmed.E.states
+  in
+  let heads_of (r : E.run) =
+    Array.map
+      (fun (st : Distributed.state) -> Option.value st.head ~default:(-1))
+      r.E.states
+  in
+  List.iter
+    (fun (tag, mode) ->
+      let m =
+        Cluster.Invariants.monitor ~config:Config.improved_with_dag
+          ~ids:(Array.init 5 Fun.id) ()
+      in
+      let r =
+        E.run ~mode ~scheduler:Ss_engine.Scheduler.Synchronous
+          ~channel:Channel.perfect ~max_rounds:100 ~quiet_rounds:quiet
+          ~probe:(Ss_engine.Monitor.probe m)
+          ~on_round:(Ss_engine.Monitor.on_round m) ~states (Rng.create ~seed:3)
+          graph
+      in
+      Alcotest.(check bool) (tag ^ ": synchronous run not converged") false
+        r.E.converged;
+      let h = heads_of r in
+      Alcotest.(check bool)
+        (tag ^ ": heads on the 2-cycle")
+        true
+        (h = [| 3; 3; 3; 3; 0 |] || h = [| 0; 3; 3; 3; 3 |]);
+      match
+        (Ss_engine.Monitor.report m ~converged:r.E.converged)
+          .Ss_engine.Monitor.classification
+      with
+      | Ss_engine.Monitor.Oscillating { period = 2; _ } -> ()
+      | c ->
+          Alcotest.failf "%s: monitor reads %a, not period 2" tag
+            Ss_engine.Monitor.pp_classification c)
+    [
+      ("dense", E.Dense);
+      ("sparse", E.Sparse { warm = Some Distributed.pending_expiry });
+    ];
+  let run ?(states = states) scheduler =
+    E.run ~mode:E.Dense ~scheduler ~channel:Channel.perfect ~max_rounds:100
+      ~quiet_rounds:quiet ~states (Rng.create ~seed:3) graph
+  in
+  Alcotest.(check bool) "sequential converges" true
+    (run Ss_engine.Scheduler.Sequential).E.converged;
+  let cold =
+    Array.init 5 (fun p ->
+        {
+          (P.init init graph p) with
+          dag = names.(p);
+          head = Some heads.(p);
+          parent = Some heads.(p);
+        })
+  in
+  Alcotest.(check bool) "synchronous from cold caches converges" true
+    (run ~states:cold Ss_engine.Scheduler.Synchronous).E.converged
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_recovery_legitimate; prop_refresh_matches_fold ]
@@ -840,6 +942,8 @@ let suite =
   [
     Alcotest.test_case "matches the oracle on a perfect channel" `Quick
       test_matches_oracle_on_perfect_channel;
+    Alcotest.test_case "fusion livelock witness oscillates (period 2)" `Quick
+      test_livelock_witness_oscillates;
     Alcotest.test_case "densities match the oracle" `Quick
       test_densities_match_oracle;
     Alcotest.test_case "improved config validates with separation" `Quick

@@ -294,7 +294,7 @@ let test_reuse_rebase_alloc () =
    every round each node misses one neighbor's frame (a rotating drop, so
    cache entries carry over and the far plane merges old and fresh) and
    three nodes are corrupted (names collide, elections move). The full
-   merge path runs, not just the calm tier. Steps that re-picked a name
+   merge path runs, not just the steady layout. Steps that re-picked a name
    are counted and excluded; everything else must read 0 words. *)
 let step_alloc n =
   let module P = Distributed.Make (struct
@@ -1060,7 +1060,8 @@ let test_lossy_round_alloc () =
    the rewritten states then warm-start whole runs, flat at [domains]
    against the typed dense run. Cases that keep every key and claim count
    and leave every unrefreshed entry live take the steady path (rows
-   written in place); the others take the scratch merge. *)
+   written in place); the others take the scratch merge. A last case
+   steps the hub twice in a row on its own rows, every entry fresh. *)
 let lattice_hub = 24
 
 let lattice_cases (graph : Graph.t) (states : Distributed.state array) =
@@ -1212,6 +1213,25 @@ let test_steady_layout ~domains () =
         true settled.F.converged;
       let b = P.Flat.alloc graph in
       let s = P.Flat.scratch b in
+      (* a whole run warm-started from [states], flat against dense *)
+      let flat_is_dense tag states =
+        let dense =
+          E.run ~mode:E.Dense ~max_rounds:30 ~quiet_rounds:3 ~states
+            (Rng.create ~seed:62) graph
+        in
+        let flat =
+          F.run ~max_rounds:30 ~quiet_rounds:3 ~domains ~states
+            (Rng.create ~seed:62) graph
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: flat (%d domains) = dense" tag domains)
+          true
+          (Array.for_all2 P.equal_state dense.E.states flat.F.states
+          && dense.E.rounds = flat.F.rounds
+          && dense.E.converged = flat.F.converged
+          && dense.E.change_history = flat.F.change_history
+          && dense.E.changed_at = flat.F.changed_at)
+      in
       List.iter
         (fun (case, states, senders) ->
           let tag = Printf.sprintf "%s, %s" cfg case in
@@ -1240,23 +1260,44 @@ let test_steady_layout ~domains () =
               (Distributed.pending_expiry typed)
               (P.Flat.warm b lattice_hub)
           done;
-          let dense =
-            E.run ~mode:E.Dense ~max_rounds:30 ~quiet_rounds:3 ~states
-              (Rng.create ~seed:62) graph
-          in
-          let flat =
-            F.run ~max_rounds:30 ~quiet_rounds:3 ~domains ~states
-              (Rng.create ~seed:62) graph
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: flat (%d domains) = dense" tag domains)
-            true
-            (Array.for_all2 P.equal_state dense.E.states flat.F.states
-            && dense.E.rounds = flat.F.rounds
-            && dense.E.converged = flat.F.converged
-            && dense.E.change_history = flat.F.change_history
-            && dense.E.changed_at = flat.F.changed_at))
-        (lattice_cases graph settled.F.states))
+          flat_is_dense tag states)
+        (lattice_cases graph settled.F.states);
+      (* Two steps in a row: the hub steps, every emission is refreshed,
+         and the hub steps again on the same senders with no [pack] in
+         between, so the second step reads the rows the first one wrote.
+         The executor's round order (tick, steps, emissions) is kept. *)
+      let states = settled.F.states in
+      let senders = Graph.neighbors graph lattice_hub in
+      let msgs =
+        Array.to_list
+          (Array.map (fun q -> (q, P.emit graph q states.(q))) senders)
+      in
+      Array.iteri (P.Flat.pack b) states;
+      Array.iteri (fun p _ -> ignore (P.Flat.refresh_emit b s p)) states;
+      let typed = ref states.(lattice_hub) in
+      for k = 0 to 1 do
+        P.Flat.tick b;
+        let hkey = Rng.key ~seed:(210 + k) in
+        ignore
+          (P.Flat.step b s hkey lattice_hub ~senders
+             ~count:(Array.length senders));
+        typed :=
+          P.handle
+            (Rng.of_key (Rng.subkey hkey lattice_hub))
+            graph lattice_hub !typed msgs;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, step %d in a row: unpack (step) = handle" cfg k)
+          true
+          (P.Flat.unpack b lattice_hub = !typed);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, step %d in a row: warm = pending_expiry" cfg k)
+          (Distributed.pending_expiry !typed)
+          (P.Flat.warm b lattice_hub);
+        Array.iteri (fun p _ -> ignore (P.Flat.refresh_emit b s p)) states
+      done;
+      let states = Array.copy states in
+      states.(lattice_hub) <- !typed;
+      flat_is_dense (cfg ^ ", two steps in a row") states)
     [ ("basic", Config.basic); ("improved_with_dag", Config.improved_with_dag) ]
 
 (* ------------------------------------------- (f): scrambled labels *)
@@ -1408,8 +1449,9 @@ let test_scrambled_labels () =
         Array.blit next 0 typed 0 n
       done)
     sets;
-  (* whole runs: flat = dense, 4 domains = 1, static and moving; the
-     perfect channel lets the synced fast path fire *)
+  (* whole runs: flat = dense, 4 domains = 1, static and moving; on the
+     perfect channel every frame arrives, so converged steps take the
+     steady layout *)
   let flips = ref 0 in
   List.iter
     (fun (tag, w) ->
