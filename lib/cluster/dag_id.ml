@@ -20,9 +20,10 @@ type result = {
 
 let pick_fresh rng ~gamma ~excluded ~current =
   (* Uniform over gamma minus the excluded names; falls back to a uniform
-     re-draw when neighbors exhaust gamma (cannot happen once gamma > degree,
-     which Gamma.size guarantees for true neighborhoods, but corrupt caches
-     may claim more names than the degree allows). *)
+     re-draw when neighbors exhaust gamma. Unlike Elect.free_name, which
+     keeps [current] there, the fallback stays: this builder runs on
+     static graphs only, where gamma >= delta + 1 (Gamma.size) always
+     leaves a free name, so the branch is unreachable in practice. *)
   ignore current;
   let free = ref 0 in
   Array.iter (fun used -> if not used then incr free) excluded;

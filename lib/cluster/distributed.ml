@@ -467,7 +467,7 @@ struct
     else begin
       let names = Array.make st.gamma 0 in
       exclude names st.gamma c 0 stop;
-      Elect.free_name rng ~gamma:st.gamma names
+      Elect.free_name rng ~gamma:st.gamma ~current:st.dag names
     end
 
   (* --- R2 through the kernel (Elect). Past [Elect.first], both paths
@@ -1400,7 +1400,8 @@ struct
       and new_cnt = b.cache_cnt.(sp)
       and new_far_cnt = b.far_len.(sp) in
       (* --- N1 name resolution, draw-for-draw with resolve_dag: exactly
-         one Rng.int when the node loses its name, none otherwise. *)
+         one Rng.int when the node loses its name and a name is free,
+         none otherwise. *)
       let gamma = b.gamma.(sp) and gid = b.gid.(sp) and old_dag = b.dag.(sp) in
       (* the new cache row spans [cb, cend) of [c] *)
       let c = b.cache.(sp) in
@@ -1419,7 +1420,7 @@ struct
              the overwhelmingly common drawless step allocates none. *)
           Elect.free_name
             (Rng.of_key (Rng.subkey hkey p))
-            ~gamma s.names
+            ~gamma ~current:old_dag s.names
         end
       in
       (* --- density from the new cache (Density.of_local_view): stamp

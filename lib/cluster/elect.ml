@@ -88,8 +88,9 @@ let bridge ~tie ~dag c off stop flags =
 (* The free names are compacted ascending into the front of [names]
    (a write at index nf <= name never overtakes the read); a draw k takes
    the (k+1)-th largest, where the typed resolver's descending free list
-   put it. *)
-let free_name rng ~gamma names =
+   put it. With no free name the node keeps [current] and draws nothing,
+   so a step whose input has not moved cannot change its output. *)
+let free_name rng ~gamma ~current names =
   let nf = ref 0 in
   for name = 0 to gamma - 1 do
     if names.(name) = 0 then begin
@@ -97,5 +98,5 @@ let free_name rng ~gamma names =
       incr nf
     end
   done;
-  if !nf = 0 then Ss_prng.Rng.int rng gamma
+  if !nf = 0 then current
   else names.(!nf - 1 - Ss_prng.Rng.int rng !nf)

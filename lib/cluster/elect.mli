@@ -48,8 +48,9 @@ val bridge :
     ([flags.(i)] for the [i]-th entry) is non-zero, ties keeping the
     first, or {!hold} when none is. *)
 
-val free_name : Ss_prng.Rng.t -> gamma:int -> int array -> int
-(** N1's re-pick, one draw. On entry [names.(k) <> 0] marks each name
-    [k] in [[0, gamma)] a neighbour holds; draw [j] takes the [(j+1)]-th
-    largest free name, or any of the [gamma] when none is free. The call
-    overwrites [names] with the free names. *)
+val free_name : Ss_prng.Rng.t -> gamma:int -> current:int -> int array -> int
+(** N1's re-pick. On entry [names.(k) <> 0] marks each name [k] in
+    [[0, gamma)] a neighbour holds; one draw [j] takes the [(j+1)]-th
+    largest free name. When none is free the result is [current] and
+    nothing is drawn: a step at an input fixpoint must not move. The
+    call overwrites [names] with the free names. *)

@@ -101,7 +101,6 @@ module Make (P : Protocol.S) = struct
     step : Graph.t -> 'sc -> Rng.key -> int -> int array -> int -> bool;
     refresh : 'sc -> int -> bool;
     warm : int -> bool;
-    tick : unit -> unit;
     scratches : 'sc array;
     pool : Pool.t option;
   }
@@ -217,7 +216,6 @@ module Make (P : Protocol.S) = struct
             true
           end);
       warm = (fun p -> warm states.(p));
-      tick = ignore;
       scratches = [| () |];
       pool = None;
     }
@@ -400,7 +398,6 @@ module Make (P : Protocol.S) = struct
     do
       incr round;
       let round = !round in
-      Option.iter (fun (f, _) -> f.tick ()) core;
       (* Motion first: nodes drift, the base graph is rebased to the new
          unit-disk topology, and churn below applies to the rewired links.
          A round whose fleet moved without flipping any edge leaves the

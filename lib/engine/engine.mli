@@ -241,7 +241,6 @@ module Make (P : Protocol.S) : sig
             {!Protocol.FLAT}'s [Flat.step], given the round's snapshot *)
     refresh : 'sc -> int -> bool;  (** as [Flat.refresh_emit] *)
     warm : int -> bool;  (** as [Flat.warm] *)
-    tick : unit -> unit;  (** as [Flat.tick]; once at the top of a round *)
     scratches : 'sc array;  (** one per shard, at least one *)
     pool : Ss_stats.Pool.t option;  (** shards synchronous phases *)
   }

@@ -51,7 +51,6 @@ module Make (P : Protocol.FLAT) = struct
             P.Flat.step buffers sc hkey p ~senders ~count);
         refresh = P.Flat.refresh_emit buffers;
         warm = P.Flat.warm buffers;
-        tick = (fun () -> P.Flat.tick buffers);
         scratches;
         pool;
       }

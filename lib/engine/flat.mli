@@ -1,7 +1,7 @@
 (** The flat-memory executor: {!Engine.Make}'s run loop over a
     {!Protocol.FLAT}'s struct-of-arrays planes, with the frontier in
-    {!Flat_core} (CSR adjacency, domain-sharded dirty frontier, zero
-    per-round allocation).
+    {!Flat_core} (the graph's own adjacency rows, domain-sharded dirty
+    frontier, zero per-round allocation).
 
     Equivalent to [Engine.Make(P).run] — the same run record, states
     modulo [P.equal_state] — for protocols honoring the {!Protocol.FLAT}

@@ -1,5 +1,6 @@
-(* The flat executor's round loop: CSR adjacency, a domain-sharded dirty
-   frontier, and protocol steps driven through an ops record over opaque
+(* The flat executor's round loop: the graph's own adjacency rows (one
+   replaced where motion rewires it), a domain-sharded dirty frontier,
+   and protocol steps driven through an ops record over opaque
    struct-of-arrays buffers. This module is the allocation-audited hot
    path — no per-round arrays, no linked structures; everything lives in
    preallocated int/byte planes reused across rounds (a grep lint in
@@ -21,7 +22,7 @@
    output, and the mark pass only orders the next worklist. *)
 
 module Rng = Ss_prng.Rng
-module Csr = Ss_topology.Csr
+module Graph = Ss_topology.Graph
 module Traversal = Ss_topology.Traversal
 module Pool = Ss_stats.Pool
 
@@ -35,12 +36,10 @@ type 's ops = {
 }
 
 type 's t = {
-  csr : Csr.t; (* base adjacency at creation time *)
   n : int;
   order : int array; (* rank -> node: BFS order of the creation graph *)
   rank : int array; (* node -> rank, the inverse *)
-  sentinel : int array; (* physical marker: overlay slot unused *)
-  overlay : int array array; (* rebased base rows, by endpoint *)
+  rows : int array array; (* potential row of each node, sorted; shared *)
   live : bool array; (* shared with the orchestrator *)
   changed_at : int array; (* last state-change round; shared likewise *)
   written_at : int array; (* last round a step wrote the state; likewise *)
@@ -59,8 +58,7 @@ type 's t = {
 }
 
 let create ?pool ~ops ~scratches ~live ~changed_at ~written_at graph =
-  let csr = Csr.of_graph graph in
-  let n = Csr.node_count csr in
+  let n = Graph.node_count graph in
   if Array.length live <> n then
     invalid_arg "Flat_core.create: live mask length mismatch";
   if Array.length changed_at <> n then
@@ -69,19 +67,16 @@ let create ?pool ~ops ~scratches ~live ~changed_at ~written_at graph =
     invalid_arg "Flat_core.create: written_at length mismatch";
   if Array.length scratches < 1 then
     invalid_arg "Flat_core.create: need at least one scratch";
-  let sentinel = Array.make 1 (-1) in
   let order = Traversal.bfs_order graph in
   let rank = Array.make n 0 in
   for r = 0 to n - 1 do
     rank.(order.(r)) <- r
   done;
   {
-    csr;
     n;
     order;
     rank;
-    sentinel;
-    overlay = Array.make n sentinel;
+    rows = Array.init n (Graph.neighbors graph);
     live;
     changed_at;
     written_at;
@@ -122,22 +117,7 @@ let frontier_len t = t.cur_len
 
 let order t = t.order
 
-let set_row t p row = t.overlay.(p) <- row
-
-(* The potential row of p: the rebased overlay row when motion replaced
-   it, the CSR slice otherwise, read through three accessors rather than
-   one tuple so that the per-node walks below allocate nothing. Callers
-   filter by liveness/link status to recover the effective (snapshot)
-   row. *)
-let row t p =
-  let ov = t.overlay.(p) in
-  if ov != t.sentinel then ov else t.csr.Csr.adj
-
-let row_lo t p = if t.overlay.(p) != t.sentinel then 0 else t.csr.Csr.xadj.(p)
-
-let row_hi t p =
-  let ov = t.overlay.(p) in
-  if ov != t.sentinel then Array.length ov else t.csr.Csr.xadj.(p + 1)
+let set_row t p row = t.rows.(p) <- row
 
 let ensure_senders t s len =
   if Array.length t.senders.(s) < len then
@@ -145,13 +125,13 @@ let ensure_senders t s len =
 
 (* Fill shard s's gather buffer with the nodes p hears this round:
    effective neighbors whose frame survives the channel plan, in
-   ascending index order (CSR rows and overlay rows are sorted). *)
+   ascending index order (graph rows are sorted). *)
 let gather t s ~deliver ~has_down ~edge_down p =
-  let row = row t p and lo = row_lo t p and hi = row_hi t p in
-  ensure_senders t s (hi - lo);
+  let row = t.rows.(p) in
+  ensure_senders t s (Array.length row);
   let buf = t.senders.(s) in
   let k = ref 0 in
-  for i = lo to hi - 1 do
+  for i = 0 to Array.length row - 1 do
     let q = Array.unsafe_get row i in
     if
       t.live.(q)
@@ -171,9 +151,9 @@ let gather t s ~deliver ~has_down ~edge_down p =
 let deliver_diff t ~deliver ~prev ~has_down ~edge_down =
   for p = 0 to t.n - 1 do
     if t.live.(p) && Bytes.unsafe_get t.cur_bit p = '\000' then begin
-      let row = row t p and stop = row_hi t p in
-      let i = ref (row_lo t p) and flipped = ref false in
-      while (not !flipped) && !i < stop do
+      let row = t.rows.(p) in
+      let i = ref 0 and flipped = ref false in
+      while (not !flipped) && !i < Array.length row do
         let q = Array.unsafe_get row !i in
         if
           t.live.(q)
@@ -190,8 +170,8 @@ let deliver_diff t ~deliver ~prev ~has_down ~edge_down =
    always; this round too under in-order daemons (nodes behind in the
    schedule hear the new frame immediately). *)
 let mark_audience t ~also_now ~has_down ~edge_down p =
-  let row = row t p in
-  for i = row_lo t p to row_hi t p - 1 do
+  let row = t.rows.(p) in
+  for i = 0 to Array.length row - 1 do
     let q = Array.unsafe_get row i in
     if t.live.(q) && ((not has_down) || not (edge_down p q)) then begin
       if also_now then mark_now t q;

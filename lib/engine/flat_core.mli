@@ -1,6 +1,7 @@
-(** The flat executor's round loop: CSR adjacency, a domain-sharded
-    dirty frontier, protocol steps driven through an {!ops} record over
-    opaque struct-of-arrays buffers.
+(** The flat executor's round loop: the graph's own adjacency rows (one
+    replaced where motion rewires it), a domain-sharded dirty frontier,
+    protocol steps driven through an {!ops} record over opaque
+    struct-of-arrays buffers.
 
     This module is the allocation-audited hot path of {!Flat}: nothing
     here allocates per round (buffers are preallocated and grown
@@ -60,11 +61,11 @@ val create :
   written_at:int array ->
   Ss_topology.Graph.t ->
   's t
-(** Freeze the graph's adjacency into CSR form and allocate the frontier
-    planes. [scratches] fixes the shard count (one scratch per shard);
-    pass a [pool] to run synchronous phases on its domains, else all
-    shards execute on the caller. [live] is shared, not copied: the
-    orchestrator refreshes it in place after churn. [changed_at] is
+(** Share the graph's adjacency rows (graph rows are immutable) and
+    allocate the frontier planes. [scratches] fixes the shard count (one
+    scratch per shard); pass a [pool] to run synchronous phases on its
+    domains, else all shards execute on the caller. [live] is shared, not
+    copied: the orchestrator refreshes it in place after churn. [changed_at] is
     shared the same way: {!step_round} writes the round into the entry
     of every node whose step changed its state (in the serial mark pass
     or walk, so the stamps are identical at any shard count), and the

@@ -152,11 +152,9 @@ module type FLAT = sig
         [true] iff the emitted frame changed. *)
 
     val tick : buffers -> unit
-    (** Executors call it exactly once per round, before the state
-        phase. No protocol in [lib/] uses it: [Distributed.Flat.tick]
-        does nothing. It stays because [benchmark/timed.ml] implements
-        this signature member by member; correctness must never depend
-        on it. *)
+    (** No executor calls it, and [Distributed.Flat.tick] does nothing.
+        It stays because [benchmark/timed.ml] implements this signature
+        member by member; correctness must never depend on it. *)
 
     val step :
       buffers ->

@@ -143,10 +143,9 @@ let sweep ?(seed = 42) ?(runs = 5) ?(spec = default_spec)
     fold;
   }
 
-let to_table ?replay_prefix
-    ?(title = "Adversary — containment per behavior/channel") rows =
+let to_table ?replay_prefix rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Adversary — containment per behavior/channel"
       ~header:
         [
           "behavior"; "byz"; "channel"; "contained"; "worst radius";

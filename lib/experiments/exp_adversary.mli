@@ -68,7 +68,7 @@ val sweep :
 (** One row per {!cells}; every cell's run [i] draws stream [i] of
     [seed]. *)
 
-val to_table : ?replay_prefix:string -> ?title:string -> row list -> Ss_stats.Table.t
+val to_table : ?replay_prefix:string -> row list -> Ss_stats.Table.t
 (** With [replay_prefix] (e.g. ["repro adversary --seed 42"]) each
     anomalous run renders as a complete copy-pasteable command:
     [<prefix> --cell K --run I (reason)]. Rows must be in sweep order

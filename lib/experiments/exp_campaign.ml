@@ -346,10 +346,9 @@ let sweep ?(seed = 42) ?(runs = 4) ?(spec = default_spec)
     fold;
   }
 
-let to_table ?replay_prefix
-    ?(title = "Campaign — worst case per fault-grid cell") rows =
+let to_table ?replay_prefix rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Campaign — worst case per fault-grid cell"
       ~header:
         [
           "corrupt"; "channel"; "crash/rd"; "scheduler"; "byz"; "conv";

@@ -130,7 +130,7 @@ val sweep :
 (** One row per {!cells} of [grid]; every cell's run [i] draws stream [i]
     of [seed]. *)
 
-val to_table : ?replay_prefix:string -> ?title:string -> row list -> Ss_stats.Table.t
+val to_table : ?replay_prefix:string -> row list -> Ss_stats.Table.t
 (** The worst-case table: per cell, convergence/classification counts, max
     violation dwell, post-recovery violations, and replay pointers for
     every anomalous run. With [replay_prefix] (e.g. ["repro campaign

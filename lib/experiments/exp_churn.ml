@@ -198,9 +198,9 @@ let sweep ?(seed = 42) ?(runs = 5) ?(spec = default_spec)
     fold;
   }
 
-let to_table ?(title = "Churn — in-place recovery from topology events") rows =
+let to_table rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Churn — in-place recovery from topology events"
       ~header:
         [
           "scheduler"; "storm"; "bursts"; "recovered"; "mean recovery";
@@ -224,9 +224,10 @@ let to_table ?(title = "Churn — in-place recovery from topology events") rows 
          ])
        rows)
 
-let events_table ?(title = "Churn — applied events by type") rows =
+let events_table rows =
   let t =
-    Table.create ~title ~header:[ "scheduler"; "storm"; "events" ]
+    Table.create ~title:"Churn — applied events by type"
+      ~header:[ "scheduler"; "storm"; "events" ]
       ~aligns:[ Table.Right; Table.Right; Table.Left ] ()
   in
   Table.add_rows t

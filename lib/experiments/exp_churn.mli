@@ -57,6 +57,6 @@ val sweep :
 (** Cells scheduler-major, storm-minor; every cell's run [i] draws stream
     [i] of [seed]. *)
 
-val to_table : ?title:string -> row list -> Ss_stats.Table.t
+val to_table : row list -> Ss_stats.Table.t
 
-val events_table : ?title:string -> row list -> Ss_stats.Table.t
+val events_table : row list -> Ss_stats.Table.t

@@ -98,10 +98,9 @@ let sweep ?(seed = 42) ?(runs = 5) ?(count = 400) ?(radius = 0.1)
         });
   }
 
-let to_table ?(title = "Metric comparison — head retention under mobility")
-    rows =
+let to_table rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Metric comparison — head retention under mobility"
       ~header:[ "algorithm"; "head retention"; "mean # clusters" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right ]
       ()

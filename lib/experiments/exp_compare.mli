@@ -37,4 +37,4 @@ val sweep :
 (** One cell per algorithm; a run reports its per-epoch head retention
     and cluster counts. *)
 
-val to_table : ?title:string -> result list -> Ss_stats.Table.t
+val to_table : result list -> Ss_stats.Table.t

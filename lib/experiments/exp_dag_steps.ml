@@ -41,8 +41,7 @@ let sweep ?(seed = 42) ?(runs = 30) ?(intensity = 1000.0)
         { scenario; radius; steps = s.(0) });
   }
 
-let to_table ?(title = "Table 3 — steps to build the DAG (gamma = delta^2)")
-    rows =
+let to_table rows =
   let grid_rows, random_rows =
     List.partition (fun r -> String.equal r.scenario "grid") rows
   in
@@ -50,7 +49,10 @@ let to_table ?(title = "Table 3 — steps to build the DAG (gamma = delta^2)")
   let header =
     "R" :: List.map (fun r -> Table.cell_float ~decimals:2 r) radii
   in
-  let t = Table.create ~title ~header () in
+  let t =
+    Table.create ~title:"Table 3 — steps to build the DAG (gamma = delta^2)"
+      ~header ()
+  in
   let line label rows =
     label
     :: List.map (fun r -> Table.cell_float ~decimals:2 (Summary.mean r.steps)) rows

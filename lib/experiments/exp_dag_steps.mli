@@ -21,5 +21,5 @@ val sweep :
     the random geometry at every radius. A run reports the steps N1
     takes. *)
 
-val to_table : ?title:string -> row list -> Ss_stats.Table.t
+val to_table : row list -> Ss_stats.Table.t
 (** The grid rows and the random-geometry rows, one line each. *)

@@ -51,9 +51,9 @@ let sweep ?(seed = 42) ?(runs = 5)
         });
   }
 
-let to_table ?(title = "Energy — network lifetime in duty epochs") rows =
+let to_table rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Energy — network lifetime in duty epochs"
       ~header:
         [ "election"; "first death"; "half the network dead"; "head rotations" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]

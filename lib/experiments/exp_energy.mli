@@ -19,4 +19,4 @@ val sweep :
 (** Two cells: the energy-aware election ([true]), then the plain
     density election. *)
 
-val to_table : ?title:string -> row list -> Ss_stats.Table.t
+val to_table : row list -> Ss_stats.Table.t

@@ -132,8 +132,8 @@ let sweep ?(seed = 42) ?(runs = 3) ?(count = 300)
         { cell; rounds = s.(0); retention = s.(1); membership = s.(2) });
   }
 
-let to_table ?title rows =
-  let default_title, axis =
+let to_table rows =
+  let title, axis =
     match rows with
     | { cell = Speed _; _ } :: _ ->
         ( "Stabilization vs mobility (per 2 s epoch, warm start)",
@@ -141,8 +141,7 @@ let to_table ?title rows =
     | _ -> ("Stabilization vs link-failure rate (per epoch)", "link failure rate")
   in
   let t =
-    Table.create
-      ~title:(Option.value title ~default:default_title)
+    Table.create ~title
       ~header:
         [ axis; "re-stabilization rounds"; "head retention"; "same-head nodes" ]
       ()

@@ -48,6 +48,6 @@ val sweep :
     deploys [count] uniform nodes (300) at radius 0.1 and moves them 2 s
     per epoch; a [Fade] run deploys [spec] (Poisson 300 at 0.1). *)
 
-val to_table : ?title:string -> row list -> Ss_stats.Table.t
+val to_table : row list -> Ss_stats.Table.t
 (** The speed table when the first row is a [Speed] cell, the
     link-failure table otherwise. *)

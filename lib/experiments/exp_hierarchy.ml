@@ -59,13 +59,15 @@ let sweep ?(seed = 42) ?(runs = 10) ?(radius = 0.1)
         });
   }
 
-let to_table ?(title = "Hierarchy — cluster-heads per level") rows =
+let to_table rows =
   let headers =
     [ "lambda"; "nodes" ]
     @ List.init max_levels (fun i -> Printf.sprintf "level %d" i)
     @ [ "levels" ]
   in
-  let t = Table.create ~title ~header:headers () in
+  let t =
+    Table.create ~title:"Hierarchy — cluster-heads per level" ~header:headers ()
+  in
   Table.add_rows t
     (List.map
        (fun r ->

@@ -21,4 +21,4 @@ val sweep :
 (** One cell per Poisson intensity; a run reports the node count, the
     level count and the heads per level. *)
 
-val to_table : ?title:string -> row list -> Ss_stats.Table.t
+val to_table : row list -> Ss_stats.Table.t

@@ -99,9 +99,9 @@ let sweep ?(seed = 42) ?(runs = 5) ?(count = 500) ?(horizon = 180.0)
         { regime = label; improved = merged fst; basic = merged snd });
   }
 
-let to_table ?(title = "Mobility — cluster-head retention per 2 s epoch") rows =
+let to_table rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Mobility — cluster-head retention per 2 s epoch"
       ~header:[ "regime"; "improved rules"; "basic rules" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right ]
       ()

@@ -29,4 +29,4 @@ val sweep :
     re-clustered every 2 s for [horizon] seconds (180). Both rule sets
     replay the same deployment and trajectory. *)
 
-val to_table : ?title:string -> result list -> Ss_stats.Table.t
+val to_table : result list -> Ss_stats.Table.t

@@ -255,9 +255,9 @@ let sweep ?(seed = 42) ?(runs = 5) ?(spec = default_spec)
     fold;
   }
 
-let to_table ?(title = "Motion — cluster stability vs speed") rows =
+let to_table rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Motion — cluster stability vs speed"
       ~header:
         [
           "regime"; "speed (m/s)"; "head lifetime"; "re-elect/100nr";

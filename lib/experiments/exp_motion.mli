@@ -70,4 +70,4 @@ val sweep :
     discrete churn events ride on top of the continuous rewiring. Raises
     [Invalid_argument] for a negative [dt] or fewer than one round. *)
 
-val to_table : ?title:string -> row list -> Ss_stats.Table.t
+val to_table : row list -> Ss_stats.Table.t

@@ -113,10 +113,9 @@ let sweep ?(seed = 42) ?(runs = 10)
         { neighbors = s.(0); density = s.(1); father = s.(2); head = s.(3) });
   }
 
-let to_table ?(title = "Table 2 — knowledge schedule (steps until correct)")
-    rows =
+let to_table rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Table 2 — knowledge schedule (steps until correct)"
       ~header:[ "knowledge"; "mean step"; "max step" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right ]
       ()

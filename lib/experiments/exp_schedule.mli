@@ -22,4 +22,4 @@ val sweep :
   (Scenario.spec, outcome, milestones) Sweep.t
 (** One cell, the deployment. *)
 
-val to_table : ?title:string -> milestones list -> Ss_stats.Table.t
+val to_table : milestones list -> Ss_stats.Table.t

@@ -111,10 +111,9 @@ let sweep ?(seed = 42) ?(runs = 10)
         });
   }
 
-let recovery_table ?(title = "Self-stabilization — recovery after corruption")
-    rows =
+let recovery_table rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Self-stabilization — recovery after corruption"
       ~header:
         [ "corrupted"; "mean recovery rounds"; "max"; "same fixpoint" ]
       ()
@@ -134,10 +133,9 @@ let recovery_table ?(title = "Self-stabilization — recovery after corruption")
                ])
        rows)
 
-let loss_table ?(title = "Self-stabilization — convergence under frame loss")
-    rows =
+let loss_table rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Self-stabilization — convergence under frame loss"
       ~header:[ "tau"; "mean stabilization rounds"; "max"; "converged" ]
       ()
   in

@@ -32,8 +32,8 @@ val sweep :
     tau). A run reports the [ok] flag and the round the output last
     changed. *)
 
-val recovery_table : ?title:string -> row list -> Ss_stats.Table.t
+val recovery_table : row list -> Ss_stats.Table.t
 (** The [Recovery] rows. *)
 
-val loss_table : ?title:string -> row list -> Ss_stats.Table.t
+val loss_table : row list -> Ss_stats.Table.t
 (** The [Loss] rows. *)

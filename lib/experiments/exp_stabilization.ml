@@ -297,10 +297,10 @@ let trend_label = function
   | Growing -> "GROWING"
   | Mixed -> "mixed"
 
-let to_table ?(title = "Stabilization rounds: distributions with 95% bootstrap CIs")
-    rows =
+let to_table rows =
   let t =
-    Table.create ~title
+    Table.create
+      ~title:"Stabilization rounds: distributions with 95% bootstrap CIs"
       ~header:
         [
           "side"; "nodes"; "deg"; "naming"; "tau"; "runs"; "cens";

@@ -113,5 +113,5 @@ val verdicts : row list -> verdict list
 val dag_flat : verdict list -> bool
 (** The paper's claim on this data: every with-DAG series is [Flat]. *)
 
-val to_table : ?title:string -> row list -> Ss_stats.Table.t
+val to_table : row list -> Ss_stats.Table.t
 val verdicts_table : verdict list -> Ss_stats.Table.t

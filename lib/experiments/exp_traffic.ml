@@ -301,10 +301,9 @@ let sweep ?(seed = 42) ?(runs = 3) ?(spec = default_spec)
     fold = fold ~burst_round ~window;
   }
 
-let to_table ?(title = "Traffic — delivery under load x channel x churn") rows
-    =
+let to_table rows =
   let t =
-    Table.create ~title
+    Table.create ~title:"Traffic — delivery under load x channel x churn"
       ~header:
         [
           "load"; "channel"; "burst"; "offered"; "ratio"; "lat mean";

@@ -88,7 +88,7 @@ val sweep :
     draws stream [i] of [seed]. [rounds] is the last offered round; runs
     extend by [ttl] so every message resolves. *)
 
-val to_table : ?title:string -> row list -> Ss_stats.Table.t
+val to_table : row list -> Ss_stats.Table.t
 
 type verification = {
   v_agree : bool;  (** sparse and flat bit-identical on every observable *)

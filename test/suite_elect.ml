@@ -269,8 +269,9 @@ let test_branches_reached () =
       Alcotest.(check bool) (tag ^ " reached") true (Hashtbl.mem seen tag))
     [ "hold"; "own"; "join"; "hold/fusion"; "own/fusion"; "join/fusion" ]
 
-(* The N1 pick against its list spec: the free names descending, the
-   draw's index into them, one draw either way. *)
+(* The N1 pick against its list spec: the free names descending and one
+   draw's index into them, or the current name and no draw when every
+   name is taken. *)
 let prop_free_name =
   QCheck.Test.make ~name:"Elect.free_name = descending free list pick"
     ~count:500
@@ -279,13 +280,14 @@ let prop_free_name =
       let names = Array.make gamma 0 in
       List.iter (fun d -> if d >= 0 && d < gamma then names.(d) <- 1) held;
       let free = List.rev (List.filter (fun d -> names.(d) = 0) (List.init gamma Fun.id)) in
+      let current = seed mod gamma in
       let r1 = Rng.create ~seed and r2 = Rng.create ~seed in
       let want =
         match free with
-        | [] -> Rng.int r2 gamma
+        | [] -> current
         | names -> List.nth names (Rng.int r2 (List.length names))
       in
-      let got = Elect.free_name r1 ~gamma names in
+      let got = Elect.free_name r1 ~gamma ~current names in
       got = want && Rng.int r1 1_000_000 = Rng.int r2 1_000_000)
 
 let suite =

@@ -21,7 +21,8 @@
    (f) Locality layout: the flat planes hold node p at its BFS slot, and
        on a deployment whose labels are scrambled (slot <> id almost
        everywhere) pack/unpack, step = handle, flat = dense and 4 = 1
-       domains all still hold, through a motion rebase.
+       domains all still hold, through a motion rebase; and a run under
+       motion, churn and loss leaves every graph it read unwritten.
    (g) Row arenas: [alloc] and [pack] allocate nothing per node, and rows
        that outgrow their arena slice, in [pack] or in a step's commit,
        move out without touching their neighbours' slices. *)
@@ -1468,6 +1469,53 @@ let test_scrambled_labels () =
     ];
   Alcotest.(check bool) "the walk flipped edges" true (!flips > 0)
 
+(* The frontier adopts the graphs' adjacency rows without copying them:
+   a run under motion, churn and a lossy channel must leave the creation
+   graph and every rebased graph the motion hook handed over as they
+   were, at 1 and 2 domains. The references are deep copies taken before
+   the run saw each graph. *)
+let deep_copy g =
+  Graph.of_sorted_adjacency ?positions:(Graph.positions g)
+    (Array.init (Graph.node_count g) (fun p -> Array.copy (Graph.neighbors g p)))
+
+let test_graphs_untouched () =
+  let module P = Distributed.Make (struct
+    let params = { Distributed.default_params with cache_ttl = 2 }
+  end) in
+  let module R = D.Run_flat (P) (D.Distributed_hooks) in
+  List.iter
+    (fun domains ->
+      let flips = ref 0 in
+      let w = scrambled_world ~flips () in
+      let seen = ref [] in
+      let keep g = seen := (g, deep_copy g) :: !seen in
+      let setup () =
+        let rng, graph, hook = w.D.setup () in
+        keep graph;
+        let hook =
+          Option.map
+            (fun hook ~round ->
+              let rebased = hook ~round in
+              Option.iter (fun (g, _) -> keep g) rebased;
+              rebased)
+            hook
+        in
+        (rng, graph, hook)
+      in
+      let run = R.flat ~domains { w with D.setup } in
+      let tag = Printf.sprintf "%d domains" domains in
+      Alcotest.(check bool) (tag ^ ": the walk flipped edges") true (!flips > 0);
+      Alcotest.(check bool) (tag ^ ": rebased graphs were handed over") true
+        (List.length !seen > 1);
+      List.iter
+        (fun (g, copy) ->
+          Alcotest.(check bool) (tag ^ ": graph unchanged") true
+            (Graph.equal g copy))
+        !seen;
+      Alcotest.(check (option string)) (tag ^ ": flat = dense") None
+        (R.diff ~left:"dense" ~right:"flat" (R.dense w) run))
+    [ 1; 2 ]
+
 (* ------------------------------------------------- (g): row arenas *)
 
 (* [alloc] lays every row out in one arena per plane, so its minor-heap
@@ -1744,6 +1792,8 @@ let suite =
         (test_steady_layout ~domains:4);
       Alcotest.test_case "scrambled labels: slot-indexed planes" `Quick
         test_scrambled_labels;
+      Alcotest.test_case "a flat run never writes its graphs" `Quick
+        test_graphs_untouched;
       Alcotest.test_case "alloc: minor words constant in n" `Quick
         test_alloc_words;
       Alcotest.test_case "pack into its own slot allocates nothing" `Quick

@@ -192,6 +192,29 @@ let test_jammed_motion_equivalence () =
         None (run_sim_case c))
     [ 7; 8; 9; 10 ]
 
+(* A directed pin on N1 with every name taken: six nodes under fast
+   waypoint motion and a corruption at round 6 leave nodes whose caches
+   hold every name in [0, gamma). The re-pick must keep the current name
+   and draw nothing: a re-draw over all of gamma can return the node's own
+   name, so the frontier froze the node while the dense walk kept stepping
+   and drawing (the runs parted at round 18). *)
+let test_saturated_names_equivalence () =
+  let c =
+    {
+      D.s_seed = 818699;
+      s_n = 6;
+      s_model = 4;
+      s_channel = 0;
+      s_sched = 1;
+      s_ttl = 2;
+      s_algo = 3;
+      s_dt = 0;
+      s_plan = [ (5, 4, 127) ];
+    }
+  in
+  Alcotest.(check (option string))
+    (D.print_sim c) None (run_sim_case c)
+
 (* ------------------------------------------------------------- directed *)
 
 let test_idle_flush_is_noop () =
@@ -333,6 +356,8 @@ let suite =
       test_dynamic_rebase;
     Alcotest.test_case "jammed channel: movement-only equivalence" `Quick
       test_jammed_motion_equivalence;
+    Alcotest.test_case "every name taken: sparse = dense under motion" `Quick
+      test_saturated_names_equivalence;
     Alcotest.test_case "motion sweep is domain-count independent" `Slow
       test_exp_motion_domain_independence;
   ]
