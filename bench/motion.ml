@@ -9,10 +9,12 @@
    Before any timing is reported, a third untimed pass cross-checks the
    two graph sequences round by round for structural equality
    (Graph.equal: identical sorted adjacency rows). A divergence exits
-   non-zero — a wrong fast maintainer is worthless.
+   non-zero — a wrong fast maintainer is worthless. Each path is then
+   timed in its own fresh process (see harness.ml); building and warming
+   up the world is not timed.
 
-     dune exec bench/motion.exe            # 10k nodes, writes BENCH_motion.json
-     dune exec bench/motion.exe -- --smoke # miniature identity check for CI *)
+     dune exec bench/bench.exe -- motion         # 10k nodes, writes BENCH_motion.json
+     dune exec bench/bench.exe -- motion --smoke # miniature identity check for CI *)
 
 module Graph = Ss_topology.Graph
 module Motion = Ss_topology.Motion
@@ -20,6 +22,7 @@ module Rng = Ss_prng.Rng
 module Bbox = Ss_geom.Bbox
 module Model = Ss_mobility.Model
 module Fleet = Ss_mobility.Fleet
+module Json = Ssbench.Json
 
 let seed = 2026
 
@@ -33,27 +36,13 @@ type config = {
   warmup : float; (* seconds stepped before the bench so walk legs mix *)
 }
 
-let full =
-  {
-    label = "full";
-    count = 10_000;
-    mobile = 1_000;
-    radius = 0.02;
-    rounds = 400;
-    dt = 1.0;
-    warmup = 120.0;
-  }
-
-let smoke =
-  {
-    label = "smoke";
-    count = 500;
-    mobile = 50;
-    radius = 0.08;
-    rounds = 60;
-    dt = 1.0;
-    warmup = 60.0;
-  }
+let config ~smoke =
+  if smoke then
+    { label = "smoke"; count = 500; mobile = 50; radius = 0.08; rounds = 60;
+      dt = 1.0; warmup = 60.0 }
+  else
+    { label = "full"; count = 10_000; mobile = 1_000; radius = 0.02;
+      rounds = 400; dt = 1.0; warmup = 120.0 }
 
 (* The paper's pedestrian regime: random walk at 0-1.6 m/s. *)
 let model = Model.pedestrian
@@ -75,16 +64,10 @@ let make_world cfg =
   Fleet.iter_positions fleet (fun i p -> positions.(i) <- p);
   (fleet, positions)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (Unix.gettimeofday () -. t0, v)
-
 (* Pass A: incremental maintenance — step the fleet, feed exactly the
    moved nodes to the maintainer, flush. Returns total moved-node count
    so the report can state how large the fringe actually was. *)
-let run_incremental cfg =
-  let fleet, positions = make_world cfg in
+let run_incremental cfg (fleet, positions) =
   let motion = Motion.create ~radius:cfg.radius positions in
   let moved_total = ref 0 in
   let flips_total = ref 0 in
@@ -104,8 +87,7 @@ let run_incremental cfg =
 (* Pass B: the reference — rebuild the whole unit-disk graph from the
    fleet's current positions every round. One reused position buffer so
    the comparison is maintenance cost, not allocation noise. *)
-let run_full cfg =
-  let fleet, buf = make_world cfg in
+let run_full cfg (fleet, buf) =
   let last = ref (Graph.unit_disk ~radius:cfg.radius buf) in
   for _ = 1 to cfg.rounds do
     Fleet.step fleet cfg.dt;
@@ -135,54 +117,53 @@ let cross_check cfg =
   done;
   !ok
 
-let bench cfg =
+let calls ~smoke =
+  let cfg = config ~smoke in
+  let world () = make_world cfg in
+  [
+    ( "incremental",
+      Harness.call world (run_incremental cfg) (fun (moved, flips) ->
+          [ ("moved", Json.int moved); ("flips", Json.int flips) ]) );
+    ("full", Harness.call world (run_full cfg) (fun _ -> []));
+  ]
+
+let main ~smoke =
+  let cfg = config ~smoke in
   let _, positions = make_world cfg in
   let g0 = Graph.unit_disk ~radius:cfg.radius positions in
   Fmt.pr "%s: %d nodes (%d mobile), %d edges, %d rounds of pedestrian walk@."
     cfg.label (Graph.node_count g0) cfg.mobile (Graph.edge_count g0)
     cfg.rounds;
-  let identical = cross_check cfg in
-  let inc_t, (moved, flips) = time (fun () -> run_incremental cfg) in
-  let full_t, _ = time (fun () -> run_full cfg) in
+  Harness.require (cross_check cfg)
+    "incremental maintenance diverged from full rebuild";
+  let inc = Harness.best ~reps:1 ~smoke "motion" "incremental" in
+  let full_t = (Harness.best ~reps:1 ~smoke "motion" "full").Harness.cpu in
+  let inc_t = inc.Harness.cpu and obs k = Json.to_int (Harness.observed k inc) in
   let speedup = full_t /. inc_t in
   let fringe =
-    float_of_int moved /. float_of_int (cfg.rounds * cfg.count)
+    float_of_int (obs "moved") /. float_of_int (cfg.rounds * cfg.count)
   in
   Fmt.pr
     "  incremental: %.3fs  full: %.3fs  speedup: %.1fx  moving fringe: \
-     %.1f%%  edge flips: %d  identical: %b@."
-    inc_t full_t speedup (100.0 *. fringe) flips identical;
-  (inc_t, full_t, speedup, fringe, flips, identical)
+     %.1f%%  edge flips: %d  identical: true@."
+    inc_t full_t speedup (100.0 *. fringe) (obs "flips");
+  Harness.output ~smoke "BENCH_motion.json"
+    (Json.Obj
+       [
+         ("seed", Json.int seed);
+         ("nodes", Json.int cfg.count);
+         ("mobile", Json.int cfg.mobile);
+         ("radius", Json.Num cfg.radius);
+         ("rounds", Json.int cfg.rounds);
+         ("moving_fringe", Harness.fixed 4 fringe);
+         ("edge_flips", Json.int (obs "flips"));
+         ("incremental_seconds", Harness.fixed 4 inc_t);
+         ("full_seconds", Harness.fixed 4 full_t);
+         ("speedup", Harness.fixed 2 speedup);
+         ("identical", Json.Bool true);
+       ])
 
-let json cfg (inc_t, full_t, speedup, fringe, flips, identical) =
-  Printf.sprintf
-    "{\n\
-    \  \"seed\": %d,\n\
-    \  \"nodes\": %d,\n\
-    \  \"mobile\": %d,\n\
-    \  \"radius\": %.3f,\n\
-    \  \"rounds\": %d,\n\
-    \  \"moving_fringe\": %.4f,\n\
-    \  \"edge_flips\": %d,\n\
-    \  \"incremental_seconds\": %.4f,\n\
-    \  \"full_seconds\": %.4f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"identical\": %b\n\
-     }\n"
-    seed cfg.count cfg.mobile cfg.radius cfg.rounds fringe flips inc_t full_t
-    speedup identical
-
-let () =
-  let smoke_mode = Array.exists (( = ) "--smoke") Sys.argv in
-  let cfg = if smoke_mode then smoke else full in
-  let ((_, _, _, _, _, identical) as m) = bench cfg in
-  if not smoke_mode then begin
-    let oc = open_out "BENCH_motion.json" in
-    output_string oc (json cfg m);
-    close_out oc;
-    Fmt.pr "wrote BENCH_motion.json@."
-  end;
-  if not identical then begin
-    Fmt.epr "ERROR: incremental maintenance diverged from full rebuild@.";
-    exit 1
-  end
+let cmd =
+  Harness.bench "motion" calls main
+    ~doc:"Incremental unit-disk maintenance vs. full rebuild under motion."
+    ~smoke_doc:"500 nodes; check the document's shape instead of writing it."

@@ -7,28 +7,17 @@
 
    Before any timing is reported, the two modes are cross-checked for
    round-by-round identity: same round count, same per-round changed-node
-   history, same burst/recovery attribution, same final states modulo
-   [equal_state]. A divergence exits non-zero — a wrong fast executor is
-   worthless.
+   history, same burst / recovery / fault attribution, same final graph,
+   same final states modulo [equal_state]. A divergence exits non-zero — a
+   wrong fast executor is worthless. Each mode is then timed in its own
+   fresh process (see harness.ml).
 
-     dune exec bench/sparse.exe            # 10k nodes, writes BENCH_sparse.json
-     dune exec bench/sparse.exe -- --smoke # miniature identity check for CI *)
+     dune exec bench/bench.exe -- sparse         # 10k nodes, writes BENCH_sparse.json
+     dune exec bench/bench.exe -- sparse --smoke # miniature identity check for CI *)
 
 module Graph = Ss_topology.Graph
-module Builders = Ss_topology.Builders
-module Rng = Ss_prng.Rng
-module Churn = Ss_engine.Churn
-module Distributed = Ss_cluster.Distributed
-
-module P = Distributed.Make (struct
-  let params = Distributed.default_params
-end)
-
-module E = Ss_engine.Engine.Make (P)
-
-let seed = 2026
-
-let quiet_rounds = Distributed.default_params.Distributed.cache_ttl + 2
+module Json = Ssbench.Json
+module E = Harness.E
 
 type config = {
   label : string;
@@ -39,109 +28,61 @@ type config = {
   first : int;  (** first burst round, past cold-start convergence *)
 }
 
-let full =
-  { label = "full"; count = 10_000; radius = 0.02; bursts = 12; spacing = 30;
-    first = 60 }
+let config ~smoke =
+  if smoke then
+    { label = "smoke"; count = 500; radius = 0.08; bursts = 4; spacing = 24;
+      first = 40 }
+  else
+    { label = "full"; count = 10_000; radius = 0.02; bursts = 12; spacing = 30;
+      first = 60 }
 
-let smoke =
-  { label = "smoke"; count = 500; radius = 0.08; bursts = 4; spacing = 24;
-    first = 40 }
+let deploy cfg =
+  Harness.workload ~count:cfg.count ~radius:cfg.radius ~bursts:cfg.bursts
+    ~spacing:cfg.spacing ~first:cfg.first
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (Unix.gettimeofday () -. t0, v)
+let modes = [ ("dense", E.Dense); ("sparse", Harness.sparse) ]
 
-(* Victims stride across the id space so bursts land in different regions;
-   each burst is one crash with the rejoin half a spacing later. *)
-let plan cfg n =
-  Churn.schedule
-    (List.concat
-       (List.init cfg.bursts (fun i ->
-            let v = 997 * (i + 1) mod n in
-            let r = cfg.first + (i * cfg.spacing) in
-            [
-              (r, [ Churn.Crash v ]);
-              (r + (cfg.spacing / 2), [ Churn.Join v ]);
-            ])))
+let calls ~smoke =
+  let cfg = config ~smoke in
+  List.map
+    (fun (name, mode) ->
+      ( name,
+        Harness.call (fun () -> deploy cfg)
+          (fun (graph, churn) -> Harness.run_typed ~mode ~churn graph)
+          (fun _ -> []) ))
+    modes
 
-let run_mode cfg graph mode =
-  let rng = Rng.create ~seed in
-  E.run ~mode ~quiet_rounds ~max_rounds:20_000
-    ~churn:(plan cfg (Graph.node_count graph))
-    rng graph
-
-let check_identical dense sparse =
-  let states_agree =
-    Array.for_all2 (fun a b -> P.equal_state a b) dense.E.states
-      sparse.E.states
-  in
-  let checks =
-    [
-      ("rounds", dense.E.rounds = sparse.E.rounds);
-      ("converged", dense.E.converged = sparse.E.converged);
-      ( "last_change_round",
-        dense.E.last_change_round = sparse.E.last_change_round );
-      ("change_history", dense.E.change_history = sparse.E.change_history);
-      ("alive", dense.E.alive = sparse.E.alive);
-      ("bursts", dense.E.bursts = sparse.E.bursts);
-      ("final states", states_agree);
-    ]
-  in
-  List.iter
-    (fun (what, ok) ->
-      if not ok then Fmt.epr "IDENTITY MISMATCH: %s differs@." what)
-    checks;
-  List.for_all snd checks
-
-let bench cfg =
-  let rng = Rng.create ~seed:(seed + 1) in
-  let graph =
-    Builders.random_geometric_count rng ~count:cfg.count ~radius:cfg.radius
-  in
+let main ~smoke =
+  let cfg = config ~smoke in
+  let graph, churn = deploy cfg in
   Fmt.pr "%s: %d nodes, %d edges, %d single-node bursts@." cfg.label
     (Graph.node_count graph) (Graph.edge_count graph) cfg.bursts;
-  let dense_t, dense = time (fun () -> run_mode cfg graph E.Dense) in
-  let sparse_t, sparse =
-    time (fun () ->
-        run_mode cfg graph
-          (E.Sparse { warm = Some Distributed.pending_expiry }))
-  in
-  let identical = check_identical dense sparse in
+  let dense = Harness.run_typed ~mode:E.Dense ~churn graph in
+  let sparse = Harness.run_typed ~churn graph in
+  Harness.require (Harness.same_run "dense/sparse" dense sparse)
+    "sparse run diverged from the dense reference";
+  let time name = (Harness.best ~reps:1 ~smoke "sparse" name).Harness.cpu in
+  let dense_t = time "dense" in
+  let sparse_t = time "sparse" in
   let speedup = dense_t /. sparse_t in
-  Fmt.pr
-    "  dense: %.3fs  sparse: %.3fs  speedup: %.1fx  rounds: %d  identical: \
-     %b@."
-    dense_t sparse_t speedup dense.E.rounds identical;
-  (dense_t, sparse_t, speedup, dense.E.rounds, identical)
+  Fmt.pr "  dense: %.3fs  sparse: %.3fs  speedup: %.1fx  rounds: %d  \
+          identical: true@."
+    dense_t sparse_t speedup dense.E.rounds;
+  Harness.output ~smoke "BENCH_sparse.json"
+    (Json.Obj
+       [
+         ("seed", Json.int Harness.seed);
+         ("nodes", Json.int cfg.count);
+         ("radius", Json.Num cfg.radius);
+         ("bursts", Json.int cfg.bursts);
+         ("rounds", Json.int dense.E.rounds);
+         ("dense_seconds", Harness.fixed 4 dense_t);
+         ("sparse_seconds", Harness.fixed 4 sparse_t);
+         ("speedup", Harness.fixed 2 speedup);
+         ("identical", Json.Bool true);
+       ])
 
-let json cfg (dense_t, sparse_t, speedup, rounds, identical) =
-  Printf.sprintf
-    "{\n\
-    \  \"seed\": %d,\n\
-    \  \"nodes\": %d,\n\
-    \  \"radius\": %.3f,\n\
-    \  \"bursts\": %d,\n\
-    \  \"rounds\": %d,\n\
-    \  \"dense_seconds\": %.4f,\n\
-    \  \"sparse_seconds\": %.4f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"identical\": %b\n\
-     }\n"
-    seed cfg.count cfg.radius cfg.bursts rounds dense_t sparse_t speedup
-    identical
-
-let () =
-  let smoke_mode = Array.exists (( = ) "--smoke") Sys.argv in
-  let cfg = if smoke_mode then smoke else full in
-  let ((_, _, _, _, identical) as m) = bench cfg in
-  if not smoke_mode then begin
-    let oc = open_out "BENCH_sparse.json" in
-    output_string oc (json cfg m);
-    close_out oc;
-    Fmt.pr "wrote BENCH_sparse.json@."
-  end;
-  if not identical then begin
-    Fmt.epr "ERROR: sparse run diverged from the dense reference@.";
-    exit 1
-  end
+let cmd =
+  Harness.bench "sparse" calls main
+    ~doc:"Sparse executor vs. the dense walk under single-node churn."
+    ~smoke_doc:"500 nodes; check the document's shape instead of writing it."

@@ -13,117 +13,122 @@
    adversarial cells censor at the cap by design; the CSV reports them
    as lower bounds with their censored counts.
 
-     dune exec bench/stabilization.exe              # full sweep (hours)
-     dune exec bench/stabilization.exe -- --smoke   # small sides, seconds
-     dune exec bench/stabilization.exe -- --jobs 8  # domain pool width *)
+     dune exec bench/bench.exe -- stabilization            # full sweep (hours)
+     dune exec bench/bench.exe -- stabilization --smoke    # small sides, seconds;
+                                                           # writes nothing
+     dune exec bench/bench.exe -- stabilization --jobs 8   # domain pool width *)
 
+open Cmdliner
 module Exp = Ss_experiments.Exp_stabilization
 module Estimate = Ss_stats.Estimate
 module Table = Ss_stats.Table
-module Summary = Ss_stats.Summary
+module Json = Ssbench.Json
 
 let seed = 42
 
-let jobs () =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--jobs" then int_of_string_opt Sys.argv.(i + 1)
-    else find (i + 1)
+(* As repro's: a bad count exits 2 naming it; with neither the flag nor
+   REPRO_JOBS, one domain fewer than recommended. *)
+let jobs_arg =
+  let env = Cmd.Env.info "REPRO_JOBS" ~doc:"Default for $(b,--jobs)." in
+  let doc = "Domains of the sweep's pool, a positive integer." in
+  let check = function
+    | None -> max 1 (Domain.recommended_domain_count () - 1)
+    | Some s -> (
+        try Ss_experiments.Sweep.jobs_of_string s
+        with Invalid_argument msg ->
+          Fmt.epr "bench: --jobs/REPRO_JOBS: %s@." msg;
+          exit 2)
   in
-  match find 0 with
-  | Some j when j >= 1 -> j
-  | _ -> max 1 (Domain.recommended_domain_count () - 1)
+  Term.(
+    const check
+    $ Arg.(value & opt (some string) None & info [ "jobs" ] ~env ~docv:"N" ~doc))
 
 let naming_label = function Exp.Dag -> "dag" | Exp.Adversarial -> "adversarial"
-
-let json_float x = if Float.is_nan x then "null" else Printf.sprintf "%.4f" x
-
-let json_of_row (r : Exp.row) =
-  let c = r.Exp.cell in
-  Printf.sprintf
-    "    {\"side\": %d, \"nodes\": %d, \"k\": %.2f, \"tau\": %.2f, \
-     \"naming\": \"%s\", \"runs\": %d, \"cap\": %d, \"degree\": %.1f, \
-     \"censored\": %d, \"mean\": %s, \"mean_lo\": %s, \"mean_hi\": %s, \
-     \"median\": %s, \"median_lo\": %s, \"median_hi\": %s, \"p95_lb\": %s, \
-     \"viol_per_100\": %s, \"gap_mean_lb\": %s, \"seconds\": %.1f}"
-    c.Exp.c_side r.Exp.nodes c.Exp.c_k c.Exp.c_tau
-    (naming_label c.Exp.c_naming)
-    c.Exp.c_runs c.Exp.c_cap r.Exp.degree
-    (Estimate.censored_count r.Exp.stab)
-    (json_float r.Exp.mean_ci.Estimate.point)
-    (json_float r.Exp.mean_ci.Estimate.lo)
-    (json_float r.Exp.mean_ci.Estimate.hi)
-    (json_float r.Exp.median_ci.Estimate.point)
-    (json_float r.Exp.median_ci.Estimate.lo)
-    (json_float r.Exp.median_ci.Estimate.hi)
-    (json_float r.Exp.p95_lb)
-    (json_float r.Exp.viol_per_100)
-    (json_float
-       (if Estimate.count r.Exp.gaps = 0 then Float.nan
-        else Estimate.mean_lb r.Exp.gaps))
-    r.Exp.seconds
 
 let trend_label = function
   | Exp.Flat -> "flat"
   | Exp.Growing -> "growing"
   | Exp.Mixed -> "mixed"
 
+let json_of_row (r : Exp.row) =
+  let c = r.Exp.cell and int = Json.int and fixed = Harness.fixed in
+  Json.Obj
+    [
+      ("side", int c.Exp.c_side);
+      ("nodes", int r.Exp.nodes);
+      ("k", fixed 2 c.Exp.c_k);
+      ("tau", fixed 2 c.Exp.c_tau);
+      ("naming", Json.Str (naming_label c.Exp.c_naming));
+      ("runs", int c.Exp.c_runs);
+      ("cap", int c.Exp.c_cap);
+      ("degree", fixed 1 r.Exp.degree);
+      ("censored", int (Estimate.censored_count r.Exp.stab));
+      ("mean", fixed 4 r.Exp.mean_ci.Estimate.point);
+      ("mean_lo", fixed 4 r.Exp.mean_ci.Estimate.lo);
+      ("mean_hi", fixed 4 r.Exp.mean_ci.Estimate.hi);
+      ("median", fixed 4 r.Exp.median_ci.Estimate.point);
+      ("median_lo", fixed 4 r.Exp.median_ci.Estimate.lo);
+      ("median_hi", fixed 4 r.Exp.median_ci.Estimate.hi);
+      ("p95_lb", fixed 4 r.Exp.p95_lb);
+      ("viol_per_100", fixed 4 r.Exp.viol_per_100);
+      ( "gap_mean_lb",
+        fixed 4
+          (if Estimate.count r.Exp.gaps = 0 then Float.nan
+           else Estimate.mean_lb r.Exp.gaps) );
+      ("seconds", fixed 1 r.Exp.seconds);
+    ]
+
 let json_of_verdict (v : Exp.verdict) =
-  Printf.sprintf
-    "    {\"k\": %.2f, \"naming\": \"%s\", \"tau\": %.2f, \"sides\": [%s], \
-     \"trend\": \"%s\", \"superiority\": %s, \"ks_p\": %s}"
-    v.Exp.v_k
-    (naming_label v.Exp.v_naming)
-    v.Exp.v_tau
-    (String.concat ", " (List.map string_of_int v.Exp.v_sides))
-    (trend_label v.Exp.v_trend)
-    (json_float v.Exp.v_sup) (json_float v.Exp.v_ks_p)
+  Json.Obj
+    [
+      ("k", Harness.fixed 2 v.Exp.v_k);
+      ("naming", Json.Str (naming_label v.Exp.v_naming));
+      ("tau", Harness.fixed 2 v.Exp.v_tau);
+      ("sides", Json.Arr (List.map Json.int v.Exp.v_sides));
+      ("trend", Json.Str (trend_label v.Exp.v_trend));
+      ("superiority", Harness.fixed 4 v.Exp.v_sup);
+      ("ks_p", Harness.fixed 4 v.Exp.v_ks_p);
+    ]
 
-let write_json rows verdicts dt ok =
-  let oc = open_out "BENCH_stabilization.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"stabilization\",\n\
-    \  \"executor\": \"flat\",\n\
-    \  \"seed\": %d,\n\
-    \  \"violation_horizon\": %d,\n\
-    \  \"wall_seconds\": %.1f,\n\
-    \  \"dag_flat\": %b,\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"verdicts\": [\n%s\n  ]\n\
-     }\n"
-    seed Exp.violation_horizon dt ok
-    (String.concat ",\n" (List.map json_of_row rows))
-    (String.concat ",\n" (List.map json_of_verdict verdicts));
-  close_out oc;
-  Printf.printf "wrote BENCH_stabilization.json\n%!"
-
-let write_csv rows =
-  let oc = open_out "stabilization.csv" in
-  output_string oc (Table.to_csv (Exp.to_table rows));
-  close_out oc;
-  Printf.printf "wrote stabilization.csv\n%!"
-
-let () =
-  let smoke = Array.exists (( = ) "--smoke") Sys.argv in
+let main smoke domains =
   let cells = if smoke then Exp.smoke_cells else Exp.default_cells in
-  let domains = jobs () in
   Printf.printf "stabilization%s: %d cells, %d domains (flat executor)\n%!"
     (if smoke then " --smoke" else "")
     (List.length cells) domains;
-  let t0 = Unix.gettimeofday () in
-  let rows = Ss_experiments.Sweep.rows ~domains (Exp.sweep ~seed ~cells ()) in
-  let dt = Unix.gettimeofday () -. t0 in
+  let t, rows =
+    Harness.measure ignore (fun () ->
+        Ss_experiments.Sweep.rows ~domains (Exp.sweep ~seed ~cells ()))
+  in
+  let dt = t.Harness.wall in
   let verdicts = Exp.verdicts rows in
   Table.print (Exp.to_table rows);
   Table.print (Exp.verdicts_table verdicts);
   let ok = Exp.dag_flat verdicts in
-  write_csv rows;
-  write_json rows verdicts dt ok;
+  if not smoke then begin
+    Out_channel.with_open_bin "stabilization.csv" (fun oc ->
+        output_string oc (Table.to_csv (Exp.to_table rows)));
+    Printf.printf "wrote stabilization.csv\n%!"
+  end;
+  Harness.output ~smoke "BENCH_stabilization.json"
+    (Json.Obj
+       [
+         ("bench", Json.Str "stabilization");
+         ("executor", Json.Str "flat");
+         ("seed", Json.int seed);
+         ("violation_horizon", Json.int Exp.violation_horizon);
+         ("wall_seconds", Harness.fixed 1 dt);
+         ("dag_flat", Json.Bool ok);
+         ("rows", Json.Arr (List.map json_of_row rows));
+         ("verdicts", Json.Arr (List.map json_of_verdict verdicts));
+       ]);
   Printf.printf "total: %.1fs\n%!" dt;
-  if ok then exit 0
-  else begin
-    Printf.printf
-      "ERROR: a with-DAG curve is not flat in n within CI overlap\n%!";
-    exit 1
-  end
+  Harness.require ok "a with-DAG curve is not flat in n within CI overlap"
+
+let cmd =
+  let doc = "The stabilization-time sweep behind the constant-time claim." in
+  Cmd.v (Cmd.info "stabilization" ~doc)
+    Term.(
+      const main
+      $ Harness.smoke_arg
+          "Small sides; check the document's shape and write nothing."
+      $ jobs_arg)

@@ -202,6 +202,4 @@ let cluster ?scheduler ?init_heads ?max_rounds ?dag_names ?topology rng config
      ~ids)
     .assignment
 
-let sequential_ids graph = Array.init (Graph.node_count graph) Fun.id
-
 let shuffled_ids rng graph = Ss_prng.Rng.permutation rng (Graph.node_count graph)

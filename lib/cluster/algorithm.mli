@@ -75,8 +75,5 @@ val cluster :
   Assignment.t
 (** [run] projected to its assignment. *)
 
-val sequential_ids : Ss_topology.Graph.t -> int array
-(** ids 0..n-1 in node order (the adversarial grid layout uses this). *)
-
 val shuffled_ids : Ss_prng.Rng.t -> Ss_topology.Graph.t -> int array
 (** a uniform random id permutation (the paper's random-id assumption). *)

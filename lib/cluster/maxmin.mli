@@ -9,10 +9,6 @@ type logs = {
   floodmin : int array array;
 }
 
-val elect_heads :
-  Ss_topology.Graph.t -> ids:int array -> d:int -> int array * logs
-(** Per-node elected head {e id} (not node index), plus the flood logs. *)
-
 val run :
   Ss_topology.Graph.t -> ids:int array -> d:int -> Assignment.t * logs
 (** Full clustering: heads mapped back to node indices, parents derived

@@ -56,7 +56,3 @@ let max_key ~tie keys =
 let pp_tie ppf = function
   | Id_only -> Fmt.string ppf "id"
   | Incumbent_then_id -> Fmt.string ppf "incumbent-then-id"
-
-let pp_key ppf k =
-  Fmt.pf ppf "{d=%a; id=%d%s}" Density.pp k.value k.id
-    (if k.incumbent then "; head" else "")

@@ -33,4 +33,3 @@ val max_key : tie:tie -> key list -> key option
 (** max≺ of a list (None on empty). *)
 
 val pp_tie : tie Fmt.t
-val pp_key : key Fmt.t

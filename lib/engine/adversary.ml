@@ -45,16 +45,6 @@ let behavior_to_string = function
   | Liar -> "liar"
   | Oscillator -> "oscillator"
 
-let behavior_of_string s =
-  match String.lowercase_ascii s with
-  | "mute" -> Some Mute
-  | "stuck" -> Some Stuck
-  | "liar" -> Some Liar
-  | "oscillator" -> Some Oscillator
-  | _ -> None
-
-let pp_behavior ppf b = Fmt.string ppf (behavior_to_string b)
-
 type role = Honest | Byzantine of behavior
 
 type ('s, 'm) node_state = {

@@ -36,8 +36,6 @@ val behaviors : behavior list
 (** All four, in declaration order (for sweeps). *)
 
 val behavior_to_string : behavior -> string
-val behavior_of_string : string -> behavior option
-val pp_behavior : behavior Fmt.t
 
 type role = Honest | Byzantine of behavior
 

@@ -185,14 +185,3 @@ let link_flap ~first ~last ~p_down ?(p_up = 0.0) () =
             (Dynamic.down_list dyn)
       in
       List.rev_append !fades recoveries)
-
-let poisson_crash_bursts ~first ~last ~rate ~mean_size =
-  check_window ~first ~last;
-  if rate < 0.0 then invalid_arg "Churn: negative burst rate";
-  if mean_size <= 0.0 then invalid_arg "Churn: burst size must be positive";
-  windowed ~first ~last (fun ~round:_ dyn rng ->
-      if not (Rng.bernoulli rng (1.0 -. exp (-.rate))) then []
-      else
-        let size = max 1 (Rng.poisson rng ~mean:mean_size) in
-        let alive = Dynamic.nodes_with dyn Dynamic.Alive in
-        List.map (fun p -> Crash p) (sample rng alive size))

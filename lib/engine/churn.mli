@@ -96,9 +96,3 @@ val link_flap : first:int -> last:int -> p_down:float -> ?p_up:float -> unit -> 
 (** Each round of the window: every up base link fades with probability
     [p_down]; every downed link recovers with probability [p_up]
     (default 0). *)
-
-val poisson_crash_bursts :
-  first:int -> last:int -> rate:float -> mean_size:float -> t
-(** Poisson burst arrivals: each round of the window a burst fires with
-    probability [1 - exp (-rate)]; its size is Poisson with mean
-    [mean_size] (at least 1), victims uniform among alive nodes. *)

@@ -113,8 +113,6 @@ let mark_all t =
     mark_now t p
   done
 
-let frontier_len t = t.cur_len
-
 let order t = t.order
 
 let set_row t p row = t.rows.(p) <- row

@@ -79,12 +79,7 @@ val create :
 val mark_now : 's t -> int -> unit
 (** Add a node to the current frontier (idempotent). *)
 
-val mark_nxt : 's t -> int -> unit
-(** Add a node to the next round's frontier (idempotent). *)
-
 val mark_all : 's t -> unit
-
-val frontier_len : 's t -> int
 
 val order : 's t -> int array
 (** The locality order (rank → node) the synchronous walk follows. The

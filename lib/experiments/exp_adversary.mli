@@ -39,8 +39,6 @@ type row = {
 }
 
 val default_spec : Scenario.spec
-val default_from_round : int
-val default_counts : int list
 
 val default_channels : Ss_radio.Channel.t list
 (** perfect, bernoulli 0.8, asymmetric 0.5..1.0, and the campaign's

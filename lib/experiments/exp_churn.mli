@@ -17,13 +17,9 @@ type storm =
   | Combined
   | Corrupt of float
       (** this fraction of the nodes corrupted at round 40; not in
-          {!default_storms} *)
-
-val default_storms : storm list
+          the default storms *)
 
 val storm_label : storm -> string
-
-val plan_of_storm : storm -> Ss_engine.Churn.t
 
 type row = {
   scheduler : Ss_engine.Scheduler.t;
@@ -39,8 +35,6 @@ type row = {
 }
 
 val default_spec : Scenario.spec
-
-val default_schedulers : Ss_engine.Scheduler.t list
 
 type outcome
 (** What one run reports. *)

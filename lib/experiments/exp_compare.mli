@@ -5,18 +5,6 @@ type algorithm =
   | Heuristic of Ss_cluster.Metric.t
   | Maxmin_d of int
 
-val default_algorithms : algorithm list
-(** density, degree, lowest-id, max-min (d=2). *)
-
-val cluster_with :
-  Ss_prng.Rng.t ->
-  algorithm ->
-  Ss_topology.Graph.t ->
-  ids:int array ->
-  Ss_cluster.Assignment.t
-(** One clustering under the given algorithm (sequential schedule for the
-    heuristics). *)
-
 type result = {
   algorithm : string;
   retention : Ss_stats.Summary.t;

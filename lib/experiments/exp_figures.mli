@@ -14,7 +14,4 @@ val figure2 : ?seed:int -> ?radius:float -> unit -> figure
 val figure3 : ?seed:int -> ?radius:float -> unit -> figure
 (** Grid with DAG names: many compact clusters. *)
 
-val write_to_dir : dir:string -> figure list -> string list
-(** Write the SVGs; returns the paths. *)
-
 val print : ?dir:string -> unit -> unit

@@ -46,9 +46,6 @@ type row = {
   final_legitimate : int;
 }
 
-val reelection_rate : row -> float
-(** Head re-elections per 100 alive node-rounds. *)
-
 val default_spec : Scenario.spec
 
 type outcome

@@ -44,8 +44,6 @@ type row = {
   converged : int;
 }
 
-val ratio_of : row -> float
-
 val dip_recovery :
   burst_round:int ->
   window:int ->

@@ -14,9 +14,6 @@ type id_layout =
 
 type spec = { deployment : deployment; radius : float; id_layout : id_layout }
 
-val paper_grid_side : int
-(** 32: the paper's grid carries about 1000 nodes. *)
-
 val poisson :
   ?id_layout:id_layout -> intensity:float -> radius:float -> unit -> spec
 

@@ -20,12 +20,6 @@ val jobs_of_string : string -> int
 (** Parse a domain count: a positive integer, surrounding blanks allowed.
     Raises [Invalid_argument] naming the value otherwise. *)
 
-val default_domains : unit -> int
-(** Domain count used when [?domains] is omitted: 1 when the [REPRO_JOBS]
-    environment variable is unset, its value otherwise. Raises
-    [Invalid_argument] naming the value when it is not a positive
-    integer. *)
-
 val streams : seed:int -> runs:int -> Ss_prng.Rng.t array
 (** The per-run generators: element [i] is the sub-stream run [i]
     receives (the [i]-th split of the base generator). A prefix of
@@ -74,9 +68,10 @@ val summaries :
 type ('cell, 'a, 'row) entry = { cell : 'cell; runs : 'a runs; row : 'row }
 
 val run : ?domains:int -> ('cell, 'a, 'row) t -> ('cell, 'a, 'row) entry list
-(** Every cell in order. [domains] defaults to {!default_domains}.
-    Raises [Invalid_argument] when [domains] or a cell's run count is
-    below 1. *)
+(** Every cell in order. [domains] defaults to 1 when the [REPRO_JOBS]
+    environment variable is unset, its value otherwise. Raises
+    [Invalid_argument] when [domains], [REPRO_JOBS] or a cell's run count
+    is not a positive integer. *)
 
 val rows : ?domains:int -> (_, _, 'row) t -> 'row list
 (** The rows of {!run}. *)

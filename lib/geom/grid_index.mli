@@ -26,10 +26,6 @@ val move : t -> int -> unit
     costs one comparison; a cell change costs the old bucket's length.
     Raises [Invalid_argument] on an out-of-range index. *)
 
-val iter_within : t -> Vec2.t -> float -> (int -> unit) -> unit
-(** [iter_within t c r f] applies [f] to the index of every point at distance
-    [<= r] from [c] (including a point equal to [c] itself if indexed). *)
-
 val within : t -> Vec2.t -> float -> int list
 (** Sorted indices of points within radius of the given center. *)
 

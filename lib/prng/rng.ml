@@ -2,8 +2,6 @@ type t = Splitmix64.t
 
 let create ~seed = Splitmix64.of_int seed
 
-let of_state = Fun.id
-
 let copy = Splitmix64.copy
 
 let split = Splitmix64.split
@@ -152,11 +150,6 @@ let pick t arr =
   let n = Array.length arr in
   if n = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t n)
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ :: _ -> List.nth l (int t (List.length l))
 
 let shuffle_in_place t arr =
   for i = Array.length arr - 1 downto 1 do

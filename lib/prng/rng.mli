@@ -9,9 +9,6 @@ type t
 val create : seed:int -> t
 (** Fresh generator from an integer seed. *)
 
-val of_state : Splitmix64.t -> t
-(** View a raw SplitMix64 state as a generator. *)
-
 val copy : t -> t
 (** Independent generator with identical current state. *)
 
@@ -107,9 +104,6 @@ val poisson : t -> mean:float -> int
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle. *)

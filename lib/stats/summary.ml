@@ -27,11 +27,6 @@ let of_list xs =
   List.iter (add t) xs;
   t
 
-let of_array xs =
-  let t = create () in
-  Array.iter (add t) xs;
-  t
-
 let count t = t.count
 let mean t = if t.count = 0 then nan else t.mean
 let minimum t = if t.count = 0 then nan else t.min

@@ -6,7 +6,6 @@ val create : unit -> t
 val add : t -> float -> unit
 val add_int : t -> int -> unit
 val of_list : float list -> t
-val of_array : float array -> t
 
 val count : t -> int
 val mean : t -> float
@@ -18,7 +17,6 @@ val variance : t -> float
 (** Sample variance (n-1); 0 with fewer than two samples. *)
 
 val stddev : t -> float
-val stderr_of_mean : t -> float
 val ci95 : t -> float
 (** Half-width of a normal-approximation 95% CI on the mean. *)
 

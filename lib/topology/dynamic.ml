@@ -52,8 +52,6 @@ let is_alive t p =
 let alive_count t =
   Array.fold_left (fun acc s -> if s = Alive then acc + 1 else acc) 0 t.status
 
-let alive_mask t = Array.map (fun s -> s = Alive) t.status
-
 let nodes_with t wanted =
   let acc = ref [] in
   for p = node_count t - 1 downto 0 do

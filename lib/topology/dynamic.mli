@@ -52,9 +52,6 @@ val is_alive : t -> int -> bool
 
 val alive_count : t -> int
 
-val alive_mask : t -> bool array
-(** Fresh copy; [mask.(p)] iff node [p] is [Alive]. *)
-
 val nodes_with : t -> status -> int list
 (** Sorted nodes currently in the given status. *)
 
