@@ -27,8 +27,8 @@ let improved =
 let improved_with_dag = { improved with use_dag_names = true }
 
 let make ?(metric = Metric.Density) ?(tie = Order.Id_only) ?(fusion = false)
-    ?(use_dag_names = false) ?(gamma = Gamma.delta_sq) () =
-  { metric; tie; fusion; use_dag_names; gamma }
+    ?(gamma = Gamma.delta_sq) () =
+  { metric; tie; fusion; use_dag_names = false; gamma }
 
 let pp ppf t =
   Fmt.pf ppf "{metric=%a; tie=%a; fusion=%b; dag=%b; gamma=%a}" Metric.pp

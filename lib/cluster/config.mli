@@ -25,7 +25,6 @@ val make :
   ?metric:Metric.t ->
   ?tie:Order.tie ->
   ?fusion:bool ->
-  ?use_dag_names:bool ->
   ?gamma:Gamma.t ->
   unit ->
   t

@@ -81,7 +81,9 @@ let resolution_round rng graph ~ids ~gamma names =
   done;
   !repicked
 
-let build ?(max_steps = 1000) rng graph ~ids ~gamma =
+let max_steps = 1000
+
+let build rng graph ~ids ~gamma =
   if Array.length ids <> Graph.node_count graph then
     invalid_arg "Dag_id.build: ids length mismatch";
   if gamma < 1 then invalid_arg "Dag_id.build: gamma must be >= 1";
@@ -102,9 +104,9 @@ let build ?(max_steps = 1000) rng graph ~ids ~gamma =
   let steps, converged = if n = 0 then (0, true) else resolve ~active:0 in
   { names; steps; gamma_size = gamma; converged }
 
-let build_spec ?max_steps rng graph ~ids ~gamma_spec =
+let build_spec rng graph ~ids ~gamma_spec =
   let gamma = Gamma.size gamma_spec graph in
-  build ?max_steps rng graph ~ids ~gamma
+  build rng graph ~ids ~gamma
 
 let is_valid graph names = Ss_topology.Dag.locally_unique graph names
 

@@ -12,11 +12,10 @@ type result = {
   names : int array;  (** one name in [0 .. gamma_size-1] per node *)
   steps : int;  (** 1 + number of steps in which a node re-picked *)
   gamma_size : int;
-  converged : bool;  (** false only if [max_steps] was exhausted *)
+  converged : bool;  (** false only if 1000 steps were exhausted *)
 }
 
 val build :
-  ?max_steps:int ->
   Ss_prng.Rng.t ->
   Ss_topology.Graph.t ->
   ids:int array ->
@@ -26,7 +25,6 @@ val build :
     side of a collision. *)
 
 val build_spec :
-  ?max_steps:int ->
   Ss_prng.Rng.t ->
   Ss_topology.Graph.t ->
   ids:int array ->

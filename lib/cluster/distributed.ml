@@ -632,7 +632,6 @@ struct
           (* node-indexed stamp plane: [tok lsl slot_bits lor slot] marks
              "seen in the current use", so the plane is never cleared *)
       mutable tok : int; (* token of the current use, bumped per use *)
-      mutable ebuf : int array; (* next emission image *)
       mutable names : int array; (* N1's exclusion plane, gamma-sized *)
       mutable bridges : int array; (* per cache entry: claims the head *)
     }
@@ -746,7 +745,6 @@ struct
         ooff = Array.make 16 0;
         marks = Array.make b.n 0;
         tok = 0;
-        ebuf = Array.make 80 0;
         names = Array.make 16 0;
         bridges = Array.make 16 0;
       }
@@ -1007,54 +1005,45 @@ struct
         far = far_below b b.far.(sp) b.far_off.(sp) b.far_len.(sp) [];
       }
 
-    let refresh_emit b s p =
+    (* Writes [v] at [a.(i)] unless it is already there; returns
+       [changed] or'ed with whether it wrote. *)
+    let[@inline] set_if (a : int array) i (v : int) changed =
+      if a.(i) = v then changed
+      else begin
+        a.(i) <- v;
+        true
+      end
+
+    (* One pass over the node's cache row, each emitted int compared
+       with its new value and written in place when it differs. [room]
+       moves the summary row only when the count outgrew the row's
+       capacity, and then the count scalar differs, so the change is
+       reported however the moved row's zeroes compare. *)
+    let refresh_emit b _ p =
       let sp = b.slot.(p) in
       let cnt = b.cache_cnt.(sp) in
-      s.ebuf <- grow s.ebuf (5 * cnt);
-      let eb = s.ebuf in
+      let en = room b.em_nbrs b.em_off b.em_cap sp (5 * cnt) in
+      let eo = b.em_off.(sp) and em = b.em and e = 6 * sp in
+      let ch = set_if em (e + 5) cnt false in
+      let ch = set_if em e b.gid.(sp) ch in
+      let ch = set_if em (e + 1) b.dag.(sp) ch in
+      let ch = set_if em (e + 2) b.dens_l.(sp) ch in
+      let ch = set_if em (e + 3) b.dens_n.(sp) ch in
+      let changed = ref (set_if em (e + 4) b.head.(sp) ch) in
       let c = b.cache.(sp) in
       let pos = ref b.cache_off.(sp) in
       for i = 0 to cnt - 1 do
-        let q = c.(!pos) in
-        let o = 5 * i in
-        eb.(o) <- q;
-        eb.(o + 1) <- c.(!pos + 4);
-        eb.(o + 2) <- c.(!pos + 5);
-        eb.(o + 3) <-
-          (if algo.Config.use_dag_names then c.(!pos + 3) else c.(!pos + 2));
-        eb.(o + 4) <- (if c.(!pos + 6) = q then 1 else 0);
-        pos := !pos + 8 + c.(!pos + 7)
+        let u = !pos and o = eo + (5 * i) in
+        let q = c.(u) in
+        let eff = if algo.Config.use_dag_names then c.(u + 3) else c.(u + 2) in
+        let ch = set_if en o q !changed in
+        let ch = set_if en (o + 1) c.(u + 4) ch in
+        let ch = set_if en (o + 2) c.(u + 5) ch in
+        let ch = set_if en (o + 3) eff ch in
+        changed := set_if en (o + 4) (if c.(u + 6) = q then 1 else 0) ch;
+        pos := u + 8 + c.(u + 7)
       done;
-      let e = 6 * sp in
-      let changed =
-        b.em.(e + 5) <> cnt
-        || b.em.(e) <> b.gid.(sp)
-        || b.em.(e + 1) <> b.dag.(sp)
-        || b.em.(e + 2) <> b.dens_l.(sp)
-        || b.em.(e + 3) <> b.dens_n.(sp)
-        || b.em.(e + 4) <> b.head.(sp)
-        ||
-        let en = b.em_nbrs.(sp) and eo = b.em_off.(sp) in
-        let diff = ref false in
-        for i = 0 to (5 * cnt) - 1 do
-          if en.(eo + i) <> eb.(i) then diff := true
-        done;
-        !diff
-      in
-      if changed then begin
-        b.em.(e) <- b.gid.(sp);
-        b.em.(e + 1) <- b.dag.(sp);
-        b.em.(e + 2) <- b.dens_l.(sp);
-        b.em.(e + 3) <- b.dens_n.(sp);
-        b.em.(e + 4) <- b.head.(sp);
-        let en = room b.em_nbrs b.em_off b.em_cap sp (5 * cnt) in
-        let eo = b.em_off.(sp) in
-        for i = 0 to (5 * cnt) - 1 do
-          en.(eo + i) <- eb.(i)
-        done;
-        b.em.(e + 5) <- cnt
-      end;
-      changed
+      !changed
 
     (* The fresh entries a step writes, shared by both of its write
        targets: the node's own rows on a steady layout, the scratch

@@ -69,8 +69,9 @@ let apply_drain ~drain batteries assignment =
    existing Order/Algorithm machinery applies unchanged:
    value = band * levels + energy_level, as the integer (links part) of a
    rational with denominator 1. *)
-let election_values ?(bands = 4) ?(levels = 8) graph batteries =
-  if bands < 1 then invalid_arg "Energy.election_values: bands must be >= 1";
+let bands = 4
+
+let election_values ?(levels = 8) graph batteries =
   let densities = Density.compute_all graph in
   let floats = Array.map Density.to_float densities in
   let dmax = Array.fold_left Float.max 0.0 floats in
@@ -141,8 +142,10 @@ type lifetime = {
   total_head_changes : int;
 }
 
+let max_epochs = 10_000
+
 let simulate_lifetime ?(drain = default_drain) ?(capacity = 100.0)
-    ?(max_epochs = 10_000) ~energy_aware rng graph ~ids =
+    ~energy_aware rng graph ~ids =
   let n = Graph.node_count graph in
   let batteries = Array.init n (fun _ -> battery ~capacity) in
   let first_death = ref 0 in

@@ -45,10 +45,9 @@ val apply_drain : drain:drain -> battery array -> Assignment.t -> unit
 (** One epoch of duty costs, per the assignment's roles. *)
 
 val election_values :
-  ?bands:int -> ?levels:int -> Ss_topology.Graph.t -> battery array ->
-  Density.t array
-(** Per-node election value: density quantized into [bands] bands (default
-    4), battery {!level} as the low-order component. Feed to
+  ?levels:int -> Ss_topology.Graph.t -> battery array -> Density.t array
+(** Per-node election value: density quantized into 4 bands, battery
+    {!level} as the low-order component. Feed to
     {!Algorithm.run}'s [values]. *)
 
 val living_subgraph : Ss_topology.Graph.t -> battery array -> Ss_topology.Graph.t
@@ -81,12 +80,12 @@ type lifetime = {
 val simulate_lifetime :
   ?drain:drain ->
   ?capacity:float ->
-  ?max_epochs:int ->
   energy_aware:bool ->
   Ss_prng.Rng.t ->
   Ss_topology.Graph.t ->
   ids:int array ->
   lifetime
-(** Run epochs until half the network is dead. [energy_aware:false] is the
+(** Run epochs until half the network is dead, at most 10,000 of them.
+    [energy_aware:false] is the
     energy-oblivious baseline (plain density election, same drain), whose
     heads die markedly earlier. *)

@@ -28,7 +28,7 @@ module Summary = Ss_stats.Summary
 module Table = Ss_stats.Table
 
 let default_spec = Scenario.uniform ~count:60 ~radius:0.15 ()
-let default_from_round = 40
+let from_round = 40
 let default_counts = [ 1; 3 ]
 
 let default_channels =
@@ -126,7 +126,6 @@ let fold cell (runs : Campaign.outcome Sweep.runs) =
 let sweep ?(seed = 42) ?(runs = 5) ?(spec = default_spec)
     ?(behaviors = Adversary.behaviors) ?(counts = default_counts)
     ?(channels = default_channels) ?(max_rounds = 800)
-    ?(from_round = default_from_round)
     ?(horizon = Campaign.default_horizon) () =
   {
     Sweep.label =

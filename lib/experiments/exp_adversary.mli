@@ -59,7 +59,6 @@ val sweep :
   ?counts:int list ->
   ?channels:Ss_radio.Channel.t list ->
   ?max_rounds:int ->
-  ?from_round:int ->
   ?horizon:int ->
   unit ->
   (Exp_campaign.cell, Exp_campaign.outcome, row) Sweep.t

@@ -47,7 +47,10 @@ type result = {
   clusters : Summary.t;
 }
 
-let run_once rng ~count ~radius ~model ~epoch ~epochs algorithm =
+(* Seconds of motion between two snapshots. *)
+let epoch = 2.0
+
+let run_once rng ~count ~radius ~model ~epochs algorithm =
   let positions =
     Ss_geom.Point_process.uniform rng ~count ~box:Ss_geom.Bbox.unit_square
   in
@@ -73,7 +76,7 @@ let run_once rng ~count ~radius ~model ~epoch ~epochs algorithm =
 
 (* The per-run summaries merge in run order. *)
 let sweep ?(seed = 42) ?(runs = 5) ?(count = 400) ?(radius = 0.1)
-    ?(model = Model.pedestrian) ?(epoch = 2.0) ?(epochs = 60)
+    ?(model = Model.pedestrian) ?(epochs = 60)
     ?(algorithms = default_algorithms) () =
   {
     Sweep.label;
@@ -82,7 +85,7 @@ let sweep ?(seed = 42) ?(runs = 5) ?(count = 400) ?(radius = 0.1)
     seed = (fun _ -> seed);
     run =
       (fun algorithm rng ->
-        run_once rng ~count ~radius ~model ~epoch ~epochs algorithm);
+        run_once rng ~count ~radius ~model ~epochs algorithm);
     judge = Sweep.raised_only;
     fold =
       (fun algorithm runs ->

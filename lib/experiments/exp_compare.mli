@@ -17,7 +17,6 @@ val sweep :
   ?count:int ->
   ?radius:float ->
   ?model:Ss_mobility.Model.t ->
-  ?epoch:float ->
   ?epochs:int ->
   ?algorithms:algorithm list ->
   unit ->

@@ -147,7 +147,7 @@ let plan_of ~burst ~burst_round ~rejoin_round ~fraction w =
 (* One run on the typed sparse executor, or on the flat one when [flat]
    (the verification replay). *)
 let run_one ~flat ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
-    ~fraction ~energy ~rate ~channel rng =
+    ~fraction ~rate ~channel rng =
   let world = Scenario.build rng spec in
   let graph = world.Scenario.graph in
   let n = Graph.node_count graph in
@@ -163,7 +163,7 @@ let run_one ~flat ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
       first_round = 1;
       last_round = Some rounds;
       ttl;
-      energy;
+      energy = Some W.default_energy;
     }
   in
   let w = W.create cfg ~n in
@@ -188,10 +188,10 @@ let run_one ~flat ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
   (w, converged, states, alive)
 
 let measure ~spec ~rounds ~ttl ~window ~burst_round ~rejoin_round ~fraction
-    ~energy cell rng =
+    cell rng =
   let w, converged, _states, _alive =
     run_one ~flat:false ~spec ~rounds ~ttl ~burst:cell.c_burst ~burst_round
-      ~rejoin_round ~fraction ~energy ~rate:cell.c_load.rate
+      ~rejoin_round ~fraction ~rate:cell.c_load.rate
       ~channel:cell.c_chan.chan rng
   in
   {
@@ -271,14 +271,13 @@ let fold ~burst_round ~window cell (runs : outcome Sweep.runs) =
   }
 
 let default_spec = Scenario.poisson ~intensity:1000.0 ~radius:0.06 ()
-let default_energy = Some W.default_energy
 
 let sweep ?(seed = 42) ?(runs = 3) ?(spec = default_spec)
     ?(loads = default_loads) ?(channels = default_channels)
     ?(bursts = [ false; true ]) ?(rounds = 220) ?(ttl = 48) ?(window = 20)
     ?(burst_round = default_burst_round)
     ?(rejoin_round = default_rejoin_round)
-    ?(fraction = default_burst_fraction) ?(energy = default_energy) () =
+    ?(fraction = default_burst_fraction) () =
   {
     Sweep.label =
       (fun c ->
@@ -295,8 +294,7 @@ let sweep ?(seed = 42) ?(runs = 3) ?(spec = default_spec)
     runs = (fun _ -> runs);
     seed = (fun _ -> seed);
     run =
-      measure ~spec ~rounds ~ttl ~window ~burst_round ~rejoin_round ~fraction
-        ~energy;
+      measure ~spec ~rounds ~ttl ~window ~burst_round ~rejoin_round ~fraction;
     judge = Sweep.raised_only;
     fold = fold ~burst_round ~window;
   }
@@ -357,12 +355,12 @@ type verification = {
 let verify ?(seed = 42) ?(spec = default_spec) ?(rounds = 220) ?(ttl = 48)
     ?(window = 20) ?(burst_round = default_burst_round)
     ?(rejoin_round = default_rejoin_round)
-    ?(fraction = default_burst_fraction) ?(energy = default_energy)
-    ?(rate = 8.0) ?(channel = Channel.bernoulli 0.9) () =
+    ?(fraction = default_burst_fraction) ?(rate = 8.0)
+    ?(channel = Channel.bernoulli 0.9) () =
   let stream () = (Sweep.streams ~seed ~runs:1).(0) in
   let go flat =
     run_one ~flat ~spec ~rounds ~ttl ~burst:true ~burst_round
-      ~rejoin_round ~fraction ~energy ~rate ~channel (stream ())
+      ~rejoin_round ~fraction ~rate ~channel (stream ())
   in
   let ws, _, states_s, alive_s = go false in
   let wf, _, states_f, alive_f = go true in

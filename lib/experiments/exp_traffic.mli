@@ -59,8 +59,6 @@ val default_spec : Scenario.spec
 (** Poisson intensity 1000, radius 0.06 — the 1k-node deployment of the
     acceptance run. *)
 
-val default_energy : Ss_traffic.Workload.energy_model option
-
 type cell = { c_load : load; c_chan : chan; c_burst : bool }
 
 type outcome
@@ -79,7 +77,6 @@ val sweep :
   ?burst_round:int ->
   ?rejoin_round:int ->
   ?fraction:float ->
-  ?energy:Ss_traffic.Workload.energy_model option ->
   unit ->
   (cell, outcome, row) Sweep.t
 (** One cell per load x channel x burst, load-major; every cell's run [i]
@@ -109,7 +106,6 @@ val verify :
   ?burst_round:int ->
   ?rejoin_round:int ->
   ?fraction:float ->
-  ?energy:Ss_traffic.Workload.energy_model option ->
   ?rate:float ->
   ?channel:Ss_radio.Channel.t ->
   unit ->

@@ -21,15 +21,14 @@ type spec = { deployment : deployment; radius : float; id_layout : id_layout }
 (* The paper's grid carries about lambda = 1000 nodes: 32 x 32. *)
 let paper_grid_side = 32
 
-let poisson ?(id_layout = Random_ids) ~intensity ~radius () =
-  { deployment = Poisson intensity; radius; id_layout }
+let poisson ~intensity ~radius () =
+  { deployment = Poisson intensity; radius; id_layout = Random_ids }
 
-let uniform ?(id_layout = Random_ids) ~count ~radius () =
-  { deployment = Uniform count; radius; id_layout }
+let uniform ~count ~radius () =
+  { deployment = Uniform count; radius; id_layout = Random_ids }
 
-let grid ?(id_layout = Row_major_ids) ?(cols = paper_grid_side)
-    ?(rows = paper_grid_side) ~radius () =
-  { deployment = Grid (cols, rows); radius; id_layout }
+let grid ?(cols = paper_grid_side) ?(rows = paper_grid_side) ~radius () =
+  { deployment = Grid (cols, rows); radius; id_layout = Row_major_ids }
 
 type world = { graph : Graph.t; ids : int array }
 

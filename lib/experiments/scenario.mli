@@ -14,15 +14,13 @@ type id_layout =
 
 type spec = { deployment : deployment; radius : float; id_layout : id_layout }
 
-val poisson :
-  ?id_layout:id_layout -> intensity:float -> radius:float -> unit -> spec
+val poisson : intensity:float -> radius:float -> unit -> spec
+(** Random ids, as are [uniform]'s. *)
 
-val uniform :
-  ?id_layout:id_layout -> count:int -> radius:float -> unit -> spec
+val uniform : count:int -> radius:float -> unit -> spec
 
-val grid :
-  ?id_layout:id_layout -> ?cols:int -> ?rows:int -> radius:float -> unit -> spec
-(** Defaults to the paper's 32x32 with row-major ids. *)
+val grid : ?cols:int -> ?rows:int -> radius:float -> unit -> spec
+(** Row-major ids; defaults to the paper's 32x32. *)
 
 type world = { graph : Ss_topology.Graph.t; ids : int array }
 

@@ -76,7 +76,7 @@ let verdict t cell = function
   | Raised reason -> Some reason
   | Done a -> t.judge cell a
 
-let run_cell ~domains (t : (_, _, _) t) index cell =
+let run_cell pool (t : (_, _, _) t) index cell =
   let runs = t.runs cell in
   if runs < 1 then
     invalid_arg
@@ -88,7 +88,7 @@ let run_cell ~domains (t : (_, _, _) t) index cell =
   let rngs = streams ~seed:(t.seed index) ~runs in
   let outcomes =
     Array.to_list
-      (Pool.map_n ~domains runs (fun i ->
+      (Pool.map pool runs (fun i ->
            match prepared with Done f -> capture f rngs.(i) | Raised r -> Raised r))
   in
   let failed =
@@ -114,7 +114,12 @@ let run ?domains (t : (_, _, _) t) =
         invalid_arg
           (Printf.sprintf "Sweep.run: domains must be positive, got %d" d)
   in
-  List.mapi (run_cell ~domains t) t.cells
+  (* One pool for the whole sweep, no larger than its largest cell: every
+     cell's runs go through it, so its domains are spawned and joined once
+     per sweep, not once per cell. *)
+  let most = List.fold_left (fun m cell -> max m (t.runs cell)) 1 t.cells in
+  Pool.with_pool ~domains:(min domains most) (fun pool ->
+      List.mapi (run_cell pool t) t.cells)
 
 let rows ?domains t = List.map (fun e -> e.row) (run ?domains t)
 

@@ -68,8 +68,9 @@ val summaries :
 type ('cell, 'a, 'row) entry = { cell : 'cell; runs : 'a runs; row : 'row }
 
 val run : ?domains:int -> ('cell, 'a, 'row) t -> ('cell, 'a, 'row) entry list
-(** Every cell in order. [domains] defaults to 1 when the [REPRO_JOBS]
-    environment variable is unset, its value otherwise. Raises
+(** Every cell in order, the runs of every cell on one domain pool of
+    at most [domains] domains. [domains] defaults to 1 when the
+    [REPRO_JOBS] environment variable is unset, its value otherwise. Raises
     [Invalid_argument] when [domains], [REPRO_JOBS] or a cell's run count
     is not a positive integer. *)
 

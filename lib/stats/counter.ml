@@ -5,10 +5,9 @@ type t = (string, int) Hashtbl.t
 
 let create () = Hashtbl.create 8
 
-let incr ?(by = 1) t key =
-  Hashtbl.replace t key (by + Option.value ~default:0 (Hashtbl.find_opt t key))
-
 let count t key = Option.value ~default:0 (Hashtbl.find_opt t key)
+let add t key by = Hashtbl.replace t key (by + count t key)
+let incr t key = add t key 1
 
 let total t = Hashtbl.fold (fun _ v acc -> acc + v) t 0
 
@@ -20,7 +19,7 @@ let to_list t =
 
 let merge a b =
   let out = Hashtbl.copy a in
-  Hashtbl.iter (fun k v -> incr ~by:v out k) b;
+  Hashtbl.iter (fun k v -> add out k v) b;
   out
 
 let pp ppf t =

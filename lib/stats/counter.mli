@@ -4,8 +4,8 @@ type t
 
 val create : unit -> t
 
-val incr : ?by:int -> t -> string -> unit
-(** Add [by] (default 1) to the key's count. *)
+val incr : t -> string -> unit
+(** Add 1 to the key's count. *)
 
 val count : t -> string -> int
 (** 0 for unseen keys. *)

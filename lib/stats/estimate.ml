@@ -118,7 +118,9 @@ let nan_ci = { point = Float.nan; lo = Float.nan; hi = Float.nan }
 (* Percentile bootstrap over a statistic of the bound completion. The
    resampled statistic receives a scratch array of drawn values (unsorted);
    it must not retain it. *)
-let bootstrap ~key ~reps ~confidence ~point ~stat t =
+let confidence = 0.95
+
+let bootstrap ~key ~reps ~point ~stat t =
   let n = count t in
   if n = 0 then nan_ci
   else if n = 1 then
@@ -126,8 +128,6 @@ let bootstrap ~key ~reps ~confidence ~point ~stat t =
     { point = v; lo = v; hi = v }
   else begin
     if reps < 1 then invalid_arg "Estimate.bootstrap: reps < 1";
-    if not (confidence > 0.0 && confidence < 1.0) then
-      invalid_arg "Estimate.bootstrap: confidence outside (0, 1)";
     let stats = Array.make reps 0.0 in
     let scratch = Array.make n 0.0 in
     for b = 0 to reps - 1 do
@@ -147,15 +147,15 @@ let bootstrap ~key ~reps ~confidence ~point ~stat t =
 let mean_of a =
   Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-let bootstrap_mean ~key ?(reps = 1000) ?(confidence = 0.95) t =
-  bootstrap ~key ~reps ~confidence ~point:(mean_lb t) ~stat:mean_of t
+let bootstrap_mean ~key ?(reps = 1000) t =
+  bootstrap ~key ~reps ~point:(mean_lb t) ~stat:mean_of t
 
-let bootstrap_quantile ~key ?(reps = 1000) ?(confidence = 0.95) ~q t =
+let bootstrap_quantile ~key ?(reps = 1000) ~q t =
   let stat a =
     Array.sort Float.compare a;
     a.(rank_index ~n:(Array.length a) q)
   in
-  bootstrap ~key ~reps ~confidence ~point:(quantile_lb t q) ~stat t
+  bootstrap ~key ~reps ~point:(quantile_lb t q) ~stat t
 
 (* Two-sample sweeps over the merged sorted completions. *)
 

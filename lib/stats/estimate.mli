@@ -74,14 +74,14 @@ type ci = { point : float; lo : float; hi : float }
     Under censoring all three are bounds, see the header. *)
 
 val bootstrap_mean :
-  key:Ss_prng.Rng.key -> ?reps:int -> ?confidence:float -> t -> ci
-(** Percentile bootstrap on the (bound-completion) mean; [reps] defaults to
-    1000, [confidence] to 0.95. On an empty distribution every field is
+  key:Ss_prng.Rng.key -> ?reps:int -> t -> ci
+(** Percentile bootstrap 95% interval on the (bound-completion) mean;
+    [reps] defaults to 1000. On an empty distribution every field is
     [nan]; on a single observation the interval is degenerate. *)
 
 val bootstrap_quantile :
-  key:Ss_prng.Rng.key -> ?reps:int -> ?confidence:float -> q:float -> t -> ci
-(** Percentile bootstrap on {!quantile_lb}[ q]. *)
+  key:Ss_prng.Rng.key -> ?reps:int -> q:float -> t -> ci
+(** Percentile bootstrap 95% interval on {!quantile_lb}[ q]. *)
 
 val ks_statistic : t -> t -> float
 (** Two-sample Kolmogorov-Smirnov statistic: the largest absolute ECDF

@@ -148,8 +148,3 @@ let shutdown t =
 let with_pool ~domains f =
   let t = create ~domains in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let map_n ~domains n f =
-  if n < 0 then invalid_arg "Pool.map_n: negative count";
-  if domains <= 1 || n <= 1 then sequential n f
-  else with_pool ~domains:(min domains n) (fun t -> map t n f)

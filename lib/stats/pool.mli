@@ -40,8 +40,3 @@ val shutdown : t -> unit
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] runs [f] with a fresh pool and shuts it down
     afterwards, whether [f] returns or raises. *)
-
-val map_n : domains:int -> int -> (int -> 'a) -> 'a array
-(** One-shot convenience: sequential ascending-order evaluation when
-    [domains <= 1] or [n <= 1], otherwise [with_pool] + {!map} with at
-    most [n] domains. *)

@@ -2,12 +2,10 @@ module D = Ss_cluster.Distributed
 
 type pos = Ss_geom.Vec2.t = { x : float; y : float }
 
-type peer = { p_node : int; p_is_head : bool; p_claims : int array }
-
 type view = {
   v_head : int option;
-  v_parent : int option;
-  v_peers : peer array;
+  v_peers : int array;
+  v_claims : int array array;
   v_far_heads : int array;
 }
 
@@ -16,17 +14,13 @@ type view = {
    do not age refreshed entries); projecting them away here is what makes
    routing — and therefore the whole workload — executor-independent. *)
 let of_distributed (st : D.state) =
-  let peers =
-    Array.of_list
-      (List.map
-         (fun ((q, e) : int * D.entry) ->
-           {
-             p_node = q;
-             p_is_head = e.D.e_head = Some q;
-             p_claims = e.D.e_nbrs;
-           })
-         st.D.cache)
-  in
+  let k = List.length st.D.cache in
+  let peers = Array.make k 0 and claims = Array.make k [||] in
+  List.iteri
+    (fun i ((q, e) : int * D.entry) ->
+      peers.(i) <- q;
+      claims.(i) <- e.D.e_nbrs)
+    st.D.cache;
   let far_heads =
     Array.of_list
       (List.filter_map
@@ -36,8 +30,8 @@ let of_distributed (st : D.state) =
   in
   {
     v_head = st.D.head;
-    v_parent = st.D.parent;
     v_peers = peers;
+    v_claims = claims;
     v_far_heads = far_heads;
   }
 
@@ -50,8 +44,7 @@ type decision = Forward of { next : int; via : int; advance : bool } | Stall
    (./check greps this part of the file for [fun] and [Vec2.]). Squared
    distances are computed inline from the position fields. *)
 
-let claims pr t =
-  let a = pr.p_claims in
+let claims (a : int array) (t : int) =
   let k = Array.length a in
   let i = ref 0 in
   let found = ref false in
@@ -67,7 +60,7 @@ let holds_peer v q =
   let ps = v.v_peers in
   let found = ref false in
   for i = 0 to Array.length ps - 1 do
-    if ps.(i).p_node = q then found := true
+    if ps.(i) = q then found := true
   done;
   !found
 
@@ -84,9 +77,10 @@ let nearest_peer (pos : pos array) v ~n ~cur ~prev ~banned ~claiming target =
   let best = ref (-1) and best_d = ref infinity in
   let ps = v.v_peers in
   for i = 0 to Array.length ps - 1 do
-    let pr = ps.(i) in
-    let q = pr.p_node in
-    if usable ~n ~cur ~prev ~banned q && ((not claiming) || claims pr target)
+    let q = ps.(i) in
+    if
+      usable ~n ~cur ~prev ~banned q
+      && ((not claiming) || claims v.v_claims.(i) target)
     then begin
       let dx = pos.(q).x -. tx and dy = pos.(q).y -. ty in
       let d = (dx *. dx) +. (dy *. dy) in
@@ -139,7 +133,7 @@ let next_hop ~positions:(pos : pos array) ~view:v ~n ~cur ~dst ~via ~prev
           let best_d = ref d_cur and best_e = ref (-1) in
           let ps = v.v_peers in
           for i = 0 to Array.length ps - 1 do
-            let q = ps.(i).p_node in
+            let q = ps.(i) in
             if usable ~n ~cur ~prev ~banned q then begin
               let dx = pos.(q).x -. tx and dy = pos.(q).y -. ty in
               let d = (dx *. dx) +. (dy *. dy) in

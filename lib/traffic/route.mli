@@ -2,8 +2,8 @@
 
     The data plane routes with exactly what the paper's control plane
     maintains at each node: the 1-hop cache (with each neighbor's claimed
-    neighborhood and head flag), the 2-hop far table's head entries, and
-    the node's own parent/head choice. Nothing here consults an oracle —
+    neighborhood), the 2-hop far table's head entries, and the node's own
+    head choice, which the duty drain reads. Nothing here consults an oracle —
     a route is a function of {e believed} structure, so during
     stabilization it can be wrong, and the workload layer's
     retry/invalidate machinery is what turns wrong-but-healing tables
@@ -22,28 +22,23 @@
     that message, so any routing cycle permanently loses a node per lap
     and self-destructs instead of burning the TTL. *)
 
-type peer = {
-  p_node : int;
-  p_is_head : bool;  (** the entry claims itself as head *)
-  p_claims : int array;
-      (** its claimed 1-hop neighborhood: the state's own array, which
-          flat unpacks share between states, so never mutate it *)
-}
-
 type view = {
   v_head : int option;  (** this node's believed cluster-head *)
-  v_parent : int option;
-  v_peers : peer array;  (** believed 1-hop neighbors, ascending *)
+  v_peers : int array;  (** believed 1-hop neighbors, ascending *)
+  v_claims : int array array;
+      (** [v_claims.(i)] is peer [v_peers.(i)]'s claimed 1-hop
+          neighborhood: the state's own array, which flat unpacks share
+          between states, so never mutate it *)
   v_far_heads : int array;  (** believed 2-hop cluster-heads, ascending *)
 }
 
 val of_distributed : Ss_cluster.Distributed.state -> view
 (** Project the routing view out of a protocol state: cache entries
-    become peers, far entries flagged as heads become backbone
-    candidates. Freshness stamps are deliberately ignored — they are the
-    only cache fields whose dense/sparse evolution differs, and dropping
-    them is what keeps workload routing bit-identical across
-    executors. The view is still a function of fields [equal_state]
+    become peers with their claims, far entries flagged as heads become
+    backbone candidates. Freshness stamps are deliberately ignored —
+    they are the only cache fields whose dense/sparse evolution differs,
+    and dropping them is what keeps workload routing bit-identical
+    across executors. The view is still a function of fields [equal_state]
     ignores (the cache and far entries), so a caller caching views
     must key them on [Engine.reader]'s [written_at], not on
     [changed_at]. *)

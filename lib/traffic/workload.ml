@@ -54,16 +54,17 @@ let default_config =
     energy = None;
   }
 
-(* Growable int plane: amortized push, no per-round boxing — idle rounds
-   write a handful of ints and allocate nothing. *)
-module Ibuf = struct
-  type t = { mutable a : int array; mutable len : int }
+(* Growable array: amortized push, no per-round boxing — idle rounds
+   write a handful of ints and allocate nothing. The pushed value fills
+   the fresh slots of a grown array, so no placeholder is needed. *)
+module Buf = struct
+  type 'a t = { mutable a : 'a array; mutable len : int }
 
-  let create () = { a = Array.make 64 0; len = 0 }
+  let create () = { a = [||]; len = 0 }
 
   let push t x =
     if t.len = Array.length t.a then begin
-      let b = Array.make (2 * t.len) 0 in
+      let b = Array.make (max 64 (2 * t.len)) x in
       Array.blit t.a 0 b 0 t.len;
       t.a <- b
     end;
@@ -71,13 +72,21 @@ module Ibuf = struct
     t.len <- t.len + 1
 
   let get t i = t.a.(i)
-  let set t i x = t.a.(i) <- x
-  let bump t i d = t.a.(i) <- t.a.(i) + d
   let to_array t = Array.sub t.a 0 t.len
+
+  let equal eq a b =
+    a.len = b.len
+    &&
+    let same = ref true in
+    for i = 0 to a.len - 1 do
+      if not (eq a.a.(i) b.a.(i)) then same := false
+    done;
+    !same
 end
 
 type msg = {
   id : int;
+  src : int;
   dst : int;
   born : int;
   deadline : int;
@@ -87,9 +96,13 @@ type msg = {
   mutable attempts : int;
   mutable retry_at : int;
   mutable banned : int list;
+  mutable outcome : int;
+  mutable end_round : int; (* round the outcome was reached; -1 in flight *)
+  mutable hops : int;
+  mutable retries : int; (* failed transmissions *)
 }
 
-(* Outcome codes in the per-message plane. *)
+(* Outcome codes of [msg.outcome]. *)
 let o_flight = 0
 let o_delivered = 1
 let o_expired = 2
@@ -99,32 +112,24 @@ type t = {
   cfg : config;
   n : int;
   key : Rng.key;
-  mutable flight : msg list; (* newest first; order identical in every
-                                executor, which is all determinism needs *)
-  mutable next_id : int;
-  (* per-message planes, indexed by id *)
-  m_born : Ibuf.t;
-  m_src : Ibuf.t;
-  m_dst : Ibuf.t;
-  m_outcome : Ibuf.t;
-  m_end : Ibuf.t;
-  m_hops : Ibuf.t;
-  m_retries : Ibuf.t;
+  msgs : msg Buf.t; (* every message, indexed by id *)
+  mutable flight : msg list; (* the in-flight ones, newest first; order
+                                identical in every executor, which is all
+                                determinism needs *)
   (* per-round series, indexed by round - 1 *)
-  r_offered : Ibuf.t;
-  r_delivered : Ibuf.t;
-  r_expired : Ibuf.t;
-  r_died : Ibuf.t;
-  r_attempts : Ibuf.t;
-  r_failures : Ibuf.t;
-  r_inflight : Ibuf.t;
+  r_offered : int Buf.t;
+  r_delivered : int Buf.t;
+  r_expired : int Buf.t;
+  r_died : int Buf.t;
+  r_attempts : int Buf.t;
+  r_failures : int Buf.t;
+  r_inflight : int Buf.t;
   mutable stalls : int;
   mutable reroutes : int;
   mutable invalidations : int;
   batteries : Energy.battery array; (* [||] without an energy model *)
   head_rounds : int array;
-  is_head : bool array; (* believed-head flag as of the last read *)
-  read_round : int array; (* round of that read; -1 = never read *)
+  read_round : int array; (* round of the drain's last read; -1 = never *)
   views : Route.view array; (* per node: the routing view last built *)
   view_stamp : int array; (* the [written_at] it was built at; -1 = none *)
   mutable last_round : int;
@@ -133,8 +138,8 @@ type t = {
 let no_view =
   {
     Route.v_head = None;
-    v_parent = None;
     v_peers = [||];
+    v_claims = [||];
     v_far_heads = [||];
   }
 
@@ -172,22 +177,15 @@ let create cfg ~n =
     cfg;
     n;
     key = Rng.key ~seed:cfg.seed;
+    msgs = Buf.create ();
     flight = [];
-    next_id = 0;
-    m_born = Ibuf.create ();
-    m_src = Ibuf.create ();
-    m_dst = Ibuf.create ();
-    m_outcome = Ibuf.create ();
-    m_end = Ibuf.create ();
-    m_hops = Ibuf.create ();
-    m_retries = Ibuf.create ();
-    r_offered = Ibuf.create ();
-    r_delivered = Ibuf.create ();
-    r_expired = Ibuf.create ();
-    r_died = Ibuf.create ();
-    r_attempts = Ibuf.create ();
-    r_failures = Ibuf.create ();
-    r_inflight = Ibuf.create ();
+    r_offered = Buf.create ();
+    r_delivered = Buf.create ();
+    r_expired = Buf.create ();
+    r_died = Buf.create ();
+    r_attempts = Buf.create ();
+    r_failures = Buf.create ();
+    r_inflight = Buf.create ();
     stalls = 0;
     reroutes = 0;
     invalidations = 0;
@@ -196,8 +194,6 @@ let create cfg ~n =
       | None -> [||]
       | Some e -> Array.init n (fun _ -> Energy.battery ~capacity:e.capacity));
     head_rounds = (match cfg.energy with None -> [||] | Some _ -> Array.make n 0);
-    is_head =
-      (match cfg.energy with None -> [||] | Some _ -> Array.make n false);
     read_round =
       (match cfg.energy with None -> [||] | Some _ -> Array.make n (-1));
     views = Array.make n no_view;
@@ -224,6 +220,22 @@ let backoff t ~id ~attempt =
 
 let pay t p cost =
   if Array.length t.batteries > 0 then Energy.spend t.batteries.(p) cost
+
+(* Node [p]'s routing view, the one cache of what the workload reads of a
+   state: routing and the duty drain both read through it. A view is a
+   function of the whole state, caches included, so it is keyed on the
+   write stamp: [changed_at] would miss steps that move cache entries
+   while leaving the outputs equal. *)
+let view_of t (read : Distributed.state Engine.reader) p =
+  let w = read.Engine.written_at p in
+  if t.view_stamp.(p) <> w then begin
+    t.views.(p) <- Route.of_distributed (read.Engine.state p);
+    t.view_stamp.(p) <- w
+  end;
+  t.views.(p)
+
+let believes_head t p =
+  match t.views.(p).Route.v_head with Some h -> h = p | None -> false
 
 let hook t ~round ~graph ~alive ~read =
   if round <> t.last_round + 1 then
@@ -274,18 +286,10 @@ let hook t ~round ~graph ~alive ~read =
           let di0 = Rng.key_int (Rng.subkey mk 1) !pool_len in
           let di = if di0 = si then (di0 + 1) mod !pool_len else di0 in
           let src = pool.(si) and dst = pool.(di) in
-          let id = t.next_id in
-          t.next_id <- id + 1;
-          Ibuf.push t.m_born round;
-          Ibuf.push t.m_src src;
-          Ibuf.push t.m_dst dst;
-          Ibuf.push t.m_outcome o_flight;
-          Ibuf.push t.m_end (-1);
-          Ibuf.push t.m_hops 0;
-          Ibuf.push t.m_retries 0;
-          t.flight <-
+          let m =
             {
-              id;
+              id = t.msgs.Buf.len;
+              src;
               dst;
               born = round;
               deadline = round + t.cfg.ttl;
@@ -295,8 +299,14 @@ let hook t ~round ~graph ~alive ~read =
               attempts = 0;
               retry_at = round;
               banned = [];
+              outcome = o_flight;
+              end_round = -1;
+              hops = 0;
+              retries = 0;
             }
-            :: t.flight;
+          in
+          Buf.push t.msgs m;
+          t.flight <- m :: t.flight;
           incr offered
         done
       end
@@ -324,29 +334,17 @@ let hook t ~round ~graph ~alive ~read =
     p ~src ~dst
   in
   let finish m outcome counter =
-    Ibuf.set t.m_outcome m.id outcome;
-    Ibuf.set t.m_end m.id round;
+    m.outcome <- outcome;
+    m.end_round <- round;
     incr counter
   in
-  (* A view is a function of the whole state, caches included, so it is
-     keyed on the write stamp: [changed_at] would miss steps that move
-     cache entries while leaving the outputs equal. *)
-  let view_of p =
-    let w = read.Engine.written_at p in
-    if t.view_stamp.(p) <> w then begin
-      t.views.(p) <- Route.of_distributed (read.Engine.state p);
-      t.view_stamp.(p) <- w
-    end;
-    t.views.(p)
-  in
-  let process m =
-    if Ibuf.get t.m_outcome m.id <> o_flight then ()
-    else if not alive.(m.holder) then finish m o_died died
+  let process (m : msg) =
+    if not alive.(m.holder) then finish m o_died died
     else if round >= m.deadline then finish m o_expired expired
     else if round < m.retry_at then ()
     else begin
       match
-        Route.next_hop ~positions ~view:(view_of m.holder) ~n:t.n
+        Route.next_hop ~positions ~view:(view_of t read m.holder) ~n:t.n
           ~cur:m.holder ~dst:m.dst ~via:m.via ~prev:m.prev ~banned:m.banned
       with
       | Route.Stall ->
@@ -376,13 +374,13 @@ let hook t ~round ~graph ~alive ~read =
             m.prev <- m.holder;
             m.holder <- next;
             m.attempts <- 0;
-            Ibuf.bump t.m_hops m.id 1;
+            m.hops <- m.hops + 1;
             if m.via = next then m.via <- Route.no_via;
             if next = m.dst then finish m o_delivered delivered
           end
           else begin
             incr failures;
-            Ibuf.bump t.m_retries m.id 1;
+            m.retries <- m.retries + 1;
             if not up then begin
               (* The monitor saw the next hop dead (or the link gone):
                  a ghost table entry. Ban it outright — no point burning
@@ -406,10 +404,11 @@ let hook t ~round ~graph ~alive ~read =
     end
   in
   List.iter process t.flight;
-  t.flight <-
-    List.filter (fun m -> Ibuf.get t.m_outcome m.id = o_flight) t.flight;
+  t.flight <- List.filter (fun m -> m.outcome = o_flight) t.flight;
   (* --- duty-cycle energy drain: each alive node's believed-head flag,
-     re-read only when its outputs changed since the cached read ------- *)
+     read through the view cache only when its outputs changed since the
+     drain's last read; routing runs first, so a view it has just built
+     costs the drain no unpack --------------------------------------- *)
   (match t.cfg.energy with
   | None -> ()
   | Some e ->
@@ -417,29 +416,26 @@ let hook t ~round ~graph ~alive ~read =
         for p = 0 to t.n - 1 do
           if alive.(p) then begin
             if read.Engine.changed_at p > t.read_round.(p) then begin
-              t.is_head.(p) <-
-                (match (read.Engine.state p).Distributed.head with
-                | Some h -> h = p
-                | None -> false);
+              ignore (view_of t read p);
               t.read_round.(p) <- round
             end;
-            if t.is_head.(p) then
+            if believes_head t p then
               t.head_rounds.(p) <- t.head_rounds.(p) + e.duty_every
           end
         done;
         Energy.apply_duty ~drain:e.duty t.batteries
           ~alive:(fun p -> alive.(p))
-          ~is_head:(fun p -> t.is_head.(p))
+          ~is_head:(believes_head t)
       end);
   (* --- per-round series ---------------------------------------------- *)
   let inflight = List.length t.flight in
-  Ibuf.push t.r_offered !offered;
-  Ibuf.push t.r_delivered !delivered;
-  Ibuf.push t.r_expired !expired;
-  Ibuf.push t.r_died !died;
-  Ibuf.push t.r_attempts !attempts;
-  Ibuf.push t.r_failures !failures;
-  Ibuf.push t.r_inflight inflight;
+  Buf.push t.r_offered !offered;
+  Buf.push t.r_delivered !delivered;
+  Buf.push t.r_expired !expired;
+  Buf.push t.r_died !died;
+  Buf.push t.r_attempts !attempts;
+  Buf.push t.r_failures !failures;
+  Buf.push t.r_inflight inflight;
   let more_arrivals =
     t.cfg.rate > 0.0
     && match t.cfg.last_round with None -> true | Some l -> round < l
@@ -487,22 +483,23 @@ let totals t =
   let latency = Summary.create ()
   and hops = Summary.create ()
   and retries = Summary.create () in
-  for id = 0 to t.next_id - 1 do
+  for id = 0 to t.msgs.Buf.len - 1 do
+    let m = Buf.get t.msgs id in
     incr offered;
-    match Ibuf.get t.m_outcome id with
+    match m.outcome with
     | 1 ->
         incr delivered;
-        Summary.add_int latency (Ibuf.get t.m_end id - Ibuf.get t.m_born id + 1);
-        Summary.add_int hops (Ibuf.get t.m_hops id);
-        Summary.add_int retries (Ibuf.get t.m_retries id)
+        Summary.add_int latency (m.end_round - m.born + 1);
+        Summary.add_int hops m.hops;
+        Summary.add_int retries m.retries
     | 2 -> incr expired
     | 3 -> incr died
     | _ -> incr in_flight
   done;
   let attempts = ref 0 and failures = ref 0 in
-  for i = 0 to t.r_attempts.Ibuf.len - 1 do
-    attempts := !attempts + Ibuf.get t.r_attempts i;
-    failures := !failures + Ibuf.get t.r_failures i
+  for i = 0 to t.r_attempts.Buf.len - 1 do
+    attempts := !attempts + Buf.get t.r_attempts i;
+    failures := !failures + Buf.get t.r_failures i
   done;
   {
     offered = !offered;
@@ -532,13 +529,13 @@ type series = {
 
 let series t =
   {
-    s_offered = Ibuf.to_array t.r_offered;
-    s_delivered = Ibuf.to_array t.r_delivered;
-    s_expired = Ibuf.to_array t.r_expired;
-    s_died = Ibuf.to_array t.r_died;
-    s_attempts = Ibuf.to_array t.r_attempts;
-    s_failures = Ibuf.to_array t.r_failures;
-    s_inflight = Ibuf.to_array t.r_inflight;
+    s_offered = Buf.to_array t.r_offered;
+    s_delivered = Buf.to_array t.r_delivered;
+    s_expired = Buf.to_array t.r_expired;
+    s_died = Buf.to_array t.r_died;
+    s_attempts = Buf.to_array t.r_attempts;
+    s_failures = Buf.to_array t.r_failures;
+    s_inflight = Buf.to_array t.r_inflight;
   }
 
 type cohort = {
@@ -552,8 +549,9 @@ type cohort = {
 let cohorts ~window t =
   if window < 1 then invalid_arg "Workload.cohorts: window must be >= 1";
   let buckets = Hashtbl.create 16 in
-  for id = 0 to t.next_id - 1 do
-    let born = Ibuf.get t.m_born id in
+  for id = 0 to t.msgs.Buf.len - 1 do
+    let m = Buf.get t.msgs id in
+    let born = m.born in
     let start = (born - 1) / window * window + 1 in
     let off, del, lat =
       match Hashtbl.find_opt buckets start with
@@ -564,9 +562,9 @@ let cohorts ~window t =
           b
     in
     incr off;
-    if Ibuf.get t.m_outcome id = o_delivered then begin
+    if m.outcome = o_delivered then begin
       incr del;
-      Summary.add_int lat (Ibuf.get t.m_end id - born + 1)
+      Summary.add_int lat (m.end_round - born + 1)
     end
   done;
   Hashtbl.fold (fun start (off, del, lat) acc -> (start, !off, !del, lat) :: acc)
@@ -624,33 +622,24 @@ let energy_report t =
             (if n = 0 then 0.0 else float_of_int hr_sum /. float_of_int n);
         }
 
-let ibuf_equal a b =
-  a.Ibuf.len = b.Ibuf.len
-  &&
-  let eq = ref true in
-  for i = 0 to a.Ibuf.len - 1 do
-    if Ibuf.get a i <> Ibuf.get b i then eq := false
-  done;
-  !eq
+(* The message fields a run reports; the routing state of a finished
+   message is not an observable. *)
+let msg_equal a b =
+  a.born = b.born && a.src = b.src && a.dst = b.dst && a.outcome = b.outcome
+  && a.end_round = b.end_round && a.hops = b.hops && a.retries = b.retries
 
 let equal a b =
-  a.n = b.n && a.next_id = b.next_id && a.last_round = b.last_round
+  a.n = b.n && a.last_round = b.last_round
   && a.stalls = b.stalls && a.reroutes = b.reroutes
   && a.invalidations = b.invalidations
-  && ibuf_equal a.m_born b.m_born
-  && ibuf_equal a.m_src b.m_src
-  && ibuf_equal a.m_dst b.m_dst
-  && ibuf_equal a.m_outcome b.m_outcome
-  && ibuf_equal a.m_end b.m_end
-  && ibuf_equal a.m_hops b.m_hops
-  && ibuf_equal a.m_retries b.m_retries
-  && ibuf_equal a.r_offered b.r_offered
-  && ibuf_equal a.r_delivered b.r_delivered
-  && ibuf_equal a.r_expired b.r_expired
-  && ibuf_equal a.r_died b.r_died
-  && ibuf_equal a.r_attempts b.r_attempts
-  && ibuf_equal a.r_failures b.r_failures
-  && ibuf_equal a.r_inflight b.r_inflight
+  && Buf.equal msg_equal a.msgs b.msgs
+  && Buf.equal Int.equal a.r_offered b.r_offered
+  && Buf.equal Int.equal a.r_delivered b.r_delivered
+  && Buf.equal Int.equal a.r_expired b.r_expired
+  && Buf.equal Int.equal a.r_died b.r_died
+  && Buf.equal Int.equal a.r_attempts b.r_attempts
+  && Buf.equal Int.equal a.r_failures b.r_failures
+  && Buf.equal Int.equal a.r_inflight b.r_inflight
   && Array.length a.batteries = Array.length b.batteries
   && (let eq = ref true in
       Array.iteri

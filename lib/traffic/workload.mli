@@ -80,11 +80,15 @@ val hook :
     stamp moves, so routing reads each node's state at most once per
     write. The key is [written_at], not [changed_at]: a view reads cache
     and far entries, which [equal_state] ignores. Every [duty_every] rounds
-    the duty drain charges each alive node by its believed role; it keeps
-    each node's head flag with the round it was read, and calls
-    [read.state p] only when [read.changed_at p] is later than that
-    round, so a drain reads the nodes whose outputs changed since the
-    previous one (plus those it has never read), not the whole network.
+    the duty drain charges each alive node by its believed role, the
+    [v_head] of that node's cached view. It keeps the round of each
+    node's last drain read, and reads the node through the view cache
+    only when [read.changed_at p] is later than that round, so a drain
+    reads the nodes whose outputs changed since the previous one (plus
+    those it has never read), not the whole network. Routing runs first
+    in a round, so a drain read of a view routing has just rebuilt costs
+    no [read.state] call, and a view the drain rebuilds serves routing
+    later: the workload reads each (node, [written_at]) pair at most once.
     Rounds must be
     consecutive from 1 (raises [Invalid_argument] otherwise — one [t]
     rides exactly one run). Returns whether the workload is still
@@ -161,6 +165,7 @@ val energy_report : t -> energy_report option
 (** [None] when the workload has no energy model. *)
 
 val equal : t -> t -> bool
-(** Bit-level equality of everything observable: per-message planes,
-    per-round series, counters, battery charges and duty accounting.
+(** Bit-level equality of everything observable: each message's
+    endpoints, birth, outcome, end round, hops and retries, per-round
+    series, counters, battery charges and duty accounting.
     The differential batteries compare executors with this. *)

@@ -19,19 +19,23 @@ let check_identical name a b =
 (* ------------------------------------------------------------------ Pool *)
 
 let test_pool_index_order () =
-  let a = Pool.map_n ~domains:4 100 (fun i -> i * i) in
+  let a =
+    Pool.with_pool ~domains:4 (fun p -> Pool.map p 100 (fun i -> i * i))
+  in
   Alcotest.(check bool) "squares in order" true
     (a = Array.init 100 (fun i -> i * i))
 
 let test_pool_domains_exceed_items () =
-  let a = Pool.map_n ~domains:8 3 (fun i -> i + 1) in
+  let a =
+    Pool.with_pool ~domains:8 (fun p -> Pool.map p 3 (fun i -> i + 1))
+  in
   Alcotest.(check bool) "3 items on 8 domains" true (a = [| 1; 2; 3 |])
 
 let test_pool_sequential_matches_parallel () =
   let f i = float_of_int i ** 1.5 in
-  let seq = Pool.map_n ~domains:1 64 f in
-  let par = Pool.map_n ~domains:4 64 f in
-  check_identical "map_n 1 = map_n 4" seq par
+  let seq = Pool.with_pool ~domains:1 (fun p -> Pool.map p 64 f) in
+  let par = Pool.with_pool ~domains:4 (fun p -> Pool.map p 64 f) in
+  check_identical "map at 1 domain = map at 4" seq par
 
 let test_pool_reuse () =
   Pool.with_pool ~domains:3 (fun pool ->
@@ -46,8 +50,9 @@ let test_pool_exception_lowest_index () =
   let raised =
     try
       ignore
-        (Pool.map_n ~domains:4 32 (fun i ->
-             if i >= 5 then failwith (string_of_int i) else i));
+        (Pool.with_pool ~domains:4 (fun p ->
+             Pool.map p 32 (fun i ->
+                 if i >= 5 then failwith (string_of_int i) else i)));
       None
     with Failure msg -> Some msg
   in

@@ -2,7 +2,7 @@
 
    (a) Executor independence: the same workload configuration attached to
        the dense, sparse and flat (1 and 4 domains) executors is
-       bit-identical on every observable — per-message planes, per-round
+       bit-identical on every observable — per-message records, per-round
        series, counters, batteries — over random geometric worlds with
        lossy data channels, a crash/rejoin burst and energy drain
        (QCheck; this is the freshness-stamp-projection argument of
@@ -19,7 +19,8 @@
        than had their outputs change since the previous one.
    (e) The route-view cache is unobservable: forcing every view to be
        rebuilt changes no observable, and routing reads each node's state
-       at most once per write stamp.
+       at most once per write stamp — so does a whole workload, whose
+       duty drain reads through the same cache.
    (f) Bad energy inputs fail at [Workload.create], naming the field. *)
 
 module Graph = Ss_topology.Graph
@@ -429,8 +430,7 @@ let test_view_cache_unobservable () =
 
 (* Count a hook's state reads by (node, written_at) pair, against the
    reader's true stamps, and report the reads and the pairs read more
-   than once. Only meaningful for a hook that reads nothing but routing
-   views — a workload without an energy model has no duty drain. *)
+   than once. The audited hook returns the hook's own result. *)
 let route_audit hook =
   let pairs = Hashtbl.create 256 in
   let reads = ref 0 and repeats = ref 0 in
@@ -447,7 +447,7 @@ let route_audit hook =
             read.Engine.state p);
       }
     in
-    ignore (hook ~round ~graph ~alive ~read:counting)
+    hook ~round ~graph ~alive ~read:counting
   in
   (audited, fun () -> (!reads, !repeats))
 
@@ -468,7 +468,7 @@ let test_route_reads_once_per_write () =
     in
     let audited, report = route_audit rider_hook in
     let wrap hook ~round ~graph ~alive ~read =
-      audited ~round ~graph ~alive ~read;
+      ignore (audited ~round ~graph ~alive ~read);
       hook ~round ~graph ~alive ~read
     in
     ignore (run_exec ~wrap c g exec);
@@ -497,6 +497,38 @@ let test_route_reads_once_per_write () =
           (label ^ ": rebuilt views read alike")
           reads forced_reads)
     [ ("dense", Dense, false); ("sparse", Sparse, true); ("flat", FlatD 1, true) ]
+
+(* The energy-on workload itself, audited: routing and the duty drain
+   together read no (node, written_at) pair twice, because the drain takes
+   its head flags from the route-view cache. *)
+let test_workload_reads_once_per_write () =
+  let c = energy_case in
+  let g = build_world c in
+  List.iter
+    (fun (label, exec) ->
+      let report = ref (fun () -> (0, 0)) in
+      let wrap hook =
+        let audited, r = route_audit hook in
+        report := r;
+        audited
+      in
+      let w, _, _, _ = run_exec ~wrap c g exec in
+      let reads, repeats = !report () in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: workload routed traffic" label)
+        true
+        ((W.totals w).W.attempts > 0);
+      Alcotest.(check bool)
+        (label ^ ": some node paid head duty")
+        true
+        (match W.energy_report w with
+        | Some e -> e.W.head_rounds_max > 0
+        | None -> false);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: (node, written_at) pairs read twice (%d reads)"
+           label reads)
+        0 repeats)
+    [ ("dense", Dense); ("sparse", Sparse); ("flat", FlatD 1) ]
 
 (* ----------------------------------------- (f): energy input checks *)
 
@@ -618,6 +650,8 @@ let suite =
         test_view_cache_unobservable;
       Alcotest.test_case "routing reads a state once per write" `Quick
         test_route_reads_once_per_write;
+      Alcotest.test_case "workload reads a state once per write" `Quick
+        test_workload_reads_once_per_write;
       Alcotest.test_case "zero energy costs, infinite capacity accepted"
         `Quick test_energy_edges_accepted;
     ]
